@@ -151,7 +151,7 @@ def cmd_nmf(args) -> int:
     seed = _seed_of(args)
     config = EstimateConfig(
         k=args.k,
-        ext=tuple(int(x) for x in args.ext.split(",")),
+        ext=args.ext,
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=seed,
@@ -349,6 +349,10 @@ def cmd_zoo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def ext_dims(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmk",
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nmf", help="bracket the formation measure of a state")
     p.add_argument("state")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ext", default="1,1,1", help="extension dims a',b',e'")
+    p.add_argument("--ext", default="1,1,1", type=ext_dims, help="extension dims a',b',e'")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=600)
     p.add_argument("--tol", type=float, default=1e-3)

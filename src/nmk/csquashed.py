@@ -22,22 +22,29 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .entropy import entropy_from_eigs, mutual_info
+from .entropy import entropies_from_eigs, mutual_info
 from .errors import BadEnsemble, DimensionTooSmall
-from .nmf import EstimateConfig, RestartRecord, _optimize_restart, estimate
+from .nmf import (
+    EstimateConfig,
+    RestartRecord,
+    _check_search_config,
+    _optimize_restart,
+    estimate,
+)
 from .rand import as_rng
 from .registers import Party, Register, RegisterLayout
 from .states import (
+    PRUNE_TOL,
     DensityState,
-    _clamped_eigvalsh,
     _pure_reduced_matrix,
+    member_spectra,
+    partial_trace,
     purify,
+    steered_members,
     tensor,
     trace_distance,
 )
 from .witness import witness_from_ab_ensemble
-
-PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,9 @@ class EsqcConfig:
     seed: int = 0
     tol: float = 1e-4
     jobs: int = 1
+
+    def __post_init__(self):
+        _check_search_config(self, {"e_prime": 1, "restarts": 0, "max_iters": 0, "jobs": 1})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,48 +116,25 @@ def check_ensemble(weights, states, omega: DensityState, tol: float = 1e-9) -> f
 
 def _fast_esqc_objective(omega: DensityState, psi_arr, e_prime: int, k: int):
     lay = omega.layout
-    dims = lay.dims
-    n = len(dims)
-    full_dims = dims + (e_prime,)
+    full_dims = lay.dims + (e_prime,)
     a_axes = sorted(lay.index(lbl) for lbl in lay.party_labels(Party.ALICE))
     b_axes = sorted(lay.index(lbl) for lbl in lay.party_labels(Party.BOB))
-    ab_axes = sorted(a_axes + b_axes)
-
-    def ent(flat, keep):
-        return entropy_from_eigs(_clamped_eigvalsh(_pure_reduced_matrix(flat, full_dims, keep)))
+    groups = (a_axes, b_axes, sorted(a_axes + b_axes))
 
     def f(w_matrix):
-        ext = (psi_arr @ w_matrix.T).reshape(full_dims + (k,))
-        total = 0.0
-        for i in range(k):
-            vec = ext[..., i].reshape(-1)
-            p = float(np.vdot(vec, vec).real)
-            if p <= PRUNE_TOL:
-                continue
-            flat = vec / math.sqrt(p)
-            total += p * (ent(flat, a_axes) + ent(flat, b_axes) - ent(flat, ab_axes))
-        return 0.5 * total
+        weights, members = steered_members(psi_arr, w_matrix, full_dims, k)
+        s_a, s_b, s_ab = map(entropies_from_eigs, member_spectra(members, full_dims, groups))
+        return 0.5 * float(weights @ (s_a + s_b - s_ab))
 
     return f
 
 
 def _members_from_matrix(omega, psi_arr, w_matrix, e_prime, k):
     lay = omega.layout
-    dims = lay.dims
-    full_dims = dims + (e_prime,)
-    keep_axes = list(range(len(dims)))
-    ext = (psi_arr @ w_matrix.T).reshape(full_dims + (k,))
-    weights, states = [], []
-    for i in range(k):
-        vec = ext[..., i].reshape(-1)
-        p = float(np.vdot(vec, vec).real)
-        if p <= PRUNE_TOL:
-            continue
-        flat = vec / math.sqrt(p)
-        states.append(DensityState(lay, _pure_reduced_matrix(flat, full_dims, keep_axes)))
-        weights.append(p)
-    total = sum(weights)
-    return tuple(w / total for w in weights), tuple(states)
+    full_dims = lay.dims + (e_prime,)
+    weights, members = steered_members(psi_arr, w_matrix, full_dims, k)
+    reduced = _pure_reduced_matrix(members, full_dims, range(len(lay.dims)))
+    return tuple((weights / weights.sum()).tolist()), tuple(DensityState(lay, m) for m in reduced)
 
 
 def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> EsqcEstimate:
@@ -163,8 +150,6 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         raise BadEnsemble("the state needs alice- and bob-tagged registers")
     if len(a) + len(b) != len(omega.layout):
         # The measure is of the AB marginal; drop Eve's side.
-        from .states import partial_trace
-
         omega = partial_trace(omega, a + b)
     if omega.dim > 64:
         raise DimensionTooSmall(
@@ -244,8 +229,6 @@ def extension_crosscheck(
     a = omega.layout.party_labels(Party.ALICE)
     b = omega.layout.party_labels(Party.BOB)
     if len(a) + len(b) != len(omega.layout):
-        from .states import partial_trace
-
         omega = partial_trace(omega, a + b)
     ens_est = estimate_esqc(omega, esqc_config)
 

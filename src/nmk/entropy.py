@@ -27,6 +27,12 @@ def entropy_from_eigs(vals: np.ndarray) -> float:
     return float(-np.sum(vals * np.log2(vals)))
 
 
+def entropies_from_eigs(spectra: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`entropy_from_eigs` of a ``(k, n)`` stack of spectra."""
+    vals = np.asarray(spectra, dtype=float)
+    return -np.sum(vals * np.log2(np.where(vals > LOG_CLAMP, vals, 1.0)), axis=-1)
+
+
 def entropy_of_matrix(matrix: np.ndarray) -> float:
     return entropy_from_eigs(_clamped_eigvalsh(matrix))
 

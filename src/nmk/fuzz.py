@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import cqmi, entropy, nonmarkovianity, party_partition
+from .entropy import cqmi, entropies_from_eigs, entropy, nonmarkovianity, party_partition
+from .errors import BadRange
 from .markov import build_markov
 from .rand import as_rng, random_isometry, random_unitary, sample
 from .registers import Party, Register, RegisterLayout, layout
 from .serialize import state_to_json, step_to_json
-from .states import ChannelMap, DensityState
+from .states import ChannelMap, DensityState, member_spectra
 from .steps import Scenario, Step, apply_step
 from .witness import (
     objective,
@@ -84,11 +85,17 @@ def _run_trials(worker, count: int, jobs: int):
     return failures
 
 
+def _require_trials(count: int) -> None:
+    if count < 1:
+        raise BadRange(f"trials must be at least 1, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # strong subadditivity
 
 
 def fuzz_ssa(trials_222: int = 1000, trials_224: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
+    _require_trials(trials_222)
     total = trials_222 + trials_224
 
     def worker(i):
@@ -181,6 +188,7 @@ def _mono_step(cls: str, rng) -> Step:
 def fuzz_monotonicity(
     trials_per_class: int = 300, seed=0, classes=FREE_CLASS_NAMES, jobs: int = 1
 ) -> FuzzReport:
+    _require_trials(trials_per_class)
     classes = tuple(classes)
     total = trials_per_class * len(classes)
 
@@ -279,6 +287,8 @@ def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
 def fuzz_markov_closure(
     trials: int = 200, seed=0, script_length: int = 3, jobs: int = 1
 ) -> FuzzReport:
+    _require_trials(trials)
+
     def worker(t):
         rng = as_rng([seed, t])
         components = _random_components(rng)
@@ -325,22 +335,10 @@ def _route2_objective(w) -> float:
     t = w.target()
     e = tuple(lbl for lbl in t.layout.labels if lbl in set(g.e))
     s_ab_e = entropy(t) - (entropy(t, e) if e else 0.0)
-    total = 0.0
-    for i, p in enumerate(w.weights):
-        total += p * (
-            _member_entropy(w, i, g.a + g.a_prime)
-            + _member_entropy(w, i, g.b + g.b_prime)
-            - _member_entropy(w, i, g.a_prime + g.b_prime)
-        )
-    return 0.5 * (s_ab_e + total)
-
-
-def _member_entropy(w, i, labels) -> float:
-    from .entropy import entropy_of_matrix
-
-    if not labels:
-        return 0.0
-    return entropy_of_matrix(w._member_reduced(i, labels))
+    groups = (g.a + g.a_prime, g.b + g.b_prime, g.a_prime + g.b_prime)
+    spectra = member_spectra(np.stack(w.members), w.layout.dims, map(w._axes, groups))
+    s_aa, s_bb, s_pp = map(entropies_from_eigs, spectra)
+    return 0.5 * (s_ab_e + float(np.asarray(w.weights) @ (s_aa + s_bb - s_pp)))
 
 
 CHECKS_PER_TRIAL = 7
@@ -384,6 +382,7 @@ def _witness_trial(seed, t):
 
 
 def fuzz_witness(trials: int = 100, seed=0, mixture_probes: int = 0, jobs: int = 1) -> FuzzReport:
+    _require_trials(trials)
     notes = {
         "mixture_probes": [],
         "transport_coverage": "explicit mappings only (local channels, reversible "

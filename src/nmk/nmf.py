@@ -16,26 +16,24 @@ deterministic min, so results do not depend on the worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .entropy import entropy, entropy_from_eigs, nonmarkovianity, party_partition
-from .errors import BudgetExceeded, DimensionTooSmall
+from .entropy import entropies_from_eigs, entropy, nonmarkovianity, party_partition
+from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, random_isometry
 from .registers import Register, RegisterLayout
-from .states import (
-    DensityState,
-    _clamped_eigvalsh,
-    _pure_reduced_matrix,
-    dim_budget,
-    purify,
-    tensor,
+from .states import DensityState, dim_budget, member_spectra, purify, steered_members, tensor
+from .witness import (
+    Witness,
+    baseline_witnesses,
+    check_witness,
+    objective,
+    witness_from_isometry,
 )
-from .witness import Witness, baseline_witnesses, check_witness, objective
-
-PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,29 @@ class EstimateConfig:
     escalate: bool = True
     jobs: int = 1
 
+    def __post_init__(self):
+        if len(self.ext) != 3 or not all(
+            isinstance(x, numbers.Integral) and x >= 1 for x in self.ext
+        ):
+            raise BadRange(f"ext must be three positive integers, got {self.ext!r}")
+        _check_search_config(self, {"restarts": 0, "max_iters": 0, "jobs": 1})
+
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_search_config(config, minima: dict) -> None:
+    """Raise BadRange unless every integer field named in ``minima`` is at
+    least its minimum, ``k`` is None or positive, and ``tol`` is finite
+    and nonnegative."""
+    if config.k is not None:
+        minima = {"k": 1, **minima}
+    for name, low in minima.items():
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or value < low:
+            raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
+    if not (math.isfinite(config.tol) and config.tol >= 0):
+        raise BadRange(f"tol must be finite and >= 0, got {config.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -100,43 +119,23 @@ def _expm_unitary(sigma: float, h: np.ndarray) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def _entropy_keep(flat: np.ndarray, dims, keep_axes) -> float:
-    return entropy_from_eigs(_clamped_eigvalsh(_pure_reduced_matrix(flat, dims, keep_axes)))
-
-
 def _fast_objective(rho: DensityState, psi_arr: np.ndarray, ext_dims, k: int):
     """Member-marginal form of the witness objective, as a function of the
     steering isometry.  Mathematically identical to the realized-state form
     (their agreement is itself a tested identity)."""
     a, b, e = party_partition(rho)
     lay = rho.layout
-    dims_abe = lay.dims
-    n_abe = len(dims_abe)
-    ap, bp, ep = ext_dims
-    full_dims = dims_abe + (ap, bp, ep)
+    n_abe = len(lay.dims)
+    full_dims = lay.dims + tuple(ext_dims)
     a_axes = sorted(lay.index(lbl) for lbl in a)
     b_axes = sorted(lay.index(lbl) for lbl in b)
-    aa_axes = a_axes + [n_abe]
-    bb_axes = b_axes + [n_abe + 1]
-    pp_axes = [n_abe, n_abe + 1]
+    groups = (a_axes + [n_abe], b_axes + [n_abe + 1], [n_abe, n_abe + 1])
     s_ab_e = entropy(rho, a + b + e) - (entropy(rho, e) if e else 0.0)
 
     def f(w_matrix: np.ndarray) -> float:
-        ext = (psi_arr @ w_matrix.T).reshape(full_dims + (k,))
-        total = 0.0
-        for i in range(k):
-            vec = ext[..., i].reshape(-1)
-            p = float(np.vdot(vec, vec).real)
-            if p <= PRUNE_TOL:
-                continue
-            flat = vec / math.sqrt(p)
-            term = (
-                _entropy_keep(flat, full_dims, aa_axes)
-                + _entropy_keep(flat, full_dims, bb_axes)
-                - _entropy_keep(flat, full_dims, pp_axes)
-            )
-            total += p * term
-        return 0.5 * (s_ab_e + total)
+        weights, members = steered_members(psi_arr, w_matrix, full_dims, k)
+        s_aa, s_bb, s_pp = map(entropies_from_eigs, member_spectra(members, full_dims, groups))
+        return 0.5 * (s_ab_e + float(weights @ (s_aa + s_bb - s_pp)))
 
     return f
 
@@ -233,7 +232,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         results.sort(key=lambda t: t[0])
         for rid, (w_mat, fast_val, iters, accepted) in results:
             trace.append(RestartRecord(rid, round_id, fast_val, iters, accepted))
-            witness = _witness_from_matrix(rho, w_mat, ext_dims, k)
+            witness = witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
             candidates.append((objective(witness), len(candidates), witness))
         best_obj, _, best_w = min(candidates, key=lambda t: (t[0], t[1]))
         notes["rounds"].append({"round": round_id, "ext": ext_dims, "best": best_obj})
@@ -250,12 +249,6 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     )
 
 
-def _witness_from_matrix(rho, w_mat, ext_dims, k):
-    from .witness import witness_from_isometry
-
-    return witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
-
-
 def relabeled(rho: DensityState, suffix: str) -> DensityState:
     lay = RegisterLayout(
         tuple(Register(f"{r.label}{suffix}", r.dim, r.party) for r in rho.layout.registers)
@@ -269,8 +262,6 @@ def two_copy_bracket(rho: DensityState, config: EstimateConfig | None = None) ->
     The regularized measure itself is not computable here; this reports the
     per-copy bracket of the two-copy state next to the single-copy one.
     """
-    from dataclasses import replace
-
     config = config or EstimateConfig()
     pair = tensor(relabeled(rho, "1"), relabeled(rho, "2"))
     single = estimate(rho, config)

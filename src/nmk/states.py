@@ -39,6 +39,7 @@ EIG_FLOOR = -1e-9
 NORM_TOL = 1e-10
 KRAUS_TOL = 1e-9
 INVERSE_TOL = 1e-8
+PRUNE_TOL = 1e-14
 DEFAULT_DIM_BUDGET = 4096
 
 
@@ -81,6 +82,8 @@ class DensityState:
             raise InvariantViolation(
                 "shape", f"matrix shape {m.shape} does not match layout dimension {d}"
             )
+        if not np.isfinite(m).all():
+            raise InvariantViolation("finite", "matrix entries must be finite")
         herm_err = np.max(np.abs(m - m.conj().T)) if d else 0.0
         if herm_err > HERMITIAN_TOL:
             raise InvariantViolation("hermitian", f"max |m - m^dagger| = {herm_err:.3e}")
@@ -131,6 +134,8 @@ class PureState:
                 "shape",
                 f"amplitude length {self.amplitudes.shape} does not match layout dimension {self.layout.dim}",
             )
+        if not np.isfinite(self.amplitudes).all():
+            raise InvariantViolation("finite", "amplitudes must be finite")
         err = abs(np.linalg.norm(self.amplitudes) - 1.0)
         if err > NORM_TOL:
             raise InvariantViolation("unit_norm", f"| ||psi|| - 1 | = {err:.3e}")
@@ -311,20 +316,38 @@ def partial_trace(state: DensityState, keep) -> DensityState:
     return DensityState(state.layout.subset(keep), reduced)
 
 
-def reduced_from_pure(psi: PureState, keep) -> DensityState:
-    """Reduced density matrix of a pure state, via the Gram trick."""
-    keep = tuple(keep)
-    keep_axes = list(psi.layout.positions(keep))
-    mat = _pure_reduced_matrix(psi.amplitudes, psi.layout.dims, keep_axes)
-    return DensityState(psi.layout.subset(keep), mat)
-
-
 def _pure_reduced_matrix(vec: np.ndarray, dims, keep_axes) -> np.ndarray:
-    n = len(dims)
-    drop_axes = [i for i in range(n) if i not in keep_axes]
-    dk = math.prod(dims[i] for i in keep_axes) if keep_axes else 1
-    arr = vec.reshape(dims).transpose(list(keep_axes) + drop_axes).reshape(dk, -1)
-    return arr @ arr.conj().T
+    """Reduced matrix on ``keep_axes`` of a vector on ``dims``, or of every
+    row of a ``(k, D)`` stack of such vectors."""
+    lead = vec.shape[:-1]
+    m = len(lead)
+    keep_axes = list(keep_axes)
+    drop_axes = [i for i in range(len(dims)) if i not in keep_axes]
+    dk = math.prod(dims[i] for i in keep_axes)
+    order = list(range(m)) + [m + i for i in keep_axes + drop_axes]
+    arr = vec.reshape(lead + tuple(dims)).transpose(order).reshape(lead + (dk, -1))
+    return arr @ arr.conj().swapaxes(-1, -2)
+
+
+def steered_members(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int):
+    """Weights and normalized ``(k', D)`` member stack of the ensemble that
+    ``w_matrix``, an isometry from the reference of the (system, reference)
+    purification ``psi_arr`` into (extension) x K, steers out: member i is
+    the slice at flag K = i (the fastest index), a vector on ``dims``.
+    Slices of weight at most ``PRUNE_TOL`` are dropped."""
+    slices = (psi_arr @ w_matrix.T).reshape(math.prod(dims), k).T
+    # A batched np.vdot per slice: the same sums, so the weights (and every
+    # objective built on them) do not depend on how members are batched.
+    weights = (slices.conj()[:, None, :] @ slices[:, :, None]).real.reshape(-1)
+    live = weights > PRUNE_TOL
+    weights = weights[live]
+    return weights, slices[live] / np.sqrt(weights)[:, None]
+
+
+def member_spectra(members: np.ndarray, dims, keep_axes) -> list[np.ndarray]:
+    """Clamped ``(k, d_group)`` spectra of the reductions of a ``(k, D)``
+    member stack onto each axis group, one batched eigensolve per group."""
+    return [_clamped_eigvalsh(_pure_reduced_matrix(members, dims, axes)) for axes in keep_axes]
 
 
 def purify(

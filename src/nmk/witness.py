@@ -32,16 +32,18 @@ from .errors import (
 from .markov import MarkovComponents, build_markov
 from .registers import Party, Register, RegisterLayout
 from .states import (
+    PRUNE_TOL,
     DensityState,
     PureState,
     _clamped_eigvalsh,
     _pure_reduced_matrix,
+    member_spectra,
     purify,
+    steered_members,
     trace_distance,
 )
 
 WEIGHT_TOL = 1e-10
-PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ class Witness:
         object.__setattr__(self, "weights", tuple(float(p) for p in self.weights))
         if len(self.weights) != len(self.members) or not self.members:
             raise DimensionMismatch("weights and members must pair up nonempty")
+        if not all(np.isfinite(self.weights)) or not all(np.isfinite(m).all() for m in members):
+            raise InvariantViolation("finite", "witness weights and members must be finite")
         total = sum(self.weights)
         if any(p < -WEIGHT_TOL for p in self.weights) or abs(total - 1.0) > WEIGHT_TOL:
             raise InvariantViolation("weights", f"weights must sum to 1, got {total}")
@@ -118,9 +122,6 @@ class Witness:
     def _axes(self, labels) -> list[int]:
         return sorted(self.layout.index(lbl) for lbl in labels)
 
-    def _member_reduced(self, i: int, labels) -> np.ndarray:
-        return _pure_reduced_matrix(self.members[i], self.layout.dims, self._axes(labels))
-
     def _mix_reduced(self, labels) -> np.ndarray:
         axes = self._axes(labels)
         dims = self.layout.dims
@@ -138,16 +139,16 @@ class Witness:
         return entropy_of_matrix(self._mix_reduced(labels))
 
     def _entropy_with_flag(self, labels) -> float:
-        """Entropy of the reduction keeping ``labels`` plus the K flag."""
-        spectra = []
-        for i, p in enumerate(self.weights):
-            if p <= PRUNE_TOL:
-                continue
-            if labels:
-                spectra.append(p * _clamped_eigvalsh(self._member_reduced(i, labels)))
-            else:
-                spectra.append(np.array([p]))
-        return entropy_from_eigs(np.concatenate(spectra))
+        """Entropy of the reduction keeping ``labels`` plus the K flag: the
+        spectrum of the block-diagonal state is the concatenation of the
+        p_i-scaled member spectra."""
+        weights = np.asarray(self.weights)
+        live = weights > PRUNE_TOL
+        if not labels:
+            return entropy_from_eigs(weights[live])
+        members = np.stack(self.members)[live]
+        (spectra,) = member_spectra(members, self.layout.dims, [self._axes(labels)])
+        return entropy_from_eigs((weights[live, None] * spectra).ravel())
 
     # -- derived states ----------------------------------------------------
     def target(self) -> DensityState:
@@ -256,9 +257,6 @@ def witness_from_isometry(
         )
     if np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) > 1e-8:
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
-    d_abe = rho.dim
-    arr = psi.amplitudes.reshape(d_abe, rank)
-    ext = (arr @ w_matrix.T).reshape(d_abe, ap, bp, ep, k)
     lay = rho.layout.extended(
         (
             Register(prime_labels[0], ap, Party.ALICE),
@@ -266,16 +264,7 @@ def witness_from_isometry(
             Register(prime_labels[2], ep, Party.EVE),
         )
     )
-    weights, members = [], []
-    for i in range(k):
-        vec = ext[..., i].reshape(-1)
-        p = float(np.vdot(vec, vec).real)
-        if p <= PRUNE_TOL:
-            continue
-        weights.append(p)
-        members.append(vec / math.sqrt(p))
-    total = sum(weights)
-    weights = [p / total for p in weights]
+    weights, members = steered_members(psi.amplitudes.reshape(rho.dim, rank), w_matrix, lay.dims, k)
     groups = WitnessGroups(
         a=a,
         a_prime=(prime_labels[0],),
@@ -284,7 +273,7 @@ def witness_from_isometry(
         e=e,
         e_prime=(prime_labels[2],),
     )
-    w = Witness(lay, groups, tuple(weights), tuple(members), k_label=k_label)
+    w = Witness(lay, groups, weights / weights.sum(), tuple(members), k_label=k_label)
     if validate:
         check_witness(w, rho, tol=1e-8)
     return w
@@ -587,11 +576,8 @@ def ab_ensemble_from_witness(w: Witness):
     the bare A and B groups.  Its averaged mutual information never exceeds
     twice the witness objective."""
     keep = tuple(lbl for lbl in w.layout.labels if lbl in set(w.groups.a + w.groups.b))
-    states = [
-        DensityState(w.layout.subset(keep), w._member_reduced(i, keep))
-        for i in range(w.k)
-    ]
-    return w.weights, states
+    reduced = _pure_reduced_matrix(np.stack(w.members), w.layout.dims, w._axes(keep))
+    return w.weights, [DensityState(w.layout.subset(keep), m) for m in reduced]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nmk import DensityState, layout, tensor
+
+# CLI tests run ``python -m nmk`` in subprocesses; let them import this
+# checkout's package too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def bell_pair(a="A", b="B"):

@@ -192,6 +192,36 @@ class TestFuzz:
         assert json.loads(files[0].read_text())["cqmi"] == -1.0
 
 
+class TestBadRanges:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("nmf", "zoo:bell_e0", "--ext", "1,2"),
+            ("nmf", "zoo:bell_e0", "--ext", "a,b,c"),
+            ("nmf", "zoo:bell_e0", "--ext", "0,1,1"),
+            ("nmf", "zoo:bell_e0", "--restarts", "-2"),
+            ("nmf", "zoo:bell_e0", "--max-iters", "-1"),
+            ("nmf", "zoo:bell_e0", "--k", "0"),
+            ("nmf", "zoo:bell_e0", "--tol", "nan"),
+            ("nmf", "zoo:bell_e0", "--tol", "-1"),
+            ("nmf", "zoo:bell_e0", "--jobs", "0"),
+            ("esqc", "zoo:bell_e0", "--restarts", "-1"),
+            ("esqc", "zoo:bell_e0", "--max-iters", "-1"),
+            ("esqc", "zoo:bell_e0", "--k", "0"),
+            ("esqc", "zoo:bell_e0", "--e-prime", "0"),
+            ("esqc", "zoo:bell_e0", "--tol", "inf"),
+            ("esqc", "zoo:bell_e0", "--jobs", "0"),
+            ("fuzz", "ssa", "--trials", "0"),
+            ("fuzz", "witness", "--trials", "-3"),
+        ],
+    )
+    def test_exits_2_without_traceback(self, args):
+        proc = run_cli(*args, "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestZooCommand:
     def test_list_matches_manifest(self):
         proc = run_cli("zoo", "list")

@@ -11,14 +11,17 @@ from nmk import (
     layout,
     mutual_info,
     objective,
+    purify,
     sample,
     trace_distance,
     witness_from_ab_ensemble,
     zoo,
 )
+from nmk.csquashed import _fast_esqc_objective, _members_from_matrix
 from nmk.errors import BadEnsemble, DimensionTooSmall
 
 from conftest import bell_pair, classical_corr
+from test_nmf import steering_isometry
 from test_witness import random_witness
 
 FAST = EsqcConfig(restarts=6, max_iters=300, seed=0)
@@ -51,6 +54,24 @@ class TestObjective:
             esqc_objective((0.7,), (bell_pair(),))
         with pytest.raises(BadEnsemble):
             esqc_objective((1.0,), ())
+
+
+@pytest.mark.parametrize("e_prime", [1, 2])
+@pytest.mark.parametrize("extra_k", [0, 1])
+def test_fast_objective_matches_dense_oracle(e_prime, extra_k):
+    rng = np.random.default_rng(37)
+    lay = layout(("A", 2, "alice"), ("B", 3, "bob"))
+    for _ in range(3):
+        omega = sample("density_hs", (2, 3), rng, layout=lay, rank=3)
+        psi = purify(omega, "__ref__")
+        rank = psi.layout.register("__ref__").dim
+        psi_arr = psi.amplitudes.reshape(omega.dim, rank)
+        k = rank + extra_k
+        w_mat = steering_isometry(rank, (e_prime,), k, rng)
+        fast = _fast_esqc_objective(omega, psi_arr, e_prime, k)(w_mat)
+        weights, states = _members_from_matrix(omega, psi_arr, w_mat, e_prime, k)
+        assert len(states) == rank  # an empty flag slot is pruned
+        assert fast == pytest.approx(esqc_objective(weights, states), abs=1e-10)
 
 
 class TestEstimate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,46 @@ from nmk import (
     markov_witness,
     mutual_info,
     nonmarkovianity,
+    purify,
     sample,
     two_copy_bracket,
+    witness_from_isometry,
     zoo,
 )
 from nmk.errors import BudgetExceeded, DimensionTooSmall
+from nmk.nmf import _fast_objective
+from nmk.rand import random_isometry
 
 from test_markov import random_components
+from test_witness import recompute_objective
 
 FAST = EstimateConfig(restarts=6, max_iters=300, seed=0)
+
+
+def steering_isometry(rank, ext, k, rng):
+    """Random isometry from the reference into (extension) x K, with K the
+    fastest index; flag slots from ``rank`` on stay empty."""
+    cap = math.prod(ext) * k
+    rows = [r for r in range(cap) if r % k < rank]
+    w_mat = np.zeros((cap, rank), dtype=complex)
+    w_mat[rows] = random_isometry(rank, len(rows), rng)
+    return w_mat
+
+
+@pytest.mark.parametrize("ext", [(1, 1, 1), (2, 2, 1), (2, 2, 2)])
+@pytest.mark.parametrize("extra_k", [0, 1])
+def test_fast_objective_matches_dense_oracle(ext, extra_k):
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        rho = sample("density_hs", (2, 2, 2), rng, rank=3)
+        psi = purify(rho, "__ref__")
+        rank = psi.layout.register("__ref__").dim
+        k = rank + extra_k
+        w_mat = steering_isometry(rank, ext, k, rng)
+        fast = _fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, k)(w_mat)
+        witness = witness_from_isometry(rho, w_mat, ext, k)
+        assert witness.k == rank  # an empty flag slot is pruned
+        assert fast == pytest.approx(recompute_objective(witness), abs=1e-10)
 
 
 class TestPureStates:

@@ -280,6 +280,18 @@ class TestValidation:
         with pytest.raises(InvariantViolation, match="unit_norm"):
             PureState(layout(("A", 2, "alice")), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_not_finite(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 1] = bad
+        with pytest.raises(InvariantViolation, match="finite"):
+            DensityState(layout(("A", 2, "alice")), m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pure_not_finite(self, bad):
+        with pytest.raises(InvariantViolation, match="finite"):
+            PureState(layout(("A", 2, "alice")), np.array([1.0, bad]))
+
     def test_kraus_completeness(self):
         with pytest.raises(InvariantViolation, match="kraus_completeness"):
             ChannelMap((np.eye(2) * 0.5,))

@@ -312,3 +312,16 @@ def test_weights_validated():
     groups = WitnessGroups(("A",), (), ("B",), (), ("E",), ())
     with pytest.raises(InvariantViolation, match="weights"):
         Witness(lay, groups, (0.7,), (vec,))
+
+
+@pytest.mark.parametrize(
+    "weights, entry",
+    [((np.nan, 0.5), 0.0), ((np.inf, 0.5), 0.0), ((0.5, 0.5), np.nan), ((0.5, 0.5), np.inf)],
+)
+def test_non_finite_rejected(weights, entry):
+    lay = layout(("A", 2, "alice"), ("B", 2, "bob"), ("E", 1, "eve"))
+    good = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    bad = np.array([entry, 0.0, 0.0, 1.0], dtype=complex)
+    groups = WitnessGroups(("A",), (), ("B",), (), ("E",), ())
+    with pytest.raises(InvariantViolation, match="finite"):
+        Witness(lay, groups, weights, (good, bad))
