@@ -353,6 +353,13 @@ def ext_dims(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def seed_value(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmk",
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=True):
         p.add_argument("--csv", help="also write flattened numeric results to this CSV file")
         if seeded:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=seed_value, default=None)
 
     p = sub.add_parser("analyze", help="entropic report and Markov verdict for a state")
     p.add_argument("state", help="state file or zoo:name?params reference")

@@ -21,7 +21,14 @@ import numpy as np
 from .entropy import cqmi, party_partition
 from .errors import BadProbabilities, InconsistentDims
 from .registers import Party, Register, RegisterLayout
-from .states import DensityState, embed_operator, partial_trace, fidelity
+from .states import (
+    DensityState,
+    _marginal_matrix,
+    _permuted_matrix,
+    embed_operator,
+    fidelity,
+    partial_trace,
+)
 
 PROB_TOL = 1e-10
 
@@ -89,10 +96,9 @@ def build_markov(components: MarkovComponents, *, index_label: str = "E0") -> De
         eye_j[j, j] = 1.0
         block = entry.p * np.kron(np.kron(entry.sigma.matrix, entry.tau.matrix), eye_j)
         mat += block
-    raw_layout = RegisterLayout(
+    raw = RegisterLayout(
         sig_lay.registers + tau_lay.registers + (Register(index_label, n, Party.EVE),)
     )
-    raw = DensityState(raw_layout, mat)
     order = (
         sig_lay.party_labels(Party.ALICE)
         + tau_lay.party_labels(Party.BOB)
@@ -100,9 +106,10 @@ def build_markov(components: MarkovComponents, *, index_label: str = "E0") -> De
         + sig_lay.party_labels(Party.EVE)
         + tau_lay.party_labels(Party.EVE)
     )
-    if len(order) != len(raw_layout):
+    if len(order) != len(raw):
         raise InconsistentDims("component registers must be tagged alice/bob/eve only")
-    return raw.permuted(order)
+    axes = [raw.index(lbl) for lbl in order]
+    return DensityState(raw.reordered(order), _permuted_matrix(mat, raw.dims, axes))
 
 
 class PetzResult(NamedTuple):
@@ -129,40 +136,25 @@ def petz_recover(state: DensityState, a, b, e) -> PetzResult:
     (a..., b..., e...) order.
     """
     a, b, e = tuple(a), tuple(b), tuple(e)
-    union = a + b + e
-    if set(union) != set(state.layout.labels):
-        state = partial_trace(state, union)
-    if state.layout.labels != union:
-        state = state.permuted(union)
-    rho_e = partial_trace(state, e).matrix if e else np.eye(1, dtype=complex)
-    rho_be = partial_trace(state, b + e).matrix
-    rho_ae = partial_trace(state, a + e).matrix
+    lay = state.layout.subset(a + b + e).reordered(a + b + e)
+    axes = [state.layout.index(lbl) for lbl in lay.labels]
+    rho = _marginal_matrix(state.matrix, state.layout.dims, axes)
+    rho_e = _marginal_matrix(rho, lay.dims, lay.positions(e)) if e else np.eye(1, dtype=complex)
+    rho_be = _marginal_matrix(rho, lay.dims, lay.positions(b + e))
+    rho_ae = _marginal_matrix(rho, lay.dims, lay.positions(a + e))
     e_inv_half = _matrix_power_psd(rho_e, -0.5)
     be_half = _matrix_power_psd(rho_be, 0.5)
 
-    lay = state.layout
     lift_e = embed_operator(lay.subset(a + e), e, e_inv_half) if e else np.eye(rho_ae.shape[0])
     x_ae = lift_e @ rho_ae @ lift_e.conj().T
     # Lift X^{AE} into the full space (identity on B), then sandwich on BE.
-    x_full = _lift_with_identity(x_ae, lay, a, b, e)
+    x_full = embed_operator(lay, a + e, x_ae)
     lift_be = embed_operator(lay, b + e, be_half)
     y = lift_be @ x_full @ lift_be.conj().T
     t = float(np.trace(y).real)
     y = y / t
     y = 0.5 * (y + y.conj().T)
     return PetzResult(DensityState(lay, y), t)
-
-
-def _lift_with_identity(x_ae, lay: RegisterLayout, a, b, e) -> np.ndarray:
-    d_b = lay.dim_of(b)
-    wide = np.kron(x_ae, np.eye(d_b, dtype=complex))
-    # wide is ordered (a..., e..., b...); permute to (a..., b..., e...).
-    regs = tuple(lay.subset(a).registers + lay.subset(e).registers + lay.subset(b).registers)
-    interim = RegisterLayout(regs)
-    axes = [interim.index(lbl) for lbl in a + b + e]
-    n = len(axes)
-    t = wide.reshape(interim.dims * 2).transpose(axes + [n + i for i in axes])
-    return t.reshape(lay.dim, lay.dim)
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,9 @@ class EstimateConfig:
 
 def _check_search_config(config, minima: dict) -> None:
     """Raise BadRange unless every integer field named in ``minima`` is at
-    least its minimum, ``k`` is None or positive, and ``tol`` is finite
-    and nonnegative."""
+    least its minimum, ``seed`` is nonnegative, ``k`` is None or positive,
+    and ``tol`` is finite and nonnegative."""
+    minima = {"seed": 0, **minima}
     if config.k is not None:
         minima = {"k": 1, **minima}
     for name, low in minima.items():

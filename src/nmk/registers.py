@@ -87,6 +87,8 @@ class RegisterLayout:
     def positions(self, labels) -> tuple[int, ...]:
         """Positions of ``labels`` in layout order (input order is ignored)."""
         idx = sorted(self.index(lbl) for lbl in labels)
+        if len(set(idx)) != len(idx):
+            raise DuplicateLabel(f"repeated labels in {list(labels)}")
         return tuple(idx)
 
     def dim_of(self, labels) -> int:

@@ -3,7 +3,9 @@
 State files carry the register list and the matrix split into real and
 imaginary parts, row-major in register order.  Readers re-validate every
 invariant; a violation surfaces as :class:`~nmk.errors.InvariantViolation`
-whose message names the failed invariant.
+whose message names the failed invariant.  A malformed payload (a missing
+key, a wrong type, an unknown party) raises :class:`~nmk.errors.BadParams`
+naming the field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import BadParams
 from .markov import MarkovComponents, MarkovEntry
-from .registers import Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout
 from .states import ChannelMap, DensityState
 from .steps import Step, StepKind
 from .witness import Witness, WitnessGroups
@@ -71,7 +73,7 @@ def components_from_json(d: dict) -> MarkovComponents:
             MarkovEntry(float(it["p"]), state_from_json(it["sigma"]), state_from_json(it["tau"]))
             for it in d["entries"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed components payload: {exc}") from exc
     return MarkovComponents(entries)
 
@@ -82,7 +84,10 @@ def vector_to_json(v: np.ndarray) -> dict:
 
 
 def vector_from_json(d: dict) -> np.ndarray:
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+    try:
+        return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadParams(f"malformed vector payload: {exc}") from exc
 
 
 def witness_to_json(w: Witness) -> dict:
@@ -106,22 +111,22 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(d: dict) -> Witness:
-    g = d["groups"]
-    groups = WitnessGroups(
-        a=tuple(g["a"]),
-        a_prime=tuple(g["a_prime"]),
-        b=tuple(g["b"]),
-        b_prime=tuple(g["b_prime"]),
-        e=tuple(g["e"]),
-        e_prime=tuple(g["e_prime"]),
-    )
-    return Witness(
-        layout_from_json(d["registers"]),
-        groups,
-        tuple(float(p) for p in d["weights"]),
-        tuple(vector_from_json(m) for m in d["members"]),
-        k_label=d.get("k_label", "K"),
-    )
+    try:
+        g = d["groups"]
+        groups = WitnessGroups(
+            a=tuple(g["a"]),
+            a_prime=tuple(g["a_prime"]),
+            b=tuple(g["b"]),
+            b_prime=tuple(g["b_prime"]),
+            e=tuple(g["e"]),
+            e_prime=tuple(g["e_prime"]),
+        )
+        weights = tuple(float(p) for p in d["weights"])
+        members = tuple(vector_from_json(m) for m in d["members"])
+        lay = layout_from_json(d["registers"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadParams(f"malformed witness payload: {exc}") from exc
+    return Witness(lay, groups, weights, members, k_label=d.get("k_label", "K"))
 
 
 def channel_to_json(c: ChannelMap) -> dict:
@@ -175,30 +180,42 @@ def step_to_json(step: Step) -> dict:
 def step_from_json(d: dict) -> Step:
     try:
         kind = StepKind(d["kind"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"unknown step kind: {exc}") from exc
-    out = None
-    if d.get("out") is not None:
-        out = tuple(Register(it["label"], int(it["dim"]), it["party"]) for it in d["out"])
+    if kind in (StepKind.LOCAL_A, StepKind.LOCAL_B) and not (d.get("channel") or d.get("discard")):
+        raise BadParams(f"a {kind.value} step needs a 'channel' or a 'discard' list")
+    if kind is StepKind.REVERSIBLE_E and not d.get("channel"):
+        raise BadParams("a reversible_e step needs a 'channel'")
     return Step(
         kind=kind,
-        channel=channel_from_json(d["channel"]) if d.get("channel") else None,
-        on=tuple(d.get("on", ())),
-        out=out,
-        discard=tuple(d.get("discard", ())),
+        channel=_step_field(d, "channel", channel_from_json),
+        on=_step_field(d, "on", _labels, ()),
+        out=_step_field(d, "out", lambda items: layout_from_json(items).registers),
+        discard=_step_field(d, "discard", _labels, ()),
         register=d.get("register"),
-        to=d.get("to") and _party(d["to"]),
-        operators=tuple(matrix_from_json(m) for m in d.get("operators", ())),
+        to=_step_field(d, "to", Party),
+        operators=_step_field(d, "operators", lambda ms: tuple(map(matrix_from_json, ms)), ()),
         msg_label=d.get("msg_label"),
-        sender=d.get("sender") and _party(d["sender"]),
+        sender=_step_field(d, "sender", Party),
         bypass=bool(d.get("bypass", False)),
     )
 
 
-def _party(value):
-    from .registers import Party
+def _step_field(d: dict, key: str, parse, default=None):
+    """``parse(d[key])``, or ``default`` when the key is absent or null; a
+    malformed value raises BadParams naming the field."""
+    if d.get(key) is None:
+        return default
+    try:
+        return parse(d[key])
+    except (AttributeError, BadParams, KeyError, TypeError, ValueError) as exc:
+        raise BadParams(f"malformed step field {key!r}: {exc}") from exc
 
-    return Party(value)
+
+def _labels(items) -> tuple[str, ...]:
+    if not isinstance(items, list) or not all(isinstance(lbl, str) for lbl in items):
+        raise TypeError(f"expected a list of register labels, got {items!r}")
+    return tuple(items)
 
 
 def script_to_json(steps) -> dict:
@@ -206,7 +223,7 @@ def script_to_json(steps) -> dict:
 
 
 def script_from_json(d: dict) -> tuple[Step, ...]:
-    if "steps" not in d:
+    if not isinstance(d.get("steps"), list):
         raise BadParams("script payload needs a 'steps' array")
     return tuple(step_from_json(it) for it in d["steps"])
 

@@ -5,6 +5,13 @@ States are plain complex numpy matrices tagged with a
 construction (arrays are marked read-only), so values can be shared freely
 across concurrent workers.
 
+A :class:`DensityState` is validated when it is built, and it is built only
+where a state is handed to a caller: public constructors, readers and the
+result of a structural operation or channel, once, in its final register
+order.  Code that only needs numbers (entropies, marginals, interim
+register orders) works on raw matrices through ``_marginal_matrix`` and
+``_permuted_matrix`` and builds no state.
+
 Conventions
 -----------
 * Matrices are stored row-major in the big-endian register order of the
@@ -12,7 +19,8 @@ Conventions
 * Eigenvalues in ``[-1e-9, 0]`` are clamped to zero before entropies and
   purifications; anything below ``-1e-9`` fails validation.
 * Total dimension is capped (default 4096, override with the
-  ``NMK_DIM_BUDGET`` environment variable); dense matrices only.
+  ``NMK_DIM_BUDGET`` environment variable); dense matrices only.  Channel
+  application and tensor products check the cap before allocating.
 """
 
 from __future__ import annotations
@@ -266,6 +274,10 @@ def tensor(a: DensityState, b: DensityState) -> DensityState:
     clash = set(a.layout.labels) & set(b.layout.labels)
     if clash:
         raise DuplicateLabel(f"labels present on both factors: {sorted(clash)}")
+    if a.dim * b.dim > dim_budget():
+        raise BudgetExceeded(
+            f"total dimension {a.dim * b.dim} exceeds the budget of {dim_budget()}"
+        )
     return DensityState(
         RegisterLayout(a.layout.registers + b.layout.registers),
         np.kron(a.matrix, b.matrix),
@@ -282,37 +294,36 @@ def tensor_pure(a: PureState, b: PureState) -> PureState:
     )
 
 
-def _tensor_view(matrix: np.ndarray, dims) -> np.ndarray:
-    return matrix.reshape(tuple(dims) * 2)
+def _permuted_matrix(matrix: np.ndarray, dims, axes) -> np.ndarray:
+    """``matrix`` on registers of ``dims`` with its registers reordered so
+    that register ``axes[i]`` comes i-th, on rows and columns alike."""
+    n = len(dims)
+    axes = list(axes)
+    t = matrix.reshape(tuple(dims) * 2).transpose(axes + [n + a for a in axes])
+    return t.reshape(matrix.shape)
 
 
 def permute_registers(state: DensityState, labels) -> DensityState:
     """Reorder registers; the matrix is permuted to match."""
-    new_layout = state.layout.reordered(tuple(labels))
     axes = [state.layout.index(lbl) for lbl in labels]
-    n = len(axes)
-    t = _tensor_view(state.matrix, state.layout.dims)
-    t = t.transpose(axes + [n + a for a in axes])
-    return DensityState(new_layout, t.reshape(state.dim, state.dim))
+    matrix = _permuted_matrix(state.matrix, state.layout.dims, axes)
+    return DensityState(state.layout.reordered(tuple(labels)), matrix)
 
 
-def _partial_trace_matrix(matrix: np.ndarray, dims, keep_axes) -> np.ndarray:
-    n = len(dims)
+def _marginal_matrix(matrix: np.ndarray, dims, keep_axes) -> np.ndarray:
+    """Reduced matrix on ``keep_axes``, kept registers in the order listed."""
     keep_axes = list(keep_axes)
-    drop_axes = [i for i in range(n) if i not in keep_axes]
-    dk = math.prod(dims[i] for i in keep_axes) if keep_axes else 1
-    dt = math.prod(dims[i] for i in drop_axes) if drop_axes else 1
-    order = keep_axes + drop_axes
-    t = _tensor_view(matrix, dims).transpose(order + [n + a for a in order])
-    t = t.reshape(dk, dt, dk, dt)
+    drop_axes = [i for i in range(len(dims)) if i not in keep_axes]
+    dk = math.prod(dims[i] for i in keep_axes)
+    dt = matrix.shape[0] // dk
+    t = _permuted_matrix(matrix, dims, keep_axes + drop_axes).reshape(dk, dt, dk, dt)
     return np.einsum("ixjx->ij", t)
 
 
 def partial_trace(state: DensityState, keep) -> DensityState:
     """Trace out every register not in ``keep`` (kept in original order)."""
-    keep = tuple(keep)
     keep_axes = state.layout.positions(keep)
-    reduced = _partial_trace_matrix(state.matrix, state.layout.dims, keep_axes)
+    reduced = _marginal_matrix(state.matrix, state.layout.dims, keep_axes)
     return DensityState(state.layout.subset(keep), reduced)
 
 
@@ -391,23 +402,20 @@ def purify(
 def _apply_kraus_block(matrix, dims, on_axes, kraus_ops, out_block_dim):
     """Apply Kraus operators on a register block, identity elsewhere.
 
-    Returns the matrix in (keep..., out-block) register order together with
-    the keep-axis order used.
+    Returns the matrix in (keep..., out-block) register order, the kept
+    registers in layout order.
     """
-    n = len(dims)
     on_axes = list(on_axes)
-    keep_axes = [i for i in range(n) if i not in on_axes]
-    dk = math.prod(dims[i] for i in keep_axes) if keep_axes else 1
+    keep_axes = [i for i in range(len(dims)) if i not in on_axes]
+    dk = math.prod(dims[i] for i in keep_axes)
     r = math.prod(dims[i] for i in on_axes)
-    order = keep_axes + on_axes
-    t = _tensor_view(matrix, dims).transpose(order + [n + a for a in order])
-    t = t.reshape(dk, r, dk, r)
+    t = _permuted_matrix(matrix, dims, keep_axes + on_axes).reshape(dk, r, dk, r)
     s = out_block_dim
     out = np.zeros((dk, s, dk, s), dtype=complex)
     for k in kraus_ops:
         tmp = np.einsum("sb,ibjd->isjd", k, t)
         out += np.einsum("isjd,td->isjt", tmp, k.conj())
-    return out.reshape(dk * s, dk * s), keep_axes
+    return out.reshape(dk * s, dk * s)
 
 
 def apply_channel(
@@ -422,47 +430,48 @@ def apply_channel(
     match the channel input.  ``out`` replaces the block: either a sequence
     of :class:`Register` (appended after the untouched registers) or a full
     :class:`RegisterLayout` giving the exact output order.  With ``out``
-    omitted the channel must be square and the layout is unchanged.
+    omitted the channel must be square and the layout is unchanged.  The
+    output dimension is checked against the budget before anything is
+    computed.
     """
     on = tuple(on)
-    for lbl in on:
-        state.layout.index(lbl)
+    on_axes = [state.layout.index(lbl) for lbl in on]
     if len(set(on)) != len(on):
         raise DuplicateLabel(f"repeated labels in channel target: {on}")
-    on_axes = [state.layout.index(lbl) for lbl in on]
     in_dim = math.prod(state.layout.dims[i] for i in on_axes)
     if channel.in_dim != in_dim:
         raise DimensionMismatch(
             f"channel input dim {channel.in_dim} does not match block dim {in_dim}"
         )
-    full_out = None
+    keep_regs = tuple(r for r in state.layout.registers if r.label not in on)
     if out is None:
         if channel.out_dim != in_dim:
             raise DimensionMismatch("non-square channel needs an output block")
         block = tuple(state.layout.registers[i] for i in on_axes)
+        labels = state.layout.labels
     elif isinstance(out, RegisterLayout):
-        full_out = out
-        keep_labels = [lbl for lbl in state.layout.labels if lbl not in on]
+        keep_labels = {r.label for r in keep_regs}
         block = tuple(r for r in out.registers if r.label not in keep_labels)
+        labels = out.labels
     else:
         block = tuple(out)
-    block_dim = math.prod(r.dim for r in block) if block else 1
+        labels = tuple(r.label for r in keep_regs + block)
+    block_dim = math.prod(r.dim for r in block)
     if block_dim != channel.out_dim:
         raise DimensionMismatch(
             f"output block dim {block_dim} does not match channel output {channel.out_dim}"
         )
-    mat, keep_axes = _apply_kraus_block(
-        state.matrix, state.layout.dims, on_axes, channel.kraus, channel.out_dim
-    )
-    keep_regs = tuple(state.layout.registers[i] for i in keep_axes)
-    interim = DensityState(RegisterLayout(keep_regs + block), mat)
-    if out is None:
-        return interim.permuted(state.layout.labels)
-    if full_out is not None:
-        if sorted(full_out.labels) != sorted(interim.layout.labels):
-            raise LayoutMismatch("output layout labels do not match the channel result")
-        return interim.permuted(full_out.labels)
-    return interim
+    raw = RegisterLayout(keep_regs + block)
+    if sorted(labels) != sorted(raw.labels):
+        raise LayoutMismatch("output layout labels do not match the channel result")
+    out_dim = state.dim // in_dim * channel.out_dim
+    if out_dim > dim_budget():
+        raise BudgetExceeded(
+            f"channel output dimension {out_dim} exceeds the budget of {dim_budget()}"
+        )
+    mat = _apply_kraus_block(state.matrix, state.layout.dims, on_axes, channel.kraus, block_dim)
+    axes = [raw.index(lbl) for lbl in labels]
+    return DensityState(raw.reordered(labels), _permuted_matrix(mat, raw.dims, axes))
 
 
 def trace_distance(a: DensityState, b: DensityState) -> float:
@@ -487,16 +496,10 @@ def fidelity(a: DensityState, b: DensityState) -> float:
 
 def embed_operator(layout: RegisterLayout, on, op: np.ndarray) -> np.ndarray:
     """Lift ``op`` acting on the ordered labels ``on`` to the full space."""
-    on = tuple(on)
     on_axes = [layout.index(lbl) for lbl in on]
-    n = len(layout)
-    keep_axes = [i for i in range(n) if i not in on_axes]
+    keep_axes = [i for i in range(len(layout)) if i not in on_axes]
     dims = layout.dims
-    dk = math.prod(dims[i] for i in keep_axes) if keep_axes else 1
-    full = np.kron(np.eye(dk), np.asarray(op, dtype=complex))
+    full = np.kron(np.eye(math.prod(dims[i] for i in keep_axes)), np.asarray(op, dtype=complex))
     # full acts in (keep..., on...) order; conjugate back to layout order.
     order = keep_axes + on_axes
-    inv_perm = np.argsort(order)
-    t = full.reshape(tuple(dims[i] for i in order) * 2)
-    t = t.transpose(list(inv_perm) + [n + i for i in inv_perm])
-    return t.reshape(layout.dim, layout.dim)
+    return _permuted_matrix(full, [dims[i] for i in order], np.argsort(order))

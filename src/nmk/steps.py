@@ -34,8 +34,8 @@ from .errors import (
     NotClassicalRegister,
     UnknownLabel,
 )
-from .registers import Party, Register
-from .states import ChannelMap, DensityState, apply_channel, partial_trace
+from .registers import Party, Register, RegisterLayout
+from .states import ChannelMap, DensityState, _permuted_matrix, apply_channel, partial_trace
 
 CLASSICAL_TOL = 1e-8
 
@@ -271,29 +271,28 @@ def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Sce
         Register(f"{step.msg_label}_{party.value[0].upper()}", n_out, party)
         for party in receivers
     )
+    # Measure the block in layout order, so the outcome registers keep their
+    # places and the copies are appended.
+    on = tuple(sorted(step.on, key=sc.state.layout.index))
+    on_dims = [sc.state.layout.register(lbl).dim for lbl in step.on]
+    axes = [step.on.index(lbl) for lbl in on]
     lifted = []
     for m, op in enumerate(step.operators):
         tail = np.zeros((n_out ** len(copies), 1), dtype=complex)
         tail[sum(m * n_out**i for i in range(len(copies))), 0] = 1.0
-        lifted.append(np.kron(op, tail))
-    on_regs = tuple(sc.state.layout.register(lbl) for lbl in step.on)
-    chan = ChannelMap(tuple(lifted))
-    interim = apply_channel(sc.state, chan, step.on, on_regs + copies)
-    order = sc.state.layout.labels + tuple(r.label for r in copies)
-    return replace(sc, state=interim.permuted(order))
+        lifted.append(np.kron(_permuted_matrix(op, on_dims, axes), tail))
+    out = RegisterLayout(sc.state.layout.registers + copies)
+    return replace(sc, state=apply_channel(sc.state, ChannelMap(tuple(lifted)), on, out))
 
 
 def _is_classical(state: DensityState, label: str, tol=CLASSICAL_TOL) -> bool:
     """Whether the state is block-diagonal in the register's basis."""
     axis = state.layout.index(label)
     dims = state.layout.dims
-    n = len(dims)
-    order = [i for i in range(n) if i != axis] + [axis]
-    t = state.matrix.reshape(dims * 2).transpose(order + [n + i for i in order])
+    order = [i for i in range(len(dims)) if i != axis] + [axis]
     d = dims[axis]
     rest = state.dim // d
-    t = t.reshape(rest, d, rest, d)
-    off = t.copy()
+    off = _permuted_matrix(state.matrix, dims, order).reshape(rest, d, rest, d).copy()
     idx = np.arange(d)
     off[:, idx, :, idx] = 0.0
     return float(np.max(np.abs(off))) <= tol
@@ -315,9 +314,8 @@ def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
         k = np.zeros((d * d, d), dtype=complex)
         k[m * d + m, m] = 1.0
         kraus.append(k)
-    interim = apply_channel(sc.state, ChannelMap(tuple(kraus)), (step.register,), (reg, copy_reg))
-    order = sc.state.layout.labels + (copy_reg.label,)
-    state = interim.permuted(order)
+    out = RegisterLayout(sc.state.layout.registers + (copy_reg,))
+    state = apply_channel(sc.state, ChannelMap(tuple(kraus)), (step.register,), out)
     return Scenario(state, sc.ledger.add(cdown=math.log2(d)))
 
 

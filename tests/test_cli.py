@@ -2,21 +2,27 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nmk import sample
+from nmk import ChannelMap, sample
+from nmk.registers import Register
 from nmk.serialize import script_to_json, state_to_json
 from nmk.steps import Step
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run(
+    """Run ``python -m nmk``; whatever the exit code, no traceback may reach
+    the user (the exit code carries the outcome)."""
+    proc = subprocess.run(
         [sys.executable, "-m", "nmk", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=300,
     )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
 
 
 def result_of(proc):
@@ -164,6 +170,90 @@ class TestScript:
         assert out["after"]["m_i_bits"] == pytest.approx(0.0, abs=1e-9)
 
 
+def valid_script():
+    """Five steps that run on ``zoo:ghz_diag`` (registers A, B, E)."""
+    flip = ChannelMap.unitary(np.array([[0, 1], [1, 0]], dtype=complex))
+    halves = tuple(np.diag(row).astype(complex) for row in ([1.0, 0.0], [0.0, 1.0]))
+    return script_to_json(
+        (
+            Step.local_a(ChannelMap.dephasing(2), ("A",), out=(Register("A", 2, "alice"),)),
+            Step.local_b(ChannelMap.dephasing(2), ("B",)),
+            Step.reversible_e(flip, ("E",)),
+            Step.quantum_ab("A", "bob"),
+            Step.secret_ab(halves, ("B",), "S", sender="bob"),
+        )
+    )
+
+
+DROP = object()
+
+
+class TestReaderRobustness:
+    def test_valid_script_runs(self, tmp_path):
+        script = tmp_path / "ok.json"
+        script.write_text(json.dumps(valid_script()))
+        proc = run_cli("script", str(script), "zoo:ghz_diag")
+        assert proc.returncode == 0, proc.stderr
+        assert result_of(proc)["steps_applied"] == 5
+
+    @pytest.mark.parametrize(
+        "index, key, value, named",
+        [
+            (0, "channel", DROP, "channel"),
+            (1, "channel", DROP, "channel"),
+            (2, "channel", DROP, "channel"),
+            (2, "channel", [], "'channel'"),
+            (0, "out", [{"label": "A", "dim": 2, "party": "carol"}], "'out'"),
+            (0, "out", [{"dim": 2, "party": "alice"}], "'out'"),
+            (0, "out", [{"label": "A", "party": "alice"}], "'out'"),
+            (0, "out", 7, "'out'"),
+            (1, "on", "B", "'on'"),
+            (3, "to", "carol", "'to'"),
+            (4, "sender", "carol", "'sender'"),
+            (4, "operators", [{"re": 1}], "'operators'"),
+            (4, "kind", None, "kind"),
+        ],
+    )
+    def test_malformed_step_exits_2(self, tmp_path, index, key, value, named):
+        payload = valid_script()
+        if value is DROP:
+            del payload["steps"][index][key]
+        else:
+            payload["steps"][index][key] = value
+        script = tmp_path / "bad.json"
+        script.write_text(json.dumps(payload))
+        proc = run_cli("script", str(script), "zoo:ghz_diag")
+        assert proc.returncode == 2, proc.stderr
+        assert "error" in proc.stderr and named in proc.stderr
+
+    def test_steps_not_a_list_exits_2(self, tmp_path):
+        script = tmp_path / "bad.json"
+        script.write_text(json.dumps({"steps": 3}))
+        proc = run_cli("script", str(script), "zoo:ghz_diag")
+        assert proc.returncode == 2
+
+    def test_trace_decreasing_channel_names_unit_trace(self, tmp_path):
+        # A declared non-trace-preserving channel is accepted as a map, but
+        # its output fails the state check at the channel step.
+        halving = ChannelMap((np.sqrt(0.5) * np.eye(2),), trace_preserving=False)
+        script = tmp_path / "halve.json"
+        script.write_text(json.dumps(script_to_json((Step.local_a(halving, ("A",)),))))
+        assert json.loads(script.read_text())["steps"][0]["channel"]["trace_preserving"] is False
+        proc = run_cli("script", str(script), "zoo:ghz_diag")
+        assert proc.returncode == 2
+        assert "unit_trace" in proc.stderr
+
+    def test_over_budget_broadcast_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NMK_DIM_BUDGET", "512")
+        coin = tuple(np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(2))
+        steps = tuple(Step.broadcast_a(coin, ("A",), f"J{i}") for i in range(3))
+        script = tmp_path / "grow.json"
+        script.write_text(json.dumps(script_to_json(steps)))
+        proc = run_cli("script", str(script), "zoo:hs_random?dims=2,2,2")
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr and "4096" in proc.stderr
+
+
 class TestFuzz:
     def test_ssa_passes(self):
         proc = run_cli("fuzz", "ssa", "--trials", "50", "--seed", "5")
@@ -220,6 +310,23 @@ class TestBadRanges:
         assert proc.returncode == 2, proc.stderr
         assert "error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("nmf", "zoo:bell_e0"),
+            ("esqc", "zoo:bell_e0"),
+            ("fuzz", "ssa", "--trials", "2"),
+            ("fuzz", "monotonicity", "--trials", "1"),
+            ("zoo", "build", "bell_e0"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, args):
+        proc = run_cli(*args, "--seed", "-1")
+        assert proc.returncode == 2, proc.stderr
+        assert "seed must be a nonnegative integer" in proc.stderr
 
 
 class TestZooCommand:

@@ -18,7 +18,7 @@ from nmk import (
     zoo,
 )
 from nmk.csquashed import _fast_esqc_objective, _members_from_matrix
-from nmk.errors import BadEnsemble, DimensionTooSmall
+from nmk.errors import BadEnsemble, BadRange, DimensionTooSmall
 
 from conftest import bell_pair, classical_corr
 from test_nmf import steering_isometry
@@ -75,6 +75,10 @@ def test_fast_objective_matches_dense_oracle(e_prime, extra_k):
 
 
 class TestEstimate:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadRange, match="seed"):
+            EsqcConfig(seed=-1)
+
     def test_bell_is_unit(self):
         est = estimate_esqc(bell_pair(), FAST)
         assert est.upper_bits == pytest.approx(1.0, abs=1e-6)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from nmk import (
     sample,
     tensor,
 )
-from nmk.errors import OverlappingPartition
+from nmk.errors import DuplicateLabel, OverlappingPartition
 from nmk.registers import Register
 
 from conftest import classical_corr
@@ -58,6 +59,12 @@ class TestCqmi:
     def test_overlap_rejected(self, ghz):
         with pytest.raises(OverlappingPartition):
             cqmi(ghz, ("A",), ("A", "B"), ("E",))
+
+    def test_repeated_label_rejected(self, ghz):
+        with pytest.raises(DuplicateLabel):
+            cqmi(ghz, ("A", "A"), ("B",), ("E",))
+        with pytest.raises(DuplicateLabel):
+            entropy(ghz, ("E", "E"))
 
     def test_extra_registers_traced_first(self, bell_e0):
         value = cqmi(bell_e0, ("A",), ("B",), ())
@@ -133,3 +140,78 @@ def test_conditional_entropy_and_report(ghz):
     assert d["m_i_bits"] == pytest.approx(0.0, abs=1e-10)
     assert d["s_a"] == pytest.approx(1.0, abs=1e-10)
     assert d["i_a_b"] == pytest.approx(1.0, abs=1e-10)
+
+
+def oracle_entropy(matrix, dims, keep) -> float:
+    """Entropy in bits of the marginal on positions ``keep``, straight from
+    numpy: an einsum partial trace and ``eigvalsh``."""
+    n = len(dims)
+    keep = sorted(keep)
+    if not keep:
+        return 0.0
+    cols = [n + i if i in keep else i for i in range(n)]
+    d = math.prod(dims[i] for i in keep)
+    marginal = np.einsum(
+        matrix.reshape(tuple(dims) * 2), list(range(n)) + cols, keep + [n + i for i in keep]
+    ).reshape(d, d)
+    vals = np.linalg.eigvalsh(marginal)
+    vals = vals[vals > 1e-12]
+    return float(-np.sum(vals * np.log2(vals)))
+
+
+def oracle_report(state, a, b, e) -> dict:
+    pos = lambda *groups: [state.layout.index(lbl) for g in groups for lbl in g]  # noqa: E731
+    s = lambda *groups: oracle_entropy(state.matrix, state.layout.dims, pos(*groups))  # noqa: E731
+    cqmi_bits = s(a, e) + s(b, e) - s(a, b, e) - s(e)
+    return {
+        "s_a": s(a),
+        "s_b": s(b),
+        "s_e": s(e),
+        "s_abe": s(a, b, e),
+        "s_ab_given_e": s(a, b, e) - s(e),
+        "i_a_b": s(a) + s(b) - s(a, b),
+        "cqmi_bits": cqmi_bits,
+        "m_i_bits": 0.5 * cqmi_bits,
+    }
+
+
+def broadcast_output():
+    """A 2,2,2 state after one broadcast by Alice: six registers."""
+    from nmk import Scenario, Step, apply_step
+
+    iso = sample("isometry", (2, 4), 12)
+    sc = Scenario(sample("density_hs", (2, 2, 2), 11))
+    return apply_step(sc, Step.broadcast_a((iso[:2], iso[2:]), ("A",), "J")).state
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        None,  # party partition: (A, J_A), (B, J_B), (E, J_E)
+        (("J_A",), ("B", "J_B"), ("E",)),  # leaves A and J_E out
+        (("A",), ("B",), ()),  # empty conditioner, four registers out
+    ],
+)
+def test_entropy_report_matches_numpy_oracle(groups):
+    state = broadcast_output()
+    assert state.layout.labels == ("A", "B", "E", "J_A", "J_B", "J_E")
+    rep = entropy_report(state) if groups is None else entropy_report(state, *groups)
+    expected = oracle_report(state, rep.a, rep.b, rep.e)
+    got = rep.to_dict()
+    for key, value in expected.items():
+        assert got[key] == pytest.approx(value, abs=1e-12), key
+
+
+def test_entropy_report_solves_each_marginal_once(monkeypatch):
+    module = importlib.import_module("nmk.entropy")  # ``nmk.entropy`` is the function
+    sizes = []
+    solve = module.entropy_of_matrix
+    monkeypatch.setattr(
+        module, "entropy_of_matrix", lambda m: sizes.append(m.shape[0]) or solve(m)
+    )
+    entropy_report(broadcast_output())
+    # A, B, E, AB, AE, BE, ABE, each on two registers per party.
+    assert sorted(sizes) == [4, 4, 4, 16, 16, 16, 64]
+    sizes.clear()
+    entropy_report(broadcast_output(), ("A",), ("B",), ())
+    assert sorted(sizes) == [2, 2, 4]

@@ -17,7 +17,7 @@ from nmk import (
     witness_from_isometry,
     zoo,
 )
-from nmk.errors import BudgetExceeded, DimensionTooSmall
+from nmk.errors import BadRange, BudgetExceeded, DimensionTooSmall
 from nmk.nmf import _fast_objective
 from nmk.rand import random_isometry
 
@@ -142,6 +142,10 @@ class TestLimits:
         rho = sample("density_hs", (2, 2, 2), 13)  # rank 8
         with pytest.raises(DimensionTooSmall):
             estimate(rho, EstimateConfig(k=2, seed=0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadRange, match="seed"):
+            EstimateConfig(seed=-1)
 
     def test_budget_exceeded(self):
         rho = sample("density_hs", (2, 2, 2), 14)

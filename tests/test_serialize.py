@@ -89,3 +89,23 @@ def test_baseline_witness_roundtrip_with_empty_groups():
 def test_canonical_dump_handles_numpy_scalars():
     out = dumps_canonical({"x": np.float64(0.5), "y": [np.int64(2)], "z": {"k": True}})
     assert json.loads(out) == {"x": 0.5, "y": [2], "z": {"k": True}}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.pop("groups"),
+        lambda d: d["groups"].pop("e"),
+        lambda d: d.pop("weights"),
+        lambda d: d.pop("members"),
+        lambda d: d["members"][0].pop("im"),
+        lambda d: d.__setitem__("weights", ["heavy"]),
+        lambda d: d["registers"][0].pop("dim"),
+    ],
+)
+def test_witness_reader_wraps_malformed_payloads(mutate):
+    _, w = random_witness(6, ext=(2, 1, 1), k=3)
+    payload = json.loads(json.dumps(witness_to_json(w)))
+    mutate(payload)
+    with pytest.raises(BadParams):
+        witness_from_json(payload)

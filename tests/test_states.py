@@ -59,6 +59,18 @@ class TestTensor:
         with pytest.raises(DuplicateLabel):
             tensor(mixed_qubit("A"), mixed_qubit("A", "bob"))
 
+    def test_budget_checked_before_kron(self, monkeypatch):
+        a = sample("density_hs", (2, 2), 1, layout=layout(("A", 2, "alice"), ("Q", 2, "alice")))
+        b = sample("density_hs", (2, 2), 2, layout=layout(("B", 2, "bob"), ("E", 2, "eve")))
+        monkeypatch.setenv("NMK_DIM_BUDGET", "8")
+
+        def no_kron(*args):
+            raise AssertionError("np.kron ran on an over-budget product")
+
+        monkeypatch.setattr(nmk.states.np, "kron", no_kron)
+        with pytest.raises(BudgetExceeded, match="16"):
+            tensor(a, b)
+
 
 class TestPartialTrace:
     def test_bell_marginal(self):

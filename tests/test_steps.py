@@ -20,7 +20,13 @@ from nmk import (
     run_script,
     sample,
 )
-from nmk.errors import BadMu, IrreversibleEveOp, NotClassicalRegister, UnknownLabel
+from nmk.errors import (
+    BadMu,
+    BudgetExceeded,
+    IrreversibleEveOp,
+    NotClassicalRegister,
+    UnknownLabel,
+)
 from nmk.fuzz import fuzz_markov_closure, fuzz_monotonicity
 from nmk.markov import preparation_script
 from nmk.registers import Party, Register
@@ -98,6 +104,44 @@ class TestApplyStep:
             apply_step(sc, Step.discard_a(("B",)))
         with pytest.raises(UnknownLabel):
             apply_step(sc, Step.quantum_from_e("A", "bob"))
+
+
+    def test_broadcast_on_registers_out_of_layout_order(self):
+        # The block is measured in the order the step names it, whatever the
+        # layout order; swapping the operators' two factors undoes swapping
+        # the labels.
+        lay = layout(("A", 2, "alice"), ("Q", 2, "alice"), ("B", 2, "bob"), ("E", 2, "eve"))
+        sc = Scenario(sample("density_hs", (2, 2, 2, 2), 4, layout=lay))
+        iso = sample("isometry", (4, 8), 5)
+        ops = (iso[:4], iso[4:])
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        named = apply_step(sc, Step.broadcast_a(ops, ("Q", "A"), "J")).state
+        ordered = apply_step(sc, Step.broadcast_a([swap @ k @ swap for k in ops], ("A", "Q"), "J"))
+        assert named.layout == ordered.state.layout
+        assert named.layout.labels == ("A", "Q", "B", "E", "J_A", "J_B", "J_E")
+        np.testing.assert_allclose(named.matrix, ordered.state.matrix, atol=1e-12)
+
+    def test_budget_checked_before_the_channel_runs(self, monkeypatch):
+        # Three one-qubit broadcasts take dims 8 -> 64 -> 512 -> 4096; the
+        # third is refused before any of its matrix is computed.
+        from nmk import states
+
+        monkeypatch.setenv("NMK_DIM_BUDGET", "512")
+        calls = []
+        kernel = states._apply_kraus_block
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(states, "_apply_kraus_block", counted)
+        sc = Scenario(sample("density_hs", (2, 2, 2), 6))
+        for i in range(2):
+            sc = apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), f"J{i}"))
+        assert sc.state.dim == 512
+        with pytest.raises(BudgetExceeded, match="4096"):
+            apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), "J2"))
+        assert calls == [(8, 8), (64, 64)]
 
 
 class TestClassify:
