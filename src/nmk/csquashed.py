@@ -4,8 +4,10 @@ The measure is half the ensemble-averaged mutual information, minimized
 over decompositions of the state; the singleton ensemble is always
 included, so the estimate never exceeds half the state's own mutual
 information.  Decompositions are parametrized by steering the purifying
-reference through an isometry into (purifier extension) x (flag), reusing
-the witness optimizer with trivial A'/B' extensions.
+reference through an isometry into (purifier extension) x (flag), through
+the formation estimator's restart loop with trivial A'/B' extensions.
+Restarts are ranked by their own ensemble objective, and only a restart
+that beats the singleton is turned into an ensemble of states.
 
 ``extension_crosscheck`` compares this estimate against the smallest
 formation bracket over a configured family of tripartite extensions
@@ -17,7 +19,6 @@ same value, so only the gap is reported, never a pass/fail.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,10 +29,9 @@ from .nmf import (
     EstimateConfig,
     RestartRecord,
     _check_search_config,
-    _optimize_restart,
+    _run_restarts,
     estimate,
 )
-from .rand import as_rng
 from .registers import Party, Register, RegisterLayout
 from .states import (
     PRUNE_TOL,
@@ -141,7 +141,8 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     """Minimize the ensemble objective over reference-steering isometries.
 
     The singleton decomposition is always a candidate, so the result never
-    exceeds half of I(A:B).
+    exceeds half of I(A:B).  ``notes["best_source"]`` names the winner:
+    ``singleton`` or ``restart:<rid>``.
     """
     config = config or EsqcConfig()
     a = omega.layout.party_labels(Party.ALICE)
@@ -155,8 +156,8 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         raise DimensionTooSmall(
             f"ensemble search is limited to total dimension 64, got {omega.dim}"
         )
-    singleton = ((1.0,), (omega,))
-    candidates = [(esqc_objective(*singleton), 0, singleton)]
+    best_ens = ((1.0,), (omega,))
+    best_val, best_source = esqc_objective(*best_ens), "singleton"
     psi = purify(omega, "__ref__")
     rank = psi.layout.register("__ref__").dim
     psi_arr = psi.amplitudes.reshape(omega.dim, rank)
@@ -165,23 +166,13 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     if e_prime * k < rank:
         raise DimensionTooSmall(f"extension capacity {e_prime * k} below rank {rank}")
     fast_f = _fast_esqc_objective(omega, psi_arr, e_prime, k)
-    trace = []
-
-    def one(rid):
-        rng = as_rng([config.seed, rid])
-        return rid, _optimize_restart(fast_f, rank, e_prime * k, rng, config.max_iters, config.tol * 0.5)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(one, range(config.restarts)))
-    else:
-        results = [one(rid) for rid in range(config.restarts)]
-    results.sort(key=lambda t: t[0])
-    for rid, (w_mat, fast_val, iters, accepted) in results:
-        trace.append(RestartRecord(rid, 0, fast_val, iters, accepted))
-        ens = _members_from_matrix(omega, psi_arr, w_mat, e_prime, k)
-        candidates.append((esqc_objective(*ens), len(candidates), ens))
-    best_val, _, best_ens = min(candidates, key=lambda t: (t[0], t[1]))
+    trace, isometries = _run_restarts(
+        fast_f, rank, e_prime * k, config, config.tol * 0.5, 0, [config.seed]
+    )
+    top = min(trace, key=lambda r: r.objective, default=None)
+    if top is not None and top.objective < best_val:
+        best_ens = _members_from_matrix(omega, psi_arr, isometries[top.restart_id], e_prime, k)
+        best_val, best_source = esqc_objective(*best_ens), f"restart:{top.restart_id}"
     check_ensemble(*best_ens, omega, tol=1e-8)
     return EsqcEstimate(
         upper_bits=float(best_val),
@@ -193,6 +184,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
             "single_copy": True,
             "dilution_cdown_single_copy_bits": 2.0 * float(best_val),
             "dilution_note": "single-copy bound on the dilution cost (twice the estimate)",
+            "best_source": best_source,
         },
     )
 

@@ -4,7 +4,7 @@ Each suite draws seeded random instances, checks an inequality that is a
 theorem for exact arithmetic, and reports violations beyond tolerance as
 counterexamples carrying the serialized instance.  Every trial owns a
 generator derived from ``(seed, trial index)``, so results are identical
-for any worker count; ``jobs`` spreads trials over a thread pool.
+for any worker count; ``jobs`` spreads trials over ``rand.map_indexed``.
 
 Suites:
 
@@ -20,7 +20,6 @@ Suites:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .entropy import cqmi, entropies_from_eigs, entropy, nonmarkovianity, party_partition
 from .errors import BadRange
 from .markov import build_markov
-from .rand import as_rng, random_isometry, random_unitary, sample
+from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
 from .registers import Party, Register, RegisterLayout, layout
 from .serialize import state_to_json, step_to_json
 from .states import ChannelMap, DensityState, member_spectra
@@ -74,20 +73,16 @@ class FuzzReport:
 
 
 def _run_trials(worker, count: int, jobs: int):
-    """Map trial indices through ``worker``; order-stable and
-    worker-count independent (each trial derives its own generator)."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, range(count)))
-    else:
-        results = [worker(i) for i in range(count)]
-    failures = [f for r in results for f in r]
-    return failures
+    """Failures of trials ``0..count-1``, in trial order, for any worker
+    count (each trial derives its own generator)."""
+    return [f for r in map_indexed(worker, count, jobs) for f in r]
 
 
-def _require_trials(count: int) -> None:
+def _require_trials(count: int, jobs: int) -> None:
     if count < 1:
         raise BadRange(f"trials must be at least 1, got {count}")
+    if jobs < 1:
+        raise BadRange(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +90,7 @@ def _require_trials(count: int) -> None:
 
 
 def fuzz_ssa(trials_222: int = 1000, trials_224: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
-    _require_trials(trials_222)
+    _require_trials(trials_222, jobs)
     total = trials_222 + trials_224
 
     def worker(i):
@@ -188,7 +183,7 @@ def _mono_step(cls: str, rng) -> Step:
 def fuzz_monotonicity(
     trials_per_class: int = 300, seed=0, classes=FREE_CLASS_NAMES, jobs: int = 1
 ) -> FuzzReport:
-    _require_trials(trials_per_class)
+    _require_trials(trials_per_class, jobs)
     classes = tuple(classes)
     total = trials_per_class * len(classes)
 
@@ -287,7 +282,7 @@ def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
 def fuzz_markov_closure(
     trials: int = 200, seed=0, script_length: int = 3, jobs: int = 1
 ) -> FuzzReport:
-    _require_trials(trials)
+    _require_trials(trials, jobs)
 
     def worker(t):
         rng = as_rng([seed, t])
@@ -382,7 +377,7 @@ def _witness_trial(seed, t):
 
 
 def fuzz_witness(trials: int = 100, seed=0, mixture_probes: int = 0, jobs: int = 1) -> FuzzReport:
-    _require_trials(trials)
+    _require_trials(trials, jobs)
     notes = {
         "mixture_probes": [],
         "transport_coverage": "explicit mappings only (local channels, reversible "

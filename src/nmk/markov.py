@@ -23,11 +23,10 @@ from .errors import BadProbabilities, InconsistentDims
 from .registers import Party, Register, RegisterLayout
 from .states import (
     DensityState,
+    _fidelity_matrix,
     _marginal_matrix,
     _permuted_matrix,
     embed_operator,
-    fidelity,
-    partial_trace,
 )
 
 PROB_TOL = 1e-10
@@ -182,10 +181,9 @@ def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8)
     a, b, e = tuple(a), tuple(b), tuple(e)
     value = cqmi(state, a, b, e)
     recovered, _ = petz_recover(state, a, b, e)
-    target = state
-    if target.layout.labels != recovered.layout.labels:
-        target = partial_trace(state, a + b + e).permuted(a + b + e)
-    fid = fidelity(recovered, target)
+    axes = [state.layout.index(lbl) for lbl in a + b + e]
+    target = _marginal_matrix(state.matrix, state.layout.dims, axes)
+    fid = _fidelity_matrix(recovered.matrix, target)
     return MarkovScore(value, fid, bool(value <= tol), tol)
 
 

@@ -8,23 +8,26 @@ isometry steering the purifying reference (random Hermitian-generator
 perturbations, accept if better, geometric step decay).  Estimates are
 bracket pairs, never point claims.
 
-Everything is deterministic per seed: per-restart generators are derived
-from the master seed by counter, and the reduction over restarts is a
-deterministic min, so results do not depend on the worker count.
+Restarts run in one place, ``_run_restarts``, which ``csquashed`` shares.
+Each restart reports the member-marginal objective at its final isometry;
+restarts are ranked by that value, and only a restart that beats every
+earlier candidate is turned into a witness.  Everything is deterministic
+per seed: per-restart generators are derived from the master seed by
+counter, and the reduction over restarts is a deterministic min, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .entropy import entropies_from_eigs, entropy, nonmarkovianity, party_partition
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
-from .rand import as_rng, random_isometry
+from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout
 from .states import DensityState, dim_budget, member_spectra, purify, steered_members, tensor
 from .witness import (
@@ -167,22 +170,42 @@ def _optimize_restart(fast_f, rank, out_dim, rng, max_iters, stop_at):
     return w, obj, iters, accepted
 
 
+def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
+    """Run ``config.restarts`` restarts of the isometry search, restart
+    ``rid`` on the generator ``as_rng([*seed_key, rid])``.  Returns their
+    records and final isometries, both in restart order."""
+
+    def one(rid):
+        rng = as_rng([*seed_key, rid])
+        return _optimize_restart(fast_f, rank, out_dim, rng, config.max_iters, stop_at)
+
+    results = map_indexed(one, config.restarts, config.jobs)
+    records = [
+        RestartRecord(rid, round_id, obj, iters, accepted)
+        for rid, (_, obj, iters, accepted) in enumerate(results)
+    ]
+    return records, [w for w, *_ in results]
+
+
 def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) -> NmfEstimate:
     """Bracket the formation measure of a party-tagged tripartite state.
 
     ``seeds`` may carry known witnesses (for example the exact construction
     for a block-built Markov state); they join the candidate pool alongside
-    the baselines and the optimized restarts.
+    the baselines and the optimized restarts.  ``notes["best_source"]``
+    names the winner: ``baseline:B'``, ``baseline:A'``, ``seed:<i>`` or
+    ``restart:<rid>/<round>``.
     """
     config = config or EstimateConfig()
     lower = nonmarkovianity(rho)
     candidates = []
     for w in baseline_witnesses(rho):
-        candidates.append((objective(w), len(candidates), w))
-    for w in seeds:
+        ref = (w.groups.b_prime + w.groups.a_prime)[0]
+        candidates.append((objective(w), f"baseline:{ref}", w))
+    for i, w in enumerate(seeds):
         check_witness(w, rho, tol=1e-7)
-        candidates.append((objective(w), len(candidates), w))
-    best_obj, _, best_w = min(candidates, key=lambda t: (t[0], t[1]))
+        candidates.append((objective(w), f"seed:{i}", w))
+    best_obj, best_source, best_w = min(candidates, key=lambda c: c[0])
     trace: list[RestartRecord] = []
     notes = {
         "single_copy": True,
@@ -220,26 +243,20 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
             continue
         fast_f = _fast_objective(rho, psi_arr, ext_dims, k)
         stop_at = lower + 0.5 * config.tol
-
-        def one(rid):
-            rng = as_rng([config.seed, round_id, rid])
-            return rid, _optimize_restart(fast_f, rank, capacity, rng, config.max_iters, stop_at)
-
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(one, range(config.restarts)))
-        else:
-            results = [one(rid) for rid in range(config.restarts)]
-        results.sort(key=lambda t: t[0])
-        for rid, (w_mat, fast_val, iters, accepted) in results:
-            trace.append(RestartRecord(rid, round_id, fast_val, iters, accepted))
-            witness = witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
-            candidates.append((objective(witness), len(candidates), witness))
-        best_obj, _, best_w = min(candidates, key=lambda t: (t[0], t[1]))
+        records, isometries = _run_restarts(
+            fast_f, rank, capacity, config, stop_at, round_id, [config.seed, round_id]
+        )
+        trace.extend(records)
+        top = min(records, key=lambda r: r.objective, default=None)
+        if top is not None and top.objective < best_obj:
+            w_mat = isometries[top.restart_id]
+            best_w = witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
+            best_obj, best_source = objective(best_w), f"restart:{top.restart_id}/{round_id}"
         notes["rounds"].append({"round": round_id, "ext": ext_dims, "best": best_obj})
 
     upper = float(best_obj)
     notes["uncertified"] = bool(upper - lower > config.tol)
+    notes["best_source"] = best_source
     return NmfEstimate(
         lower_bits=float(lower),
         upper_bits=upper,
@@ -254,7 +271,7 @@ def relabeled(rho: DensityState, suffix: str) -> DensityState:
     lay = RegisterLayout(
         tuple(Register(f"{r.label}{suffix}", r.dim, r.party) for r in rho.layout.registers)
     )
-    return DensityState(lay, rho.matrix)
+    return rho.with_layout(lay)
 
 
 def two_copy_bracket(rho: DensityState, config: EstimateConfig | None = None) -> dict:

@@ -9,6 +9,7 @@ so every draw is deterministic per seed.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,6 +24,15 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def map_indexed(fn, count: int, jobs: int = 1) -> list:
+    """``[fn(i) for i in range(count)]``, on a pool of ``jobs`` threads
+    when ``jobs > 1``; results come back in index order either way."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
 
 
 def _gaussian_complex(rng, *shape) -> np.ndarray:

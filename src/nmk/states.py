@@ -10,7 +10,9 @@ where a state is handed to a caller: public constructors, readers and the
 result of a structural operation or channel, once, in its final register
 order.  Code that only needs numbers (entropies, marginals, interim
 register orders) works on raw matrices through ``_marginal_matrix`` and
-``_permuted_matrix`` and builds no state.
+``_permuted_matrix`` and builds no state.  ``DensityState.with_layout``
+renames registers or changes their parties without checking the unchanged
+matrix again.
 
 Conventions
 -----------
@@ -121,6 +123,19 @@ class DensityState:
 
     def permuted(self, labels) -> "DensityState":
         return permute_registers(self, labels)
+
+    def with_layout(self, layout: RegisterLayout) -> "DensityState":
+        """The same state on ``layout``, which may rename registers or change
+        their parties but must keep their dims; the already-validated matrix
+        is shared, not checked again."""
+        if layout.dims != self.layout.dims:
+            raise LayoutMismatch(
+                f"relabeling needs the same register dims, got {layout.dims} for {self.layout.dims}"
+            )
+        state = object.__new__(DensityState)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "matrix", self.matrix)
+        return state
 
     def allclose(self, other: "DensityState", atol=1e-10) -> bool:
         return self.layout.labels == other.layout.labels and bool(
@@ -429,7 +444,10 @@ def apply_channel(
     ``on`` is an ordered sequence of labels whose dimension product must
     match the channel input.  ``out`` replaces the block: either a sequence
     of :class:`Register` (appended after the untouched registers) or a full
-    :class:`RegisterLayout` giving the exact output order.  With ``out``
+    :class:`RegisterLayout` giving the exact output order.  A block that
+    holds exactly the registers of ``on`` is read in ``on`` order, the
+    order of the channel's output; any other block is read in the order
+    ``out`` lists it.  With ``out``
     omitted the channel must be square and the layout is unchanged.  The
     output dimension is checked against the budget before anything is
     computed.
@@ -452,6 +470,8 @@ def apply_channel(
     elif isinstance(out, RegisterLayout):
         keep_labels = {r.label for r in keep_regs}
         block = tuple(r for r in out.registers if r.label not in keep_labels)
+        if {r.label for r in block} == set(on):
+            block = tuple(out.register(lbl) for lbl in on)
         labels = out.labels
     else:
         block = tuple(out)
@@ -486,10 +506,15 @@ def fidelity(a: DensityState, b: DensityState) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
     if a.layout.labels != b.layout.labels or a.layout.dims != b.layout.dims:
         raise LayoutMismatch("fidelity needs identical layouts")
-    vals, vecs = np.linalg.eigh(a.matrix)
+    return _fidelity_matrix(a.matrix, b.matrix)
+
+
+def _fidelity_matrix(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity of two density matrices in one register order."""
+    vals, vecs = np.linalg.eigh(a)
     vals = np.clip(vals, 0.0, None)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = np.linalg.eigvalsh(root @ b.matrix @ root)
+    inner = np.linalg.eigvalsh(root @ b @ root)
     inner = np.clip(inner, 0.0, None)
     return float(np.sum(np.sqrt(inner)) ** 2)
 

@@ -251,7 +251,7 @@ def _retag(sc: Scenario, register: str, source_parties, target: Party, qc=0.0) -
             f"register {register!r} belongs to {reg.party.value}; expected one of "
             f"{[p.value for p in source_parties]}"
         )
-    state = DensityState(sc.state.layout.retagged(register, target), sc.state.matrix)
+    state = sc.state.with_layout(sc.state.layout.retagged(register, target))
     return Scenario(state, sc.ledger.add(qc=qc))
 
 

@@ -303,6 +303,8 @@ class TestBadRanges:
             ("esqc", "zoo:bell_e0", "--jobs", "0"),
             ("fuzz", "ssa", "--trials", "0"),
             ("fuzz", "witness", "--trials", "-3"),
+            ("fuzz", "ssa", "--trials", "2", "--jobs", "0"),
+            ("fuzz", "monotonicity", "--trials", "1", "--jobs", "-3"),
         ],
     )
     def test_exits_2_without_traceback(self, args):

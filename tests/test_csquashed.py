@@ -17,6 +17,7 @@ from nmk import (
     witness_from_ab_ensemble,
     zoo,
 )
+from nmk import csquashed
 from nmk.csquashed import _fast_esqc_objective, _members_from_matrix
 from nmk.errors import BadEnsemble, BadRange, DimensionTooSmall
 
@@ -132,6 +133,34 @@ class TestEstimate:
         threaded = estimate_esqc(omega, EsqcConfig(restarts=4, max_iters=150, seed=9, jobs=3))
         assert serial.upper_bits == threaded.upper_bits
         assert [r.objective for r in serial.trace] == [r.objective for r in threaded.trace]
+
+
+class TestWinnerOnly:
+    """Restarts are ranked by their own objective; only a restart that beats
+    the singleton becomes an ensemble of states."""
+
+    def test_one_ensemble_built(self, monkeypatch):
+        built = []
+        real = csquashed._members_from_matrix
+        monkeypatch.setattr(csquashed, "_members_from_matrix", lambda *a: built.append(a) or real(*a))
+        estimate_esqc(classical_corr(), FAST)
+        assert len(built) == 1
+
+    def test_upper_is_the_smallest_candidate(self):
+        omega = classical_corr()
+        est = estimate_esqc(omega, FAST)
+        objectives = [r.objective for r in est.trace]
+        singleton = 0.5 * mutual_info(omega, ("A",), ("B",))
+        assert est.upper_bits == pytest.approx(min([singleton] + objectives), abs=1e-12)
+        assert esqc_objective(est.weights, est.ensemble) == est.upper_bits
+        rid = int(est.notes["best_source"].removeprefix("restart:"))
+        assert objectives[rid] == min(objectives)
+
+    def test_source_singleton(self):
+        omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
+        est = estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=50, seed=2))
+        assert est.notes["best_source"] == "singleton"
+        assert est.weights == (1.0,) and len(est.ensemble) == 1
 
 
 class TestCrosscheck:

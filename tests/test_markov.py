@@ -6,13 +6,18 @@ from nmk import (
     DensityState,
     MarkovComponents,
     MarkovEntry,
+    Scenario,
+    Step,
     apply_channel,
+    apply_step,
     build_markov,
     cqmi,
     fidelity,
     layout,
     markov_score,
     nonmarkovianity,
+    partial_trace,
+    party_partition,
     petz_recover,
     sample,
     tensor,
@@ -158,3 +163,24 @@ class TestScore:
         score = markov_score(mixed)
         assert not score.verdict
         assert abs(nonmarkovianity(mixed) - 0.5) < 1e-9
+
+    def test_broadcast_output_builds_only_the_petz_result(self, monkeypatch):
+        coin = tuple(np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(2))
+        rho = sample("density_hs", (2, 2, 2), 12)
+        out = apply_step(Scenario(rho), Step.broadcast_a(coin, ("A",), "J")).state
+        a, b, e = party_partition(out)
+        assert out.layout.labels != a + b + e
+        built = []
+        check = DensityState.__post_init__
+
+        def counted(state):
+            built.append(state.layout.labels)
+            check(state)
+
+        monkeypatch.setattr(DensityState, "__post_init__", counted)
+        score = markov_score(out)
+        assert built == [a + b + e]
+        monkeypatch.undo()
+        recovered, _ = petz_recover(out, a, b, e)
+        target = partial_trace(out, a + b + e).permuted(a + b + e)
+        assert score.recovery_fidelity == pytest.approx(fidelity(recovered, target), abs=1e-12)

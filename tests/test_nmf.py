@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nmk import (
     EstimateConfig,
+    baseline_witnesses,
     build_markov,
     entropy,
     estimate,
     markov_witness,
     mutual_info,
     nonmarkovianity,
+    objective,
     purify,
     sample,
     two_copy_bracket,
@@ -18,6 +21,7 @@ from nmk import (
     zoo,
 )
 from nmk.errors import BadRange, BudgetExceeded, DimensionTooSmall
+from nmk import nmf
 from nmk.nmf import _fast_objective
 from nmk.rand import random_isometry
 
@@ -135,6 +139,60 @@ class TestDeterminism:
         threaded = estimate(rho, EstimateConfig(restarts=4, max_iters=150, seed=7, jobs=3))
         assert serial.upper_bits == threaded.upper_bits
         assert [r.objective for r in serial.trace] == [r.objective for r in threaded.trace]
+
+
+class TestWinnerOnly:
+    """Restarts are ranked by their own objective; only a restart that takes
+    the lead becomes a witness, and it says where the answer came from."""
+
+    CONFIG = EstimateConfig(restarts=3, max_iters=150, seed=1)
+
+    @staticmethod
+    def state():
+        # Rank 2: a round-0 restart beats both baselines under CONFIG.
+        return sample("density_hs", (2, 2, 2), 3, rank=2)
+
+    def test_at_most_one_witness_per_round(self, monkeypatch):
+        built = []
+        real = nmf.witness_from_isometry
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nmf, "witness_from_isometry", counted)
+        est = estimate(self.state(), self.CONFIG)
+        assert 1 <= len(built) <= len({r.round_id for r in est.trace})
+        built.clear()
+        estimate(self.state(), replace(self.CONFIG, escalate=False))
+        assert len(built) == 1
+
+    def test_upper_is_the_smallest_candidate(self):
+        rho = self.state()
+        est = estimate(rho, self.CONFIG)
+        candidates = [objective(w) for w in baseline_witnesses(rho)]
+        candidates += [r.objective for r in est.trace]
+        assert est.upper_bits == pytest.approx(min(candidates), abs=1e-12)
+        assert objective(est.best) == est.upper_bits
+
+    def test_source_restart(self):
+        est = estimate(self.state(), self.CONFIG)
+        rid, round_id = map(int, est.notes["best_source"].removeprefix("restart:").split("/"))
+        (record,) = [r for r in est.trace if (r.restart_id, r.round_id) == (rid, round_id)]
+        assert record.objective == pytest.approx(est.upper_bits, abs=1e-12)
+        assert record.objective == min(r.objective for r in est.trace)
+
+    def test_source_baseline(self):
+        rho = sample("pure", (2, 2, 2), 2).to_density()
+        est = estimate(rho, FAST)
+        assert est.notes["best_source"] in ("baseline:B'", "baseline:A'")
+        assert est.trace == ()
+        assert objective(est.best) == est.upper_bits
+
+    def test_source_seed(self):
+        mc = random_components(0, entries=2)
+        est = estimate(build_markov(mc), FAST, seeds=[markov_witness(mc)])
+        assert est.notes["best_source"] == "seed:0"
 
 
 class TestLimits:

@@ -203,6 +203,17 @@ class TestApplyChannel:
         block = apply_channel(rho, iso, ("E",), out=(Register("F", 4, "eve"),))
         np.testing.assert_allclose(out.matrix, block.permuted(("F", "A")).matrix, atol=1e-12)
 
+    def test_full_output_layout_keeps_channel_block_order(self):
+        # The block is named out of layout order; the channel's output is in
+        # ``on`` order whichever order the full output layout lists.
+        lay = layout(("A", 2, "alice"), ("Q", 3, "bob"), ("B", 2, "bob"))
+        rho = sample("density_hs", (2, 3, 2), 5, layout=lay)
+        chan = ChannelMap.unitary(nmk.sample("unitary", 6, 11))
+        plain = apply_channel(rho, chan, ("Q", "A"))
+        full = apply_channel(rho, chan, ("Q", "A"), out=lay)
+        assert full.layout == plain.layout == lay
+        np.testing.assert_allclose(full.matrix, plain.matrix, rtol=0, atol=1e-12)
+
     def test_generic_declared_inverse_verification(self):
         u = nmk.sample("unitary", 3, 8)
         chan = ChannelMap.from_kraus([u], declared_inverse=ChannelMap.from_kraus([u.conj().T]))
@@ -222,6 +233,24 @@ class TestApplyChannel:
                 widened, chan.declared_inverse, ("F",), out=(Register("E", 2, "eve"),)
             )
             assert trace_distance(back.permuted(("A", "E")), rho) < 1e-9
+
+
+class TestWithLayout:
+    def test_relabels_without_revalidating(self, monkeypatch):
+        rho = sample("density_hs", (2, 3), 4, layout=layout(("A", 2, "alice"), ("B", 3, "bob")))
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or real(m))
+        new = layout(("X", 2, "eve"), ("Y", 3, "alice"))
+        out = rho.with_layout(new)
+        assert out.layout == new
+        assert out.matrix is rho.matrix
+        assert calls == []
+
+    def test_dims_must_match(self):
+        rho = sample("density_hs", (2, 3), 4, layout=layout(("A", 2, "alice"), ("B", 3, "bob")))
+        with pytest.raises(LayoutMismatch):
+            rho.with_layout(layout(("A", 3, "alice"), ("B", 2, "bob")))
 
 
 class TestTraceDistanceAndFidelity:

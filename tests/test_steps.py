@@ -27,6 +27,7 @@ from nmk.errors import (
     NotClassicalRegister,
     UnknownLabel,
 )
+from nmk import fuzz
 from nmk.fuzz import fuzz_markov_closure, fuzz_monotonicity
 from nmk.markov import preparation_script
 from nmk.registers import Party, Register
@@ -63,6 +64,15 @@ class TestApplyStep:
         assert run.final.ledger.qc_bits == pytest.approx(1.0)
         assert abs(nonmarkovianity(run.final.state) - 1.0) < 1e-9
         assert run.classification is ScriptClass.OMEGA_Q
+
+    def test_quantum_send_retags_without_revalidating(self, ghz, monkeypatch):
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or real(m))
+        out = apply_step(Scenario(ghz), Step.quantum_to_e("A"))
+        assert calls == []
+        assert out.state.layout.register("A").party is Party.EVE
+        assert out.state.matrix is ghz.matrix
 
     def test_broadcast_copies_all_parties(self, ghz):
         sc = Scenario(ghz)
@@ -253,3 +263,12 @@ class TestPropertySuites:
     def test_markov_closure_sampled(self):
         report = fuzz_markov_closure(trials=25, seed=2)
         assert report.ok, report.failures[:2]
+
+    def test_worker_count_invariance(self, monkeypatch):
+        # Every trial reports a "violation", so the reports list every
+        # trial's value and state, in trial order.
+        monkeypatch.setattr(fuzz, "SSA_TOL", -10.0)
+        serial = fuzz.fuzz_ssa(trials_222=12, trials_224=4, seed=5, jobs=1)
+        threaded = fuzz.fuzz_ssa(trials_222=12, trials_224=4, seed=5, jobs=3)
+        assert len(serial.failures) == 16
+        assert threaded.to_dict() == serial.to_dict()
