@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .registers import Party, Register, RegisterLayout, layout
 from .states import (
+    BlockState,
     ChannelMap,
     DensityState,
     PureState,

@@ -81,10 +81,10 @@ def _seed_of(args) -> int:
     return args.seed
 
 
-def _emit(result: dict, started: float, args, summary_lines) -> None:
+def _emit(result: dict, started: float, args, summary_lines, meta=None) -> None:
     report = {
         "result": jsonable(result),
-        "meta": {"wall_time_s": time.time() - started, "version": __version__},
+        "meta": {"wall_time_s": time.time() - started, "version": __version__, **(meta or {})},
     }
     print(json.dumps(report["result"], sort_keys=True, indent=2))
     print(json.dumps({"meta": report["meta"]}, sort_keys=True), file=sys.stderr)
@@ -247,9 +247,10 @@ def cmd_script(args) -> int:
         if not args.state:
             raise BadParams("a script file needs a state reference to run on")
         scenario = Scenario(_need_state(load_ref(args.state), args.state))
-    before = entropy_report(scenario.state)
+    before = entropy_report(scenario.block_state)
     run = run_script(scenario, steps)
-    after = entropy_report(run.final.state)
+    final = run.final.block_state
+    after = entropy_report(final)
     result = {
         "command": "script",
         "input": args.script,
@@ -260,7 +261,7 @@ def cmd_script(args) -> int:
         "after": after.to_dict(),
         "final_registers": [
             {"label": r.label, "dim": r.dim, "party": r.party.value}
-            for r in run.final.state.layout.registers
+            for r in final.layout.registers
         ],
     }
     if args.out:
@@ -274,6 +275,7 @@ def cmd_script(args) -> int:
             f"C_down = {run.final.ledger.cdown_bits} bits; "
             f"M_I {before.m_i_bits:.6f} -> {after.m_i_bits:.6f}"
         ],
+        {"blocks": len(final.blocks), "max_block_dim": final.max_block_dim},
     )
     return 0
 

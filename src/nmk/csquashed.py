@@ -30,6 +30,7 @@ from .nmf import (
     RestartRecord,
     _check_search_config,
     _run_restarts,
+    _search_notes,
     estimate,
 )
 from .registers import Party, Register, RegisterLayout
@@ -142,7 +143,9 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
 
     The singleton decomposition is always a candidate, so the result never
     exceeds half of I(A:B).  ``notes["best_source"]`` names the winner:
-    ``singleton`` or ``restart:<rid>``.
+    ``singleton`` or ``restart:<rid>``; ``notes["evals"]`` counts objective
+    evaluations and ``notes["restarts_beating_baseline"]`` the restarts that
+    ended below the singleton.
     """
     config = config or EsqcConfig()
     a = omega.layout.party_labels(Party.ALICE)
@@ -157,7 +160,8 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
             f"ensemble search is limited to total dimension 64, got {omega.dim}"
         )
     best_ens = ((1.0,), (omega,))
-    best_val, best_source = esqc_objective(*best_ens), "singleton"
+    singleton = best_val = esqc_objective(*best_ens)
+    best_source = "singleton"
     psi = purify(omega, "__ref__")
     rank = psi.layout.register("__ref__").dim
     psi_arr = psi.amplitudes.reshape(omega.dim, rank)
@@ -185,6 +189,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
             "dilution_cdown_single_copy_bits": 2.0 * float(best_val),
             "dilution_note": "single-copy bound on the dilution cost (twice the estimate)",
             "best_source": best_source,
+            **_search_notes(trace, singleton),
         },
     )
 

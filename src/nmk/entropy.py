@@ -4,6 +4,12 @@ half-CQMI non-Markovianity measure.
 
 Base-2 logarithms throughout.  Eigenvalues are clamped at 1e-12 before the
 log, with 0 log 0 = 0.
+
+Every functional takes a :class:`~nmk.states.DensityState` or a
+:class:`~nmk.states.BlockState`.  A block state's marginal is the direct sum
+of one matrix per group of blocks that agree on the classical values the
+subset sees, so its entropy is the sum of one eigensolve per group; a dense
+state is the one-group case.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import OverlappingPartition
-from .states import DensityState, _clamped_eigvalsh, _marginal_matrix
+from .states import BlockState, DensityState, _clamped_eigvalsh, _marginal_matrix
 
 LOG_CLAMP = 1e-12
 
@@ -38,18 +44,27 @@ def entropy_of_matrix(matrix: np.ndarray) -> float:
     return entropy_from_eigs(_clamped_eigvalsh(matrix))
 
 
-def entropy(state: DensityState, subset=None) -> float:
-    """Von Neumann entropy of the reduced state on ``subset``, in bits."""
+def _marginals(state, subset) -> list[np.ndarray]:
+    """Matrices whose direct sum is the marginal on ``subset`` (the whole
+    state if None): one per group of blocks, or the one dense marginal."""
+    if isinstance(state, BlockState):
+        return state.group_marginals(subset)
     if subset is None:
-        return entropy_of_matrix(state.matrix)
-    subset = tuple(subset)
-    if not subset:
-        raise OverlappingPartition("entropy needs a nonempty register subset")
+        return [state.matrix]
     keep_axes = state.layout.positions(subset)
-    return entropy_of_matrix(_marginal_matrix(state.matrix, state.layout.dims, keep_axes))
+    return [_marginal_matrix(state.matrix, state.layout.dims, keep_axes)]
 
 
-def conditional_entropy(state: DensityState, x, given) -> float:
+def entropy(state: DensityState | BlockState, subset=None) -> float:
+    """Von Neumann entropy of the reduced state on ``subset``, in bits."""
+    if subset is not None:
+        subset = tuple(subset)
+        if not subset:
+            raise OverlappingPartition("entropy needs a nonempty register subset")
+    return sum(entropy_of_matrix(m) for m in _marginals(state, subset))
+
+
+def conditional_entropy(state: DensityState | BlockState, x, given) -> float:
     """S(X|Y) = S(XY) - S(Y)."""
     x, given = tuple(x), tuple(given)
     if set(x) & set(given):
@@ -59,7 +74,7 @@ def conditional_entropy(state: DensityState, x, given) -> float:
     return entropy(state, x + given) - entropy(state, given)
 
 
-def mutual_info(state: DensityState, x, y) -> float:
+def mutual_info(state: DensityState | BlockState, x, y) -> float:
     """I(X:Y) = S(X) + S(Y) - S(XY); zero when either group is empty."""
     x, y = tuple(x), tuple(y)
     if set(x) & set(y):
@@ -78,7 +93,7 @@ def _as_groups(a, b, e):
     return a, b, e
 
 
-def cqmi(state: DensityState, a, b, e) -> float:
+def cqmi(state: DensityState | BlockState, a, b, e) -> float:
     """I(A:B|E) = S(AE) + S(BE) - S(ABE) - S(E); registers outside the
     partition are traced out.  E may be empty."""
     a, b, e = _as_groups(a, b, e)
@@ -91,7 +106,7 @@ def cqmi(state: DensityState, a, b, e) -> float:
     return s_ae + s_be - s_abe - s_e
 
 
-def nonmarkovianity(state: DensityState, a=None, b=None, e=None) -> float:
+def nonmarkovianity(state: DensityState | BlockState, a=None, b=None, e=None) -> float:
     """Half the conditional quantum mutual information, in bits.
 
     With no explicit partition, the register party tags define the groups.
@@ -101,7 +116,7 @@ def nonmarkovianity(state: DensityState, a=None, b=None, e=None) -> float:
     return 0.5 * cqmi(state, a, b, e)
 
 
-def party_partition(state: DensityState):
+def party_partition(state: DensityState | BlockState):
     """(alice, bob, eve) label groups from the layout's party tags."""
     lay = state.layout
     return (
@@ -131,7 +146,7 @@ class EntropyReport:
         return asdict(self)
 
 
-def entropy_report(state: DensityState, a=None, b=None, e=None) -> EntropyReport:
+def entropy_report(state: DensityState | BlockState, a=None, b=None, e=None) -> EntropyReport:
     """Entropies of the partition's marginals; each distinct one is
     diagonalized once, and registers outside the partition are traced out."""
     if a is None and b is None and e is None:

@@ -192,8 +192,8 @@ def fuzz_monotonicity(
         rng = as_rng([seed, i])
         sc = _mono_scenario(cls, rng)
         step = _mono_step(cls, rng)
-        before = nonmarkovianity(sc.state)
-        after = nonmarkovianity(apply_step(sc, step).state)
+        before = nonmarkovianity(sc.block_state)
+        after = nonmarkovianity(apply_step(sc, step).block_state)
         bad = after > before + MONO_TOL
         if cls == "reversible_e":
             bad = abs(after - before) > MONO_TOL
@@ -245,11 +245,12 @@ def _random_components(rng, entries=2):
 
 
 def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
-    lay = sc.state.layout
+    lay = sc.block_state.layout
     choices = list(OMEGA_SCRIPT_CLASSES)
-    # Registers appended by broadcasts blow the dimension up by outcome
-    # count per receiving party; keep the final CQMI cheap.
-    if sc.state.dim > 64:
+    # Broadcasts multiply the total dimension by the outcome count per
+    # receiving party.  Past dimension 64 only local steps are drawn; the cap
+    # fixes which scripts each seed draws.
+    if sc.block_state.dim > 64:
         choices = ["local_a", "local_b", "reversible_e"]
     cls = choices[int(rng.integers(len(choices)))]
     label = f"J{msg_counter}"
@@ -294,8 +295,8 @@ def fuzz_markov_closure(
             step = _random_omega_step(current, rng, i)
             steps.append(step)
             current = apply_step(current, step)
-        a, b, e = party_partition(current.state)
-        value = cqmi(current.state, a, b, e)
+        a, b, e = party_partition(current.block_state)
+        value = cqmi(current.block_state, a, b, e)
         if value > CLOSURE_TOL:
             return [
                 {

@@ -187,6 +187,18 @@ def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
     return records, [w for w, *_ in results]
 
 
+BEAT_MARGIN = 1e-12
+
+
+def _search_notes(trace, baseline: float) -> dict:
+    """Evaluations spent (each restart's iterations plus its start) and how
+    many restarts ended below ``baseline`` by more than ``BEAT_MARGIN``."""
+    return {
+        "evals": sum(r.iterations + 1 for r in trace),
+        "restarts_beating_baseline": sum(r.objective < baseline - BEAT_MARGIN for r in trace),
+    }
+
+
 def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) -> NmfEstimate:
     """Bracket the formation measure of a party-tagged tripartite state.
 
@@ -194,7 +206,9 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     for a block-built Markov state); they join the candidate pool alongside
     the baselines and the optimized restarts.  ``notes["best_source"]``
     names the winner: ``baseline:B'``, ``baseline:A'``, ``seed:<i>`` or
-    ``restart:<rid>/<round>``.
+    ``restart:<rid>/<round>``; ``notes["evals"]`` counts objective
+    evaluations and ``notes["restarts_beating_baseline"]`` the restarts that
+    ended below the better purification baseline.
     """
     config = config or EstimateConfig()
     lower = nonmarkovianity(rho)
@@ -202,6 +216,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     for w in baseline_witnesses(rho):
         ref = (w.groups.b_prime + w.groups.a_prime)[0]
         candidates.append((objective(w), f"baseline:{ref}", w))
+    baseline = min(c[0] for c in candidates)
     for i, w in enumerate(seeds):
         check_witness(w, rho, tol=1e-7)
         candidates.append((objective(w), f"seed:{i}", w))
@@ -257,6 +272,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     upper = float(best_obj)
     notes["uncertified"] = bool(upper - lower > config.tol)
     notes["best_source"] = best_source
+    notes.update(_search_notes(trace, baseline))
     return NmfEstimate(
         lower_bits=float(lower),
         upper_bits=upper,

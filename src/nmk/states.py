@@ -1,4 +1,4 @@
-"""Dense multipartite quantum states and the structural operations on them.
+"""Multipartite quantum states and the structural operations on them.
 
 States are plain complex numpy matrices tagged with a
 :class:`~nmk.registers.RegisterLayout`.  Everything here is immutable after
@@ -14,15 +14,25 @@ register orders) works on raw matrices through ``_marginal_matrix`` and
 renames registers or changes their parties without checking the unchanged
 matrix again.
 
+A :class:`BlockState` is the classical-quantum form the step simulator
+keeps, rho = sum_x p_x |x><x|^(copies) (x) rho_x: classical variables, each
+held in one or more copy registers, times one normalized matrix on the
+remaining (quantum) registers per value.  A copy of a classical value adds
+a label, not dimension.  Its operations act block by block through the
+same raw-matrix kernels and check each block they return once, at the
+tolerances of :class:`DensityState`, applied to the weighted block
+``p_x rho_x`` (the block the dense matrix would hold).
+
 Conventions
 -----------
 * Matrices are stored row-major in the big-endian register order of the
   layout: the first register is the most significant index.
 * Eigenvalues in ``[-1e-9, 0]`` are clamped to zero before entropies and
   purifications; anything below ``-1e-9`` fails validation.
-* Total dimension is capped (default 4096, override with the
-  ``NMK_DIM_BUDGET`` environment variable); dense matrices only.  Channel
-  application and tensor products check the cap before allocating.
+* Total (layout) dimension is capped (default 4096, override with the
+  ``NMK_DIM_BUDGET`` environment variable), for block states too.  Channel
+  application, tensor products, block-state steps and densifying a block
+  state check the cap before allocating.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +51,7 @@ from .errors import (
     DuplicateLabel,
     InvariantViolation,
     LayoutMismatch,
+    NotClassicalRegister,
 )
 from .registers import Party, Register, RegisterLayout
 
@@ -50,12 +62,18 @@ NORM_TOL = 1e-10
 KRAUS_TOL = 1e-9
 INVERSE_TOL = 1e-8
 PRUNE_TOL = 1e-14
+CLASSICAL_TOL = 1e-8
 DEFAULT_DIM_BUDGET = 4096
 
 
 def dim_budget() -> int:
-    """Hard cap on the total dimension of a dense state."""
+    """Hard cap on the total dimension of a state."""
     return int(os.environ.get("NMK_DIM_BUDGET", DEFAULT_DIM_BUDGET))
+
+
+def _require_budget(dim: int, what: str = "total dimension") -> None:
+    if dim > dim_budget():
+        raise BudgetExceeded(f"{what} {dim} exceeds the budget of {dim_budget()}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -69,6 +87,29 @@ def _clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(matrix)
     vals[(vals < 0.0) & (vals >= EIG_FLOOR)] = 0.0
     return vals
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """Finite entries and hermiticity within 1e-10 max-abs."""
+    if not np.isfinite(m).all():
+        raise InvariantViolation("finite", "matrix entries must be finite")
+    herm_err = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if herm_err > HERMITIAN_TOL:
+        raise InvariantViolation("hermitian", f"max |m - m^dagger| = {herm_err:.3e}")
+
+
+def _check_positive(m: np.ndarray) -> None:
+    """Minimum eigenvalue at least -1e-9."""
+    # Cheap positive check first; fall back to eigenvalues for the diagnostic.
+    shifted = np.asarray(m) + (abs(EIG_FLOOR) + 1e-12) * np.eye(m.shape[0])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.min(np.linalg.eigvalsh(m)))
+        if lo < EIG_FLOOR:
+            raise InvariantViolation(
+                "positive_semidefinite", f"minimum eigenvalue {lo:.3e} < {EIG_FLOOR}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -85,31 +126,17 @@ class DensityState:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
         d = self.layout.dim
-        if d > dim_budget():
-            raise BudgetExceeded(f"total dimension {d} exceeds the budget of {dim_budget()}")
+        _require_budget(d)
         m = self.matrix
         if m.shape != (d, d):
             raise InvariantViolation(
                 "shape", f"matrix shape {m.shape} does not match layout dimension {d}"
             )
-        if not np.isfinite(m).all():
-            raise InvariantViolation("finite", "matrix entries must be finite")
-        herm_err = np.max(np.abs(m - m.conj().T)) if d else 0.0
-        if herm_err > HERMITIAN_TOL:
-            raise InvariantViolation("hermitian", f"max |m - m^dagger| = {herm_err:.3e}")
+        _check_hermitian(m)
         tr_err = abs(np.trace(m) - 1.0)
         if tr_err > TRACE_TOL:
             raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
-        # Cheap positive check first; fall back to eigenvalues for the diagnostic.
-        shifted = np.asarray(m) + (abs(EIG_FLOOR) + 1e-12) * np.eye(d)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            lo = float(np.min(np.linalg.eigvalsh(m)))
-            if lo < EIG_FLOOR:
-                raise InvariantViolation(
-                    "positive_semidefinite", f"minimum eigenvalue {lo:.3e} < {EIG_FLOOR}"
-                ) from None
+        _check_positive(m)
 
     @property
     def dim(self) -> int:
@@ -289,10 +316,7 @@ def tensor(a: DensityState, b: DensityState) -> DensityState:
     clash = set(a.layout.labels) & set(b.layout.labels)
     if clash:
         raise DuplicateLabel(f"labels present on both factors: {sorted(clash)}")
-    if a.dim * b.dim > dim_budget():
-        raise BudgetExceeded(
-            f"total dimension {a.dim * b.dim} exceeds the budget of {dim_budget()}"
-        )
+    _require_budget(a.dim * b.dim)
     return DensityState(
         RegisterLayout(a.layout.registers + b.layout.registers),
         np.kron(a.matrix, b.matrix),
@@ -433,6 +457,60 @@ def _apply_kraus_block(matrix, dims, on_axes, kraus_ops, out_block_dim):
     return out.reshape(dk * s, dk * s)
 
 
+def _channel_layout(lay: RegisterLayout, channel: "ChannelMap", on, out):
+    """The output block of ``channel`` on the registers ``on`` of ``lay``,
+    registers in the channel's output order, and the layout the channel
+    leaves; see :func:`apply_channel` for ``out``.  Checks the dims, the
+    labels and the budget; computes nothing."""
+    on = tuple(on)
+    on_axes = [lay.index(lbl) for lbl in on]
+    if len(set(on)) != len(on):
+        raise DuplicateLabel(f"repeated labels in channel target: {on}")
+    in_dim = math.prod(lay.dims[i] for i in on_axes)
+    if channel.in_dim != in_dim:
+        raise DimensionMismatch(
+            f"channel input dim {channel.in_dim} does not match block dim {in_dim}"
+        )
+    keep_regs = tuple(r for r in lay.registers if r.label not in on)
+    if out is None:
+        if channel.out_dim != in_dim:
+            raise DimensionMismatch("non-square channel needs an output block")
+        block = tuple(lay.registers[i] for i in on_axes)
+        labels = lay.labels
+    elif isinstance(out, RegisterLayout):
+        keep_labels = {r.label for r in keep_regs}
+        block = tuple(r for r in out.registers if r.label not in keep_labels)
+        if {r.label for r in block} == set(on):
+            block = tuple(out.register(lbl) for lbl in on)
+        labels = out.labels
+    else:
+        block = tuple(out)
+        labels = tuple(r.label for r in keep_regs + block)
+    block_dim = math.prod(r.dim for r in block)
+    if block_dim != channel.out_dim:
+        raise DimensionMismatch(
+            f"output block dim {block_dim} does not match channel output {channel.out_dim}"
+        )
+    raw = RegisterLayout(keep_regs + block)
+    if sorted(labels) != sorted(raw.labels):
+        raise LayoutMismatch("output layout labels do not match the channel result")
+    _require_budget(lay.dim // in_dim * channel.out_dim, "channel output dimension")
+    return block, raw.reordered(labels)
+
+
+def _channel_matrix(matrix, lay: RegisterLayout, on, kraus, block, out: RegisterLayout):
+    """``sum_k K matrix K^dagger`` for ``kraus`` on the registers ``on`` of
+    ``lay`` (identity elsewhere), the output block being the registers
+    ``block``.  The result is in the order ``out`` lists the untouched
+    registers and the block; labels of ``out`` outside both are skipped."""
+    keep = tuple(r for r in lay.registers if r.label not in on)
+    raw = RegisterLayout(keep + tuple(block))
+    block_dim = math.prod(r.dim for r in block)
+    mat = _apply_kraus_block(matrix, lay.dims, [lay.index(lbl) for lbl in on], kraus, block_dim)
+    axes = [raw.index(lbl) for lbl in out.labels if lbl in raw]
+    return _permuted_matrix(mat, raw.dims, axes)
+
+
 def apply_channel(
     state: DensityState,
     channel: ChannelMap,
@@ -453,45 +531,269 @@ def apply_channel(
     computed.
     """
     on = tuple(on)
-    on_axes = [state.layout.index(lbl) for lbl in on]
-    if len(set(on)) != len(on):
-        raise DuplicateLabel(f"repeated labels in channel target: {on}")
-    in_dim = math.prod(state.layout.dims[i] for i in on_axes)
-    if channel.in_dim != in_dim:
-        raise DimensionMismatch(
-            f"channel input dim {channel.in_dim} does not match block dim {in_dim}"
+    block, out_layout = _channel_layout(state.layout, channel, on, out)
+    matrix = _channel_matrix(state.matrix, state.layout, on, channel.kraus, block, out_layout)
+    return DensityState(out_layout, matrix)
+
+
+# ---------------------------------------------------------------------------
+# block-classical states
+
+
+class ClassicalVar(NamedTuple):
+    """A classical value of ``dim`` levels, held in identical copies: the
+    layout registers ``labels``."""
+
+    dim: int
+    labels: tuple[str, ...]
+
+
+class Block(NamedTuple):
+    """One joint value of the classical variables, its probability and the
+    normalized state of the quantum registers (layout order) given it."""
+
+    values: tuple[int, ...]
+    weight: float
+    matrix: np.ndarray
+
+
+@dataclass(frozen=True)
+class BlockState:
+    """rho = sum_x p_x |x><x|^(copies) (x) rho_x on ``layout``.
+
+    ``classical`` lists the classical variables; a block's ``values`` give
+    one value per variable, in that order.  Every other register of the
+    layout is quantum and is held in each block's matrix.  ``dense`` is the
+    validated dense state this one equals, when one is known (a state built
+    by :meth:`from_density` and retagged since); :meth:`to_density` returns
+    it instead of building one.
+    """
+
+    layout: RegisterLayout
+    classical: tuple[ClassicalVar, ...]
+    blocks: tuple[Block, ...]
+    dense: DensityState | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_density(cls, state: DensityState) -> "BlockState":
+        """The one-block form of ``state``, sharing its matrix."""
+        return cls(state.layout, (), (Block((), 1.0, state.matrix),), state)
+
+    @property
+    def dim(self) -> int:
+        """Total (layout) dimension: the dimension of the dense state."""
+        return self.layout.dim
+
+    @property
+    def quantum(self) -> RegisterLayout:
+        """The quantum registers, in layout order."""
+        return _quantum_layout(self.layout, self.classical)
+
+    @property
+    def max_block_dim(self) -> int:
+        return self.quantum.dim
+
+    def to_density(self) -> DensityState:
+        """The dense state, checked against the budget before it is built."""
+        if self.dense is not None:
+            return self.dense
+        _require_budget(self.dim)
+        q = self.quantum
+        copies = [(lbl, i) for i, var in enumerate(self.classical) for lbl in var.labels]
+        c_dims = [self.classical[i].dim for _, i in copies]
+        c_size = math.prod(c_dims)
+        # Built in (quantum..., copies...) order: block x sits where every
+        # copy reads its value.
+        full = np.zeros((q.dim * c_size,) * 2, dtype=complex)
+        for values, weight, matrix in self.blocks:
+            c = _flat_index([values[i] for _, i in copies], c_dims)
+            full[c::c_size, c::c_size] += weight * matrix
+        raw = q.labels + tuple(lbl for lbl, _ in copies)
+        axes = [raw.index(lbl) for lbl in self.layout.labels]
+        return DensityState(self.layout, _permuted_matrix(full, q.dims + tuple(c_dims), axes))
+
+    def group_marginals(self, labels=None) -> list[np.ndarray]:
+        """The marginal on ``labels`` (all registers if None) as the list of
+        matrices it is the direct sum of: blocks that agree on every
+        classical variable with a copy among ``labels`` form one group, and
+        each group's weighted quantum marginals are summed."""
+        labels = self.layout.labels if labels is None else tuple(labels)
+        self.layout.positions(labels)
+        labels = set(labels)
+        visible = [i for i, var in enumerate(self.classical) if labels & set(var.labels)]
+        q = self.quantum
+        keep = [i for i, lbl in enumerate(q.labels) if lbl in labels]
+        groups = _summed(
+            (tuple(v[i] for i in visible), w * _marginal_matrix(m, q.dims, keep))
+            for v, w, m in self.blocks
         )
-    keep_regs = tuple(r for r in state.layout.registers if r.label not in on)
-    if out is None:
-        if channel.out_dim != in_dim:
-            raise DimensionMismatch("non-square channel needs an output block")
-        block = tuple(state.layout.registers[i] for i in on_axes)
-        labels = state.layout.labels
-    elif isinstance(out, RegisterLayout):
-        keep_labels = {r.label for r in keep_regs}
-        block = tuple(r for r in out.registers if r.label not in keep_labels)
-        if {r.label for r in block} == set(on):
-            block = tuple(out.register(lbl) for lbl in on)
-        labels = out.labels
-    else:
-        block = tuple(out)
-        labels = tuple(r.label for r in keep_regs + block)
-    block_dim = math.prod(r.dim for r in block)
-    if block_dim != channel.out_dim:
-        raise DimensionMismatch(
-            f"output block dim {block_dim} does not match channel output {channel.out_dim}"
-        )
-    raw = RegisterLayout(keep_regs + block)
-    if sorted(labels) != sorted(raw.labels):
-        raise LayoutMismatch("output layout labels do not match the channel result")
-    out_dim = state.dim // in_dim * channel.out_dim
-    if out_dim > dim_budget():
-        raise BudgetExceeded(
-            f"channel output dimension {out_dim} exceeds the budget of {dim_budget()}"
-        )
-    mat = _apply_kraus_block(state.matrix, state.layout.dims, on_axes, channel.kraus, block_dim)
-    axes = [raw.index(lbl) for lbl in labels]
-    return DensityState(raw.reordered(labels), _permuted_matrix(mat, raw.dims, axes))
+        return list(groups.values())
+
+    # -- operations ----------------------------------------------------------
+    def retagged(self, label: str, party) -> "BlockState":
+        """The same state with one register moved to ``party``; nothing is
+        recomputed or checked again."""
+        layout = self.layout.retagged(label, party)
+        dense = None if self.dense is None else self.dense.with_layout(layout)
+        return BlockState(layout, self.classical, self.blocks, dense)
+
+    def channel(self, channel: ChannelMap, on, out=None) -> "BlockState":
+        """Apply ``channel`` to the registers ``on`` of every block, as
+        :func:`apply_channel` would to the dense state (``out`` a sequence of
+        registers or None).  A classical copy named in ``on`` first becomes
+        a quantum register |x><x| in every block."""
+        on = tuple(on)
+        block, out_layout = _channel_layout(self.layout, channel, on, out)
+        classical, parts = self._quantized(on)
+        q = _quantum_layout(self.layout, classical)
+        parts = [
+            (v, _channel_matrix(m, q, on, channel.kraus, block, out_layout)) for v, m in parts
+        ]
+        return _settled(out_layout, classical, parts)
+
+    def measured(self, operators, on, copies) -> "BlockState":
+        """Measure the registers ``on`` with the operators (acting in ``on``
+        order) and keep the outcome as a new classical variable whose copies
+        are the registers ``copies``, appended to the layout."""
+        on = tuple(on)
+        layout = self.layout.extended(copies)
+        _require_budget(layout.dim, "scenario dimension")
+        classical, parts = self._quantized(on)
+        q = _quantum_layout(self.layout, classical)
+        block = tuple(q.register(lbl) for lbl in on)
+        parts = [
+            (v + (k,), _channel_matrix(m, q, on, (op,), block, q))
+            for v, m in parts
+            for k, op in enumerate(operators)
+        ]
+        var = ClassicalVar(len(operators), tuple(r.label for r in copies))
+        return _settled(layout, classical + (var,), parts)
+
+    def discarded(self, labels) -> "BlockState":
+        """Trace out the registers ``labels``.  A classical variable that
+        loses its last copy stops separating blocks, and the blocks it
+        separated are merged."""
+        drop = set(labels)
+        layout = self.layout.without(drop)
+        q = self.quantum
+        keep = [i for i, lbl in enumerate(q.labels) if lbl not in drop]
+        classical = _without_copies(self.classical, drop)
+        parts = [(v, w * _marginal_matrix(m, q.dims, keep)) for v, w, m in self.blocks]
+        return _settled(layout, *_merged(classical, parts))
+
+    def copied(self, label: str, copy: Register) -> "BlockState":
+        """Append the register ``copy``, a copy of the classical value in
+        register ``label``.  A classical copy is relabeled with no scan; a
+        quantum register must be diagonal within ``CLASSICAL_TOL`` (weighted,
+        in every block) and becomes a classical variable, splitting each
+        block."""
+        layout = self.layout.extended((copy,))
+        _require_budget(layout.dim, "scenario dimension")
+        for i, var in enumerate(self.classical):
+            if label in var.labels:
+                classical = list(self.classical)
+                classical[i] = ClassicalVar(var.dim, var.labels + (copy.label,))
+                return BlockState(layout, tuple(classical), self.blocks)
+        q = self.quantum
+        axis = q.index(label)
+        d = q.dims[axis]
+        rest = q.dim // d
+        order = [i for i in range(len(q)) if i != axis] + [axis]
+        idx = np.arange(d)
+        parts = []
+        for values, weight, matrix in self.blocks:
+            t = weight * _permuted_matrix(matrix, q.dims, order).reshape(rest, d, rest, d)
+            off = t.copy()
+            off[:, idx, :, idx] = 0.0
+            if float(np.max(np.abs(off))) > CLASSICAL_TOL:
+                raise NotClassicalRegister(
+                    f"register {label!r} is not classical (diagonal) within {CLASSICAL_TOL}"
+                )
+            parts += [(values + (x,), t[:, x, :, x]) for x in range(d)]
+        var = ClassicalVar(d, (label, copy.label))
+        return _settled(layout, self.classical + (var,), parts)
+
+    def _quantized(self, labels):
+        """Classical variables and weighted block matrices once every
+        classical copy among ``labels`` is held as a quantum register
+        |x><x| (in layout order) in each block."""
+        parts = [(v, w * m) for v, w, m in self.blocks]
+        owner = {lbl: i for i, var in enumerate(self.classical) for lbl in var.labels}
+        moving = [lbl for lbl in self.layout.labels if lbl in owner and lbl in labels]
+        if not moving:
+            return self.classical, parts
+        q = self.quantum
+        m_dims = [self.classical[owner[lbl]].dim for lbl in moving]
+        size = math.prod(m_dims)
+        raw = q.labels + tuple(moving)
+        raw_dims = q.dims + tuple(m_dims)
+        axes = [raw.index(lbl) for lbl in self.layout.labels if lbl in raw]
+        lifted = []
+        for values, m in parts:
+            proj = np.zeros((size, size), dtype=complex)
+            c = _flat_index([values[owner[lbl]] for lbl in moving], m_dims)
+            proj[c, c] = 1.0
+            lifted.append((values, _permuted_matrix(np.kron(m, proj), raw_dims, axes)))
+        return _merged(_without_copies(self.classical, set(moving)), lifted)
+
+
+def _quantum_layout(layout: RegisterLayout, classical) -> RegisterLayout:
+    copies = {lbl for var in classical for lbl in var.labels}
+    return RegisterLayout(tuple(r for r in layout.registers if r.label not in copies))
+
+
+def _flat_index(values, dims) -> int:
+    """Big-endian index of ``values`` in a register block of ``dims``."""
+    c = 0
+    for v, d in zip(values, dims):
+        c = c * d + v
+    return c
+
+
+def _without_copies(classical, labels) -> tuple[ClassicalVar, ...]:
+    return tuple(
+        ClassicalVar(var.dim, tuple(lbl for lbl in var.labels if lbl not in labels))
+        for var in classical
+    )
+
+
+def _summed(pairs) -> dict:
+    """The matrices of ``(key, matrix)`` pairs summed per key, keys in order
+    of first appearance."""
+    out: dict = {}
+    for key, m in pairs:
+        out[key] = out[key] + m if key in out else m
+    return out
+
+
+def _merged(classical, parts):
+    """Drop the classical variables left with no copy, and sum the weighted
+    block matrices ``parts`` (``(values, matrix)`` pairs) that then agree on
+    every value."""
+    live = [i for i, var in enumerate(classical) if var.labels]
+    merged = _summed((tuple(v[i] for i in live), m) for v, m in parts)
+    return tuple(classical[i] for i in live), list(merged.items())
+
+
+def _settled(layout, classical, parts) -> BlockState:
+    """The block state of the weighted block matrices ``parts``, each
+    checked once as the dense state would be (its share of the dense
+    matrix: hermitian, positive), their traces summing to 1 within
+    ``TRACE_TOL``.  Blocks of weight at most ``PRUNE_TOL`` are dropped."""
+    for _, m in parts:
+        _check_hermitian(m)
+    traces = [np.trace(m) for _, m in parts]
+    tr_err = abs(sum(traces) - 1.0)
+    if tr_err > TRACE_TOL:
+        raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
+    for _, m in parts:
+        _check_positive(m)
+    blocks = tuple(
+        Block(values, w, _freeze(m / w))
+        for (values, m), w in zip(parts, (float(t.real) for t in traces))
+        if w > PRUNE_TOL
+    )
+    return BlockState(layout, tuple(classical), blocks)
 
 
 def trace_distance(a: DensityState, b: DensityState) -> float:

@@ -13,8 +13,15 @@ Alice and Bob, irreversible Eve channels via the bypass flag) are simulated
 too, with quantum cost ``qc_bits`` accrued as log2 of the moved dimension
 and classical downward cost ``cdown_bits`` as log2 of the message size.
 
-Message registers produced here are ordinary registers that happen to be
-diagonal; later steps may act on them like any other register.
+A scenario holds its state in block form (:class:`~nmk.states.BlockState`):
+a measurement adds one classical variable whose copies are the message
+registers, so a broadcast adds labels, not dimension.  Later steps may act
+on a message register like any other register: a channel that names a copy
+first turns it into a quantum register |x><x| in every block, and
+discarding the last copy of a variable merges the blocks it separated.
+``Scenario.state`` builds the dense state on demand.  The dimension budget
+caps the scenario's total (layout) dimension and is checked before a step
+computes anything.
 
 Scenarios are immutable; ``apply_step`` returns a new one.
 """
@@ -31,13 +38,10 @@ from .errors import (
     BadMu,
     DimensionMismatch,
     IrreversibleEveOp,
-    NotClassicalRegister,
     UnknownLabel,
 )
 from .registers import Party, Register, RegisterLayout
-from .states import ChannelMap, DensityState, _permuted_matrix, apply_channel, partial_trace
-
-CLASSICAL_TOL = 1e-8
+from .states import BlockState, ChannelMap, DensityState
 
 
 @dataclass(frozen=True)
@@ -60,20 +64,32 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A party-tagged state plus its accumulated communication costs."""
+    """A party-tagged state plus its accumulated communication costs.
 
-    state: DensityState
+    A :class:`DensityState` given as ``block_state`` is taken in its
+    one-block form.
+    """
+
+    block_state: BlockState
     ledger: CostLedger = field(default_factory=CostLedger)
 
     def __post_init__(self):
-        for reg in self.state.layout.registers:
+        if isinstance(self.block_state, DensityState):
+            object.__setattr__(self, "block_state", BlockState.from_density(self.block_state))
+        for reg in self.block_state.layout.registers:
             if reg.party is Party.REFERENCE:
                 raise DimensionMismatch(
                     f"scenario registers need a party; {reg.label!r} is a reference register"
                 )
 
+    @property
+    def state(self) -> DensityState:
+        """The dense state, validated; built on each access, within the
+        dimension budget."""
+        return self.block_state.to_density()
+
     def labels_of(self, party) -> tuple[str, ...]:
-        return self.state.layout.party_labels(party)
+        return self.block_state.layout.party_labels(party)
 
 
 class StepKind(Enum):
@@ -207,31 +223,31 @@ def _regs(out):
 # step application
 
 
-def _require_party(state: DensityState, labels, party: Party):
+def _require_party(lay: RegisterLayout, labels, party: Party):
     for lbl in labels:
-        reg = state.layout.register(lbl)
+        reg = lay.register(lbl)
         if reg.party is not party:
             raise UnknownLabel(f"register {lbl!r} belongs to {reg.party.value}, not {party.value}")
 
 
 def _local_channel(sc: Scenario, step: Step, party: Party) -> Scenario:
+    bs = sc.block_state
     if step.discard:
-        _require_party(sc.state, step.discard, party)
-        keep = [lbl for lbl in sc.state.layout.labels if lbl not in set(step.discard)]
-        return replace(sc, state=partial_trace(sc.state, keep))
-    _require_party(sc.state, step.on, party)
+        _require_party(bs.layout, step.discard, party)
+        return replace(sc, block_state=bs.discarded(step.discard))
+    _require_party(bs.layout, step.on, party)
     if step.out is not None:
         for reg in step.out:
             if reg.party is not party:
                 raise DimensionMismatch(
                     f"output register {reg.label!r} must stay with {party.value}"
                 )
-    new_state = apply_channel(sc.state, step.channel, step.on, step.out)
-    return replace(sc, state=new_state)
+    return replace(sc, block_state=bs.channel(step.channel, step.on, step.out))
 
 
 def _reversible_e(sc: Scenario, step: Step) -> Scenario:
-    _require_party(sc.state, step.on, Party.EVE)
+    bs = sc.block_state
+    _require_party(bs.layout, step.on, Party.EVE)
     if not step.bypass:
         if step.channel.declared_inverse is None:
             raise IrreversibleEveOp("Eve's local operations must carry a declared inverse")
@@ -240,28 +256,27 @@ def _reversible_e(sc: Scenario, step: Step) -> Scenario:
         for reg in step.out:
             if reg.party is not Party.EVE:
                 raise DimensionMismatch(f"output register {reg.label!r} must stay with eve")
-    new_state = apply_channel(sc.state, step.channel, step.on, step.out)
-    return replace(sc, state=new_state)
+    return replace(sc, block_state=bs.channel(step.channel, step.on, step.out))
 
 
 def _retag(sc: Scenario, register: str, source_parties, target: Party, qc=0.0) -> Scenario:
-    reg = sc.state.layout.register(register)
+    reg = sc.block_state.layout.register(register)
     if reg.party not in source_parties:
         raise UnknownLabel(
             f"register {register!r} belongs to {reg.party.value}; expected one of "
             f"{[p.value for p in source_parties]}"
         )
-    state = sc.state.with_layout(sc.state.layout.retagged(register, target))
-    return Scenario(state, sc.ledger.add(qc=qc))
+    return Scenario(sc.block_state.retagged(register, target), sc.ledger.add(qc=qc))
 
 
 def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Scenario:
     """Measure the sender's block and append one classical copy per receiver."""
-    _require_party(sc.state, step.on, sender)
+    bs = sc.block_state
+    _require_party(bs.layout, step.on, sender)
     n_out = len(step.operators)
     if n_out < 1:
         raise DimensionMismatch("need at least one measurement operator")
-    block_dim = sc.state.layout.dim_of(step.on)
+    block_dim = bs.layout.dim_of(step.on)
     for op in step.operators:
         if op.shape != (block_dim, block_dim):
             raise DimensionMismatch(
@@ -271,52 +286,18 @@ def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Sce
         Register(f"{step.msg_label}_{party.value[0].upper()}", n_out, party)
         for party in receivers
     )
-    # Measure the block in layout order, so the outcome registers keep their
-    # places and the copies are appended.
-    on = tuple(sorted(step.on, key=sc.state.layout.index))
-    on_dims = [sc.state.layout.register(lbl).dim for lbl in step.on]
-    axes = [step.on.index(lbl) for lbl in on]
-    lifted = []
-    for m, op in enumerate(step.operators):
-        tail = np.zeros((n_out ** len(copies), 1), dtype=complex)
-        tail[sum(m * n_out**i for i in range(len(copies))), 0] = 1.0
-        lifted.append(np.kron(_permuted_matrix(op, on_dims, axes), tail))
-    out = RegisterLayout(sc.state.layout.registers + copies)
-    return replace(sc, state=apply_channel(sc.state, ChannelMap(tuple(lifted)), on, out))
-
-
-def _is_classical(state: DensityState, label: str, tol=CLASSICAL_TOL) -> bool:
-    """Whether the state is block-diagonal in the register's basis."""
-    axis = state.layout.index(label)
-    dims = state.layout.dims
-    order = [i for i in range(len(dims)) if i != axis] + [axis]
-    d = dims[axis]
-    rest = state.dim // d
-    off = _permuted_matrix(state.matrix, dims, order).reshape(rest, d, rest, d).copy()
-    idx = np.arange(d)
-    off[:, idx, :, idx] = 0.0
-    return float(np.max(np.abs(off))) <= tol
+    return replace(sc, block_state=bs.measured(step.operators, step.on, copies))
 
 
 def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
-    reg = sc.state.layout.register(step.register)
+    bs = sc.block_state
+    reg = bs.layout.register(step.register)
     if reg.party is not Party.EVE:
         raise UnknownLabel(f"register {step.register!r} is not Eve's")
-    if not _is_classical(sc.state, step.register):
-        raise NotClassicalRegister(
-            f"register {step.register!r} is not classical (diagonal) within {CLASSICAL_TOL}"
-        )
-    d = reg.dim
     base = step.msg_label or f"{step.register}_c"
-    copy_reg = Register(f"{base}_{receiver.value[0].upper()}", d, receiver)
-    kraus = []
-    for m in range(d):
-        k = np.zeros((d * d, d), dtype=complex)
-        k[m * d + m, m] = 1.0
-        kraus.append(k)
-    out = RegisterLayout(sc.state.layout.registers + (copy_reg,))
-    state = apply_channel(sc.state, ChannelMap(tuple(kraus)), (step.register,), out)
-    return Scenario(state, sc.ledger.add(cdown=math.log2(d)))
+    copy_reg = Register(f"{base}_{receiver.value[0].upper()}", reg.dim, receiver)
+    state = bs.copied(step.register, copy_reg)
+    return Scenario(state, sc.ledger.add(cdown=math.log2(reg.dim)))
 
 
 def apply_step(sc: Scenario, step: Step) -> Scenario:
@@ -330,7 +311,7 @@ def apply_step(sc: Scenario, step: Step) -> Scenario:
     if kind is StepKind.QUANTUM_TO_E:
         return _retag(sc, step.register, (Party.ALICE, Party.BOB), Party.EVE)
     if kind is StepKind.QUANTUM_FROM_E:
-        reg = sc.state.layout.register(step.register)
+        reg = sc.block_state.layout.register(step.register)
         return _retag(
             sc, step.register, (Party.EVE,), step.to, qc=math.log2(reg.dim)
         )

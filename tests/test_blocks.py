@@ -1,0 +1,236 @@
+"""The block form of scenarios against a dense reference.
+
+``dense_step`` applies a step to a ``DensityState`` the dense way: the
+measurement and copy-down Kraus operators are lifted to carry the classical
+copies as registers, and every channel goes through ``nmk.apply_channel``.
+Each block-form step must give the same densified state and the same M_I.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nmk import (
+    BlockState,
+    ChannelMap,
+    Scenario,
+    Step,
+    StepKind,
+    apply_channel,
+    apply_step,
+    build_markov,
+    entropy_report,
+    nonmarkovianity,
+    partial_trace,
+    preparation_script,
+    run_script,
+    sample,
+    zoo,
+)
+from nmk.errors import InvariantViolation, NotClassicalRegister
+from nmk.fuzz import (
+    FREE_CLASS_NAMES,
+    _mono_scenario,
+    _mono_step,
+    _random_components,
+    _random_omega_step,
+)
+from nmk.rand import as_rng
+from nmk.registers import Party, Register, RegisterLayout
+
+TOL = 1e-10
+
+RECEIVERS = {
+    StepKind.BROADCAST_A: (Party.ALICE, Party.BOB, Party.EVE),
+    StepKind.BROADCAST_B: (Party.ALICE, Party.BOB, Party.EVE),
+    StepKind.CLASSICAL_A_TO_E: (Party.ALICE, Party.EVE),
+    StepKind.CLASSICAL_B_TO_E: (Party.BOB, Party.EVE),
+}
+
+
+def dense_measure(state, step, receivers):
+    """Measure ``step.on`` and append one copy of the outcome per receiver,
+    as one dense channel whose Kraus operators write the copies."""
+    lay = state.layout
+    n_out = len(step.operators)
+    copies = tuple(
+        Register(f"{step.msg_label}_{p.value[0].upper()}", n_out, p) for p in receivers
+    )
+    on = tuple(sorted(step.on, key=lay.index))
+    dims = [lay.register(lbl).dim for lbl in step.on]
+    axes = [step.on.index(lbl) for lbl in on]
+    n = len(dims)
+    lifted = []
+    for m, op in enumerate(step.operators):
+        op = op.reshape(dims * 2).transpose(axes + [n + a for a in axes]).reshape(op.shape)
+        tail = np.zeros((n_out ** len(copies), 1), dtype=complex)
+        tail[sum(m * n_out**i for i in range(len(copies))), 0] = 1.0
+        lifted.append(np.kron(op, tail))
+    out = RegisterLayout(lay.registers + copies)
+    return apply_channel(state, ChannelMap(tuple(lifted)), on, out)
+
+
+def dense_copy_down(state, step, receiver):
+    reg = state.layout.register(step.register)
+    d = reg.dim
+    base = step.msg_label or f"{step.register}_c"
+    copy = Register(f"{base}_{receiver.value[0].upper()}", d, receiver)
+    kraus = []
+    for m in range(d):
+        k = np.zeros((d * d, d), dtype=complex)
+        k[m * d + m, m] = 1.0
+        kraus.append(k)
+    out = RegisterLayout(state.layout.registers + (copy,))
+    return apply_channel(state, ChannelMap(tuple(kraus)), (step.register,), out)
+
+
+def dense_step(state, step):
+    kind = step.kind
+    if kind in (StepKind.LOCAL_A, StepKind.LOCAL_B, StepKind.REVERSIBLE_E):
+        if step.discard:
+            keep = [lbl for lbl in state.layout.labels if lbl not in step.discard]
+            return partial_trace(state, keep)
+        return apply_channel(state, step.channel, step.on, step.out)
+    if kind in (StepKind.QUANTUM_TO_E, StepKind.QUANTUM_FROM_E, StepKind.QUANTUM_AB):
+        to = Party.EVE if kind is StepKind.QUANTUM_TO_E else step.to
+        return state.with_layout(state.layout.retagged(step.register, to))
+    if kind in RECEIVERS:
+        return dense_measure(state, step, RECEIVERS[kind])
+    if kind is StepKind.SECRET_AB:
+        return dense_measure(state, step, (Party.ALICE, Party.BOB))
+    if kind is StepKind.CLASSICAL_E_TO_A:
+        return dense_copy_down(state, step, Party.ALICE)
+    return dense_copy_down(state, step, Party.BOB)
+
+
+def assert_matches(sc, dense):
+    got = sc.state
+    assert got.layout == dense.layout
+    np.testing.assert_allclose(got.matrix, dense.matrix, atol=TOL, rtol=0)
+    assert abs(nonmarkovianity(sc.block_state) - nonmarkovianity(dense)) <= TOL
+
+
+def run_both(sc, steps):
+    dense = sc.state
+    for step in steps:
+        sc = apply_step(sc, step)
+        dense = dense_step(dense, step)
+        assert_matches(sc, dense)
+    return sc
+
+
+@pytest.mark.parametrize("cls", FREE_CLASS_NAMES)
+def test_free_classes_match_dense(cls):
+    for seed in range(20):
+        rng = as_rng([seed, 99])
+        sc = _mono_scenario(cls, rng)
+        run_both(sc, [_mono_step(cls, rng)])
+
+
+def test_omega_scripts_on_markov_states_match_dense():
+    for seed in range(20):
+        rng = as_rng([seed, 7])
+        sc = Scenario(build_markov(_random_components(rng)))
+        dense = sc.state
+        for i in range(3):
+            step = _random_omega_step(sc, rng, i)
+            sc = apply_step(sc, step)
+            dense = dense_step(dense, step)
+            assert_matches(sc, dense)
+
+
+def coin(n=2):
+    return tuple(np.eye(2, dtype=complex) / math.sqrt(n) for _ in range(n))
+
+
+def test_copies_named_moved_and_discarded_match_dense():
+    # A channel on a classical copy makes it quantum; copying Eve's copy down
+    # relabels it; discarding every copy merges the blocks.
+    rng = np.random.default_rng(3)
+    iso = sample("isometry", (2, 4), rng)
+    cx = np.eye(4)[[0, 1, 3, 2]]
+    steps = (
+        Step.broadcast_a((iso[:2], iso[2:]), ("A",), "J"),
+        Step.classical_e_to_b("J_E", "K"),
+        Step.local_b(ChannelMap.unitary(cx), ("J_B", "B")),
+        Step.quantum_to_e("K_B"),
+        Step.discard_a(("J_A",)),
+        Step.discard_b(("J_B",)),
+    )
+    sc = Scenario(sample("density_hs", (2, 2, 2), 4))
+    out = run_both(sc, steps)
+    assert [var.labels for var in out.block_state.classical] == [("J_E", "K_B")]
+    out = run_both(out, (Step.reversible_e(ChannelMap.unitary(np.eye(4)), ("J_E", "K_B")),))
+    assert out.block_state.classical == ()
+    assert len(out.block_state.blocks) == 1
+
+
+@pytest.mark.parametrize("which", ["preparation", "secret_ab"])
+def test_protocols_match_dense(which):
+    if which == "preparation":
+        sc, steps = preparation_script(zoo("markov_random", {"entries": 3}, seed=5))
+    else:
+        zs = zoo("nonfree_script", {"cls": "secret_ab"})
+        sc, steps = zs.scenario, zs.steps
+    run_both(sc, steps)
+
+
+class TestBlockState:
+    def test_broadcast_adds_labels_not_dimension(self):
+        sc = Scenario(sample("density_hs", (2, 2, 4), 1))
+        for i, on in enumerate(("A", "B")):
+            kind = Step.broadcast_a if on == "A" else Step.broadcast_b
+            ops = sample("isometry", (2, 4), i)
+            sc = apply_step(sc, kind((ops[:2], ops[2:]), (on,), f"J{i}"))
+        bs = sc.block_state
+        assert bs.dim == 1024
+        assert bs.max_block_dim == 16
+        assert [b.values for b in bs.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert sum(b.weight for b in bs.blocks) == pytest.approx(1.0, abs=1e-12)
+
+    def test_copy_down_of_a_quantum_register_checks_each_block(self):
+        rho = sample("density_hs", (2, 2, 2), 7)
+        sc = Scenario(BlockState.from_density(rho))
+        with pytest.raises(NotClassicalRegister):
+            apply_step(sc, Step.classical_e_to_a("E"))
+
+    def test_zero_weight_outcomes_are_dropped(self):
+        ghz = Scenario(zoo("ghz_diag"))
+        proj = tuple(np.diag(row).astype(complex) for row in ([1.0, 0.0], [0.0, 1.0]))
+        flip = ChannelMap.unitary(np.array([[0, 1], [1, 0]], dtype=complex))
+        sc = apply_step(ghz, Step.local_a(ChannelMap.dephasing(2), ("A",)))
+        sc = apply_step(sc, Step.broadcast_a(proj, ("A",), "J"))
+        sc = apply_step(sc, Step.reversible_e(flip, ("E",)))
+        sc = apply_step(sc, Step.classical_e_to_b("E"))
+        # (J, E) takes only the values (0, 1) and (1, 0).
+        assert [b.values for b in sc.block_state.blocks] == [(0, 1), (1, 0)]
+
+    def test_weights_must_sum_to_one(self):
+        halving = ChannelMap((np.sqrt(0.5) * np.eye(2),), trace_preserving=False)
+        sc = apply_step(Scenario(zoo("ghz_diag")), Step.broadcast_a(coin(), ("A",), "J"))
+        with pytest.raises(InvariantViolation, match="unit_trace"):
+            apply_step(sc, Step.local_b(halving, ("B",)))
+
+
+def test_broadcast_script_memory_stays_small():
+    # The benchmark's script shape: hs_random 2,2,4, then broadcast_a and
+    # broadcast_b with two outcomes each (dense: dim 16 -> 128 -> 1024).
+    rho = zoo("hs_random", {"dims": [2, 2, 4]}, seed=1)
+    ops_a, ops_b = sample("isometry", (2, 4), 2), sample("isometry", (2, 4), 3)
+    steps = (
+        Step.broadcast_a((ops_a[:2], ops_a[2:]), ("A",), "J0"),
+        Step.broadcast_b((ops_b[:2], ops_b[2:]), ("B",), "J1"),
+    )
+    sc = Scenario(rho)
+    tracemalloc.start()
+    try:
+        final = run_script(sc, steps).final
+        report = entropy_report(final.block_state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert final.block_state.dim == 1024
+    assert report.m_i_bits <= entropy_report(rho).m_i_bits + 1e-9
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"

@@ -170,6 +170,76 @@ class TestScript:
         assert out["after"]["m_i_bits"] == pytest.approx(0.0, abs=1e-9)
 
 
+def two_broadcasts():
+    iso_a, iso_b = sample("isometry", (2, 4), 21), sample("isometry", (2, 4), 22)
+    return (
+        Step.broadcast_a((iso_a[:2], iso_a[2:]), ("A",), "J0"),
+        Step.broadcast_b((iso_b[:2], iso_b[2:]), ("B",), "J1"),
+    )
+
+
+class TestBlockScript:
+    """``nmk script`` runs on the block form: stdout is as before, stderr
+    ``meta`` reports the blocks, and ``--out`` writes the dense state."""
+
+    STATE = "zoo:hs_random?dims=2,2,2"
+
+    def test_meta_reports_blocks_and_out_writes_dense_state(self, tmp_path):
+        from nmk import zoo
+        from nmk.serialize import state_from_json
+        from test_blocks import dense_step
+
+        script = tmp_path / "two.json"
+        script.write_text(json.dumps(script_to_json(two_broadcasts())))
+        target = tmp_path / "final.json"
+        proc = run_cli("script", str(script), self.STATE, "--out", str(target))
+        assert proc.returncode == 0, proc.stderr
+        out = result_of(proc)
+        assert set(out) == {
+            "command", "input", "classification", "ledger", "steps_applied",
+            "before", "after", "final_registers",
+        }
+        meta = json.loads(proc.stderr.splitlines()[0])["meta"]
+        assert meta["blocks"] == 4 and meta["max_block_dim"] == 8
+        dense = zoo("hs_random", {"dims": [2, 2, 2]})
+        for step in two_broadcasts():
+            dense = dense_step(dense, step)
+        written = state_from_json(json.loads(target.read_text()))
+        assert written.layout == dense.layout and written.dim == 512
+        np.testing.assert_allclose(written.matrix, dense.matrix, atol=1e-12, rtol=0)
+        again = run_cli("script", str(script), self.STATE, "--out", str(target))
+        assert again.stdout == proc.stdout
+
+    def test_out_over_budget_exits_3_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # The steps fit the budget; the budget then drops below the final
+        # dimension, so only densifying for --out is refused.
+        from nmk import cli
+
+        script = tmp_path / "two.json"
+        script.write_text(json.dumps(script_to_json(two_broadcasts())))
+        target = tmp_path / "final.json"
+        shapes = []
+        real_run, real_zeros = cli.run_script, np.zeros
+
+        def counted_zeros(shape, *args, **kwargs):
+            shapes.append(shape)
+            return real_zeros(shape, *args, **kwargs)
+
+        def run_then_lower_budget(*args):
+            run = real_run(*args)
+            monkeypatch.setenv("NMK_DIM_BUDGET", "256")
+            monkeypatch.setattr(np, "zeros", counted_zeros)
+            return run
+
+        monkeypatch.setattr(cli, "run_script", run_then_lower_budget)
+        code = cli.main(["script", str(script), self.STATE, "--out", str(target)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "budget" in err and "512" in err
+        assert not target.exists()
+        assert all(512 not in np.atleast_1d(shape) for shape in shapes)
+
+
 def valid_script():
     """Five steps that run on ``zoo:ghz_diag`` (registers A, B, E)."""
     flip = ChannelMap.unitary(np.array([[0, 1], [1, 0]], dtype=complex))

@@ -156,6 +156,18 @@ class TestWinnerOnly:
         rid = int(est.notes["best_source"].removeprefix("restart:"))
         assert objectives[rid] == min(objectives)
 
+    def test_notes_count_evals_and_restarts_beating_singleton(self):
+        omega = classical_corr()
+        est = estimate_esqc(omega, FAST)
+        singleton = esqc_objective((1.0,), (omega,))
+        assert est.notes["evals"] == sum(r.iterations + 1 for r in est.trace)
+        beating = [r for r in est.trace if r.objective < singleton - 1e-12]
+        assert 0 < est.notes["restarts_beating_baseline"] == len(beating)
+        omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
+        est = estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=50, seed=2))
+        assert est.notes["restarts_beating_baseline"] == 0
+        assert est.notes["evals"] == est.trace[0].iterations + 1
+
     def test_source_singleton(self):
         omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
         est = estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=50, seed=2))

@@ -175,6 +175,14 @@ class TestWinnerOnly:
         assert est.upper_bits == pytest.approx(min(candidates), abs=1e-12)
         assert objective(est.best) == est.upper_bits
 
+    def test_notes_count_evals_and_restarts_beating_baseline(self):
+        rho = self.state()
+        est = estimate(rho, self.CONFIG)
+        base = min(objective(w) for w in baseline_witnesses(rho))
+        assert est.notes["evals"] == sum(r.iterations + 1 for r in est.trace)
+        beating = [r for r in est.trace if r.objective < base - 1e-12]
+        assert 0 < est.notes["restarts_beating_baseline"] == len(beating) < len(est.trace)
+
     def test_source_restart(self):
         est = estimate(self.state(), self.CONFIG)
         rid, round_id = map(int, est.notes["best_source"].removeprefix("restart:").split("/"))
@@ -210,13 +218,18 @@ class TestLimits:
         with pytest.raises(BudgetExceeded):
             estimate(rho, EstimateConfig(ext=(8, 8, 8), seed=0))
 
-    def test_escalation_skips_over_budget_round(self):
+    def test_escalation_skips_over_budget_round(self, monkeypatch):
         rho = sample("density_hs", (2, 2, 4), 15)  # dim 16, rank 16
-        est = estimate(rho, EstimateConfig(restarts=2, max_iters=60, seed=2))
-        skipped = [r for r in est.notes["rounds"] if "skipped" in r]
-        # (2,2,2) with k=16 needs 16*8*16 = 2048 realized dims; fits the
-        # default budget, so nothing is skipped here; force a tiny budget.
-        assert isinstance(skipped, list)
+        config = EstimateConfig(restarts=2, max_iters=60, seed=2)
+        # Round 0 realizes 16 * 16 = 256 dims; the (2,2,2) round needs
+        # 16 * 8 * 16 = 2048, over a budget of 1024 but within the default.
+        monkeypatch.setenv("NMK_DIM_BUDGET", "1024")
+        first, second = estimate(rho, config).notes["rounds"]
+        assert "best" in first and "skipped" not in first
+        assert second["ext"] == (2, 2, 2) and "2048" in second["skipped"]
+        monkeypatch.delenv("NMK_DIM_BUDGET")
+        first, second = estimate(rho, config).notes["rounds"]
+        assert second["ext"] == (2, 2, 2) and "best" in second and "skipped" not in second
 
     def test_escalation_respects_budget(self, monkeypatch):
         # Escalated round needs 8 * 8 * 4 = 256 realized dims; cap below it.
