@@ -16,7 +16,6 @@ from .states import (
     permute_registers,
     purify,
     tensor,
-    tensor_pure,
     trace_distance,
 )
 from .rand import sample

@@ -389,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--ext", default="1,1,1", type=ext_dims, help="extension dims a',b',e'")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=600)
+    p.add_argument("--restarts", type=int, default=EstimateConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=EstimateConfig.max_iters)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-escalate", action="store_true")
@@ -400,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("esqc", help="ensemble entanglement upper bound of a bipartite state")
     p.add_argument("state")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--e-prime", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=600)
+    p.add_argument("--e-prime", type=int, default=EsqcConfig.e_prime)
+    p.add_argument("--restarts", type=int, default=EsqcConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=EsqcConfig.max_iters)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--crosscheck", action="store_true", help="also run the extension crosscheck")

@@ -4,10 +4,12 @@ The measure is half the ensemble-averaged mutual information, minimized
 over decompositions of the state; the singleton ensemble is always
 included, so the estimate never exceeds half the state's own mutual
 information.  Decompositions are parametrized by steering the purifying
-reference through an isometry into (purifier extension) x (flag), through
-the formation estimator's restart loop with trivial A'/B' extensions.
-Restarts are ranked by their own ensemble objective, and only a restart
-that beats the singleton is turned into an ensemble of states.
+reference through an isometry into (purifier extension E') x (flag), and
+searched by the formation estimator's restart loop: gradient descents on
+the isometry from random starts.  Restarts are ranked by their own
+ensemble objective, and only a restart that beats the singleton is turned
+into an ensemble, kept as its pure members and reduced to AB states on
+access.
 
 ``extension_crosscheck`` compares this estimate against the smallest
 formation bracket over a configured family of tripartite extensions
@@ -19,15 +21,18 @@ same value, so only the gap is reported, never a pass/fail.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .entropy import entropies_from_eigs, mutual_info
+from .entropy import mutual_info
 from .errors import BadEnsemble, DimensionTooSmall
 from .nmf import (
     EstimateConfig,
     RestartRecord,
+    _MemberObjective,
+    _beats,
     _check_search_config,
     _run_restarts,
     _search_notes,
@@ -37,8 +42,8 @@ from .registers import Party, Register, RegisterLayout
 from .states import (
     PRUNE_TOL,
     DensityState,
+    _freeze,
     _pure_reduced_matrix,
-    member_spectra,
     partial_trace,
     purify,
     steered_members,
@@ -50,9 +55,18 @@ from .witness import witness_from_ab_ensemble
 
 @dataclass(frozen=True)
 class EsqcConfig:
+    """Knobs for the ensemble search.
+
+    Members are steered into a purifier extension E' of dimension
+    ``e_prime`` times a flag of ``k`` values (default: the state's rank);
+    with ``e_prime`` 1 every member is a pure AB state.  ``restarts``
+    gradient descents from random isometries run, each of at most
+    ``max_iters`` gradient steps, stopping early below ``tol / 2``.
+    """
+
     k: int | None = None
-    e_prime: int = 1
-    restarts: int = 16
+    e_prime: int = 2
+    restarts: int = 4
     max_iters: int = 600
     seed: int = 0
     tol: float = 1e-4
@@ -65,18 +79,37 @@ class EsqcConfig:
         return asdict(self)
 
 
+class PureMemberEnsemble(Sequence):
+    """The AB states of a read-only stack of normalized pure members on
+    AB (x) E' (one row each), each reduced to AB when it is read.  It holds
+    k x d_AB e' amplitudes instead of k dense d_AB x d_AB matrices."""
+
+    def __init__(self, layout: RegisterLayout, members: np.ndarray):
+        self.layout = layout
+        self.members = _freeze(members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, i: int) -> DensityState:
+        dims = self.layout.dims + (self.members.shape[1] // self.layout.dim,)
+        reduced = _pure_reduced_matrix(self.members[i], dims, range(len(self.layout)))
+        return DensityState(self.layout, reduced)
+
+
 @dataclass(frozen=True)
 class EsqcEstimate:
     """Upper bound with the realizing ensemble.
 
-    ``msq_upper_bits`` is filled by the extension crosscheck: the smallest
-    formation bracket over the configured extension family (another upper
-    bound of the same quantity).
+    ``ensemble`` keeps the winner's pure members and reduces them to AB
+    states on access.  ``msq_upper_bits`` is filled by the extension
+    crosscheck: the smallest formation bracket over the configured
+    extension family (another upper bound of the same quantity).
     """
 
     upper_bits: float
     weights: tuple[float, ...]
-    ensemble: tuple[DensityState, ...]
+    ensemble: PureMemberEnsemble
     trace: tuple[RestartRecord, ...]
     config: dict
     msq_upper_bits: float | None = None
@@ -116,26 +149,20 @@ def check_ensemble(weights, states, omega: DensityState, tol: float = 1e-9) -> f
 
 
 def _fast_esqc_objective(omega: DensityState, psi_arr, e_prime: int, k: int):
+    """The ensemble objective 1/2 sum_i p_i (S(A) + S(B) - S(E')) of a
+    steering isometry, for ``omega`` on Alice's and Bob's registers only:
+    a member is pure on AB E', so S(AB) = S(E'), the smaller side."""
     lay = omega.layout
-    full_dims = lay.dims + (e_prime,)
     a_axes = sorted(lay.index(lbl) for lbl in lay.party_labels(Party.ALICE))
     b_axes = sorted(lay.index(lbl) for lbl in lay.party_labels(Party.BOB))
-    groups = (a_axes, b_axes, sorted(a_axes + b_axes))
-
-    def f(w_matrix):
-        weights, members = steered_members(psi_arr, w_matrix, full_dims, k)
-        s_a, s_b, s_ab = map(entropies_from_eigs, member_spectra(members, full_dims, groups))
-        return 0.5 * float(weights @ (s_a + s_b - s_ab))
-
-    return f
+    signed_groups = ((a_axes, 1.0), (b_axes, 1.0), ([len(lay)], -1.0))
+    return _MemberObjective(psi_arr, lay.dims + (e_prime,), k, signed_groups)
 
 
 def _members_from_matrix(omega, psi_arr, w_matrix, e_prime, k):
-    lay = omega.layout
-    full_dims = lay.dims + (e_prime,)
-    weights, members = steered_members(psi_arr, w_matrix, full_dims, k)
-    reduced = _pure_reduced_matrix(members, full_dims, range(len(lay.dims)))
-    return tuple((weights / weights.sum()).tolist()), tuple(DensityState(lay, m) for m in reduced)
+    """Weights and ensemble of the decomposition ``w_matrix`` steers out."""
+    weights, members = steered_members(psi_arr, w_matrix, omega.layout.dims + (e_prime,), k)
+    return tuple((weights / weights.sum()).tolist()), PureMemberEnsemble(omega.layout, members)
 
 
 def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> EsqcEstimate:
@@ -144,8 +171,10 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     The singleton decomposition is always a candidate, so the result never
     exceeds half of I(A:B).  ``notes["best_source"]`` names the winner:
     ``singleton`` or ``restart:<rid>``; ``notes["evals"]`` counts objective
-    evaluations and ``notes["restarts_beating_baseline"]`` the restarts that
-    ended below the singleton.
+    evaluations (line-search trials included),
+    ``notes["restarts_beating_baseline"]`` the restarts that ended below the
+    singleton, and ``notes["grad_norm"]`` is the winning restart's final
+    gradient norm (None for the singleton).
     """
     config = config or EsqcConfig()
     a = omega.layout.party_labels(Party.ALICE)
@@ -159,12 +188,13 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         raise DimensionTooSmall(
             f"ensemble search is limited to total dimension 64, got {omega.dim}"
         )
-    best_ens = ((1.0,), (omega,))
-    singleton = best_val = esqc_objective(*best_ens)
-    best_source = "singleton"
     psi = purify(omega, "__ref__")
     rank = psi.layout.register("__ref__").dim
     psi_arr = psi.amplitudes.reshape(omega.dim, rank)
+    # The singleton, as the one member its purification is.
+    best_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi.amplitudes[None, :]))
+    singleton = best_val = esqc_objective(*best_ens)
+    best_source = "singleton"
     k = int(config.k) if config.k else rank
     e_prime = int(config.e_prime)
     if e_prime * k < rank:
@@ -174,9 +204,11 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         fast_f, rank, e_prime * k, config, config.tol * 0.5, 0, [config.seed]
     )
     top = min(trace, key=lambda r: r.objective, default=None)
-    if top is not None and top.objective < best_val:
+    winner = None
+    if top is not None and _beats(top.objective, best_val):
         best_ens = _members_from_matrix(omega, psi_arr, isometries[top.restart_id], e_prime, k)
         best_val, best_source = esqc_objective(*best_ens), f"restart:{top.restart_id}"
+        winner = top
     check_ensemble(*best_ens, omega, tol=1e-8)
     return EsqcEstimate(
         upper_bits=float(best_val),
@@ -189,7 +221,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
             "dilution_cdown_single_copy_bits": 2.0 * float(best_val),
             "dilution_note": "single-copy bound on the dilution cost (twice the estimate)",
             "best_source": best_source,
-            **_search_notes(trace, singleton),
+            **_search_notes(trace, singleton, winner),
         },
     )
 

@@ -20,9 +20,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import OverlappingPartition
-from .states import BlockState, DensityState, _clamped_eigvalsh, _marginal_matrix
-
-LOG_CLAMP = 1e-12
+from .states import (
+    LOG_CLAMP,
+    BlockState,
+    DensityState,
+    _clamped_eigvalsh,
+    _clamped_logs,
+    _marginal_matrix,
+)
 
 
 def entropy_from_eigs(vals: np.ndarray) -> float:
@@ -37,7 +42,7 @@ def entropy_from_eigs(vals: np.ndarray) -> float:
 def entropies_from_eigs(spectra: np.ndarray) -> np.ndarray:
     """Row-wise :func:`entropy_from_eigs` of a ``(k, n)`` stack of spectra."""
     vals = np.asarray(spectra, dtype=float)
-    return -np.sum(vals * np.log2(np.where(vals > LOG_CLAMP, vals, 1.0)), axis=-1)
+    return -np.sum(vals * _clamped_logs(vals), axis=-1)
 
 
 def entropy_of_matrix(matrix: np.ndarray) -> float:

@@ -3,18 +3,19 @@
 The lower bound is the half-CQMI measure; the upper bound is the smallest
 witness objective found.  The two purification baselines are always
 included, so the upper bound is guaranteed to stay below min(S(A), S(B));
-optimized witnesses come from a derivative-free local search over the
-isometry steering the purifying reference (random Hermitian-generator
-perturbations, accept if better, geometric step decay).  Estimates are
+optimized witnesses come from a Riemannian gradient descent over the
+isometry steering the purifying reference, on the Stiefel manifold
+(projected gradient, polar retraction, Armijo backtracking), with the
+analytic gradient of ``states.member_value_and_grad``.  Estimates are
 bracket pairs, never point claims.
 
 Restarts run in one place, ``_run_restarts``, which ``csquashed`` shares.
 Each restart reports the member-marginal objective at its final isometry;
 restarts are ranked by that value, and only a restart that beats every
 earlier candidate is turned into a witness.  Everything is deterministic
-per seed: per-restart generators are derived from the master seed by
-counter, and the reduction over restarts is a deterministic min, so
-results do not depend on the worker count.
+per seed: each restart starts from an isometry drawn from a generator
+derived from the master seed by counter, and the reduction over restarts
+is a deterministic min, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,13 +30,23 @@ from .entropy import entropies_from_eigs, entropy, nonmarkovianity, party_partit
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout
-from .states import DensityState, dim_budget, member_spectra, purify, steered_members, tensor
+from .states import (
+    DensityState,
+    dim_budget,
+    member_spectra,
+    member_value_and_grad,
+    purify,
+    steered_members,
+    tensor,
+)
 from .witness import (
     Witness,
     baseline_witnesses,
     check_witness,
     objective,
     witness_from_isometry,
+    witness_relabeled,
+    witness_tensor,
 )
 
 
@@ -45,12 +56,15 @@ class EstimateConfig:
 
     ``k`` defaults to the target state's rank; extension dims default to
     (1, 1, 1) with one escalation round to (2, 2, 2) under the dimension
-    budget when the bracket gap stays above ``tol``.
+    budget when the bracket gap stays above ``tol``.  Each round runs
+    ``restarts`` gradient descents from random isometries, each of at most
+    ``max_iters`` gradient steps; a restart stops early once it is within
+    ``tol / 2`` of the lower bound.
     """
 
     k: int | None = None
     ext: tuple[int, int, int] = (1, 1, 1)
-    restarts: int = 16
+    restarts: int = 4
     max_iters: int = 600
     seed: int = 0
     tol: float = 1e-3
@@ -85,11 +99,18 @@ def _check_search_config(config, minima: dict) -> None:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One descent: its final objective, the gradient steps it tried
+    (``iterations``) and took (``accepted``), every objective evaluation it
+    made, line-search trials included (``evals``), and the Riemannian
+    gradient norm at its end (``grad_norm``)."""
+
     restart_id: int
     round_id: int
     objective: float
     iterations: int
     accepted: int
+    evals: int
+    grad_norm: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,74 +136,112 @@ class NmfEstimate:
         return self.gap <= self.config.get("tol", 0.0) + 1e-9
 
 
-def _expm_unitary(sigma: float, h: np.ndarray) -> np.ndarray:
-    """exp(i sigma H / ||H||) for Hermitian H, via its eigenbasis."""
-    vals, vecs = np.linalg.eigh(h)
-    scale = max(float(np.max(np.abs(vals))), 1e-30)
-    phases = np.exp(1j * sigma * vals / scale)
-    return (vecs * phases) @ vecs.conj().T
+@dataclass(frozen=True, eq=False)
+class _MemberObjective:
+    """The objective 0.5 * (const + F(W)) of a steering isometry W, with F
+    the signed member-entropy sum of ``states.member_value_and_grad`` over
+    ``signed_groups``.  Calling it gives the value alone, from
+    ``member_spectra`` (no eigenvectors), as line searches need."""
+
+    psi_arr: np.ndarray
+    dims: tuple[int, ...]
+    k: int
+    signed_groups: tuple
+    const: float = 0.0
+
+    def __call__(self, w_matrix: np.ndarray) -> float:
+        weights, members = steered_members(self.psi_arr, w_matrix, self.dims, self.k)
+        axes = [group for group, _ in self.signed_groups]
+        signed = 0.0
+        for (_, sign), spectra in zip(self.signed_groups, member_spectra(members, self.dims, axes)):
+            signed = signed + sign * entropies_from_eigs(spectra)
+        return 0.5 * (self.const + float(weights @ signed))
+
+    def value_and_grad(self, w_matrix: np.ndarray):
+        """The value and dObjective/d conj(W), from one batched ``eigh`` per group."""
+        value, grad = member_value_and_grad(
+            self.psi_arr, w_matrix, self.dims, self.k, self.signed_groups
+        )
+        return 0.5 * (self.const + value), 0.5 * grad
 
 
 def _fast_objective(rho: DensityState, psi_arr: np.ndarray, ext_dims, k: int):
     """Member-marginal form of the witness objective, as a function of the
-    steering isometry.  Mathematically identical to the realized-state form
-    (their agreement is itself a tested identity)."""
+    steering isometry: 1/2 [S(AB|E) + sum_i p_i (S(AA') + S(BB') - S(A'B'))].
+    Mathematically identical to the realized-state form (their agreement is
+    itself a tested identity)."""
     a, b, e = party_partition(rho)
     lay = rho.layout
     n_abe = len(lay.dims)
-    full_dims = lay.dims + tuple(ext_dims)
     a_axes = sorted(lay.index(lbl) for lbl in a)
     b_axes = sorted(lay.index(lbl) for lbl in b)
-    groups = (a_axes + [n_abe], b_axes + [n_abe + 1], [n_abe, n_abe + 1])
+    signed_groups = (
+        (a_axes + [n_abe], 1.0),
+        (b_axes + [n_abe + 1], 1.0),
+        ([n_abe, n_abe + 1], -1.0),
+    )
     s_ab_e = entropy(rho, a + b + e) - (entropy(rho, e) if e else 0.0)
-
-    def f(w_matrix: np.ndarray) -> float:
-        weights, members = steered_members(psi_arr, w_matrix, full_dims, k)
-        s_aa, s_bb, s_pp = map(entropies_from_eigs, member_spectra(members, full_dims, groups))
-        return 0.5 * (s_ab_e + float(weights @ (s_aa + s_bb - s_pp)))
-
-    return f
+    return _MemberObjective(psi_arr, lay.dims + tuple(ext_dims), k, signed_groups, s_ab_e)
 
 
-def _optimize_restart(fast_f, rank, out_dim, rng, max_iters, stop_at):
-    """Accept-if-better random walk on the isometry manifold."""
-    w = random_isometry(rank, out_dim, rng)
-    obj = fast_f(w)
-    sigma = 0.3
-    accepted = 0
-    iters = 0
-    while iters < max_iters:
-        iters += 1
-        g = rng.standard_normal((out_dim, out_dim)) + 1j * rng.standard_normal(
-            (out_dim, out_dim)
-        )
-        h = 0.5 * (g + g.conj().T)
-        candidate = _expm_unitary(sigma, h) @ w
-        val = fast_f(candidate)
-        if val < obj - 1e-15:
-            w, obj = candidate, val
-            accepted += 1
-            sigma = min(sigma * 1.3, 1.0)
-        else:
-            sigma *= 0.8
-        if obj <= stop_at or sigma < 1e-8:
+ARMIJO = 1e-4
+MIN_STEP = 1e-12
+GRAD_TOL = 1e-9
+
+
+def _polar(m: np.ndarray) -> np.ndarray:
+    """The isometry nearest to ``m``: its polar factor, from an SVD."""
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh
+
+
+def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
+    """Riemannian gradient descent from the isometry ``w`` on the Stiefel
+    manifold: the gradient projected onto the tangent space,
+    R = G - W herm(W^dagger G), a polar retraction, and Armijo backtracking
+    from twice the last accepted step.  Stops after ``max_iters`` steps, at
+    ``stop_at``, at a gradient norm below ``GRAD_TOL``, or when no step of
+    at least ``MIN_STEP`` decreases the value.  Returns the final isometry,
+    its value, the steps tried and taken, the objective evaluations and the
+    final Riemannian gradient norm."""
+    value, grad = fast_f.value_and_grad(w)
+    evals, iters, accepted, step = 1, 0, 0, 1.0
+    while True:
+        wg = w.conj().T @ grad
+        rgrad = grad - w @ (0.5 * (wg + wg.conj().T))
+        slope = float(np.vdot(rgrad, rgrad).real)
+        if iters >= max_iters or value <= stop_at or slope <= GRAD_TOL**2:
             break
-    return w, obj, iters, accepted
+        iters += 1
+        step *= 2.0
+        while step >= MIN_STEP:
+            trial = _polar(w - step * rgrad)
+            evals += 1
+            if fast_f(trial) <= value - ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        w = trial
+        value, grad = fast_f.value_and_grad(w)
+        evals += 1
+        accepted += 1
+    return w, value, iters, accepted, evals, math.sqrt(slope)
 
 
 def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
-    """Run ``config.restarts`` restarts of the isometry search, restart
-    ``rid`` on the generator ``as_rng([*seed_key, rid])``.  Returns their
-    records and final isometries, both in restart order."""
+    """Run ``config.restarts`` descents of ``fast_f``, restart ``rid``
+    from a random isometry drawn from ``as_rng([*seed_key, rid])``.  Returns
+    their records and final isometries, both in restart order."""
 
     def one(rid):
-        rng = as_rng([*seed_key, rid])
-        return _optimize_restart(fast_f, rank, out_dim, rng, config.max_iters, stop_at)
+        start = random_isometry(rank, out_dim, as_rng([*seed_key, rid]))
+        return _descend(fast_f, start, config.max_iters, stop_at)
 
     results = map_indexed(one, config.restarts, config.jobs)
     records = [
-        RestartRecord(rid, round_id, obj, iters, accepted)
-        for rid, (_, obj, iters, accepted) in enumerate(results)
+        RestartRecord(rid, round_id, value, iters, accepted, evals, grad_norm)
+        for rid, (_, value, iters, accepted, evals, grad_norm) in enumerate(results)
     ]
     return records, [w for w, *_ in results]
 
@@ -190,12 +249,21 @@ def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
 BEAT_MARGIN = 1e-12
 
 
-def _search_notes(trace, baseline: float) -> dict:
-    """Evaluations spent (each restart's iterations plus its start) and how
-    many restarts ended below ``baseline`` by more than ``BEAT_MARGIN``."""
+def _beats(value: float, best: float) -> bool:
+    """Whether a restart's ``value`` improves on ``best`` by more than
+    rounding: only such a restart takes the lead or counts as beating a
+    baseline."""
+    return value < best - BEAT_MARGIN
+
+
+def _search_notes(trace, baseline: float, winner: RestartRecord | None) -> dict:
+    """Objective evaluations spent, how many restarts beat ``baseline``, and
+    the final gradient norm of the winning restart (None when no restart
+    won)."""
     return {
-        "evals": sum(r.iterations + 1 for r in trace),
-        "restarts_beating_baseline": sum(r.objective < baseline - BEAT_MARGIN for r in trace),
+        "evals": sum(r.evals for r in trace),
+        "restarts_beating_baseline": sum(_beats(r.objective, baseline) for r in trace),
+        "grad_norm": None if winner is None else winner.grad_norm,
     }
 
 
@@ -207,8 +275,10 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     the baselines and the optimized restarts.  ``notes["best_source"]``
     names the winner: ``baseline:B'``, ``baseline:A'``, ``seed:<i>`` or
     ``restart:<rid>/<round>``; ``notes["evals"]`` counts objective
-    evaluations and ``notes["restarts_beating_baseline"]`` the restarts that
-    ended below the better purification baseline.
+    evaluations (line-search trials included),
+    ``notes["restarts_beating_baseline"]`` the restarts that ended below the
+    better purification baseline, and ``notes["grad_norm"]`` is the winning
+    restart's final Riemannian gradient norm (None when no restart won).
     """
     config = config or EstimateConfig()
     lower = nonmarkovianity(rho)
@@ -221,6 +291,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         check_witness(w, rho, tol=1e-7)
         candidates.append((objective(w), f"seed:{i}", w))
     best_obj, best_source, best_w = min(candidates, key=lambda c: c[0])
+    winner = None
     trace: list[RestartRecord] = []
     notes = {
         "single_copy": True,
@@ -263,16 +334,17 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         )
         trace.extend(records)
         top = min(records, key=lambda r: r.objective, default=None)
-        if top is not None and top.objective < best_obj:
+        if top is not None and _beats(top.objective, best_obj):
             w_mat = isometries[top.restart_id]
             best_w = witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
             best_obj, best_source = objective(best_w), f"restart:{top.restart_id}/{round_id}"
+            winner = top
         notes["rounds"].append({"round": round_id, "ext": ext_dims, "best": best_obj})
 
     upper = float(best_obj)
     notes["uncertified"] = bool(upper - lower > config.tol)
     notes["best_source"] = best_source
-    notes.update(_search_notes(trace, baseline))
+    notes.update(_search_notes(trace, baseline, winner))
     return NmfEstimate(
         lower_bits=float(lower),
         upper_bits=upper,
@@ -294,13 +366,16 @@ def two_copy_bracket(rho: DensityState, config: EstimateConfig | None = None) ->
     """n = 2 tensor-power bracket, for tiny states only.
 
     The regularized measure itself is not computable here; this reports the
-    per-copy bracket of the two-copy state next to the single-copy one.
+    per-copy bracket of the two-copy state next to the single-copy one.  The
+    two-copy search is seeded with two copies of the single-copy winner, so
+    its per-copy upper bound is at most the single-copy one.
     """
     config = config or EstimateConfig()
     pair = tensor(relabeled(rho, "1"), relabeled(rho, "2"))
     single = estimate(rho, config)
+    seed = witness_tensor(witness_relabeled(single.best, "1"), witness_relabeled(single.best, "2"))
     # The rank squares under tensoring; scale the flag dimension with it.
-    double = estimate(pair, replace(config, k=config.k**2 if config.k else None))
+    double = estimate(pair, replace(config, k=config.k**2 if config.k else None), seeds=[seed])
     return {
         "single": [single.lower_bits, single.upper_bits],
         "two_copy_per_copy": [double.lower_bits / 2.0, double.upper_bits / 2.0],

@@ -28,7 +28,8 @@ Conventions
 * Matrices are stored row-major in the big-endian register order of the
   layout: the first register is the most significant index.
 * Eigenvalues in ``[-1e-9, 0]`` are clamped to zero before entropies and
-  purifications; anything below ``-1e-9`` fails validation.
+  purifications; anything below ``-1e-9`` fails validation.  Entropies
+  drop eigenvalues of at most ``LOG_CLAMP`` (1e-12), with 0 log 0 = 0.
 * Total (layout) dimension is capped (default 4096, override with the
   ``NMK_DIM_BUDGET`` environment variable), for block states too.  Channel
   application, tensor products, block-state steps and densifying a block
@@ -62,6 +63,7 @@ NORM_TOL = 1e-10
 KRAUS_TOL = 1e-9
 INVERSE_TOL = 1e-8
 PRUNE_TOL = 1e-14
+LOG_CLAMP = 1e-12
 CLASSICAL_TOL = 1e-8
 DEFAULT_DIM_BUDGET = 4096
 
@@ -112,7 +114,7 @@ def _check_positive(m: np.ndarray) -> None:
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """A density matrix on a register layout.
 
@@ -170,7 +172,7 @@ class DensityState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A state vector on a register layout (unit norm within 1e-10)."""
 
@@ -198,7 +200,7 @@ class PureState:
         return DensityState(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMap:
     """A completely positive map given by Kraus operators.
 
@@ -323,16 +325,6 @@ def tensor(a: DensityState, b: DensityState) -> DensityState:
     )
 
 
-def tensor_pure(a: PureState, b: PureState) -> PureState:
-    clash = set(a.layout.labels) & set(b.layout.labels)
-    if clash:
-        raise DuplicateLabel(f"labels present on both factors: {sorted(clash)}")
-    return PureState(
-        RegisterLayout(a.layout.registers + b.layout.registers),
-        np.kron(a.amplitudes, b.amplitudes),
-    )
-
-
 def _permuted_matrix(matrix: np.ndarray, dims, axes) -> np.ndarray:
     """``matrix`` on registers of ``dims`` with its registers reordered so
     that register ``axes[i]`` comes i-th, on rows and columns alike."""
@@ -366,17 +358,43 @@ def partial_trace(state: DensityState, keep) -> DensityState:
     return DensityState(state.layout.subset(keep), reduced)
 
 
-def _pure_reduced_matrix(vec: np.ndarray, dims, keep_axes) -> np.ndarray:
-    """Reduced matrix on ``keep_axes`` of a vector on ``dims``, or of every
-    row of a ``(k, D)`` stack of such vectors."""
+def _split_rows(vec: np.ndarray, dims, keep_axes):
+    """A vector on ``dims``, or every row of a ``(k, D)`` stack of them, as
+    a ``(d_keep, d_rest)`` matrix with the kept registers first, in the
+    order listed.  Returns the matrices and the register order used."""
     lead = vec.shape[:-1]
     m = len(lead)
     keep_axes = list(keep_axes)
-    drop_axes = [i for i in range(len(dims)) if i not in keep_axes]
+    order = keep_axes + [i for i in range(len(dims)) if i not in keep_axes]
     dk = math.prod(dims[i] for i in keep_axes)
-    order = list(range(m)) + [m + i for i in keep_axes + drop_axes]
-    arr = vec.reshape(lead + tuple(dims)).transpose(order).reshape(lead + (dk, -1))
+    arr = vec.reshape(lead + tuple(dims)).transpose(list(range(m)) + [m + i for i in order])
+    return arr.reshape(lead + (dk, -1)), order
+
+
+def _joined_rows(arr: np.ndarray, dims, order) -> np.ndarray:
+    """The inverse of ``_split_rows``: matrices back to vectors on ``dims``."""
+    lead = arr.shape[:-2]
+    m = len(lead)
+    t = arr.reshape(lead + tuple(dims[i] for i in order))
+    back = list(range(m)) + [m + i for i in np.argsort(order)]
+    return t.transpose(back).reshape(lead + (-1,))
+
+
+def _pure_reduced_matrix(vec: np.ndarray, dims, keep_axes) -> np.ndarray:
+    """Reduced matrix on ``keep_axes`` of a vector on ``dims``, or of every
+    row of a ``(k, D)`` stack of such vectors."""
+    arr, _ = _split_rows(vec, dims, keep_axes)
     return arr @ arr.conj().swapaxes(-1, -2)
+
+
+def _steered_slices(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int):
+    """The ``(k, D)`` unnormalized slices that ``w_matrix`` steers out, their
+    weights, and the mask of slices heavier than ``PRUNE_TOL``."""
+    slices = (psi_arr @ w_matrix.T).reshape(math.prod(dims), k).T
+    # A batched np.vdot per slice: the same sums, so the weights (and every
+    # objective built on them) do not depend on how members are batched.
+    weights = (slices.conj()[:, None, :] @ slices[:, :, None]).real.reshape(-1)
+    return slices, weights, weights > PRUNE_TOL
 
 
 def steered_members(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int):
@@ -385,11 +403,7 @@ def steered_members(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int):
     purification ``psi_arr`` into (extension) x K, steers out: member i is
     the slice at flag K = i (the fastest index), a vector on ``dims``.
     Slices of weight at most ``PRUNE_TOL`` are dropped."""
-    slices = (psi_arr @ w_matrix.T).reshape(math.prod(dims), k).T
-    # A batched np.vdot per slice: the same sums, so the weights (and every
-    # objective built on them) do not depend on how members are batched.
-    weights = (slices.conj()[:, None, :] @ slices[:, :, None]).real.reshape(-1)
-    live = weights > PRUNE_TOL
+    slices, weights, live = _steered_slices(psi_arr, w_matrix, dims, k)
     weights = weights[live]
     return weights, slices[live] / np.sqrt(weights)[:, None]
 
@@ -398,6 +412,56 @@ def member_spectra(members: np.ndarray, dims, keep_axes) -> list[np.ndarray]:
     """Clamped ``(k, d_group)`` spectra of the reductions of a ``(k, D)``
     member stack onto each axis group, one batched eigensolve per group."""
     return [_clamped_eigvalsh(_pure_reduced_matrix(members, dims, axes)) for axes in keep_axes]
+
+
+def _clamped_logs(vals: np.ndarray) -> np.ndarray:
+    """log2 of a spectrum, with 0 where a value is at most ``LOG_CLAMP``
+    (so that ``-sum(vals * logs)`` is the entropy, with 0 log 0 = 0)."""
+    return np.log2(np.where(vals > LOG_CLAMP, vals, 1.0))
+
+
+def member_value_and_grad(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int, signed_groups):
+    """The signed member-entropy sum of the ensemble ``w_matrix`` steers out
+    (see ``steered_members``), and its gradient in ``w_matrix``.
+
+    With u_i the unnormalized slice, p_i = |u_i|^2, sigma_i^X its marginal on
+    axis group X and h(sigma) = -Tr sigma log2 sigma, the value is
+
+        F = sum_i p_i sum_X s_X S(sigma_i^X / p_i)
+          = sum_i [sum_X s_X h(sigma_i^X) + p_i log2 p_i]
+
+    for the ``(axes, sign)`` pairs of ``signed_groups``, whose signs must sum
+    to 1.  Its member gradient is dF/d conj(u_i) =
+    [log2 p_i - sum_X s_X (log2 sigma_i^X (x) 1)] u_i (the 1/ln 2 terms
+    cancel because the signs sum to 1), and the returned gradient is
+    dF/d conj(W) = G_U^T conj(psi_arr), G_U the member gradients as a
+    (system, out) matrix; dF = 2 Re Tr[grad^dagger dW].
+
+    The value is computed as ``member_spectra`` computes it, from the
+    normalized members' spectra with the same ``EIG_FLOOR`` and
+    ``LOG_CLAMP`` clamps, but with one batched ``eigh`` per group.
+    """
+    slices, weights, live = _steered_slices(psi_arr, w_matrix, dims, k)
+    p = weights[live]
+    u = slices[live]
+    root_p = np.sqrt(p)[:, None]
+    members = u / root_p
+    log_p = np.log2(p)
+    signed = np.zeros(p.size)
+    grad_u = log_p[:, None] * u
+    for axes, sign in signed_groups:
+        arr, order = _split_rows(members, dims, axes)
+        vals, vecs = np.linalg.eigh(arr @ arr.conj().swapaxes(-1, -2))
+        vals[(vals < 0.0) & (vals >= EIG_FLOOR)] = 0.0
+        logs = _clamped_logs(vals)
+        signed = signed + sign * -np.sum(vals * logs, axis=-1)
+        # log2 sigma = log2 p + log2 (sigma / p) on the member's support.
+        log_sigma = (vecs * (logs + log_p[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        grad_u -= sign * root_p * _joined_rows(log_sigma @ arr, dims, order)
+    full = np.zeros_like(slices)
+    full[live] = grad_u
+    grad = full.T.reshape(psi_arr.shape[0], -1).T @ psi_arr.conj()
+    return float(p @ signed), grad
 
 
 def purify(
@@ -557,7 +621,7 @@ class Block(NamedTuple):
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockState:
     """rho = sum_x p_x |x><x|^(copies) (x) rho_x on ``layout``.
 
@@ -572,7 +636,7 @@ class BlockState:
     layout: RegisterLayout
     classical: tuple[ClassicalVar, ...]
     blocks: tuple[Block, ...]
-    dense: DensityState | None = field(default=None, repr=False, compare=False)
+    dense: DensityState | None = field(default=None, repr=False)
 
     @classmethod
     def from_density(cls, state: DensityState) -> "BlockState":

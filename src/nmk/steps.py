@@ -62,7 +62,7 @@ class CostLedger:
         return {"qc_bits": self.qc_bits, "cdown_bits": self.cdown_bits}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A party-tagged state plus its accumulated communication costs.
 

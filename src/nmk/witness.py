@@ -67,7 +67,7 @@ class WitnessGroups:
         raise UnknownLabel(f"label {label!r} is in no witness group")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Ensemble of pure members with a role grouping and a classical flag."""
 

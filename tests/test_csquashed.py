@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,10 @@ from nmk import (
 from nmk import csquashed
 from nmk.csquashed import _fast_esqc_objective, _members_from_matrix
 from nmk.errors import BadEnsemble, BadRange, DimensionTooSmall
+from nmk.rand import random_isometry
 
 from conftest import bell_pair, classical_corr
-from test_nmf import steering_isometry
+from test_nmf import assert_gradient_matches, steering_isometry
 from test_witness import random_witness
 
 FAST = EsqcConfig(restarts=6, max_iters=300, seed=0)
@@ -73,6 +77,24 @@ def test_fast_objective_matches_dense_oracle(e_prime, extra_k):
         weights, states = _members_from_matrix(omega, psi_arr, w_mat, e_prime, k)
         assert len(states) == rank  # an empty flag slot is pruned
         assert fast == pytest.approx(esqc_objective(weights, states), abs=1e-10)
+
+
+@pytest.mark.parametrize("e_prime", [1, 2])
+def test_gradient_matches_dense_oracle(e_prime):
+    rng = np.random.default_rng(47)
+    lay = layout(("A", 2, "alice"), ("B", 3, "bob"))
+    for _ in range(2):
+        omega = sample("density_hs", (2, 3), rng, layout=lay, rank=3)
+        psi = purify(omega, "__ref__")
+        rank = psi.layout.register("__ref__").dim
+        psi_arr = psi.amplitudes.reshape(omega.dim, rank)
+        fast = _fast_esqc_objective(omega, psi_arr, e_prime, rank)
+        w_mat = random_isometry(rank, e_prime * rank, rng)
+
+        def oracle(w):
+            return esqc_objective(*_members_from_matrix(omega, psi_arr, w, e_prime, rank))
+
+        assert_gradient_matches(oracle, fast, w_mat, rng)
 
 
 class TestEstimate:
@@ -157,22 +179,53 @@ class TestWinnerOnly:
         assert objectives[rid] == min(objectives)
 
     def test_notes_count_evals_and_restarts_beating_singleton(self):
+        # Separable: decompositions into products reach 0, below the
+        # singleton's 1/2.
         omega = classical_corr()
         est = estimate_esqc(omega, FAST)
         singleton = esqc_objective((1.0,), (omega,))
-        assert est.notes["evals"] == sum(r.iterations + 1 for r in est.trace)
+        assert est.notes["evals"] == sum(r.evals for r in est.trace)
+        assert all(r.evals >= r.iterations + r.accepted + 1 for r in est.trace)
         beating = [r for r in est.trace if r.objective < singleton - 1e-12]
         assert 0 < est.notes["restarts_beating_baseline"] == len(beating)
-        omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
-        est = estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=50, seed=2))
+        rid = int(est.notes["best_source"].removeprefix("restart:"))
+        assert est.notes["grad_norm"] == est.trace[rid].grad_norm
+        # Pure: every decomposition is the state itself, so none beats it.
+        est = estimate_esqc(self.pure_state(), EsqcConfig(restarts=2, max_iters=50, seed=2))
         assert est.notes["restarts_beating_baseline"] == 0
-        assert est.notes["evals"] == est.trace[0].iterations + 1
+        assert est.notes["evals"] == sum(r.evals for r in est.trace) > 0
+        assert est.notes["grad_norm"] is None
+
+    @staticmethod
+    def pure_state():
+        lay = layout(("A", 4, "alice"), ("B", 4, "bob"))
+        return sample("pure", (4, 4), 1, layout=lay).to_density()
 
     def test_source_singleton(self):
-        omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
-        est = estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=50, seed=2))
+        omega = self.pure_state()
+        est = estimate_esqc(omega, EsqcConfig(restarts=2, max_iters=50, seed=2))
         assert est.notes["best_source"] == "singleton"
         assert est.weights == (1.0,) and len(est.ensemble) == 1
+        assert trace_distance(est.ensemble[0], omega) < 1e-12
+
+    def test_result_keeps_members_not_dense_states(self):
+        # At e' = 1 the 16 members take 4 KiB; 16 dense AB states, 64 KiB.
+        omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
+        config = EsqcConfig(e_prime=1, restarts=1, max_iters=50, seed=2)
+        estimate_esqc(omega, config)  # warm caches outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = estimate_esqc(omega, config)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(est.ensemble) == 16
+        assert kept < 16 * 1024
+        # The states are rebuilt on access, to the same bits each time.
+        assert esqc_objective(est.weights, est.ensemble) == est.upper_bits
 
 
 class TestCrosscheck:

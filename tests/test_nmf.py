@@ -57,6 +57,59 @@ def test_fast_objective_matches_dense_oracle(ext, extra_k):
         assert fast == pytest.approx(recompute_objective(witness), abs=1e-10)
 
 
+def polar(m):
+    """The isometry nearest to ``m``: its polar factor."""
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh
+
+
+def assert_gradient_matches(oracle, fast, w_mat, rng, h=1e-5):
+    """The gradient ``fast.value_and_grad`` gives at the isometry ``w_mat``
+    against central differences of ``oracle`` along the curves
+    polar(W + t xi), xi tangent at W, whose slope at 0 is
+    2 Re Tr[grad^dagger xi]."""
+    value, grad = fast.value_and_grad(w_mat)
+    assert value == pytest.approx(oracle(w_mat), abs=1e-10)
+    for _ in range(3):
+        z = rng.standard_normal(w_mat.shape) + 1j * rng.standard_normal(w_mat.shape)
+        wz = w_mat.conj().T @ z
+        xi = z - w_mat @ (0.5 * (wz + wz.conj().T))
+        diff = (oracle(polar(w_mat + h * xi)) - oracle(polar(w_mat - h * xi))) / (2 * h)
+        assert 2 * np.vdot(grad, xi).real == pytest.approx(diff, rel=1e-6)
+
+
+@pytest.mark.parametrize("ext", [(1, 1, 1), (2, 2, 2)])
+def test_gradient_matches_dense_oracle(ext):
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        rho = sample("density_hs", (2, 2, 2), rng, rank=3)
+        psi = purify(rho, "__ref__")
+        rank = psi.layout.register("__ref__").dim
+        fast = _fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, rank)
+        w_mat = random_isometry(rank, math.prod(ext) * rank, rng)
+
+        def oracle(w):
+            return recompute_objective(witness_from_isometry(rho, w, ext, rank))
+
+        assert_gradient_matches(oracle, fast, w_mat, rng)
+
+
+@pytest.mark.parametrize("ext", [(1, 1, 1), (2, 2, 2)])
+def test_gradient_value_matches_member_spectra_on_near_pure_members(ext):
+    # ghz_diag steered close to the identity: the members are close to
+    # |000> and |111>, so their marginal spectra sit around the clamps.
+    rho = zoo("ghz_diag")
+    psi = purify(rho, "__ref__")
+    rank = psi.layout.register("__ref__").dim
+    fast = _fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, rank)
+    rng = np.random.default_rng(43)
+    cap = math.prod(ext) * rank
+    for t in (0.0, 1e-7, 1e-6, 1e-5, 1e-3):
+        z = rng.standard_normal((cap, rank)) + 1j * rng.standard_normal((cap, rank))
+        w_mat = polar(np.eye(cap, rank) + t * z)
+        assert fast.value_and_grad(w_mat)[0] == pytest.approx(fast(w_mat), abs=1e-15)
+
+
 class TestPureStates:
     def test_bracket_collapses_to_half_mutual_info(self):
         rng = np.random.default_rng(1)
@@ -96,6 +149,13 @@ class TestClassicalCorrelated:
         assert est.lower_bits == pytest.approx(0.5, abs=1e-9)
         assert est.upper_bits == pytest.approx(0.5, abs=1e-3)
         assert est.upper_bits >= 0.5 - 1e-9
+
+    def test_two_copy_seeded_with_the_single_copy_winner(self):
+        # The single-copy winner here is an escalated (2,2,2) restart, which
+        # the two-copy search does not reach from its own starts.
+        rho = sample("density_hs", (2, 2, 2), 5, rank=2)
+        out = two_copy_bracket(rho, EstimateConfig(restarts=1, max_iters=40, seed=4))
+        assert out["two_copy_per_copy"][1] <= out["single"][1] + 1e-12
 
     def test_two_copy_helper(self):
         out = two_copy_bracket(zoo("classical_corr_e0"), EstimateConfig(k=2, restarts=4, seed=6))
@@ -176,12 +236,24 @@ class TestWinnerOnly:
         assert objective(est.best) == est.upper_bits
 
     def test_notes_count_evals_and_restarts_beating_baseline(self):
-        rho = self.state()
-        est = estimate(rho, self.CONFIG)
+        # A Markov state: its formation measure is 0, below both baselines
+        # (1/2 each), so every descent that reaches tol beats them.
+        rho = zoo("ghz_diag")
+        est = estimate(rho, EstimateConfig(k=2, restarts=3, max_iters=300, seed=1))
         base = min(objective(w) for w in baseline_witnesses(rho))
-        assert est.notes["evals"] == sum(r.iterations + 1 for r in est.trace)
+        assert base == pytest.approx(0.5, abs=1e-9) and est.upper_bits <= 1e-3
+        assert est.notes["evals"] == sum(r.evals for r in est.trace)
+        # One gradient per step taken, plus the start, plus a line-search
+        # trial per step tried.
+        assert all(r.evals >= r.iterations + r.accepted + 1 for r in est.trace)
         beating = [r for r in est.trace if r.objective < base - 1e-12]
-        assert 0 < est.notes["restarts_beating_baseline"] == len(beating) < len(est.trace)
+        assert 0 < est.notes["restarts_beating_baseline"] == len(beating) == len(est.trace)
+        rid, round_id = map(int, est.notes["best_source"].removeprefix("restart:").split("/"))
+        (winner,) = [r for r in est.trace if (r.restart_id, r.round_id) == (rid, round_id)]
+        assert est.notes["grad_norm"] == winner.grad_norm
+        pure = estimate(sample("pure", (2, 2, 2), 2).to_density(), FAST)
+        assert pure.notes["restarts_beating_baseline"] == pure.notes["evals"] == 0
+        assert pure.notes["grad_norm"] is None
 
     def test_source_restart(self):
         est = estimate(self.state(), self.CONFIG)
@@ -201,6 +273,17 @@ class TestWinnerOnly:
         mc = random_components(0, entries=2)
         est = estimate(build_markov(mc), FAST, seeds=[markov_witness(mc)])
         assert est.notes["best_source"] == "seed:0"
+
+
+class TestPanel:
+    """Full-rank states, where the purification baselines used to win."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_full_rank_state_ends_below_its_baseline(self, seed):
+        rho = zoo("hs_random", {"dims": [2, 2, 2]}, seed=seed)
+        est = estimate(rho, EstimateConfig(restarts=2, max_iters=80, seed=1))
+        assert est.upper_bits < min(objective(w) for w in baseline_witnesses(rho))
+        assert est.notes["best_source"].startswith("restart:")
 
 
 class TestLimits:

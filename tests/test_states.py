@@ -343,3 +343,24 @@ class TestValidation:
             DensityState(layout(("A", 8, "alice")), np.eye(8, dtype=complex) / 8)
         monkeypatch.setenv("NMK_DIM_BUDGET", "8")
         DensityState(layout(("A", 8, "alice")), np.eye(8, dtype=complex) / 8)
+
+
+def test_equality_is_identity():
+    # States hold numpy matrices; == compares identity instead of raising
+    # "truth value of an array is ambiguous".
+    rho, again = nmk.zoo("ghz_diag"), nmk.zoo("ghz_diag")
+    psi = purify(rho, "R")
+    scenario = nmk.Scenario(rho)
+    (witness, _) = nmk.baseline_witnesses(rho)
+    channel = ChannelMap.dephasing(2)
+    for x, y in [
+        (rho, again),
+        (psi, purify(rho, "R")),
+        (scenario, nmk.Scenario(again)),
+        (scenario.block_state, nmk.BlockState.from_density(rho)),
+        (witness, nmk.baseline_witnesses(rho)[0]),
+        (channel, ChannelMap.dephasing(2)),
+    ]:
+        assert x == x and not x != x
+        assert x != y and not x == y
+        assert len({x, y}) == 2
