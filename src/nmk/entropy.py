@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import OverlappingPartition
 from .states import (
-    LOG_CLAMP,
     BlockState,
     DensityState,
     _clamped_eigvalsh,
@@ -31,16 +30,13 @@ from .states import (
 
 
 def entropy_from_eigs(vals: np.ndarray) -> float:
-    """Shannon entropy in bits of a spectrum (values below 1e-12 dropped)."""
-    vals = np.asarray(vals, dtype=float)
-    vals = vals[vals > LOG_CLAMP]
-    if vals.size == 0:
-        return 0.0
-    return float(-np.sum(vals * np.log2(vals)))
+    """Shannon entropy in bits of a spectrum (values at most 1e-12 count as 0)."""
+    # + 0.0 turns the -0.0 of a spectrum with no value above the clamp into 0.0.
+    return float(entropies_from_eigs(vals)) + 0.0
 
 
 def entropies_from_eigs(spectra: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`entropy_from_eigs` of a ``(k, n)`` stack of spectra."""
+    """Row-wise Shannon entropies in bits of a ``(k, n)`` stack of spectra."""
     vals = np.asarray(spectra, dtype=float)
     return -np.sum(vals * _clamped_logs(vals), axis=-1)
 

@@ -332,7 +332,7 @@ def _route2_objective(w) -> float:
     e = tuple(lbl for lbl in t.layout.labels if lbl in set(g.e))
     s_ab_e = entropy(t) - (entropy(t, e) if e else 0.0)
     groups = (g.a + g.a_prime, g.b + g.b_prime, g.a_prime + g.b_prime)
-    spectra = member_spectra(np.stack(w.members), w.layout.dims, map(w._axes, groups))
+    spectra = member_spectra(w.members, w.layout.dims, map(w._axes, groups))
     s_aa, s_bb, s_pp = map(entropies_from_eigs, spectra)
     return 0.5 * (s_ab_e + float(np.asarray(w.weights) @ (s_aa + s_bb - s_pp)))
 

@@ -190,14 +190,12 @@ def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8)
 def _preparation_kraus(entries, side: str, n: int):
     """Controlled-preparation Kraus operators: conditioned on the shared
     index j, prepare the j-th block state from a trivial input."""
-    states = [getattr(e, side).matrix for e in entries]
-    d = states[0].shape[0]
+    spectra = [np.linalg.eigh(getattr(e, side).matrix) for e in entries]
+    d = spectra[0][0].shape[0]
     ops = []
     for i in range(d):
         k = np.zeros((n * d, n), dtype=complex)
-        for j, mat in enumerate(states):
-            vals, vecs = np.linalg.eigh(mat)
-            vals = np.clip(vals, 0.0, None)
+        for j, (vals, vecs) in enumerate(spectra):
             if vals[i] > 0.0:
                 k[j * d : (j + 1) * d, j] = math.sqrt(vals[i]) * vecs[:, i]
         ops.append(k)

@@ -5,9 +5,10 @@ witness objective found.  The two purification baselines are always
 included, so the upper bound is guaranteed to stay below min(S(A), S(B));
 optimized witnesses come from a Riemannian gradient descent over the
 isometry steering the purifying reference, on the Stiefel manifold
-(projected gradient, polar retraction, Armijo backtracking), with the
-analytic gradient of ``states.member_value_and_grad``.  Estimates are
-bracket pairs, never point claims.
+(projected gradient, polar retraction, Armijo backtracking).  Every
+evaluation, line-search trials included, is one call of the kernel
+``states.member_value_and_grad``, which gives the value and its analytic
+gradient together.  Estimates are bracket pairs, never point claims.
 
 Restarts run in one place, ``_run_restarts``, which ``csquashed`` shares.
 Each restart reports the member-marginal objective at its final isometry;
@@ -26,19 +27,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .entropy import entropies_from_eigs, entropy, nonmarkovianity, party_partition
+from .entropy import entropy, nonmarkovianity, party_partition
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout
-from .states import (
-    DensityState,
-    dim_budget,
-    member_spectra,
-    member_value_and_grad,
-    purify,
-    steered_members,
-    tensor,
-)
+from .states import DensityState, dim_budget, member_value_and_grad, purify, tensor
 from .witness import (
     Witness,
     baseline_witnesses,
@@ -100,9 +93,10 @@ def _check_search_config(config, minima: dict) -> None:
 @dataclass(frozen=True)
 class RestartRecord:
     """One descent: its final objective, the gradient steps it tried
-    (``iterations``) and took (``accepted``), every objective evaluation it
-    made, line-search trials included (``evals``), and the Riemannian
-    gradient norm at its end (``grad_norm``)."""
+    (``iterations``) and took (``accepted``), its evaluations, each one
+    ``member_value_and_grad`` call, line-search trials included
+    (``evals``), and the Riemannian gradient norm at its end
+    (``grad_norm``)."""
 
     restart_id: int
     round_id: int
@@ -140,8 +134,8 @@ class NmfEstimate:
 class _MemberObjective:
     """The objective 0.5 * (const + F(W)) of a steering isometry W, with F
     the signed member-entropy sum of ``states.member_value_and_grad`` over
-    ``signed_groups``.  Calling it gives the value alone, from
-    ``member_spectra`` (no eigenvectors), as line searches need."""
+    ``signed_groups``.  Its one evaluation gives the value and the gradient
+    together, from one batched ``eigh`` per group."""
 
     psi_arr: np.ndarray
     dims: tuple[int, ...]
@@ -149,16 +143,8 @@ class _MemberObjective:
     signed_groups: tuple
     const: float = 0.0
 
-    def __call__(self, w_matrix: np.ndarray) -> float:
-        weights, members = steered_members(self.psi_arr, w_matrix, self.dims, self.k)
-        axes = [group for group, _ in self.signed_groups]
-        signed = 0.0
-        for (_, sign), spectra in zip(self.signed_groups, member_spectra(members, self.dims, axes)):
-            signed = signed + sign * entropies_from_eigs(spectra)
-        return 0.5 * (self.const + float(weights @ signed))
-
     def value_and_grad(self, w_matrix: np.ndarray):
-        """The value and dObjective/d conj(W), from one batched ``eigh`` per group."""
+        """The value and dObjective/d conj(W)."""
         value, grad = member_value_and_grad(
             self.psi_arr, w_matrix, self.dims, self.k, self.signed_groups
         )
@@ -199,11 +185,13 @@ def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
     """Riemannian gradient descent from the isometry ``w`` on the Stiefel
     manifold: the gradient projected onto the tangent space,
     R = G - W herm(W^dagger G), a polar retraction, and Armijo backtracking
-    from twice the last accepted step.  Stops after ``max_iters`` steps, at
-    ``stop_at``, at a gradient norm below ``GRAD_TOL``, or when no step of
-    at least ``MIN_STEP`` decreases the value.  Returns the final isometry,
-    its value, the steps tried and taken, the objective evaluations and the
-    final Riemannian gradient norm."""
+    from twice the last accepted step.  Every line-search trial is one
+    ``value_and_grad`` evaluation, and an accepted trial's gradient is the
+    next step's.  Stops after ``max_iters`` steps, at ``stop_at``, at a
+    gradient norm below ``GRAD_TOL``, or when no step of at least
+    ``MIN_STEP`` decreases the value.  Returns the final isometry, its
+    value, the steps tried and taken, the evaluations and the final
+    Riemannian gradient norm."""
     value, grad = fast_f.value_and_grad(w)
     evals, iters, accepted, step = 1, 0, 0, 1.0
     while True:
@@ -216,15 +204,14 @@ def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
         step *= 2.0
         while step >= MIN_STEP:
             trial = _polar(w - step * rgrad)
+            trial_value, trial_grad = fast_f.value_and_grad(trial)
             evals += 1
-            if fast_f(trial) <= value - ARMIJO * step * slope:
+            if trial_value <= value - ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
             break
-        w = trial
-        value, grad = fast_f.value_and_grad(w)
-        evals += 1
+        w, value, grad = trial, trial_value, trial_grad
         accepted += 1
     return w, value, iters, accepted, evals, math.sqrt(slope)
 
@@ -274,8 +261,8 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     for a block-built Markov state); they join the candidate pool alongside
     the baselines and the optimized restarts.  ``notes["best_source"]``
     names the winner: ``baseline:B'``, ``baseline:A'``, ``seed:<i>`` or
-    ``restart:<rid>/<round>``; ``notes["evals"]`` counts objective
-    evaluations (line-search trials included),
+    ``restart:<rid>/<round>``; ``notes["evals"]`` counts evaluations, each
+    one ``member_value_and_grad`` call (line-search trials included),
     ``notes["restarts_beating_baseline"]`` the restarts that ended below the
     better purification baseline, and ``notes["grad_norm"]`` is the winning
     restart's final Riemannian gradient norm (None when no restart won).

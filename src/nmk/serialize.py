@@ -78,18 +78,6 @@ def components_from_json(d: dict) -> MarkovComponents:
     return MarkovComponents(entries)
 
 
-def vector_to_json(v: np.ndarray) -> dict:
-    v = np.asarray(v)
-    return {"re": np.real(v).tolist(), "im": np.imag(v).tolist()}
-
-
-def vector_from_json(d: dict) -> np.ndarray:
-    try:
-        return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadParams(f"malformed vector payload: {exc}") from exc
-
-
 def witness_to_json(w: Witness) -> dict:
     g = w.groups
     return {
@@ -103,7 +91,7 @@ def witness_to_json(w: Witness) -> dict:
             "e_prime": list(g.e_prime),
         },
         "weights": list(w.weights),
-        "members": [vector_to_json(m) for m in w.members],
+        "members": [matrix_to_json(m) for m in w.members],
         "k_label": w.k_label,
         "ext_dims": w.ext_dims,
         "flag_is_classical": True,
@@ -122,7 +110,7 @@ def witness_from_json(d: dict) -> Witness:
             e_prime=tuple(g["e_prime"]),
         )
         weights = tuple(float(p) for p in d["weights"])
-        members = tuple(vector_from_json(m) for m in d["members"])
+        members = [matrix_from_json(m) for m in d["members"]]
         lay = layout_from_json(d["registers"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed witness payload: {exc}") from exc

@@ -36,7 +36,9 @@ from .states import (
     DensityState,
     PureState,
     _clamped_eigvalsh,
+    _freeze,
     _pure_reduced_matrix,
+    _split_rows,
     member_spectra,
     purify,
     steered_members,
@@ -69,33 +71,37 @@ class WitnessGroups:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Ensemble of pure members with a role grouping and a classical flag."""
+    """Ensemble of pure members with a role grouping and a classical flag.
+
+    ``members`` is a read-only ``(k, D)`` stack, one member per row, D the
+    layout dimension: the form ``states.steered_members`` returns.  Any
+    sequence of k vectors of length D is accepted and stacked."""
 
     layout: RegisterLayout
     groups: WitnessGroups
     weights: tuple[float, ...]
-    members: tuple[np.ndarray, ...]
+    members: np.ndarray
     k_label: str = "K"
 
     def __post_init__(self):
-        members = tuple(np.ascontiguousarray(m, dtype=complex) for m in self.members)
-        for m in members:
-            m.flags.writeable = False
+        d = self.layout.dim
+        try:
+            members = _freeze(self.members)
+        except ValueError as exc:
+            raise DimensionMismatch(f"witness members must form a (k, {d}) stack: {exc}") from None
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "weights", tuple(float(p) for p in self.weights))
-        if len(self.weights) != len(self.members) or not self.members:
+        if members.ndim != 2 or members.shape[1] != d:
+            raise DimensionMismatch(f"members of shape {members.shape} are not a (k, {d}) stack")
+        if len(self.weights) != len(members) or not len(members):
             raise DimensionMismatch("weights and members must pair up nonempty")
-        if not all(np.isfinite(self.weights)) or not all(np.isfinite(m).all() for m in members):
+        if not all(np.isfinite(self.weights)) or not np.isfinite(members).all():
             raise InvariantViolation("finite", "witness weights and members must be finite")
         total = sum(self.weights)
         if any(p < -WEIGHT_TOL for p in self.weights) or abs(total - 1.0) > WEIGHT_TOL:
             raise InvariantViolation("weights", f"weights must sum to 1, got {total}")
-        d = self.layout.dim
-        for m in self.members:
-            if m.shape != (d,):
-                raise DimensionMismatch(f"member shape {m.shape} does not match layout dim {d}")
-            if abs(np.linalg.norm(m) - 1.0) > 1e-9:
-                raise InvariantViolation("unit_norm", "witness members must be normalized")
+        if np.max(np.abs(np.linalg.norm(members, axis=1) - 1.0)) > 1e-9:
+            raise InvariantViolation("unit_norm", "witness members must be normalized")
         if sorted(self.groups.all_labels()) != sorted(self.layout.labels):
             raise LayoutClash("witness groups must partition the member layout")
         if self.k_label in self.layout:
@@ -123,15 +129,12 @@ class Witness:
         return sorted(self.layout.index(lbl) for lbl in labels)
 
     def _mix_reduced(self, labels) -> np.ndarray:
-        axes = self._axes(labels)
-        dims = self.layout.dims
-        out = None
-        for p, m in zip(self.weights, self.members):
-            if p <= PRUNE_TOL:
-                continue
-            red = p * _pure_reduced_matrix(m, dims, axes)
-            out = red if out is None else out + red
-        return out
+        """sum_i p_i of the members' reductions onto ``labels``, as one
+        matrix product: no stack of per-member reductions is built."""
+        weights = np.asarray(self.weights)
+        live = weights > PRUNE_TOL
+        arr, _ = _split_rows(self.members[live], self.layout.dims, self._axes(labels))
+        return np.tensordot(weights[live, None, None] * arr, arr.conj(), axes=([0, 2], [0, 2]))
 
     def _entropy_mix(self, labels) -> float:
         if not labels:
@@ -146,8 +149,7 @@ class Witness:
         live = weights > PRUNE_TOL
         if not labels:
             return entropy_from_eigs(weights[live])
-        members = np.stack(self.members)[live]
-        (spectra,) = member_spectra(members, self.layout.dims, [self._axes(labels)])
+        (spectra,) = member_spectra(self.members[live], self.layout.dims, [self._axes(labels)])
         return entropy_from_eigs((weights[live, None] * spectra).ravel())
 
     # -- derived states ----------------------------------------------------
@@ -159,15 +161,13 @@ class Witness:
 
     def realized(self) -> DensityState:
         """The dense joint state with the K flag as the last register."""
-        k = self.k
-        d = self.layout.dim
-        mat = np.zeros((d * k, d * k), dtype=complex)
-        for i, (p, m) in enumerate(zip(self.weights, self.members)):
-            flag = np.zeros((k, k), dtype=complex)
-            flag[i, i] = 1.0
-            mat += p * np.kron(np.outer(m, m.conj()), flag)
+        k, d = self.members.shape
+        blocks = self.members[:, :, None] * self.members.conj()[:, None, :]
+        # Diagonal block (i, i) over the flag holds p_i |m_i><m_i|.
+        mat = np.zeros((d, k, d, k), dtype=complex)
+        mat[:, np.arange(k), :, np.arange(k)] = np.asarray(self.weights)[:, None, None] * blocks
         lay = self.layout.extended((Register(self.k_label, k, Party.REFERENCE),))
-        return DensityState(lay, mat)
+        return DensityState(lay, mat.reshape(d * k, d * k))
 
 
 def objective(w: Witness) -> float:
@@ -273,7 +273,7 @@ def witness_from_isometry(
         e=e,
         e_prime=(prime_labels[2],),
     )
-    w = Witness(lay, groups, weights / weights.sum(), tuple(members), k_label=k_label)
+    w = Witness(lay, groups, weights / weights.sum(), members, k_label=k_label)
     if validate:
         check_witness(w, rho, tol=1e-8)
     return w
@@ -295,7 +295,7 @@ def baseline_witnesses(rho: DensityState) -> list[Witness]:
             e=e,
             e_prime=(),
         )
-        out.append(Witness(psi.layout, groups, (1.0,), (psi.amplitudes,)))
+        out.append(Witness(psi.layout, groups, (1.0,), psi.amplitudes[None]))
     return out
 
 
@@ -315,22 +315,18 @@ def markov_witness(components: MarkovComponents, *, index_label: str = "E0") -> 
     a_dim = max(_rank(e.sigma.matrix) for e in entries)
     b_dim = max(_rank(e.tau.matrix) for e in entries)
     xi = build_markov(components, index_label=index_label)
-    member_layout = xi.layout.extended(
-        (Register("A'", a_dim, Party.ALICE), Register("B'", b_dim, Party.BOB))
-    )
-    members = []
+    a_ref, b_ref = Register("A'", a_dim, Party.ALICE), Register("B'", b_dim, Party.BOB)
+    member_layout = xi.layout.extended((a_ref, b_ref))
+    # Member j is |sigma_j>|tau_j>|j> on the purifications' register order.
+    index = Register(index_label, n, Party.EVE)
+    raw_layout = RegisterLayout(sig_lay.registers + (a_ref,) + tau_lay.registers + (b_ref, index))
+    members = np.zeros((n, raw_layout.dim // n, n), dtype=complex)
     for j, entry in enumerate(entries):
         ps = purify(entry.sigma, "A'", ref_dim=a_dim, ref_party=Party.ALICE)
         pt = purify(entry.tau, "B'", ref_dim=b_dim, ref_party=Party.BOB)
-        e0 = np.zeros(n, dtype=complex)
-        e0[j] = 1.0
-        vec = np.kron(np.kron(ps.amplitudes, pt.amplitudes), e0)
-        raw_layout = RegisterLayout(
-            ps.layout.registers + pt.layout.registers + (Register(index_label, n, Party.EVE),)
-        )
-        member = PureState(raw_layout, vec)
-        member = _permute_pure(member, member_layout.labels)
-        members.append(member.amplitudes)
+        members[j, :, j] = np.kron(ps.amplitudes, pt.amplitudes)
+    axes = [raw_layout.index(lbl) for lbl in member_layout.labels]
+    members, _ = _split_rows(members.reshape(n, -1), raw_layout.dims, axes)
     groups = WitnessGroups(
         a=sig_lay.party_labels(Party.ALICE),
         a_prime=("A'",),
@@ -339,17 +335,11 @@ def markov_witness(components: MarkovComponents, *, index_label: str = "E0") -> 
         e=(index_label,) + sig_lay.party_labels(Party.EVE) + tau_lay.party_labels(Party.EVE),
         e_prime=(),
     )
-    return Witness(member_layout, groups, components.probs, tuple(members))
+    return Witness(member_layout, groups, components.probs, members.reshape(n, -1))
 
 
 def _rank(matrix: np.ndarray) -> int:
     return int(np.sum(_clamped_eigvalsh(matrix) > 1e-12))
-
-
-def _permute_pure(psi: PureState, labels) -> PureState:
-    axes = [psi.layout.index(lbl) for lbl in labels]
-    vec = psi.amplitudes.reshape(psi.layout.dims).transpose(axes).reshape(-1)
-    return PureState(psi.layout.reordered(labels), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +377,8 @@ def witness_tensor(w1: Witness, w2: Witness) -> Witness:
         e=g1.e + g2.e,
         e_prime=g1.e_prime + g2.e_prime,
     )
-    weights, members = [], []
-    for p, m in zip(w1.weights, w1.members):
-        for q, n in zip(w2.weights, w2.members):
-            weights.append(p * q)
-            members.append(np.kron(m, n))
-    return Witness(layout, groups, tuple(weights), tuple(members))
+    weights = np.outer(w1.weights, w2.weights).ravel()
+    return Witness(layout, groups, weights, np.kron(w1.members, w2.members))
 
 
 def witness_mix(parts, m_label: str = "M") -> Witness:
@@ -416,14 +402,10 @@ def witness_mix(parts, m_label: str = "M") -> Witness:
     n = len(parts)
     layout = first.layout.extended((Register(m_label, n, Party.EVE),))
     groups = replace(first.groups, e=first.groups.e + (m_label,))
-    weights, members = [], []
-    for m, (r, w) in enumerate(parts):
-        flag = np.zeros(n, dtype=complex)
-        flag[m] = 1.0
-        for p, vec in zip(w.weights, w.members):
-            weights.append(r * p)
-            members.append(np.kron(vec, flag))
-    return Witness(layout, groups, tuple(weights), tuple(members))
+    weights = np.concatenate([r * np.asarray(w.weights) for r, w in parts])
+    flags = np.eye(n)
+    members = np.concatenate([np.kron(w.members, flags[m]) for m, (_, w) in enumerate(parts)])
+    return Witness(layout, groups, weights, members)
 
 
 def witness_regroup(w: Witness, label: str, to: str = "e") -> Witness:
@@ -458,23 +440,15 @@ def _drop(group, label):
 def _apply_isometry_members(w: Witness, on, matrix: np.ndarray, out_regs):
     """Apply an isometry to a register block of every member; the block is
     replaced by ``out_regs`` appended at the end of the layout."""
-    on = tuple(on)
     on_axes = [w.layout.index(lbl) for lbl in on]
-    dims = w.layout.dims
-    n = len(dims)
-    rest_axes = [i for i in range(n) if i not in on_axes]
-    r = math.prod(dims[i] for i in on_axes)
+    r = w.layout.dim_of(on)
     s = math.prod(reg.dim for reg in out_regs)
     if matrix.shape != (s, r):
         raise DimensionMismatch(f"isometry shape {matrix.shape} != ({s}, {r})")
-    new_members = []
-    for vec in w.members:
-        t = vec.reshape(dims).transpose(rest_axes + on_axes).reshape(-1, r)
-        t = t @ matrix.T
-        new_members.append(t.reshape(-1))
-    keep_regs = tuple(w.layout.registers[i] for i in rest_axes)
-    new_layout = RegisterLayout(keep_regs + tuple(out_regs))
-    return new_members, new_layout, on
+    arr, order = _split_rows(w.members, w.layout.dims, on_axes)
+    members = (matrix @ arr).swapaxes(-1, -2).reshape(w.k, -1)
+    keep_regs = tuple(w.layout.registers[i] for i in order[len(on_axes) :])
+    return members, RegisterLayout(keep_regs + tuple(out_regs))
 
 
 def witness_transport_e(w: Witness, matrix: np.ndarray, on, out_regs) -> Witness:
@@ -488,11 +462,11 @@ def witness_transport_e(w: Witness, matrix: np.ndarray, on, out_regs) -> Witness
     for reg in out_regs:
         if reg.label in w.layout and reg.label not in on:
             raise LayoutClash(f"output label {reg.label!r} clashes")
-    members, layout, _ = _apply_isometry_members(w, on, np.asarray(matrix, complex), out_regs)
+    members, layout = _apply_isometry_members(w, on, np.asarray(matrix, complex), out_regs)
     g = w.groups
     new_e = tuple(lbl for lbl in g.e if lbl not in on) + tuple(r.label for r in out_regs)
     groups = replace(g, e=new_e)
-    return Witness(layout, groups, w.weights, tuple(members), k_label=w.k_label)
+    return Witness(layout, groups, w.weights, members, k_label=w.k_label)
 
 
 def witness_local_channel(w: Witness, side: str, kraus, on, env_label: str) -> Witness:
@@ -521,13 +495,13 @@ def witness_local_channel(w: Witness, side: str, kraus, on, env_label: str) -> W
     out_regs = tuple(w.layout.register(lbl) for lbl in on) + (
         Register(env_label, n_env, party),
     )
-    members, layout, _ = _apply_isometry_members(w, on, sting, out_regs)
+    members, layout = _apply_isometry_members(w, on, sting, out_regs)
     g = w.groups
     if side == "a":
         groups = replace(g, a_prime=g.a_prime + (env_label,))
     else:
         groups = replace(g, b_prime=g.b_prime + (env_label,))
-    return Witness(layout, groups, w.weights, tuple(members), k_label=w.k_label)
+    return Witness(layout, groups, w.weights, members, k_label=w.k_label)
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +525,10 @@ def witness_from_ab_ensemble(weights, states, *, env_label="Ee", flag_label="Ke"
             raise LayoutClash("ensemble states must share one layout")
     n = len(states)
     rank = max(_rank(s.matrix) for s in states)
-    members = []
+    # Member j is |psi_j>|j>, psi_j a purification of state j.
+    members = np.zeros((n, lay.dim * rank, n), dtype=complex)
     for j, s in enumerate(states):
-        psi = purify(s, env_label, ref_dim=rank, ref_party=Party.EVE)
-        flag = np.zeros(n, dtype=complex)
-        flag[j] = 1.0
-        members.append(np.kron(psi.amplitudes, flag))
+        members[j, :, j] = purify(s, env_label, ref_dim=rank, ref_party=Party.EVE).amplitudes
     member_layout = lay.extended(
         (Register(env_label, rank, Party.EVE), Register(flag_label, n, Party.EVE))
     )
@@ -568,7 +540,7 @@ def witness_from_ab_ensemble(weights, states, *, env_label="Ee", flag_label="Ke"
         e=(env_label, flag_label),
         e_prime=(),
     )
-    return Witness(member_layout, groups, weights, tuple(members))
+    return Witness(member_layout, groups, weights, members.reshape(n, -1))
 
 
 def ab_ensemble_from_witness(w: Witness):
@@ -576,7 +548,7 @@ def ab_ensemble_from_witness(w: Witness):
     the bare A and B groups.  Its averaged mutual information never exceeds
     twice the witness objective."""
     keep = tuple(lbl for lbl in w.layout.labels if lbl in set(w.groups.a + w.groups.b))
-    reduced = _pure_reduced_matrix(np.stack(w.members), w.layout.dims, w._axes(keep))
+    reduced = _pure_reduced_matrix(w.members, w.layout.dims, w._axes(keep))
     return w.weights, [DensityState(w.layout.subset(keep), m) for m in reduced]
 
 

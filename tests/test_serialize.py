@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmk import objective, sample
-from nmk.errors import BadParams, InvariantViolation
+from nmk.errors import BadParams, DimensionMismatch, InvariantViolation
 from nmk.serialize import (
     components_from_json,
     components_to_json,
@@ -84,6 +84,15 @@ def test_baseline_witness_roundtrip_with_empty_groups():
     back = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
     assert back.groups.a_prime == () and back.groups.b_prime == ("B'",)
     assert abs(objective(back) - objective(w)) < 1e-12
+
+
+def test_witness_reader_rejects_ragged_members():
+    _, w = random_witness(6, ext=(2, 1, 1), k=3)
+    payload = json.loads(json.dumps(witness_to_json(w)))
+    for part in ("re", "im"):
+        del payload["members"][1][part][-1]
+    with pytest.raises(DimensionMismatch):
+        witness_from_json(payload)
 
 
 def test_canonical_dump_handles_numpy_scalars():

@@ -49,6 +49,19 @@ class TestApplyStep:
         assert abs(nonmarkovianity(out.state) - before) < 1e-9
         assert markov_score(out.state).verdict == markov_score(ghz).verdict
 
+    def test_reversible_step_trusts_the_inverse_verified_at_construction(self, ghz, monkeypatch):
+        # ChannelMap checks its declared inverse once, when it is built; the
+        # step only requires that one is declared.
+        iso = ChannelMap.isometry(sample("isometry", (2, 4), np.random.default_rng(0)))
+
+        def refuse(self, tol=None):
+            raise AssertionError("the declared inverse was verified again")
+
+        monkeypatch.setattr(ChannelMap, "verify_inverse", refuse)
+        step = Step.reversible_e(iso, ("E",), out=(Register("F", 4, Party.EVE),))
+        out = apply_step(Scenario(ghz), step)
+        assert abs(nonmarkovianity(out.state) - nonmarkovianity(ghz)) < 1e-9
+
     def test_irreversible_mix_rejected_then_bypassed(self, ghz):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         mix = ChannelMap.mixing([np.eye(2), sx], [0.5, 0.5])

@@ -29,7 +29,13 @@ from nmk import (
     witness_tensor,
     witness_transport_e,
 )
-from nmk.errors import BadRange, DimensionTooSmall, InvariantViolation, LayoutClash
+from nmk.errors import (
+    BadRange,
+    DimensionMismatch,
+    DimensionTooSmall,
+    InvariantViolation,
+    LayoutClash,
+)
 from nmk.rand import random_isometry
 from nmk.registers import Party, Register
 
@@ -325,3 +331,33 @@ def test_non_finite_rejected(weights, entry):
     groups = WitnessGroups(("A",), (), ("B",), (), ("E",), ())
     with pytest.raises(InvariantViolation, match="finite"):
         Witness(lay, groups, weights, (good, bad))
+
+
+def test_members_are_a_read_only_stack():
+    _, w = random_witness(5, ext=(2, 1, 1), k=3)
+    assert w.members.shape == (w.k, w.layout.dim)
+    with pytest.raises(ValueError, match="read-only"):
+        w.members[0, 0] = 0.0
+
+
+def basis(d, i):
+    vec = np.zeros(d, dtype=complex)
+    vec[i] = 1.0
+    return vec
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        (basis(4, 0), basis(3, 1)),  # ragged
+        (basis(5, 0), basis(5, 1)),  # a stack of the wrong length
+        basis(8, 0),  # one flat vector, not a stack
+        (basis(4, 0), basis(4, 1), basis(4, 2)),  # more members than weights
+        (),
+    ],
+)
+def test_members_must_form_a_stack(members):
+    lay = layout(("A", 2, "alice"), ("B", 2, "bob"), ("E", 1, "eve"))
+    groups = WitnessGroups(("A",), (), ("B",), (), ("E",), ())
+    with pytest.raises(DimensionMismatch):
+        Witness(lay, groups, (0.5, 0.5), members)
