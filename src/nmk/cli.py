@@ -388,10 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nmf", help="bracket the formation measure of a state")
     p.add_argument("state")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ext", default="1,1,1", type=ext_dims, help="extension dims a',b',e'")
+    p.add_argument(
+        "--ext", default=EstimateConfig.ext, type=ext_dims, help="extension dims a',b',e'"
+    )
     p.add_argument("--restarts", type=int, default=EstimateConfig.restarts)
     p.add_argument("--max-iters", type=int, default=EstimateConfig.max_iters)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=EstimateConfig.tol)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-escalate", action="store_true")
     common(p)
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-prime", type=int, default=EsqcConfig.e_prime)
     p.add_argument("--restarts", type=int, default=EsqcConfig.restarts)
     p.add_argument("--max-iters", type=int, default=EsqcConfig.max_iters)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=EsqcConfig.tol)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--crosscheck", action="store_true", help="also run the extension crosscheck")
     common(p)

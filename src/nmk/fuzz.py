@@ -16,6 +16,10 @@ Suites:
                    tensor additivity, mix linearity, regroup monotonicity,
                    transport invariance, local-channel monotonicity, and
                    the bound for moving a register out of the conditioner
+
+The random steps of ``monotonicity`` and ``markov_closure`` read the acting
+party and the receivers of each kind of step from the one table that
+``apply_step`` reads, ``steps.ACTOR`` and ``steps.RECEIVERS``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
 from .registers import Party, Register, RegisterLayout, layout
 from .serialize import state_to_json, step_to_json
 from .states import ChannelMap, DensityState, member_spectra
-from .steps import Scenario, Step, apply_step
+from .steps import ACTOR, RECEIVERS, Scenario, Step, StepKind, apply_step
 from .witness import (
     objective,
     witness_from_isometry,
@@ -42,10 +46,12 @@ from .witness import (
     witness_tensor,
     witness_transport_e,
 )
+from .zoo import zoo
 
 SSA_TOL = 1e-9
 MONO_TOL = 1e-9
 CLOSURE_TOL = 1e-8
+SCRIPT_LENGTH = 3
 IDENTITY_TOL = 1e-9
 DUAL_ROUTE_TOL = 1e-8
 
@@ -134,6 +140,18 @@ def _random_measurement(dim: int, rng, outcomes: int = 2):
     return tuple(iso[i * dim : (i + 1) * dim, :] for i in range(outcomes))
 
 
+def _random_step(kind: StepKind, register: str, dim: int, rng, label: str) -> Step:
+    """A random step of the free ``kind`` on ``register`` (of ``dim``
+    levels): a two-outcome measurement whose message is ``label`` for a
+    kind that sends one, else a random unitary for Eve and a random channel
+    for Alice or Bob."""
+    if kind in RECEIVERS:
+        return Step(kind, operators=_random_measurement(dim, rng), on=(register,), msg_label=label)
+    if ACTOR[kind] is Party.EVE:
+        return Step(kind, channel=ChannelMap.unitary(random_unitary(dim, rng)), on=(register,))
+    return Step(kind, channel=_random_channel(dim, rng), on=(register,))
+
+
 def _mono_scenario(cls: str, rng) -> Scenario:
     if cls in ("quantum_a_to_e", "quantum_b_to_e"):
         party = "alice" if cls == "quantum_a_to_e" else "bob"
@@ -154,41 +172,26 @@ def _mono_scenario(cls: str, rng) -> Scenario:
 
 
 def _mono_step(cls: str, rng) -> Step:
-    if cls == "local_a":
-        return Step.local_a(_random_channel(2, rng), ("A",))
-    if cls == "local_b":
-        return Step.local_b(_random_channel(2, rng), ("B",))
-    if cls == "reversible_e":
-        if rng.integers(2) == 0:
-            return Step.reversible_e(ChannelMap.unitary(random_unitary(2, rng)), ("E",))
+    if cls in ("quantum_a_to_e", "quantum_b_to_e"):
+        return Step.quantum_to_e("Q")
+    if cls in ("classical_e_to_a", "classical_e_to_b"):
+        return Step(StepKind(cls), register="ME")
+    if cls not in OMEGA_SCRIPT_CLASSES:
+        raise ValueError(cls)
+    kind = StepKind(cls)
+    if kind is StepKind.REVERSIBLE_E and rng.integers(2) == 1:
         iso = ChannelMap.isometry(random_isometry(2, 4, rng))
         return Step.reversible_e(iso, ("E",), out=(Register("Ex", 4, Party.EVE),))
-    if cls == "quantum_a_to_e" or cls == "quantum_b_to_e":
-        return Step.quantum_to_e("Q")
-    if cls == "broadcast_a":
-        return Step.broadcast_a(_random_measurement(2, rng), ("A",), "J")
-    if cls == "broadcast_b":
-        return Step.broadcast_b(_random_measurement(2, rng), ("B",), "J")
-    if cls == "classical_a_to_e":
-        return Step.classical_a_to_e(_random_measurement(2, rng), ("A",), "J")
-    if cls == "classical_b_to_e":
-        return Step.classical_b_to_e(_random_measurement(2, rng), ("B",), "J")
-    if cls == "classical_e_to_a":
-        return Step.classical_e_to_a("ME")
-    if cls == "classical_e_to_b":
-        return Step.classical_e_to_b("ME")
-    raise ValueError(cls)
+    # Each party's register in the scenario is named by its initial.
+    return _random_step(kind, ACTOR[kind].value[0].upper(), 2, rng, "J")
 
 
-def fuzz_monotonicity(
-    trials_per_class: int = 300, seed=0, classes=FREE_CLASS_NAMES, jobs: int = 1
-) -> FuzzReport:
+def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> FuzzReport:
     _require_trials(trials_per_class, jobs)
-    classes = tuple(classes)
-    total = trials_per_class * len(classes)
+    total = trials_per_class * len(FREE_CLASS_NAMES)
 
     def worker(i):
-        cls = classes[i // trials_per_class]
+        cls = FREE_CLASS_NAMES[i // trials_per_class]
         rng = as_rng([seed, i])
         sc = _mono_scenario(cls, rng)
         step = _mono_step(cls, rng)
@@ -216,82 +219,30 @@ def fuzz_monotonicity(
 # ---------------------------------------------------------------------------
 # free scripts keep block states Markov
 
-OMEGA_SCRIPT_CLASSES = (
-    "local_a",
-    "local_b",
-    "reversible_e",
-    "broadcast_a",
-    "broadcast_b",
-    "classical_a_to_e",
-    "classical_b_to_e",
-)
-
-
-def _random_components(rng, entries=2):
-    from .markov import MarkovComponents, MarkovEntry
-
-    probs = rng.dirichlet(np.ones(entries))
-    sig_lay = layout(("A", 2, "alice"), ("EL", 2, "eve"))
-    tau_lay = layout(("B", 2, "bob"), ("ER", 2, "eve"))
-    ents = tuple(
-        MarkovEntry(
-            float(probs[j]),
-            sample("density_hs", (2, 2), rng, layout=sig_lay),
-            sample("density_hs", (2, 2), rng, layout=tau_lay),
-        )
-        for j in range(entries)
-    )
-    return MarkovComponents(ents)
+OMEGA_SCRIPT_CLASSES = tuple(kind.value for kind in ACTOR)
+# Broadcasts multiply the total dimension by the outcome count per receiving
+# party.  Past dimension 64 only local steps (those that send no message)
+# are drawn; the cap fixes which scripts each seed draws.
+_LOCAL_KINDS = tuple(kind for kind in ACTOR if kind not in RECEIVERS)
 
 
 def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
+    kinds = _LOCAL_KINDS if sc.block_state.dim > 64 else tuple(ACTOR)
+    kind = kinds[int(rng.integers(len(kinds)))]
     lay = sc.block_state.layout
-    choices = list(OMEGA_SCRIPT_CLASSES)
-    # Broadcasts multiply the total dimension by the outcome count per
-    # receiving party.  Past dimension 64 only local steps are drawn; the cap
-    # fixes which scripts each seed draws.
-    if sc.block_state.dim > 64:
-        choices = ["local_a", "local_b", "reversible_e"]
-    cls = choices[int(rng.integers(len(choices)))]
-    label = f"J{msg_counter}"
-    if cls == "local_a":
-        lbl = lay.party_labels(Party.ALICE)[0]
-        return Step.local_a(_random_channel(lay.register(lbl).dim, rng), (lbl,))
-    if cls == "local_b":
-        lbl = lay.party_labels(Party.BOB)[0]
-        return Step.local_b(_random_channel(lay.register(lbl).dim, rng), (lbl,))
-    if cls == "reversible_e":
-        lbl = lay.party_labels(Party.EVE)[0]
-        return Step.reversible_e(
-            ChannelMap.unitary(random_unitary(lay.register(lbl).dim, rng)), (lbl,)
-        )
-    if cls == "broadcast_a":
-        lbl = lay.party_labels(Party.ALICE)[0]
-        return Step.broadcast_a(_random_measurement(lay.register(lbl).dim, rng), (lbl,), label)
-    if cls == "broadcast_b":
-        lbl = lay.party_labels(Party.BOB)[0]
-        return Step.broadcast_b(_random_measurement(lay.register(lbl).dim, rng), (lbl,), label)
-    if cls == "classical_a_to_e":
-        lbl = lay.party_labels(Party.ALICE)[0]
-        return Step.classical_a_to_e(
-            _random_measurement(lay.register(lbl).dim, rng), (lbl,), label
-        )
-    lbl = lay.party_labels(Party.BOB)[0]
-    return Step.classical_b_to_e(_random_measurement(lay.register(lbl).dim, rng), (lbl,), label)
+    register = lay.party_labels(ACTOR[kind])[0]
+    return _random_step(kind, register, lay.register(register).dim, rng, f"J{msg_counter}")
 
 
-def fuzz_markov_closure(
-    trials: int = 200, seed=0, script_length: int = 3, jobs: int = 1
-) -> FuzzReport:
+def fuzz_markov_closure(trials: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
     _require_trials(trials, jobs)
 
     def worker(t):
         rng = as_rng([seed, t])
-        components = _random_components(rng)
-        sc = Scenario(build_markov(components))
+        sc = Scenario(build_markov(zoo("markov_random", {"entries": 2}, seed=rng)))
         steps = []
         current = sc
-        for i in range(script_length):
+        for i in range(SCRIPT_LENGTH):
             step = _random_omega_step(current, rng, i)
             steps.append(step)
             current = apply_step(current, step)

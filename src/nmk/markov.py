@@ -70,45 +70,50 @@ class MarkovComponents:
             raise InconsistentDims("sigma needs alice-tagged and tau bob-tagged registers")
 
     @property
-    def block_count(self) -> int:
-        return len(self.entries)
-
-    @property
     def probs(self) -> tuple[float, ...]:
         return tuple(e.p for e in self.entries)
 
 
-def build_markov(components: MarkovComponents, *, index_label: str = "E0") -> DensityState:
+INDEX_LABEL = "E0"
+
+
+def _block_layouts(components: MarkovComponents) -> tuple[RegisterLayout, RegisterLayout]:
+    """The registers of the built block state: first as they are assembled
+    (sigma's, tau's, then the block index ``INDEX_LABEL``), then in the
+    state's order (alice..., bob..., index, eve memories...)."""
+    sig_lay = components.entries[0].sigma.layout
+    tau_lay = components.entries[0].tau.layout
+    if INDEX_LABEL in sig_lay or INDEX_LABEL in tau_lay:
+        raise InconsistentDims(f"index label {INDEX_LABEL!r} clashes with component registers")
+    index = Register(INDEX_LABEL, len(components.entries), Party.EVE)
+    raw = RegisterLayout(sig_lay.registers + tau_lay.registers + (index,))
+    order = (
+        sig_lay.party_labels(Party.ALICE)
+        + tau_lay.party_labels(Party.BOB)
+        + (INDEX_LABEL,)
+        + sig_lay.party_labels(Party.EVE)
+        + tau_lay.party_labels(Party.EVE)
+    )
+    if len(order) != len(raw):
+        raise InconsistentDims("component registers must be tagged alice/bob/eve only")
+    return raw, raw.reordered(order)
+
+
+def build_markov(components: MarkovComponents) -> DensityState:
     """Assemble sum_j p_j sigma_j (x) tau_j (x) |j><j|, ordered as
     (alice..., bob..., index, eve memories...)."""
+    raw, lay = _block_layouts(components)
     entries = components.entries
-    sig_lay = entries[0].sigma.layout
-    tau_lay = entries[0].tau.layout
-    if index_label in sig_lay or index_label in tau_lay:
-        raise InconsistentDims(f"index label {index_label!r} clashes with component registers")
     n = len(entries)
-    dim_block = sig_lay.dim * tau_lay.dim
-    mat = np.zeros((dim_block * n, dim_block * n), dtype=complex)
+    mat = np.zeros((raw.dim, raw.dim), dtype=complex)
     eye_j = np.zeros((n, n), dtype=complex)
     for j, entry in enumerate(entries):
         eye_j[:] = 0.0
         eye_j[j, j] = 1.0
         block = entry.p * np.kron(np.kron(entry.sigma.matrix, entry.tau.matrix), eye_j)
         mat += block
-    raw = RegisterLayout(
-        sig_lay.registers + tau_lay.registers + (Register(index_label, n, Party.EVE),)
-    )
-    order = (
-        sig_lay.party_labels(Party.ALICE)
-        + tau_lay.party_labels(Party.BOB)
-        + (index_label,)
-        + sig_lay.party_labels(Party.EVE)
-        + tau_lay.party_labels(Party.EVE)
-    )
-    if len(order) != len(raw):
-        raise InconsistentDims("component registers must be tagged alice/bob/eve only")
-    axes = [raw.index(lbl) for lbl in order]
-    return DensityState(raw.reordered(order), _permuted_matrix(mat, raw.dims, axes))
+    axes = [raw.index(lbl) for lbl in lay.labels]
+    return DensityState(lay, _permuted_matrix(mat, raw.dims, axes))
 
 
 class PetzResult(NamedTuple):
@@ -202,7 +207,7 @@ def _preparation_kraus(entries, side: str, n: int):
     return ops
 
 
-def preparation_script(components: MarkovComponents, *, index_label: str = "J"):
+def preparation_script(components: MarkovComponents):
     """The constructive protocol generating the block state by free steps.
 
     Alice draws and broadcasts the block index, each side prepares its
@@ -225,11 +230,11 @@ def preparation_script(components: MarkovComponents, *, index_label: str = "J"):
         )
     )
     coin = tuple(np.array([[math.sqrt(e.p)]], dtype=complex) for e in entries)
-    ja, jb = f"{index_label}_A", f"{index_label}_B"
+    ja, jb = "J_A", "J_B"
     sig_regs = tuple(Register(r.label, r.dim, Party.ALICE) for r in sig_lay.registers)
     tau_regs = tuple(Register(r.label, r.dim, Party.BOB) for r in tau_lay.registers)
     steps = [
-        Step.broadcast_a(coin, ("A0",), index_label),
+        Step.broadcast_a(coin, ("A0",), "J"),
         Step.local_a(
             _channel(_preparation_kraus(entries, "sigma", n)),
             (ja, "A0"),

@@ -43,11 +43,7 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary of order ``dim``."""
     if dim < 1:
         raise BadDims(f"unitary dim must be positive, got {dim}")
-    rng = as_rng(seed)
-    q, r = np.linalg.qr(_gaussian_complex(rng, dim, dim))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return random_isometry(dim, dim, seed)
 
 
 def random_isometry(in_dim: int, out_dim: int, seed) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import BadParams
 from .markov import MarkovComponents, MarkovEntry
 from .registers import Party, Register, RegisterLayout
 from .states import ChannelMap, DensityState
-from .steps import Step, StepKind
+from .steps import PAYLOAD, Step, StepKind
 from .witness import Witness, WitnessGroups
 
 
@@ -172,8 +172,9 @@ def step_from_json(d: dict) -> Step:
         raise BadParams(f"unknown step kind: {exc}") from exc
     if kind in (StepKind.LOCAL_A, StepKind.LOCAL_B) and not (d.get("channel") or d.get("discard")):
         raise BadParams(f"a {kind.value} step needs a 'channel' or a 'discard' list")
-    if kind is StepKind.REVERSIBLE_E and not d.get("channel"):
-        raise BadParams("a reversible_e step needs a 'channel'")
+    for key in PAYLOAD[kind]:
+        if not d.get(key):
+            raise BadParams(f"a {kind.value} step needs a {key!r} field")
     return Step(
         kind=kind,
         channel=_step_field(d, "channel", channel_from_json),

@@ -2,8 +2,9 @@
 
 States are plain complex numpy matrices tagged with a
 :class:`~nmk.registers.RegisterLayout`.  Everything here is immutable after
-construction (arrays are marked read-only), so values can be shared freely
-across concurrent workers.
+construction (arrays are held read-only; a caller's writeable array is
+copied, never frozen in place), so values can be shared freely across
+concurrent workers.
 
 A :class:`DensityState` is validated when it is built, and it is built only
 where a state is handed to a caller: public constructors, readers and the
@@ -79,6 +80,21 @@ def _require_budget(dim: int, what: str = "total dimension") -> None:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous complex array.  A read-only input
+    of that form is shared; anything else is copied, so the caller's array
+    stays writeable and no later write to it reaches the holder."""
+    if isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        arr = np.ascontiguousarray(arr, dtype=complex)
+    else:
+        arr = np.array(arr, dtype=complex, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array no caller holds, as a read-only C-contiguous
+    complex array: frozen in place when it has that form already, so that
+    :func:`_freeze` shares it instead of copying it."""
     arr = np.ascontiguousarray(arr, dtype=complex)
     arr.flags.writeable = False
     return arr
@@ -143,12 +159,6 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    def eigenvalues(self) -> np.ndarray:
-        return _clamped_eigvalsh(self.matrix)
-
-    def reduced(self, keep) -> "DensityState":
-        return partial_trace(self, keep)
 
     def permuted(self, labels) -> "DensityState":
         return permute_registers(self, labels)
@@ -674,7 +684,8 @@ class BlockState:
             full[c::c_size, c::c_size] += weight * matrix
         raw = q.labels + tuple(lbl for lbl, _ in copies)
         axes = [raw.index(lbl) for lbl in self.layout.labels]
-        return DensityState(self.layout, _permuted_matrix(full, q.dims + tuple(c_dims), axes))
+        dense = _permuted_matrix(full, q.dims + tuple(c_dims), axes)
+        return DensityState(self.layout, _sealed(dense))
 
     def group_marginals(self, labels=None) -> list[np.ndarray]:
         """The marginal on ``labels`` (all registers if None) as the list of
@@ -853,7 +864,7 @@ def _settled(layout, classical, parts) -> BlockState:
     for _, m in parts:
         _check_positive(m)
     blocks = tuple(
-        Block(values, w, _freeze(m / w))
+        Block(values, w, _sealed(m / w))
         for (values, m), w in zip(parts, (float(t.real) for t in traces))
         if w > PRUNE_TOL
     )

@@ -23,6 +23,12 @@ discarding the last copy of a variable merges the blocks it separated.
 caps the scenario's total (layout) dimension and is checked before a step
 computes anything.
 
+One table gives the acting party and the receivers for each kind of step:
+``ACTOR`` names the party whose registers a free step acts on, and
+``RECEIVERS`` the parties that get a copy of a step's message.
+``apply_step`` and the fuzz step generators read both; ``PAYLOAD`` lists
+the fields a step of each kind needs, which the JSON reader checks.
+
 Scenarios are immutable; ``apply_step`` returns a new one.
 """
 
@@ -88,9 +94,6 @@ class Scenario:
         dimension budget."""
         return self.block_state.to_density()
 
-    def labels_of(self, party) -> tuple[str, ...]:
-        return self.block_state.layout.party_labels(party)
-
 
 class StepKind(Enum):
     LOCAL_A = "local_a"
@@ -108,6 +111,50 @@ class StepKind(Enum):
     QUANTUM_AB = "quantum_ab"
 
 
+#: The party whose registers each kind of free (Omega) step acts on.
+ACTOR = {
+    StepKind.LOCAL_A: Party.ALICE,
+    StepKind.LOCAL_B: Party.BOB,
+    StepKind.REVERSIBLE_E: Party.EVE,
+    StepKind.BROADCAST_A: Party.ALICE,
+    StepKind.BROADCAST_B: Party.BOB,
+    StepKind.CLASSICAL_A_TO_E: Party.ALICE,
+    StepKind.CLASSICAL_B_TO_E: Party.BOB,
+}
+
+#: The parties that get a copy of the message of each kind of step that
+#: hands one out.  A copy-down's sender is Eve; a secret message names its
+#: own ``sender``.
+RECEIVERS = {
+    StepKind.BROADCAST_A: (Party.ALICE, Party.BOB, Party.EVE),
+    StepKind.BROADCAST_B: (Party.ALICE, Party.BOB, Party.EVE),
+    StepKind.CLASSICAL_A_TO_E: (Party.ALICE, Party.EVE),
+    StepKind.CLASSICAL_B_TO_E: (Party.BOB, Party.EVE),
+    StepKind.SECRET_AB: (Party.ALICE, Party.BOB),
+    StepKind.CLASSICAL_E_TO_A: (Party.ALICE,),
+    StepKind.CLASSICAL_E_TO_B: (Party.BOB,),
+}
+
+_MEASURED = ("operators", "msg_label")
+
+#: The payload fields a step of each kind needs.  A local step needs a
+#: ``channel`` or a ``discard`` list instead, which no single field says.
+PAYLOAD = {
+    StepKind.LOCAL_A: (),
+    StepKind.LOCAL_B: (),
+    StepKind.REVERSIBLE_E: ("channel",),
+    StepKind.QUANTUM_TO_E: ("register",),
+    StepKind.QUANTUM_FROM_E: ("register", "to"),
+    StepKind.QUANTUM_AB: ("register", "to"),
+    StepKind.BROADCAST_A: _MEASURED,
+    StepKind.BROADCAST_B: _MEASURED,
+    StepKind.CLASSICAL_A_TO_E: _MEASURED,
+    StepKind.CLASSICAL_B_TO_E: _MEASURED,
+    StepKind.SECRET_AB: _MEASURED + ("sender",),
+    StepKind.CLASSICAL_E_TO_A: ("register",),
+    StepKind.CLASSICAL_E_TO_B: ("register",),
+}
+
 NON_FREE_KINDS = {StepKind.SECRET_AB, StepKind.QUANTUM_AB}
 CDOWN_KINDS = {StepKind.CLASSICAL_E_TO_A, StepKind.CLASSICAL_E_TO_B}
 
@@ -121,7 +168,8 @@ class ScriptClass(Enum):
 
 @dataclass(frozen=True)
 class Step:
-    """One operation; which payload fields apply depends on ``kind``."""
+    """One operation; which payload fields apply depends on ``kind``
+    (``PAYLOAD`` lists the ones each kind needs)."""
 
     kind: StepKind
     channel: ChannelMap | None = None
@@ -230,32 +278,24 @@ def _require_party(lay: RegisterLayout, labels, party: Party):
             raise UnknownLabel(f"register {lbl!r} belongs to {reg.party.value}, not {party.value}")
 
 
-def _local_channel(sc: Scenario, step: Step, party: Party) -> Scenario:
+def _channel_step(sc: Scenario, step: Step, party: Party) -> Scenario:
+    """``party``'s channel or discard on its own registers.  Eve cannot
+    discard, and her channel must carry a declared inverse unless the step
+    bypasses the check."""
     bs = sc.block_state
-    if step.discard:
+    if step.discard and party is not Party.EVE:
         _require_party(bs.layout, step.discard, party)
         return replace(sc, block_state=bs.discarded(step.discard))
     _require_party(bs.layout, step.on, party)
+    # ChannelMap verified its declared inverse when it was built.
+    if party is Party.EVE and not step.bypass and step.channel.declared_inverse is None:
+        raise IrreversibleEveOp("Eve's local operations must carry a declared inverse")
     if step.out is not None:
         for reg in step.out:
             if reg.party is not party:
                 raise DimensionMismatch(
                     f"output register {reg.label!r} must stay with {party.value}"
                 )
-    return replace(sc, block_state=bs.channel(step.channel, step.on, step.out))
-
-
-def _reversible_e(sc: Scenario, step: Step) -> Scenario:
-    bs = sc.block_state
-    _require_party(bs.layout, step.on, Party.EVE)
-    if not step.bypass:
-        # ChannelMap verified its declared inverse when it was built.
-        if step.channel.declared_inverse is None:
-            raise IrreversibleEveOp("Eve's local operations must carry a declared inverse")
-    if step.out is not None:
-        for reg in step.out:
-            if reg.party is not Party.EVE:
-                raise DimensionMismatch(f"output register {reg.label!r} must stay with eve")
     return replace(sc, block_state=bs.channel(step.channel, step.on, step.out))
 
 
@@ -302,12 +342,13 @@ def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
 
 def apply_step(sc: Scenario, step: Step) -> Scenario:
     kind = step.kind
-    if kind is StepKind.LOCAL_A:
-        return _local_channel(sc, step, Party.ALICE)
-    if kind is StepKind.LOCAL_B:
-        return _local_channel(sc, step, Party.BOB)
-    if kind is StepKind.REVERSIBLE_E:
-        return _reversible_e(sc, step)
+    if kind in CDOWN_KINDS:
+        return _copy_down(sc, step, *RECEIVERS[kind])
+    if kind in RECEIVERS:
+        sender = step.sender if kind is StepKind.SECRET_AB else ACTOR[kind]
+        return _measure_and_copy(sc, step, sender, RECEIVERS[kind])
+    if kind in ACTOR:
+        return _channel_step(sc, step, ACTOR[kind])
     if kind is StepKind.QUANTUM_TO_E:
         return _retag(sc, step.register, (Party.ALICE, Party.BOB), Party.EVE)
     if kind is StepKind.QUANTUM_FROM_E:
@@ -317,20 +358,6 @@ def apply_step(sc: Scenario, step: Step) -> Scenario:
         )
     if kind is StepKind.QUANTUM_AB:
         return _retag(sc, step.register, (Party.ALICE, Party.BOB), step.to)
-    if kind is StepKind.BROADCAST_A:
-        return _measure_and_copy(sc, step, Party.ALICE, (Party.ALICE, Party.BOB, Party.EVE))
-    if kind is StepKind.BROADCAST_B:
-        return _measure_and_copy(sc, step, Party.BOB, (Party.ALICE, Party.BOB, Party.EVE))
-    if kind is StepKind.CLASSICAL_A_TO_E:
-        return _measure_and_copy(sc, step, Party.ALICE, (Party.ALICE, Party.EVE))
-    if kind is StepKind.CLASSICAL_B_TO_E:
-        return _measure_and_copy(sc, step, Party.BOB, (Party.BOB, Party.EVE))
-    if kind is StepKind.CLASSICAL_E_TO_A:
-        return _copy_down(sc, step, Party.ALICE)
-    if kind is StepKind.CLASSICAL_E_TO_B:
-        return _copy_down(sc, step, Party.BOB)
-    if kind is StepKind.SECRET_AB:
-        return _measure_and_copy(sc, step, step.sender, (Party.ALICE, Party.BOB))
     raise DimensionMismatch(f"unhandled step kind {kind}")
 
 

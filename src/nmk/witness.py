@@ -29,7 +29,7 @@ from .errors import (
     LayoutClash,
     UnknownLabel,
 )
-from .markov import MarkovComponents, build_markov
+from .markov import INDEX_LABEL, MarkovComponents, _block_layouts
 from .registers import Party, Register, RegisterLayout
 from .states import (
     PRUNE_TOL,
@@ -229,8 +229,6 @@ def witness_from_isometry(
     ext_dims: tuple[int, int, int],
     k: int,
     *,
-    prime_labels: tuple[str, str, str] = ("A'", "B'", "E'"),
-    k_label: str = "K",
     validate: bool = True,
 ) -> Witness:
     """Build a witness by steering the purifying reference of ``rho``.
@@ -259,21 +257,14 @@ def witness_from_isometry(
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
     lay = rho.layout.extended(
         (
-            Register(prime_labels[0], ap, Party.ALICE),
-            Register(prime_labels[1], bp, Party.BOB),
-            Register(prime_labels[2], ep, Party.EVE),
+            Register("A'", ap, Party.ALICE),
+            Register("B'", bp, Party.BOB),
+            Register("E'", ep, Party.EVE),
         )
     )
     weights, members = steered_members(psi.amplitudes.reshape(rho.dim, rank), w_matrix, lay.dims, k)
-    groups = WitnessGroups(
-        a=a,
-        a_prime=(prime_labels[0],),
-        b=b,
-        b_prime=(prime_labels[1],),
-        e=e,
-        e_prime=(prime_labels[2],),
-    )
-    w = Witness(lay, groups, weights / weights.sum(), members, k_label=k_label)
+    groups = WitnessGroups(a=a, a_prime=("A'",), b=b, b_prime=("B'",), e=e, e_prime=("E'",))
+    w = Witness(lay, groups, weights / weights.sum(), members)
     if validate:
         check_witness(w, rho, tol=1e-8)
     return w
@@ -299,7 +290,7 @@ def baseline_witnesses(rho: DensityState) -> list[Witness]:
     return out
 
 
-def markov_witness(components: MarkovComponents, *, index_label: str = "E0") -> Witness:
+def markov_witness(components: MarkovComponents) -> Witness:
     """The exact zero-objective witness for a built block state.
 
     Members purify each block's two sides separately; the flag duplicates
@@ -314,11 +305,11 @@ def markov_witness(components: MarkovComponents, *, index_label: str = "E0") -> 
     # all members share one layout.
     a_dim = max(_rank(e.sigma.matrix) for e in entries)
     b_dim = max(_rank(e.tau.matrix) for e in entries)
-    xi = build_markov(components, index_label=index_label)
+    _, state_layout = _block_layouts(components)
     a_ref, b_ref = Register("A'", a_dim, Party.ALICE), Register("B'", b_dim, Party.BOB)
-    member_layout = xi.layout.extended((a_ref, b_ref))
+    member_layout = state_layout.extended((a_ref, b_ref))
     # Member j is |sigma_j>|tau_j>|j> on the purifications' register order.
-    index = Register(index_label, n, Party.EVE)
+    index = state_layout.register(INDEX_LABEL)
     raw_layout = RegisterLayout(sig_lay.registers + (a_ref,) + tau_lay.registers + (b_ref, index))
     members = np.zeros((n, raw_layout.dim // n, n), dtype=complex)
     for j, entry in enumerate(entries):
@@ -332,7 +323,7 @@ def markov_witness(components: MarkovComponents, *, index_label: str = "E0") -> 
         a_prime=("A'",),
         b=tau_lay.party_labels(Party.BOB),
         b_prime=("B'",),
-        e=(index_label,) + sig_lay.party_labels(Party.EVE) + tau_lay.party_labels(Party.EVE),
+        e=(INDEX_LABEL,) + sig_lay.party_labels(Party.EVE) + tau_lay.party_labels(Party.EVE),
         e_prime=(),
     )
     return Witness(member_layout, groups, components.probs, members.reshape(n, -1))
@@ -381,7 +372,7 @@ def witness_tensor(w1: Witness, w2: Witness) -> Witness:
     return Witness(layout, groups, weights, np.kron(w1.members, w2.members))
 
 
-def witness_mix(parts, m_label: str = "M") -> Witness:
+def witness_mix(parts) -> Witness:
     """Witness for the flagged mixture sum_m r_m rho_m (x) |m><m|.
 
     The flag register joins the E group; the objective is the weighted sum
@@ -394,14 +385,14 @@ def witness_mix(parts, m_label: str = "M") -> Witness:
     for _, w in parts[1:]:
         if w.layout != first.layout or w.groups != first.groups:
             raise LayoutClash("mixture parts must share layout and groups")
-    if m_label in first.layout:
-        raise LayoutClash(f"mixture label {m_label!r} clashes with member registers")
+    if "M" in first.layout:
+        raise LayoutClash("mixture label 'M' clashes with member registers")
     total = sum(r for r, _ in parts)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InvariantViolation("weights", f"mixture weights must sum to 1, got {total}")
     n = len(parts)
-    layout = first.layout.extended((Register(m_label, n, Party.EVE),))
-    groups = replace(first.groups, e=first.groups.e + (m_label,))
+    layout = first.layout.extended((Register("M", n, Party.EVE),))
+    groups = replace(first.groups, e=first.groups.e + ("M",))
     weights = np.concatenate([r * np.asarray(w.weights) for r, w in parts])
     flags = np.eye(n)
     members = np.concatenate([np.kron(w.members, flags[m]) for m, (_, w) in enumerate(parts)])
@@ -508,7 +499,7 @@ def witness_local_channel(w: Witness, side: str, kraus, on, env_label: str) -> W
 # bridges to bipartite ensembles
 
 
-def witness_from_ab_ensemble(weights, states, *, env_label="Ee", flag_label="Ke") -> Witness:
+def witness_from_ab_ensemble(weights, states) -> Witness:
     """Witness for the classical-flag extension of a bipartite ensemble.
 
     Given {p_k, sigma_k} on AB, the extension is
@@ -528,16 +519,14 @@ def witness_from_ab_ensemble(weights, states, *, env_label="Ee", flag_label="Ke"
     # Member j is |psi_j>|j>, psi_j a purification of state j.
     members = np.zeros((n, lay.dim * rank, n), dtype=complex)
     for j, s in enumerate(states):
-        members[j, :, j] = purify(s, env_label, ref_dim=rank, ref_party=Party.EVE).amplitudes
-    member_layout = lay.extended(
-        (Register(env_label, rank, Party.EVE), Register(flag_label, n, Party.EVE))
-    )
+        members[j, :, j] = purify(s, "Ee", ref_dim=rank, ref_party=Party.EVE).amplitudes
+    member_layout = lay.extended((Register("Ee", rank, Party.EVE), Register("Ke", n, Party.EVE)))
     groups = WitnessGroups(
         a=lay.party_labels(Party.ALICE),
         a_prime=(),
         b=lay.party_labels(Party.BOB),
         b_prime=(),
-        e=(env_label, flag_label),
+        e=("Ee", "Ke"),
         e_prime=(),
     )
     return Witness(member_layout, groups, weights, members.reshape(n, -1))

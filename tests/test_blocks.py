@@ -34,7 +34,6 @@ from nmk.fuzz import (
     FREE_CLASS_NAMES,
     _mono_scenario,
     _mono_step,
-    _random_components,
     _random_omega_step,
 )
 from nmk.rand import as_rng
@@ -132,7 +131,7 @@ def test_free_classes_match_dense(cls):
 def test_omega_scripts_on_markov_states_match_dense():
     for seed in range(20):
         rng = as_rng([seed, 7])
-        sc = Scenario(build_markov(_random_components(rng)))
+        sc = Scenario(build_markov(zoo("markov_random", {"entries": 2}, seed=rng)))
         dense = sc.state
         for i in range(3):
             step = _random_omega_step(sc, rng, i)

@@ -282,6 +282,9 @@ class TestReaderRobustness:
             (4, "sender", "carol", "'sender'"),
             (4, "operators", [{"re": 1}], "'operators'"),
             (4, "kind", None, "kind"),
+            (3, "to", DROP, "'to'"),
+            (4, "sender", DROP, "'sender'"),
+            (4, "msg_label", DROP, "'msg_label'"),
         ],
     )
     def test_malformed_step_exits_2(self, tmp_path, index, key, value, named):

@@ -364,3 +364,25 @@ def test_equality_is_identity():
         assert x == x and not x != x
         assert x != y and not x == y
         assert len({x, y}) == 2
+
+
+def test_callers_arrays_are_copied_not_frozen():
+    # A writeable array handed to a constructor stays writeable, and writing
+    # to it leaves the object as built; a read-only one is shared.
+    rho = nmk.zoo("ghz_diag")
+    (witness, _) = nmk.baseline_witnesses(rho)
+    cases = [
+        (lambda a: DensityState(rho.layout, a).matrix, rho.matrix),
+        (lambda a: PureState(witness.layout, a).amplitudes, witness.members[0]),
+        (lambda a: ChannelMap((a,)).kraus[0], np.eye(2, dtype=complex)),
+        (lambda a: nmk.Witness(witness.layout, witness.groups, (1.0,), a).members, witness.members),
+    ]
+    for held, source in cases:
+        given = np.array(source)
+        kept = held(given)
+        assert given.flags.writeable
+        given[...] = 0.0
+        assert np.array_equal(kept, source)
+        frozen = np.array(source)
+        frozen.flags.writeable = False
+        assert np.shares_memory(held(frozen), frozen)

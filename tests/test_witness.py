@@ -28,6 +28,7 @@ from nmk import (
     witness_relabeled,
     witness_tensor,
     witness_transport_e,
+    zoo,
 )
 from nmk.errors import (
     BadRange,
@@ -132,6 +133,23 @@ class TestObjective:
             w = markov_witness(mc)
             check_witness(w, build_markov(mc), tol=1e-9)
             assert abs(objective(w)) < 1e-9
+
+    def test_markov_witness_builds_no_dense_state(self, monkeypatch):
+        mc = zoo("markov_random", {"entries": 3}, seed=4)
+        built = []
+        check = DensityState.__post_init__
+
+        def counted(state):
+            built.append(state.layout.labels)
+            check(state)
+
+        monkeypatch.setattr(DensityState, "__post_init__", counted)
+        w = markov_witness(mc)
+        assert built == []
+        monkeypatch.undo()
+        xi = build_markov(mc)
+        assert w.layout.labels == xi.layout.labels + ("A'", "B'")
+        check_witness(w, xi, tol=1e-9)
 
     def test_single_product_entry(self):
         from test_markov import basis_qubit
