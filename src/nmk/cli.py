@@ -7,7 +7,8 @@ byte-identical across repeated runs with the same inputs and seed; wall
 times live under ``meta``.
 
 Exit codes: 0 success, 1 invariant violation found (fuzz), 2 input or
-validation error, 3 dimension-budget error.
+validation error (an output file that cannot be written included), 3
+dimension-budget error.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ def _seed_of(args) -> int:
 
 
 def _emit(result: dict, started: float, args, summary_lines, meta=None) -> None:
+    # The CSV goes first, so a run whose file cannot be written prints no report.
+    if getattr(args, "csv", None):
+        _write_csv(args.csv, result)
     report = {
         "result": jsonable(result),
         "meta": {"wall_time_s": time.time() - started, "version": __version__, **(meta or {})},
@@ -90,8 +94,6 @@ def _emit(result: dict, started: float, args, summary_lines, meta=None) -> None:
     print(json.dumps({"meta": report["meta"]}, sort_keys=True), file=sys.stderr)
     for line in summary_lines:
         print(line, file=sys.stderr)
-    if getattr(args, "csv", None):
-        _write_csv(args.csv, result)
 
 
 def _write_csv(path: str, result: dict) -> None:
@@ -449,7 +451,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, DimensionTooSmall) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except NmkError as exc:
+    except (NmkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,11 @@ Suites:
 ``monotonicity``   the half-CQMI measure never increases under any free
                    class, and is invariant under Eve's reversible channels
 ``markov_closure`` random free scripts keep built block states Markov
-``witness``        witness-level identities: dual-route objective,
-                   tensor additivity, mix linearity, regroup monotonicity,
-                   transport invariance, local-channel monotonicity, and
-                   the bound for moving a register out of the conditioner
+``witness``        witness-level identities: the objective against its
+                   definition 1/2 [I(AA':BB'|K) + I(AB:E'K|E)] on the
+                   dense realized state (the dual route), the lower
+                   bound, tensor additivity, mix linearity, regroup and
+                   local-channel monotonicity, and transport invariance
 
 The random steps of ``monotonicity`` and ``markov_closure`` read the acting
 party and the receivers of each kind of step from the one table that
@@ -28,13 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import cqmi, entropies_from_eigs, entropy, nonmarkovianity, party_partition
+from .entropy import cqmi, nonmarkovianity, party_partition
 from .errors import BadRange
 from .markov import build_markov
 from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
 from .registers import Party, Register, RegisterLayout, layout
 from .serialize import state_to_json, step_to_json
-from .states import ChannelMap, DensityState, member_spectra
+from .states import ChannelMap, DensityState
 from .steps import ACTOR, RECEIVERS, Scenario, Step, StepKind, apply_step
 from .witness import (
     objective,
@@ -275,19 +276,6 @@ def _random_witness(rng, dims=(2, 2, 2), rank=3, ext=(1, 1, 1), k=None, lay=None
     return rho, witness_from_isometry(rho, w_mat, ext, k)
 
 
-def _route2_objective(w) -> float:
-    """Member-marginal recomputation of the objective (the identity the
-    dual-route check exercises)."""
-    g = w.groups
-    t = w.target()
-    e = tuple(lbl for lbl in t.layout.labels if lbl in set(g.e))
-    s_ab_e = entropy(t) - (entropy(t, e) if e else 0.0)
-    groups = (g.a + g.a_prime, g.b + g.b_prime, g.a_prime + g.b_prime)
-    spectra = member_spectra(w.members, w.layout.dims, map(w._axes, groups))
-    s_aa, s_bb, s_pp = map(entropies_from_eigs, spectra)
-    return 0.5 * (s_ab_e + float(np.asarray(w.weights) @ (s_aa + s_bb - s_pp)))
-
-
 CHECKS_PER_TRIAL = 7
 
 
@@ -300,8 +288,14 @@ def _witness_trial(seed, t):
     def fail(kind, **payload):
         failures.append({"trial": t, "check": kind, **payload})
 
-    if abs(obj - _route2_objective(w)) > DUAL_ROUTE_TOL:
-        fail("dual_route", objective=obj, recomputed=_route2_objective(w))
+    # The definition, on the dense realized state with its flag K.
+    g, joint, k = w.groups, w.realized(), (w.k_label,)
+    realized = 0.5 * (
+        cqmi(joint, g.a + g.a_prime, g.b + g.b_prime, k)
+        + cqmi(joint, g.a + g.b, g.e_prime + k, g.e)
+    )
+    if abs(obj - realized) > DUAL_ROUTE_TOL:
+        fail("dual_route", objective=obj, recomputed=realized)
     lower = nonmarkovianity(rho)
     if obj < lower - IDENTITY_TOL:
         fail("lower_sandwich", objective=obj, lower=lower)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entropy import cqmi, party_partition
-from .errors import BadProbabilities, InconsistentDims
+from .errors import BadProbabilities, BadRange, InconsistentDims
 from .registers import Party, Register, RegisterLayout
 from .states import (
     DensityState,
@@ -181,6 +181,8 @@ class MarkovScore:
 
 
 def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8) -> MarkovScore:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadRange(f"tol must be finite and >= 0, got {tol!r}")
     if a is None and b is None and e is None:
         a, b, e = party_partition(state)
     a, b, e = tuple(a), tuple(b), tuple(e)

@@ -27,13 +27,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .entropy import entropy, nonmarkovianity, party_partition
+from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout
 from .states import DensityState, dim_budget, member_value_and_grad, purify, tensor
 from .witness import (
     Witness,
+    _member_terms,
+    _steered_layout,
     baseline_witnesses,
     check_witness,
     objective,
@@ -152,22 +154,14 @@ class _MemberObjective:
 
 
 def _fast_objective(rho: DensityState, psi_arr: np.ndarray, ext_dims, k: int):
-    """Member-marginal form of the witness objective, as a function of the
-    steering isometry: 1/2 [S(AB|E) + sum_i p_i (S(AA') + S(BB') - S(A'B'))].
-    Mathematically identical to the realized-state form (their agreement is
-    itself a tested identity)."""
-    a, b, e = party_partition(rho)
-    lay = rho.layout
-    n_abe = len(lay.dims)
-    a_axes = sorted(lay.index(lbl) for lbl in a)
-    b_axes = sorted(lay.index(lbl) for lbl in b)
-    signed_groups = (
-        (a_axes + [n_abe], 1.0),
-        (b_axes + [n_abe + 1], 1.0),
-        ([n_abe, n_abe + 1], -1.0),
-    )
-    s_ab_e = entropy(rho, a + b + e) - (entropy(rho, e) if e else 0.0)
-    return _MemberObjective(psi_arr, lay.dims + tuple(ext_dims), k, signed_groups, s_ab_e)
+    """The witness objective as a function of the steering isometry, on the
+    layout and with the signed ``MEMBER_TERMS`` axes that
+    ``witness_from_isometry`` uses, so a restart's value is the objective of
+    the witness built from its isometry:
+    1/2 [S(AB|E) + sum_i p_i (S(AA') + S(BB') - S(A'B'))]."""
+    lay, g = _steered_layout(rho, ext_dims)
+    s_ab_e = entropy(rho, g.a + g.b + g.e) - (entropy(rho, g.e) if g.e else 0.0)
+    return _MemberObjective(psi_arr, lay.dims, k, _member_terms(lay, g), s_ab_e)
 
 
 ARMIJO = 1e-4

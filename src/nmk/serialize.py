@@ -11,6 +11,7 @@ naming the field.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -79,17 +80,9 @@ def components_from_json(d: dict) -> MarkovComponents:
 
 
 def witness_to_json(w: Witness) -> dict:
-    g = w.groups
     return {
         "registers": layout_to_json(w.layout),
-        "groups": {
-            "a": list(g.a),
-            "a_prime": list(g.a_prime),
-            "b": list(g.b),
-            "b_prime": list(g.b_prime),
-            "e": list(g.e),
-            "e_prime": list(g.e_prime),
-        },
+        "groups": {role: list(group) for role, group in asdict(w.groups).items()},
         "weights": list(w.weights),
         "members": [matrix_to_json(m) for m in w.members],
         "k_label": w.k_label,
@@ -101,20 +94,15 @@ def witness_to_json(w: Witness) -> dict:
 def witness_from_json(d: dict) -> Witness:
     try:
         g = d["groups"]
-        groups = WitnessGroups(
-            a=tuple(g["a"]),
-            a_prime=tuple(g["a_prime"]),
-            b=tuple(g["b"]),
-            b_prime=tuple(g["b_prime"]),
-            e=tuple(g["e"]),
-            e_prime=tuple(g["e_prime"]),
-        )
+        groups = WitnessGroups(**{f.name: tuple(g[f.name]) for f in fields(WitnessGroups)})
         weights = tuple(float(p) for p in d["weights"])
         members = [matrix_from_json(m) for m in d["members"]]
         lay = layout_from_json(d["registers"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed witness payload: {exc}") from exc
-    return Witness(lay, groups, weights, members, k_label=d.get("k_label", "K"))
+    if d.get("k_label", Witness.k_label) != Witness.k_label:
+        raise BadParams(f"k_label must be {Witness.k_label!r}, got {d['k_label']!r}")
+    return Witness(lay, groups, weights, members)
 
 
 def channel_to_json(c: ChannelMap) -> dict:

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     BadMu,
+    BadParams,
     DimensionMismatch,
     IrreversibleEveOp,
     UnknownLabel,
@@ -138,7 +139,8 @@ RECEIVERS = {
 _MEASURED = ("operators", "msg_label")
 
 #: The payload fields a step of each kind needs.  A local step needs a
-#: ``channel`` or a ``discard`` list instead, which no single field says.
+#: ``channel`` or a ``discard`` list instead, which no single field says;
+#: ``apply_step`` rejects a ``discard`` on any other step.
 PAYLOAD = {
     StepKind.LOCAL_A: (),
     StepKind.LOCAL_B: (),
@@ -279,11 +281,10 @@ def _require_party(lay: RegisterLayout, labels, party: Party):
 
 
 def _channel_step(sc: Scenario, step: Step, party: Party) -> Scenario:
-    """``party``'s channel or discard on its own registers.  Eve cannot
-    discard, and her channel must carry a declared inverse unless the step
-    bypasses the check."""
+    """``party``'s channel or discard on its own registers.  Eve's channel
+    must carry a declared inverse unless the step bypasses the check."""
     bs = sc.block_state
-    if step.discard and party is not Party.EVE:
+    if step.discard:
         _require_party(bs.layout, step.discard, party)
         return replace(sc, block_state=bs.discarded(step.discard))
     _require_party(bs.layout, step.on, party)
@@ -342,6 +343,12 @@ def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
 
 def apply_step(sc: Scenario, step: Step) -> Scenario:
     kind = step.kind
+    local = kind in (StepKind.LOCAL_A, StepKind.LOCAL_B)
+    if step.discard and not (local and step.channel is None):
+        raise BadParams(
+            f"'discard' applies only to a local_a or local_b step without a channel, "
+            f"not to this {kind.value} step"
+        )
     if kind in CDOWN_KINDS:
         return _copy_down(sc, step, *RECEIVERS[kind])
     if kind in RECEIVERS:

@@ -8,19 +8,26 @@ realized state is block diagonal over ``K``, and the witness objective
     1/2 [ I(AA':BB'|K) + I(AB:E'K|E) ]
 
 evaluated on that state upper-bounds the formation measure of the reduced
-target state.  Reductions are computed from the ensemble members directly
-(the realized state is block diagonal by construction), never by
-materializing the full joint matrix.
+target state.  Because every member is pure, the flag terms cancel and the
+objective is
+
+    1/2 [ S(AB|E) + sum_i p_i (S(AA')_i + S(BB')_i - S(A'B')_i) ],
+
+the member terms being the signed role groups of ``MEMBER_TERMS``.  The
+objective and the search (``nmf``) both read that one table; the realized
+state is built only by ``Witness.realized``, which tests and the fuzz
+suite use as the independent route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .entropy import entropy_from_eigs, entropy_of_matrix
+from .entropy import entropies_from_eigs, entropy_of_matrix
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -47,10 +54,19 @@ from .states import (
 
 WEIGHT_TOL = 1e-10
 
+#: The member terms of the objective: each row is a set of roles whose
+#: joint member entropy enters the weighted sum with its sign.
+MEMBER_TERMS = (
+    (("a", "a_prime"), 1.0),
+    (("b", "b_prime"), 1.0),
+    (("a_prime", "b_prime"), -1.0),
+)
+
 
 @dataclass(frozen=True)
 class WitnessGroups:
-    """Role assignment of the member registers."""
+    """Role assignment of the member registers; the fields, in order, are
+    the roles."""
 
     a: tuple[str, ...]
     a_prime: tuple[str, ...]
@@ -60,13 +76,21 @@ class WitnessGroups:
     e_prime: tuple[str, ...]
 
     def all_labels(self) -> tuple[str, ...]:
-        return self.a + self.a_prime + self.b + self.b_prime + self.e + self.e_prime
+        return sum(astuple(self), ())
 
     def role_of(self, label: str) -> str:
-        for role in ("a", "a_prime", "b", "b_prime", "e", "e_prime"):
-            if label in getattr(self, role):
+        for role, group in asdict(self).items():
+            if label in group:
                 return role
         raise UnknownLabel(f"label {label!r} is in no witness group")
+
+
+def _member_terms(lay: RegisterLayout, groups: WitnessGroups):
+    """``MEMBER_TERMS`` on ``lay``: one (sorted axes, sign) pair per row."""
+    return tuple(
+        (sorted(lay.index(lbl) for role in roles for lbl in getattr(groups, role)), sign)
+        for roles, sign in MEMBER_TERMS
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +105,8 @@ class Witness:
     groups: WitnessGroups
     weights: tuple[float, ...]
     members: np.ndarray
-    k_label: str = "K"
+    #: The label of the classical flag register of the realized state.
+    k_label: ClassVar[str] = "K"
 
     def __post_init__(self):
         d = self.layout.dim
@@ -141,17 +166,6 @@ class Witness:
             return 0.0
         return entropy_of_matrix(self._mix_reduced(labels))
 
-    def _entropy_with_flag(self, labels) -> float:
-        """Entropy of the reduction keeping ``labels`` plus the K flag: the
-        spectrum of the block-diagonal state is the concatenation of the
-        p_i-scaled member spectra."""
-        weights = np.asarray(self.weights)
-        live = weights > PRUNE_TOL
-        if not labels:
-            return entropy_from_eigs(weights[live])
-        (spectra,) = member_spectra(self.members[live], self.layout.dims, [self._axes(labels)])
-        return entropy_from_eigs((weights[live, None] * spectra).ravel())
-
     # -- derived states ----------------------------------------------------
     def target(self) -> DensityState:
         """The reduced state on the A, B, E groups this witness certifies."""
@@ -171,26 +185,18 @@ class Witness:
 
 
 def objective(w: Witness) -> float:
-    """The witness objective, in bits, evaluated on the realized state.
-
-    Computed as 1/2 [I(AA':BB'|K) + I(AB:E'K|E)] from the block structure
-    over K; exact for the realized block-diagonal state.
+    """The witness objective 1/2 [I(AA':BB'|K) + I(AB:E'K|E)] of the
+    realized state, in bits, from its member form
+    1/2 [S(AB|E) + sum_i p_i (signed ``MEMBER_TERMS`` entropies of member i)].
     """
     g = w.groups
-    s_k = w._entropy_with_flag(())
-    term1 = (
-        w._entropy_with_flag(g.a + g.a_prime)
-        + w._entropy_with_flag(g.b + g.b_prime)
-        - w._entropy_with_flag(g.a + g.a_prime + g.b + g.b_prime)
-        - s_k
-    )
-    term2 = (
-        w._entropy_mix(g.a + g.b + g.e)
-        + w._entropy_with_flag(g.e + g.e_prime)
-        - w._entropy_with_flag(g.a + g.b + g.e + g.e_prime)
-        - w._entropy_mix(g.e)
-    )
-    return 0.5 * (term1 + term2)
+    weights = np.asarray(w.weights)
+    live = weights > PRUNE_TOL
+    terms = _member_terms(w.layout, g)
+    spectra = member_spectra(w.members[live], w.layout.dims, [axes for axes, _ in terms])
+    signed = sum(sign * entropies_from_eigs(s) for (_, sign), s in zip(terms, spectra))
+    s_ab_e = w._entropy_mix(g.a + g.b + g.e) - w._entropy_mix(g.e)
+    return 0.5 * (s_ab_e + float(weights[live] @ signed))
 
 
 def check_witness(w: Witness, rho: DensityState, tol: float = 1e-9) -> float:
@@ -223,6 +229,21 @@ def _party_groups(rho: DensityState):
 # constructors
 
 
+def _steered_layout(rho: DensityState, ext_dims) -> tuple[RegisterLayout, WitnessGroups]:
+    """The member layout a steering isometry fills, ``rho``'s registers
+    then A', B', E' of ``ext_dims``, and its role groups."""
+    a, b, e = _party_groups(rho)
+    ap, bp, ep = ext_dims
+    lay = rho.layout.extended(
+        (
+            Register("A'", ap, Party.ALICE),
+            Register("B'", bp, Party.BOB),
+            Register("E'", ep, Party.EVE),
+        )
+    )
+    return lay, WitnessGroups(a=a, a_prime=("A'",), b=b, b_prime=("B'",), e=e, e_prime=("E'",))
+
+
 def witness_from_isometry(
     rho: DensityState,
     w_matrix: np.ndarray,
@@ -237,11 +258,11 @@ def witness_from_isometry(
     A' (x) B' (x) E' (x) K; slicing the K index after dephasing yields the
     ensemble members.
     """
-    a, b, e = _party_groups(rho)
     ap, bp, ep = (int(x) for x in ext_dims)
     k = int(k)
     if min(ap, bp, ep, k) < 1:
         raise DimensionTooSmall("extension dimensions must be positive")
+    lay, groups = _steered_layout(rho, (ap, bp, ep))
     psi = purify(rho, "__ref__")
     rank = psi.layout.register("__ref__").dim
     if ap * bp * ep * k < rank:
@@ -255,15 +276,7 @@ def witness_from_isometry(
         )
     if np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) > 1e-8:
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
-    lay = rho.layout.extended(
-        (
-            Register("A'", ap, Party.ALICE),
-            Register("B'", bp, Party.BOB),
-            Register("E'", ep, Party.EVE),
-        )
-    )
     weights, members = steered_members(psi.amplitudes.reshape(rho.dim, rank), w_matrix, lay.dims, k)
-    groups = WitnessGroups(a=a, a_prime=("A'",), b=b, b_prime=("B'",), e=e, e_prime=("E'",))
     w = Witness(lay, groups, weights / weights.sum(), members)
     if validate:
         check_witness(w, rho, tol=1e-8)
@@ -343,14 +356,10 @@ def witness_relabeled(w: Witness, suffix: str) -> Witness:
     layout = RegisterLayout(
         tuple(Register(mapping[r.label], r.dim, r.party) for r in w.layout.registers)
     )
-    g = w.groups
     groups = WitnessGroups(
-        **{
-            role: tuple(mapping[lbl] for lbl in getattr(g, role))
-            for role in ("a", "a_prime", "b", "b_prime", "e", "e_prime")
-        }
+        **{role: tuple(map(mapping.get, group)) for role, group in asdict(w.groups).items()}
     )
-    return Witness(layout, groups, w.weights, w.members, k_label=w.k_label)
+    return Witness(layout, groups, w.weights, w.members)
 
 
 def witness_tensor(w1: Witness, w2: Witness) -> Witness:
@@ -359,15 +368,7 @@ def witness_tensor(w1: Witness, w2: Witness) -> Witness:
     if clash:
         raise LayoutClash(f"witness layouts share labels: {sorted(clash)}")
     layout = RegisterLayout(w1.layout.registers + w2.layout.registers)
-    g1, g2 = w1.groups, w2.groups
-    groups = WitnessGroups(
-        a=g1.a + g2.a,
-        a_prime=g1.a_prime + g2.a_prime,
-        b=g1.b + g2.b,
-        b_prime=g1.b_prime + g2.b_prime,
-        e=g1.e + g2.e,
-        e_prime=g1.e_prime + g2.e_prime,
-    )
+    groups = WitnessGroups(*(x + y for x, y in zip(astuple(w1.groups), astuple(w2.groups))))
     weights = np.outer(w1.weights, w2.weights).ravel()
     return Witness(layout, groups, weights, np.kron(w1.members, w2.members))
 
@@ -406,26 +407,16 @@ def witness_regroup(w: Witness, label: str, to: str = "e") -> Witness:
     role = w.groups.role_of(label)
     g = w.groups
     if to == "e":
-        if role == "a":
-            groups = replace(g, a=_drop(g.a, label), e=g.e + (label,))
-        elif role == "b":
-            groups = replace(g, b=_drop(g.b, label), e=g.e + (label,))
-        else:
+        if role not in ("a", "b"):
             raise UnknownLabel(f"register {label!r} is in group {role}, not a or b")
     elif to in ("a", "b"):
         if role != "e":
             raise UnknownLabel(f"register {label!r} is in group {role}, not e")
-        if to == "a":
-            groups = replace(g, e=_drop(g.e, label), a=g.a + (label,))
-        else:
-            groups = replace(g, e=_drop(g.e, label), b=g.b + (label,))
     else:
         raise UnknownLabel(f"unknown destination group {to!r}")
-    return Witness(w.layout, groups, w.weights, w.members, k_label=w.k_label)
-
-
-def _drop(group, label):
-    return tuple(lbl for lbl in group if lbl != label)
+    left = tuple(lbl for lbl in getattr(g, role) if lbl != label)
+    groups = replace(g, **{role: left, to: getattr(g, to) + (label,)})
+    return Witness(w.layout, groups, w.weights, w.members)
 
 
 def _apply_isometry_members(w: Witness, on, matrix: np.ndarray, out_regs):
@@ -457,7 +448,7 @@ def witness_transport_e(w: Witness, matrix: np.ndarray, on, out_regs) -> Witness
     g = w.groups
     new_e = tuple(lbl for lbl in g.e if lbl not in on) + tuple(r.label for r in out_regs)
     groups = replace(g, e=new_e)
-    return Witness(layout, groups, w.weights, members, k_label=w.k_label)
+    return Witness(layout, groups, w.weights, members)
 
 
 def witness_local_channel(w: Witness, side: str, kraus, on, env_label: str) -> Witness:
@@ -492,7 +483,7 @@ def witness_local_channel(w: Witness, side: str, kraus, on, env_label: str) -> W
         groups = replace(g, a_prime=g.a_prime + (env_label,))
     else:
         groups = replace(g, b_prime=g.b_prime + (env_label,))
-    return Witness(layout, groups, w.weights, members, k_label=w.k_label)
+    return Witness(layout, groups, w.weights, members)
 
 
 # ---------------------------------------------------------------------------

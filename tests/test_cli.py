@@ -285,6 +285,9 @@ class TestReaderRobustness:
             (3, "to", DROP, "'to'"),
             (4, "sender", DROP, "'sender'"),
             (4, "msg_label", DROP, "'msg_label'"),
+            (2, "discard", ["E"], "'discard'"),
+            (0, "discard", ["A"], "'discard'"),
+            (4, "discard", ["B"], "'discard'"),
         ],
     )
     def test_malformed_step_exits_2(self, tmp_path, index, key, value, named):
@@ -385,6 +388,47 @@ class TestBadRanges:
         assert proc.returncode == 2, proc.stderr
         assert "error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestAnalyzeTol:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_exits_2_without_traceback(self, tol):
+        proc = run_cli("analyze", "zoo:ghz_diag", "--tol", tol)
+        assert proc.returncode == 2, proc.stderr
+        assert "error" in proc.stderr and "tol" in proc.stderr
+        assert not proc.stdout
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file cannot be written: the run exits
+    2 with an error line and prints no report."""
+
+    @pytest.mark.parametrize("command", ["script", "markov-build", "zoo", "analyze", "fuzz"])
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        from nmk import cli
+        from nmk.fuzz import FuzzReport
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = str(blocker / "x.json")
+        script = tmp_path / "ok.json"
+        script.write_text(json.dumps(valid_script()))
+
+        def broken(trials, seed, jobs=1):
+            return FuzzReport("ssa", trials, trials - 1, [{"trial": 0, "cqmi": -1.0}])
+
+        monkeypatch.setitem(cli.SUITES, "ssa", broken)
+        argv = {
+            "script": ["script", str(script), "zoo:ghz_diag", "--out", target],
+            "markov-build": ["markov-build", "zoo:markov_random?entries=2", "--out", target],
+            "zoo": ["zoo", "build", "bell_e0", "--out", target],
+            "analyze": ["analyze", "zoo:ghz_diag", "--csv", target],
+            "fuzz": ["fuzz", "ssa", "--trials", "1", "--seed", "1", "--counterexample-dir", target],
+        }[command]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("error: ") and str(blocker) in err
 
 
 class TestNegativeSeed:

@@ -95,6 +95,17 @@ def test_witness_reader_rejects_ragged_members():
         witness_from_json(payload)
 
 
+def test_witness_flag_label_is_k():
+    _, w = random_witness(6, ext=(2, 1, 1), k=3)
+    payload = json.loads(json.dumps(witness_to_json(w)))
+    assert payload["k_label"] == "K"
+    del payload["k_label"]
+    assert witness_from_json(payload).realized().layout.labels[-1] == "K"
+    payload["k_label"] = "Q"
+    with pytest.raises(BadParams, match="k_label"):
+        witness_from_json(payload)
+
+
 def test_canonical_dump_handles_numpy_scalars():
     out = dumps_canonical({"x": np.float64(0.5), "y": [np.int64(2)], "z": {"k": True}})
     assert json.loads(out) == {"x": 0.5, "y": [2], "z": {"k": True}}

@@ -13,6 +13,7 @@ from nmk import (
     build_markov,
     check_witness,
     continuity_bound,
+    cqmi,
     entropy,
     layout,
     markov_witness,
@@ -21,6 +22,7 @@ from nmk import (
     objective,
     sample,
     tensor,
+    witness_from_ab_ensemble,
     witness_from_isometry,
     witness_local_channel,
     witness_mix,
@@ -60,6 +62,16 @@ def recompute_objective(w):
             term -= entropy(member, g.a_prime + g.b_prime)
         total += p * term
     return 0.5 * (s_ab_e + total)
+
+
+def realized_objective(w):
+    """Independent oracle: the definition 1/2 [I(AA':BB'|K) + I(AB:E'K|E)],
+    with ``cqmi`` on the dense realized state and its flag register K."""
+    g, joint = w.groups, w.realized()
+    return 0.5 * (
+        cqmi(joint, g.a + g.a_prime, g.b + g.b_prime, ("K",))
+        + cqmi(joint, g.a + g.b, g.e_prime + ("K",), g.e)
+    )
 
 
 def random_witness(seed, ext=(1, 1, 1), k=None, rank=3):
@@ -163,6 +175,41 @@ class TestObjective:
         for seed in range(10):
             rho, w = random_witness(seed)
             assert objective(w) >= nonmarkovianity(rho) - 1e-9
+
+
+def _witnesses_on_the_definition():
+    """One witness from each constructor and transform, all small enough
+    for the dense realized state."""
+    _, w = random_witness(21, ext=(2, 2, 1), k=3)
+    rho = sample("density_hs", (2, 2, 2), 22, rank=3)
+    ab = layout(("A", 2, "alice"), ("B", 2, "bob"))
+    rng = np.random.default_rng(23)
+    chan = random_isometry(2, 4, rng)
+    yield "isometry_111", random_witness(24)[1]
+    yield "isometry_221", w
+    yield "isometry_222", random_witness(25, ext=(2, 2, 2), k=3)[1]
+    yield "baseline_b", baseline_witnesses(rho)[0]
+    yield "baseline_a", baseline_witnesses(rho)[1]
+    yield "markov", markov_witness(random_components(1, entries=2, d_el=1, d_er=1))
+    yield "ab_ensemble", witness_from_ab_ensemble(
+        (0.3, 0.7), [sample("density_hs", (2, 2), rng, layout=ab) for _ in range(2)]
+    )
+    yield "mix", witness_mix([(0.4, w), (0.6, w)])
+    yield "tensor", witness_tensor(
+        random_witness(26, rank=2)[1], witness_relabeled(random_witness(27, rank=2)[1], "2")
+    )
+    yield "regroup", witness_regroup(w, "A", to="e")
+    yield "transport", witness_transport_e(
+        w, random_isometry(2, 3, rng), ("E",), (Register("F", 3, Party.EVE),)
+    )
+    yield "local_channel", witness_local_channel(w, "a", [chan[:2], chan[2:]], ("A",), "Aenv")
+
+
+@pytest.mark.parametrize(
+    "w", [pytest.param(w, id=name) for name, w in _witnesses_on_the_definition()]
+)
+def test_objective_equals_definition_on_realized_state(w):
+    assert abs(objective(w) - realized_objective(w)) < 1e-10
 
 
 class TestBaselines:
