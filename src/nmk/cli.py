@@ -7,8 +7,8 @@ byte-identical across repeated runs with the same inputs and seed; wall
 times live under ``meta``.
 
 Exit codes: 0 success, 1 invariant violation found (fuzz), 2 input or
-validation error (an output file that cannot be written included), 3
-dimension-budget error.
+validation error (an output file that cannot be written included, and a
+flag below the state's rank), 3 dimension-budget error.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ from pathlib import Path
 from . import __version__
 from .csquashed import EsqcConfig, estimate_esqc, extension_crosscheck
 from .entropy import entropy_report, party_partition
-from .errors import BadParams, BudgetExceeded, DimensionTooSmall, NmkError
+from .errors import BadParams, BudgetExceeded, NmkError
 from .fuzz import SUITES
 from .markov import MarkovComponents, build_markov, markov_score
 from .nmf import EstimateConfig, estimate
 from .serialize import (
     components_from_json,
+    components_to_json,
     jsonable,
     script_from_json,
+    script_to_json,
     state_from_json,
     state_to_json,
     witness_to_json,
@@ -326,12 +328,8 @@ def cmd_zoo(args) -> int:
     if isinstance(obj, DensityState):
         payload = state_to_json(obj)
     elif isinstance(obj, MarkovComponents):
-        from .serialize import components_to_json
-
         payload = components_to_json(obj)
     else:
-        from .serialize import script_to_json
-
         payload = {
             "script": script_to_json(obj.steps),
             "initial_state": state_to_json(obj.scenario.state),
@@ -448,7 +446,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, DimensionTooSmall) as exc:
+    except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
     except (NmkError, OSError) as exc:

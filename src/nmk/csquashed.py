@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .entropy import mutual_info
-from .errors import BadEnsemble, DimensionTooSmall
+from .errors import BadEnsemble, BudgetExceeded, DimensionTooSmall
 from .nmf import (
     EstimateConfig,
     RestartRecord,
@@ -185,9 +185,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         # The measure is of the AB marginal; drop Eve's side.
         omega = partial_trace(omega, a + b)
     if omega.dim > 64:
-        raise DimensionTooSmall(
-            f"ensemble search is limited to total dimension 64, got {omega.dim}"
-        )
+        raise BudgetExceeded(f"ensemble search is limited to total dimension 64, got {omega.dim}")
     psi = purify(omega, "__ref__")
     rank = psi.layout.register("__ref__").dim
     psi_arr = psi.amplitudes.reshape(omega.dim, rank)

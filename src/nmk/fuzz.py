@@ -32,6 +32,7 @@ import numpy as np
 from .entropy import cqmi, nonmarkovianity, party_partition
 from .errors import BadRange
 from .markov import build_markov
+from .nmf import EstimateConfig, estimate
 from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
 from .registers import Party, Register, RegisterLayout, layout
 from .serialize import state_to_json, step_to_json
@@ -334,8 +335,6 @@ def fuzz_witness(trials: int = 100, seed=0, mixture_probes: int = 0, jobs: int =
     # Informational only: does the optimized bracket of a flagged mixture
     # track the weighted part brackets?  Recorded, never failed.
     if mixture_probes:
-        from .nmf import EstimateConfig, estimate
-
         rng = as_rng([seed, trials])
         cfg = EstimateConfig(restarts=4, max_iters=200, seed=int(rng.integers(2**31)))
         for _ in range(mixture_probes):

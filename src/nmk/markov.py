@@ -20,14 +20,16 @@ import numpy as np
 
 from .entropy import cqmi, party_partition
 from .errors import BadProbabilities, BadRange, InconsistentDims
-from .registers import Party, Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout, layout
 from .states import (
+    ChannelMap,
     DensityState,
     _fidelity_matrix,
     _marginal_matrix,
     _permuted_matrix,
     embed_operator,
 )
+from .steps import Scenario, Step
 
 PROB_TOL = 1e-10
 
@@ -218,16 +220,13 @@ def preparation_script(components: MarkovComponents):
     scenario and the step list; the run costs nothing and classifies as the
     fully free class.
     """
-    from .registers import layout as make_layout
-    from .steps import Scenario, Step
-
     entries = components.entries
     n = len(entries)
     sig_lay = entries[0].sigma.layout
     tau_lay = entries[0].tau.layout
     start = Scenario(
         DensityState(
-            make_layout(("A0", 1, "alice"), ("B0", 1, "bob"), ("E0q", 1, "eve")),
+            layout(("A0", 1, "alice"), ("B0", 1, "bob"), ("E0q", 1, "eve")),
             np.eye(1, dtype=complex),
         )
     )
@@ -238,12 +237,12 @@ def preparation_script(components: MarkovComponents):
     steps = [
         Step.broadcast_a(coin, ("A0",), "J"),
         Step.local_a(
-            _channel(_preparation_kraus(entries, "sigma", n)),
+            ChannelMap(_preparation_kraus(entries, "sigma", n)),
             (ja, "A0"),
             out=(Register(ja, n, Party.ALICE),) + sig_regs,
         ),
         Step.local_b(
-            _channel(_preparation_kraus(entries, "tau", n)),
+            ChannelMap(_preparation_kraus(entries, "tau", n)),
             (jb, "B0"),
             out=(Register(jb, n, Party.BOB),) + tau_regs,
         ),
@@ -254,8 +253,3 @@ def preparation_script(components: MarkovComponents):
     steps.append(Step.discard_b((jb,)))
     return start, tuple(steps)
 
-
-def _channel(kraus):
-    from .states import ChannelMap
-
-    return ChannelMap(tuple(kraus))

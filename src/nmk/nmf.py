@@ -31,7 +31,7 @@ from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout
-from .states import DensityState, dim_budget, member_value_and_grad, purify, tensor
+from .states import DensityState, _require_budget, dim_budget, member_value_and_grad, purify
 from .witness import (
     Witness,
     _member_terms,
@@ -336,13 +336,6 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     )
 
 
-def relabeled(rho: DensityState, suffix: str) -> DensityState:
-    lay = RegisterLayout(
-        tuple(Register(f"{r.label}{suffix}", r.dim, r.party) for r in rho.layout.registers)
-    )
-    return rho.with_layout(lay)
-
-
 def two_copy_bracket(rho: DensityState, config: EstimateConfig | None = None) -> dict:
     """n = 2 tensor-power bracket, for tiny states only.
 
@@ -352,7 +345,11 @@ def two_copy_bracket(rho: DensityState, config: EstimateConfig | None = None) ->
     its per-copy upper bound is at most the single-copy one.
     """
     config = config or EstimateConfig()
-    pair = tensor(relabeled(rho, "1"), relabeled(rho, "2"))
+    pair_layout = RegisterLayout(
+        tuple(Register(f"{r.label}{n}", r.dim, r.party) for n in "12" for r in rho.layout.registers)
+    )
+    _require_budget(pair_layout.dim)
+    pair = DensityState(pair_layout, np.kron(rho.matrix, rho.matrix))
     single = estimate(rho, config)
     seed = witness_tensor(witness_relabeled(single.best, "1"), witness_relabeled(single.best, "2"))
     # The rank squares under tensoring; scale the flag dimension with it.

@@ -5,7 +5,10 @@ imaginary parts, row-major in register order.  Readers re-validate every
 invariant; a violation surfaces as :class:`~nmk.errors.InvariantViolation`
 whose message names the failed invariant.  A malformed payload (a missing
 key, a wrong type, an unknown party) raises :class:`~nmk.errors.BadParams`
-naming the field.
+naming the field.  A script step is read field by field through one table
+of (encode, decode) pairs; the fields its kind needs (``steps.PAYLOAD``)
+are checked by :class:`~nmk.steps.Step` when it is built, as for a step
+built in Python.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import BadParams
 from .markov import MarkovComponents, MarkovEntry
 from .registers import Party, Register, RegisterLayout
 from .states import ChannelMap, DensityState
-from .steps import PAYLOAD, Step, StepKind
+from .steps import Step, StepKind
 from .witness import Witness, WitnessGroups
 
 
@@ -130,69 +133,62 @@ def channel_from_json(d: dict) -> ChannelMap:
 
 def step_to_json(step: Step) -> dict:
     out = {"kind": step.kind.value}
-    if step.channel is not None:
-        out["channel"] = channel_to_json(step.channel)
-    if step.on:
-        out["on"] = list(step.on)
-    if step.out is not None:
-        out["out"] = [{"label": r.label, "dim": r.dim, "party": r.party.value} for r in step.out]
-    if step.discard:
-        out["discard"] = list(step.discard)
-    if step.register is not None:
-        out["register"] = step.register
-    if step.to is not None:
-        out["to"] = step.to.value
-    if step.operators:
-        out["operators"] = [matrix_to_json(m) for m in step.operators]
-    if step.msg_label is not None:
-        out["msg_label"] = step.msg_label
-    if step.sender is not None:
-        out["sender"] = step.sender.value
-    if step.bypass:
-        out["bypass"] = True
+    for key, (encode, _) in _STEP_FIELDS.items():
+        value = getattr(step, key)
+        if value not in (None, (), False):  # a field at its default is left out
+            out[key] = encode(value)
     return out
 
 
 def step_from_json(d: dict) -> Step:
+    """A step from its JSON form; ``Step`` checks the payload its kind needs.
+    A malformed field raises BadParams naming it."""
     try:
         kind = StepKind(d["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"unknown step kind: {exc}") from exc
-    if kind in (StepKind.LOCAL_A, StepKind.LOCAL_B) and not (d.get("channel") or d.get("discard")):
-        raise BadParams(f"a {kind.value} step needs a 'channel' or a 'discard' list")
-    for key in PAYLOAD[kind]:
-        if not d.get(key):
-            raise BadParams(f"a {kind.value} step needs a {key!r} field")
-    return Step(
-        kind=kind,
-        channel=_step_field(d, "channel", channel_from_json),
-        on=_step_field(d, "on", _labels, ()),
-        out=_step_field(d, "out", lambda items: layout_from_json(items).registers),
-        discard=_step_field(d, "discard", _labels, ()),
-        register=d.get("register"),
-        to=_step_field(d, "to", Party),
-        operators=_step_field(d, "operators", lambda ms: tuple(map(matrix_from_json, ms)), ()),
-        msg_label=d.get("msg_label"),
-        sender=_step_field(d, "sender", Party),
-        bypass=bool(d.get("bypass", False)),
-    )
+    payload = {}
+    for key, (_, decode) in _STEP_FIELDS.items():
+        if d.get(key) is None:
+            continue
+        try:
+            payload[key] = decode(d[key])
+        except (AttributeError, BadParams, KeyError, TypeError, ValueError) as exc:
+            raise BadParams(f"malformed step field {key!r}: {exc}") from exc
+    return Step(kind, **payload)
 
 
-def _step_field(d: dict, key: str, parse, default=None):
-    """``parse(d[key])``, or ``default`` when the key is absent or null; a
-    malformed value raises BadParams naming the field."""
-    if d.get(key) is None:
-        return default
-    try:
-        return parse(d[key])
-    except (AttributeError, BadParams, KeyError, TypeError, ValueError) as exc:
-        raise BadParams(f"malformed step field {key!r}: {exc}") from exc
+def _label(item) -> str:
+    if not isinstance(item, str):
+        raise TypeError(f"expected a register label, got {item!r}")
+    return item
 
 
 def _labels(items) -> tuple[str, ...]:
-    if not isinstance(items, list) or not all(isinstance(lbl, str) for lbl in items):
+    if not isinstance(items, list):
         raise TypeError(f"expected a list of register labels, got {items!r}")
-    return tuple(items)
+    return tuple(map(_label, items))
+
+
+#: (encode, decode) for each payload field of a step, in field order.
+_STEP_FIELDS = {
+    "channel": (channel_to_json, channel_from_json),
+    "on": (list, _labels),
+    "out": (
+        lambda regs: layout_to_json(RegisterLayout(regs)),
+        lambda items: layout_from_json(items).registers,
+    ),
+    "discard": (list, _labels),
+    "register": (str, _label),
+    "to": (lambda party: party.value, Party),
+    "operators": (
+        lambda ms: [matrix_to_json(m) for m in ms],
+        lambda ms: tuple(map(matrix_from_json, ms)),
+    ),
+    "msg_label": (str, _label),
+    "sender": (lambda party: party.value, Party),
+    "bypass": (bool, bool),
+}
 
 
 def script_to_json(steps) -> dict:

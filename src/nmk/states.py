@@ -11,9 +11,7 @@ where a state is handed to a caller: public constructors, readers and the
 result of a structural operation or channel, once, in its final register
 order.  Code that only needs numbers (entropies, marginals, interim
 register orders) works on raw matrices through ``_marginal_matrix`` and
-``_permuted_matrix`` and builds no state.  ``DensityState.with_layout``
-renames registers or changes their parties without checking the unchanged
-matrix again.
+``_permuted_matrix`` and builds no state.
 
 A :class:`BlockState` is the classical-quantum form the step simulator
 keeps, rho = sum_x p_x |x><x|^(copies) (x) rho_x: classical variables, each
@@ -41,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -163,19 +161,6 @@ class DensityState:
     def permuted(self, labels) -> "DensityState":
         return permute_registers(self, labels)
 
-    def with_layout(self, layout: RegisterLayout) -> "DensityState":
-        """The same state on ``layout``, which may rename registers or change
-        their parties but must keep their dims; the already-validated matrix
-        is shared, not checked again."""
-        if layout.dims != self.layout.dims:
-            raise LayoutMismatch(
-                f"relabeling needs the same register dims, got {layout.dims} for {self.layout.dims}"
-            )
-        state = object.__new__(DensityState)
-        object.__setattr__(state, "layout", layout)
-        object.__setattr__(state, "matrix", self.matrix)
-        return state
-
     def allclose(self, other: "DensityState", atol=1e-10) -> bool:
         return self.layout.labels == other.layout.labels and bool(
             np.allclose(self.matrix, other.matrix, atol=atol)
@@ -215,8 +200,10 @@ class ChannelMap:
     """A completely positive map given by Kraus operators.
 
     ``declared_inverse`` names a map whose composition with this one is the
-    identity; reversibility is checked operationally on the basis of matrix
-    units (tolerance 1e-8), not syntactically.  The completeness sum
+    identity; reversibility is checked operationally when the map is built,
+    not syntactically: the Choi matrix of the composition must match the
+    identity's entrywise within 1e-8, which is the test on every matrix unit
+    (see ``_inverse_deviation``).  The completeness sum
     ``sum K^dagger K = I`` is enforced unless ``trace_preserving`` is False
     (needed for declared inverses of proper isometries, which are only
     trace-preserving on the range).
@@ -225,7 +212,6 @@ class ChannelMap:
     kraus: tuple[np.ndarray, ...]
     declared_inverse: "ChannelMap | None" = None
     trace_preserving: bool = True
-    _isometry_pair: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(_freeze(k) for k in self.kraus)
@@ -254,39 +240,23 @@ class ChannelMap:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        return sum(k @ m @ k.conj().T for k in self.kraus)
-
     def verify_inverse(self, tol=INVERSE_TOL):
-        """Check inverse o channel = id on the matrix-unit basis."""
+        """Check that the Choi matrix of inverse o channel is the identity's."""
         inv = self.declared_inverse
         if inv is None:
             raise InvariantViolation("inverse_composition", "no declared inverse")
         if inv.in_dim != self.out_dim or inv.out_dim != self.in_dim:
             raise DimensionMismatch("declared inverse dimensions do not match the channel")
-        if self._isometry_pair:
-            v = self.kraus[0]
-            err = np.max(np.abs(v.conj().T @ v - np.eye(self.in_dim)))
-            if err > tol:
-                raise InvariantViolation("inverse_composition", f"V^dagger V - I = {err:.3e}")
-            return
-        r = self.in_dim
-        for i in range(r):
-            for j in range(r):
-                unit = np.zeros((r, r), dtype=complex)
-                unit[i, j] = 1.0
-                back = inv.apply_matrix(self.apply_matrix(unit))
-                if np.max(np.abs(back - unit)) > tol:
-                    raise InvariantViolation(
-                        "inverse_composition",
-                        f"inverse o channel deviates from identity on unit ({i},{j})",
-                    )
+        err = _inverse_deviation(self.kraus, inv.kraus)
+        if err > tol:
+            raise InvariantViolation(
+                "inverse_composition", f"max |Choi(inverse o channel) - Choi(id)| = {err:.3e}"
+            )
 
     @classmethod
     def unitary(cls, u: np.ndarray) -> "ChannelMap":
         u = np.asarray(u, dtype=complex)
-        inv = cls((u.conj().T,), trace_preserving=True)
-        return cls((u,), declared_inverse=inv, _isometry_pair=True)
+        return cls((u,), declared_inverse=cls((u.conj().T,)))
 
     @classmethod
     def isometry(cls, v: np.ndarray) -> "ChannelMap":
@@ -295,7 +265,7 @@ class ChannelMap:
         if v.shape[0] < v.shape[1]:
             raise BadDims("an isometry needs output dim >= input dim")
         inv = cls((v.conj().T,), trace_preserving=False)
-        return cls((v,), declared_inverse=inv, _isometry_pair=True)
+        return cls((v,), declared_inverse=inv)
 
     @classmethod
     def from_kraus(cls, ops, declared_inverse=None) -> "ChannelMap":
@@ -317,6 +287,20 @@ class ChannelMap:
             math.sqrt(p) * np.asarray(u, dtype=complex) for u, p in zip(unitaries, probs)
         )
         return cls(ops)
+
+
+def _inverse_deviation(kraus, inverse_kraus) -> float:
+    """max |C - vec(I) vec(I)^dagger| for C = sum_jk vec(L_j K_k) vec(L_j K_k)^dagger,
+    the Choi matrix of the map with Kraus operators L_j K_k (row-major vec).
+    Entry ((a, i), (b, j)) of C is entry (a, b) of the map applied to the
+    matrix unit |i><j|, so this is the largest deviation from the identity
+    over all matrix units.  The Choi dimension is checked against the
+    budget first."""
+    r = kraus[0].shape[1]
+    _require_budget(r * r, "inverse check dimension")
+    vecs = np.array([l @ k for l in inverse_kraus for k in kraus]).reshape(-1, r * r)
+    ident = np.eye(r).reshape(-1)
+    return float(np.max(np.abs(vecs.T @ vecs.conj() - np.outer(ident, ident))))
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +583,11 @@ def apply_channel(
     :class:`RegisterLayout` giving the exact output order.  A block that
     holds exactly the registers of ``on`` is read in ``on`` order, the
     order of the channel's output; any other block is read in the order
-    ``out`` lists it.  With ``out``
-    omitted the channel must be square and the layout is unchanged.  The
-    output dimension is checked against the budget before anything is
-    computed.
+    ``out`` lists it.  With ``out`` omitted the channel must be square and
+    the layout is unchanged.  The output dimension is checked against the
+    budget before anything is computed.  The channel itself, its declared
+    inverse included, was checked when it was built and is not checked
+    again; the result is validated once, as a :class:`DensityState`.
     """
     on = tuple(on)
     block, out_layout = _channel_layout(state.layout, channel, on, out)
@@ -637,21 +622,17 @@ class BlockState:
 
     ``classical`` lists the classical variables; a block's ``values`` give
     one value per variable, in that order.  Every other register of the
-    layout is quantum and is held in each block's matrix.  ``dense`` is the
-    validated dense state this one equals, when one is known (a state built
-    by :meth:`from_density` and retagged since); :meth:`to_density` returns
-    it instead of building one.
+    layout is quantum and is held in each block's matrix.
     """
 
     layout: RegisterLayout
     classical: tuple[ClassicalVar, ...]
     blocks: tuple[Block, ...]
-    dense: DensityState | None = field(default=None, repr=False)
 
     @classmethod
     def from_density(cls, state: DensityState) -> "BlockState":
         """The one-block form of ``state``, sharing its matrix."""
-        return cls(state.layout, (), (Block((), 1.0, state.matrix),), state)
+        return cls(state.layout, (), (Block((), 1.0, state.matrix),))
 
     @property
     def dim(self) -> int:
@@ -669,8 +650,6 @@ class BlockState:
 
     def to_density(self) -> DensityState:
         """The dense state, checked against the budget before it is built."""
-        if self.dense is not None:
-            return self.dense
         _require_budget(self.dim)
         q = self.quantum
         copies = [(lbl, i) for i, var in enumerate(self.classical) for lbl in var.labels]
@@ -708,9 +687,7 @@ class BlockState:
     def retagged(self, label: str, party) -> "BlockState":
         """The same state with one register moved to ``party``; nothing is
         recomputed or checked again."""
-        layout = self.layout.retagged(label, party)
-        dense = None if self.dense is None else self.dense.with_layout(layout)
-        return BlockState(layout, self.classical, self.blocks, dense)
+        return BlockState(self.layout.retagged(label, party), self.classical, self.blocks)
 
     def channel(self, channel: ChannelMap, on, out=None) -> "BlockState":
         """Apply ``channel`` to the registers ``on`` of every block, as

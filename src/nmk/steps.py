@@ -26,8 +26,9 @@ computes anything.
 One table gives the acting party and the receivers for each kind of step:
 ``ACTOR`` names the party whose registers a free step acts on, and
 ``RECEIVERS`` the parties that get a copy of a step's message.
-``apply_step`` and the fuzz step generators read both; ``PAYLOAD`` lists
-the fields a step of each kind needs, which the JSON reader checks.
+``apply_step`` and the fuzz step generators read both.  ``PAYLOAD`` lists
+the fields a step of each kind needs; a :class:`Step` checks them when it
+is built, however it is built, and raises ``BadParams`` naming the field.
 
 Scenarios are immutable; ``apply_step`` returns a new one.
 """
@@ -140,7 +141,7 @@ _MEASURED = ("operators", "msg_label")
 
 #: The payload fields a step of each kind needs.  A local step needs a
 #: ``channel`` or a ``discard`` list instead, which no single field says;
-#: ``apply_step`` rejects a ``discard`` on any other step.
+#: a ``discard`` is allowed on a local step without a channel only.
 PAYLOAD = {
     StepKind.LOCAL_A: (),
     StepKind.LOCAL_B: (),
@@ -171,7 +172,8 @@ class ScriptClass(Enum):
 @dataclass(frozen=True)
 class Step:
     """One operation; which payload fields apply depends on ``kind``
-    (``PAYLOAD`` lists the ones each kind needs)."""
+    (``PAYLOAD`` lists the ones each kind needs).  The payload is checked,
+    and its sequences and parties coerced, when the step is built."""
 
     kind: StepKind
     channel: ChannelMap | None = None
@@ -185,28 +187,51 @@ class Step:
     sender: Party | None = None
     bypass: bool = False
 
+    def __post_init__(self):
+        kind = StepKind(self.kind)
+        coerced = {
+            "kind": kind,
+            "on": tuple(self.on),
+            "out": None if self.out is None else tuple(self.out),
+            "discard": tuple(self.discard),
+            "operators": tuple(np.asarray(op, dtype=complex) for op in self.operators),
+            "to": None if self.to is None else Party(self.to),
+            "sender": None if self.sender is None else Party(self.sender),
+        }
+        for key, value in coerced.items():
+            object.__setattr__(self, key, value)
+        local = kind in (StepKind.LOCAL_A, StepKind.LOCAL_B)
+        if local and self.channel is None and not self.discard:
+            raise BadParams(f"a {kind.value} step needs a 'channel' or a 'discard' list")
+        for key in PAYLOAD[kind]:
+            if not getattr(self, key):
+                raise BadParams(f"a {kind.value} step needs a {key!r} field")
+        if self.discard and not (local and self.channel is None):
+            raise BadParams(
+                f"'discard' applies only to a local_a or local_b step without a channel, "
+                f"not to this {kind.value} step"
+            )
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def local_a(cls, channel, on, out=None):
-        return cls(StepKind.LOCAL_A, channel=channel, on=tuple(on), out=_regs(out))
+        return cls(StepKind.LOCAL_A, channel=channel, on=on, out=out)
 
     @classmethod
     def local_b(cls, channel, on, out=None):
-        return cls(StepKind.LOCAL_B, channel=channel, on=tuple(on), out=_regs(out))
+        return cls(StepKind.LOCAL_B, channel=channel, on=on, out=out)
 
     @classmethod
     def discard_a(cls, labels):
-        return cls(StepKind.LOCAL_A, discard=tuple(labels))
+        return cls(StepKind.LOCAL_A, discard=labels)
 
     @classmethod
     def discard_b(cls, labels):
-        return cls(StepKind.LOCAL_B, discard=tuple(labels))
+        return cls(StepKind.LOCAL_B, discard=labels)
 
     @classmethod
     def reversible_e(cls, channel, on, out=None, bypass=False):
-        return cls(
-            StepKind.REVERSIBLE_E, channel=channel, on=tuple(on), out=_regs(out), bypass=bypass
-        )
+        return cls(StepKind.REVERSIBLE_E, channel=channel, on=on, out=out, bypass=bypass)
 
     @classmethod
     def quantum_to_e(cls, register):
@@ -214,31 +239,27 @@ class Step:
 
     @classmethod
     def quantum_from_e(cls, register, to):
-        return cls(StepKind.QUANTUM_FROM_E, register=register, to=Party(to))
+        return cls(StepKind.QUANTUM_FROM_E, register=register, to=to)
 
     @classmethod
     def quantum_ab(cls, register, to):
-        return cls(StepKind.QUANTUM_AB, register=register, to=Party(to))
+        return cls(StepKind.QUANTUM_AB, register=register, to=to)
 
     @classmethod
     def broadcast_a(cls, operators, on, msg_label):
-        return cls(StepKind.BROADCAST_A, operators=_ops(operators), on=tuple(on), msg_label=msg_label)
+        return cls(StepKind.BROADCAST_A, operators=operators, on=on, msg_label=msg_label)
 
     @classmethod
     def broadcast_b(cls, operators, on, msg_label):
-        return cls(StepKind.BROADCAST_B, operators=_ops(operators), on=tuple(on), msg_label=msg_label)
+        return cls(StepKind.BROADCAST_B, operators=operators, on=on, msg_label=msg_label)
 
     @classmethod
     def classical_a_to_e(cls, operators, on, msg_label):
-        return cls(
-            StepKind.CLASSICAL_A_TO_E, operators=_ops(operators), on=tuple(on), msg_label=msg_label
-        )
+        return cls(StepKind.CLASSICAL_A_TO_E, operators=operators, on=on, msg_label=msg_label)
 
     @classmethod
     def classical_b_to_e(cls, operators, on, msg_label):
-        return cls(
-            StepKind.CLASSICAL_B_TO_E, operators=_ops(operators), on=tuple(on), msg_label=msg_label
-        )
+        return cls(StepKind.CLASSICAL_B_TO_E, operators=operators, on=on, msg_label=msg_label)
 
     @classmethod
     def classical_e_to_a(cls, register, msg_label=None):
@@ -251,22 +272,8 @@ class Step:
     @classmethod
     def secret_ab(cls, operators, on, msg_label, sender="alice"):
         return cls(
-            StepKind.SECRET_AB,
-            operators=_ops(operators),
-            on=tuple(on),
-            msg_label=msg_label,
-            sender=Party(sender),
+            StepKind.SECRET_AB, operators=operators, on=on, msg_label=msg_label, sender=sender
         )
-
-
-def _ops(operators):
-    return tuple(np.asarray(op, dtype=complex) for op in operators)
-
-
-def _regs(out):
-    if out is None:
-        return None
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +322,6 @@ def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Sce
     bs = sc.block_state
     _require_party(bs.layout, step.on, sender)
     n_out = len(step.operators)
-    if n_out < 1:
-        raise DimensionMismatch("need at least one measurement operator")
     block_dim = bs.layout.dim_of(step.on)
     for op in step.operators:
         if op.shape != (block_dim, block_dim):
@@ -343,12 +348,6 @@ def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
 
 def apply_step(sc: Scenario, step: Step) -> Scenario:
     kind = step.kind
-    local = kind in (StepKind.LOCAL_A, StepKind.LOCAL_B)
-    if step.discard and not (local and step.channel is None):
-        raise BadParams(
-            f"'discard' applies only to a local_a or local_b step without a channel, "
-            f"not to this {kind.value} step"
-        )
     if kind in CDOWN_KINDS:
         return _copy_down(sc, step, *RECEIVERS[kind])
     if kind in RECEIVERS:

@@ -15,6 +15,7 @@ import pytest
 from nmk import (
     BlockState,
     ChannelMap,
+    DensityState,
     Scenario,
     Step,
     StepKind,
@@ -94,7 +95,7 @@ def dense_step(state, step):
         return apply_channel(state, step.channel, step.on, step.out)
     if kind in (StepKind.QUANTUM_TO_E, StepKind.QUANTUM_FROM_E, StepKind.QUANTUM_AB):
         to = Party.EVE if kind is StepKind.QUANTUM_TO_E else step.to
-        return state.with_layout(state.layout.retagged(step.register, to))
+        return DensityState(state.layout.retagged(step.register, to), state.matrix)
     if kind in RECEIVERS:
         return dense_measure(state, step, RECEIVERS[kind])
     if kind is StepKind.SECRET_AB:

@@ -107,6 +107,28 @@ class TestNmf:
         assert isinstance(result_of(proc)["seed"], int)
 
 
+class TestCapacityBelowRank:
+    # A flag value below the state's rank is an input error (2); only a size
+    # limit is a budget error (3).
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("nmf", "zoo:ghz_diag", "--k", "1"),
+            ("esqc", "zoo:classical_corr_e0", "--k", "1", "--e-prime", "1"),
+        ],
+    )
+    def test_exits_2(self, args):
+        proc = run_cli(*args, "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "capacity" in proc.stderr
+        assert "budget" not in proc.stderr
+
+    def test_esqc_size_cap_exits_3(self):
+        proc = run_cli("esqc", "zoo:hs_random?dims=9,9", "--seed", "1")
+        assert proc.returncode == 3, proc.stderr
+        assert "budget error:" in proc.stderr and "64" in proc.stderr
+
+
 class TestEsqc:
     def test_bell(self):
         proc = run_cli("esqc", "zoo:bell_e0", "--seed", "3")

@@ -22,7 +22,7 @@ from nmk import (
 )
 from nmk import csquashed
 from nmk.csquashed import _fast_esqc_objective, _members_from_matrix
-from nmk.errors import BadEnsemble, BadRange, DimensionTooSmall
+from nmk.errors import BadEnsemble, BadRange, BudgetExceeded
 from nmk.rand import random_isometry
 
 from conftest import bell_pair, classical_corr
@@ -140,7 +140,7 @@ class TestEstimate:
     def test_dimension_cap(self):
         lay = layout(("A", 9, "alice"), ("B", 9, "bob"))
         omega = sample("density_hs", (9, 9), 6, layout=lay, rank=2)
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(BudgetExceeded, match="64"):
             estimate_esqc(omega, FAST)
 
     def test_eve_marginal_taken(self):

@@ -25,6 +25,7 @@ from nmk.errors import (
     UnknownLabel,
 )
 from nmk.registers import Register
+from nmk.states import INVERSE_TOL, _inverse_deviation
 
 from conftest import bell_pair, classical_corr, eve_zero, ghz_diag
 
@@ -217,7 +218,7 @@ class TestApplyChannel:
     def test_generic_declared_inverse_verification(self):
         u = nmk.sample("unitary", 3, 8)
         chan = ChannelMap.from_kraus([u], declared_inverse=ChannelMap.from_kraus([u.conj().T]))
-        chan.verify_inverse()  # exercises the matrix-unit loop
+        chan.verify_inverse()  # a generic pair: the same Choi check as unitary()
         wrong = ChannelMap.from_kraus([np.eye(3, dtype=complex)])
         with pytest.raises(InvariantViolation, match="inverse_composition"):
             ChannelMap.from_kraus([u], declared_inverse=wrong)
@@ -235,22 +236,68 @@ class TestApplyChannel:
             assert trace_distance(back.permuted(("A", "E")), rho) < 1e-9
 
 
-class TestWithLayout:
-    def test_relabels_without_revalidating(self, monkeypatch):
-        rho = sample("density_hs", (2, 3), 4, layout=layout(("A", 2, "alice"), ("B", 3, "bob")))
-        calls = []
-        real = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or real(m))
-        new = layout(("X", 2, "eve"), ("Y", 3, "alice"))
-        out = rho.with_layout(new)
-        assert out.layout == new
-        assert out.matrix is rho.matrix
-        assert calls == []
+def loop_deviation(kraus, inverse_kraus):
+    """Oracle: apply the channel, then the inverse, to every matrix unit and
+    return the largest entrywise deviation from that unit."""
+    r = kraus[0].shape[1]
+    worst = 0.0
+    for i in range(r):
+        for j in range(r):
+            unit = np.zeros((r, r), dtype=complex)
+            unit[i, j] = 1.0
+            mid = sum(k @ unit @ k.conj().T for k in kraus)
+            back = sum(l @ mid @ l.conj().T for l in inverse_kraus)
+            worst = max(worst, float(np.max(np.abs(back - unit))))
+    return worst
 
-    def test_dims_must_match(self):
-        rho = sample("density_hs", (2, 3), 4, layout=layout(("A", 2, "alice"), ("B", 3, "bob")))
-        with pytest.raises(LayoutMismatch):
-            rho.with_layout(layout(("A", 3, "alice"), ("B", 2, "bob")))
+
+def near_tolerance_inverse(u, factor, rng):
+    """``u^dagger`` perturbed in a random direction, scaled so that the
+    oracle deviation is about ``factor * INVERSE_TOL``."""
+    direction = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+    probe = loop_deviation((u,), (u.conj().T + 1e-8 * direction,))
+    return u.conj().T + factor * INVERSE_TOL * 1e-8 / probe * direction
+
+
+def inverse_cases():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4):
+        u = nmk.sample("unitary", d, rng)
+        yield f"unitary{d}", (u,), (u.conj().T,)
+    for out_dim in (4, 6):
+        v = nmk.sample("isometry", (2, out_dim), rng)
+        yield f"isometry2to{out_dim}", (v,), (v.conj().T,)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    yield "two_kraus_wrong", (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * sx), (np.eye(2),)
+    for factor in (0.5, 2.0):
+        u = nmk.sample("unitary", 3, rng)
+        yield f"perturbed{factor}x", (u,), (near_tolerance_inverse(u, factor, rng),)
+
+
+class TestInverseCheck:
+    @pytest.mark.parametrize(
+        "kraus, inverse_kraus",
+        [case[1:] for case in inverse_cases()],
+        ids=[case[0] for case in inverse_cases()],
+    )
+    def test_choi_check_matches_matrix_unit_loop(self, kraus, inverse_kraus):
+        expected = loop_deviation(kraus, inverse_kraus)
+        chan = ChannelMap(tuple(kraus))
+        inverse = ChannelMap(tuple(inverse_kraus), trace_preserving=False)
+        assert _inverse_deviation(chan.kraus, inverse.kraus) == pytest.approx(expected, abs=1e-14)
+        if expected <= INVERSE_TOL:
+            ChannelMap(chan.kraus, declared_inverse=inverse)
+        else:
+            with pytest.raises(InvariantViolation, match="inverse_composition"):
+                ChannelMap(chan.kraus, declared_inverse=inverse)
+
+    def test_near_tolerance_cases_straddle_it(self):
+        # The perturbed inverses land on either side of the tolerance, so
+        # both verdicts are exercised near it.
+        devs = {name: loop_deviation(k, l) for name, k, l in inverse_cases()}
+        assert 0.4 * INVERSE_TOL < devs["perturbed0.5x"] < 0.6 * INVERSE_TOL
+        assert 1.8 * INVERSE_TOL < devs["perturbed2.0x"] < 2.2 * INVERSE_TOL
+        assert devs["two_kraus_wrong"] > INVERSE_TOL
 
 
 class TestTraceDistanceAndFidelity:

@@ -22,6 +22,7 @@ from nmk import (
 )
 from nmk.errors import (
     BadMu,
+    BadParams,
     BudgetExceeded,
     IrreversibleEveOp,
     NotClassicalRegister,
@@ -31,11 +32,55 @@ from nmk import fuzz
 from nmk.fuzz import fuzz_markov_closure, fuzz_monotonicity
 from nmk.markov import preparation_script
 from nmk.registers import Party, Register
+from nmk.steps import PAYLOAD, StepKind
 from nmk.zoo import zoo
 
 
 def coin_ops(n=2):
     return tuple(np.eye(2, dtype=complex) / math.sqrt(n) for _ in range(n))
+
+
+#: A value for every payload field some kind needs.
+FULL_PAYLOAD = {
+    "channel": ChannelMap.unitary(np.eye(2)),
+    "register": "E",
+    "to": Party.ALICE,
+    "operators": coin_ops(),
+    "msg_label": "J",
+    "sender": Party.ALICE,
+}
+
+
+class TestStepBoundary:
+    """A step checks its payload when it is built, from Python as from JSON."""
+
+    @pytest.mark.parametrize(
+        "kind, missing",
+        [(kind, key) for kind, keys in PAYLOAD.items() for key in keys],
+        ids=lambda v: v.value if isinstance(v, StepKind) else v,
+    )
+    def test_missing_field_is_named(self, kind, missing):
+        payload = {key: FULL_PAYLOAD[key] for key in PAYLOAD[kind]}
+        Step(kind, **payload)
+        del payload[missing]
+        with pytest.raises(BadParams, match=repr(missing)):
+            Step(kind, **payload)
+
+    def test_local_step_needs_channel_or_discard(self, ghz):
+        with pytest.raises(BadParams, match="'channel' or a 'discard'"):
+            apply_step(Scenario(ghz), Step(StepKind.LOCAL_A))
+
+    @pytest.mark.parametrize(
+        "kind", [StepKind.LOCAL_A, StepKind.REVERSIBLE_E], ids=lambda kind: kind.value
+    )
+    def test_discard_only_on_a_local_step_without_channel(self, kind):
+        with pytest.raises(BadParams, match="'discard'"):
+            Step(kind, channel=FULL_PAYLOAD["channel"], on=("E",), discard=("E",))
+
+    def test_fields_are_coerced_however_built(self):
+        step = Step(StepKind.SECRET_AB, operators=[np.eye(2)], on=["A"], msg_label="J", sender="bob")
+        assert step.on == ("A",) and step.sender is Party.BOB
+        assert isinstance(step.operators, tuple) and step.operators[0].dtype == complex
 
 
 class TestApplyStep:
@@ -85,7 +130,7 @@ class TestApplyStep:
         out = apply_step(Scenario(ghz), Step.quantum_to_e("A"))
         assert calls == []
         assert out.state.layout.register("A").party is Party.EVE
-        assert out.state.matrix is ghz.matrix
+        np.testing.assert_array_equal(out.state.matrix, ghz.matrix)
 
     def test_broadcast_copies_all_parties(self, ghz):
         sc = Scenario(ghz)
