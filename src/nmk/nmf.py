@@ -5,13 +5,14 @@ witness objective found.  The two purification baselines are always
 included, so the upper bound is guaranteed to stay below min(S(A), S(B));
 optimized witnesses come from a Riemannian gradient descent over the
 isometry steering the purifying reference, on the Stiefel manifold
-(projected gradient, polar retraction, Armijo backtracking).  Every
-evaluation, line-search trials included, is one call of the kernel
-``states.member_value_and_grad``, which gives the value and its analytic
-gradient together.  Estimates are bracket pairs, never point claims.
+(projected gradient, polar retraction, Barzilai-Borwein steps accepted
+against a nonmonotone Armijo reference).  Every evaluation, line-search
+trials included, is one call of the kernel ``states.member_value_and_grad``,
+which gives the value and its analytic gradient together.  Estimates are
+bracket pairs, never point claims.
 
 Restarts run in one place, ``_run_restarts``, which ``csquashed`` shares.
-Each restart reports the member-marginal objective at its final isometry;
+Each restart reports the member-marginal objective at its best isometry;
 restarts are ranked by that value, and only a restart that beats every
 earlier candidate is turned into a witness.  Everything is deterministic
 per seed: each restart starts from an isometry drawn from a generator
@@ -94,10 +95,10 @@ def _check_search_config(config, minima: dict) -> None:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One descent: its final objective, the gradient steps it tried
+    """One descent: its best objective, the gradient steps it tried
     (``iterations``) and took (``accepted``), its evaluations, each one
     ``member_value_and_grad`` call, line-search trials included
-    (``evals``), and the Riemannian gradient norm at its end
+    (``evals``), and the Riemannian gradient norm at its best iterate
     (``grad_norm``)."""
 
     restart_id: int
@@ -165,6 +166,9 @@ def _fast_objective(rho: DensityState, psi_arr: np.ndarray, ext_dims, k: int):
 
 
 ARMIJO = 1e-4
+NONMONOTONE = 0.85
+FIRST_STEP = 1e-2
+BB_CLIP = (1e-10, 1e10)
 MIN_STEP = 1e-12
 GRAD_TOL = 1e-9
 
@@ -175,45 +179,70 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _riemannian(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient projected onto the tangent space at ``w``:
+    R = G - W herm(W^dagger G)."""
+    wg = w.conj().T @ grad
+    return grad - w @ (0.5 * (wg + wg.conj().T))
+
+
 def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
     """Riemannian gradient descent from the isometry ``w`` on the Stiefel
-    manifold: the gradient projected onto the tangent space,
-    R = G - W herm(W^dagger G), a polar retraction, and Armijo backtracking
-    from twice the last accepted step.  Every line-search trial is one
-    ``value_and_grad`` evaluation, and an accepted trial's gradient is the
-    next step's.  Stops after ``max_iters`` steps, at ``stop_at``, at a
-    gradient norm below ``GRAD_TOL``, or when no step of at least
-    ``MIN_STEP`` decreases the value.  Returns the final isometry, its
-    value, the steps tried and taken, the evaluations and the final
-    Riemannian gradient norm."""
+    manifold: the projected gradient, a polar retraction, and a
+    Barzilai-Borwein first trial step, alternately <s,s>/|<s,y>| and
+    |<s,y>|/<y,y> for the last change s of the isometry and y of the
+    Riemannian gradient, clipped to ``BB_CLIP`` (``FIRST_STEP`` on the first
+    step) and halved until the value falls below the Zhang-Hager
+    nonmonotone reference C, a running average of the values weighted by
+    ``NONMONOTONE`` (Wen & Yin, Math. Program. 142, 2013).  Every
+    line-search trial is one ``value_and_grad`` evaluation, and an accepted
+    trial's gradient is the next step's.  Stops after ``max_iters`` steps,
+    at ``stop_at``, at a gradient norm below ``GRAD_TOL``, or when no step
+    of at least ``MIN_STEP`` passes.  A nonmonotone run can end above its
+    best iterate, so it returns the best iterate, its value, the steps
+    tried and taken, the evaluations and the best iterate's Riemannian
+    gradient norm."""
     value, grad = fast_f.value_and_grad(w)
-    evals, iters, accepted, step = 1, 0, 0, 1.0
-    while True:
-        wg = w.conj().T @ grad
-        rgrad = grad - w @ (0.5 * (wg + wg.conj().T))
-        slope = float(np.vdot(rgrad, rgrad).real)
-        if iters >= max_iters or value <= stop_at or slope <= GRAD_TOL**2:
-            break
+    rgrad = _riemannian(w, grad)
+    slope = float(np.vdot(rgrad, rgrad).real)
+    best = (w, value, slope)
+    ref, weight = value, 1.0
+    evals, iters, accepted, step = 1, 0, 0, FIRST_STEP
+    while iters < max_iters and value > stop_at and slope > GRAD_TOL**2:
         iters += 1
-        step *= 2.0
         while step >= MIN_STEP:
             trial = _polar(w - step * rgrad)
             trial_value, trial_grad = fast_f.value_and_grad(trial)
             evals += 1
-            if trial_value <= value - ARMIJO * step * slope:
+            if trial_value <= ref - ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
             break
-        w, value, grad = trial, trial_value, trial_grad
         accepted += 1
+        trial_rgrad = _riemannian(trial, trial_grad)
+        s, y = trial - w, trial_rgrad - rgrad
+        sy = abs(float(np.vdot(s, y).real))
+        if sy > 0:
+            bb = float(np.vdot(s, s).real) / sy if accepted % 2 else sy / float(np.vdot(y, y).real)
+        else:
+            bb = BB_CLIP[1]
+        step = min(max(bb, BB_CLIP[0]), BB_CLIP[1])
+        w, value, rgrad = trial, trial_value, trial_rgrad
+        slope = float(np.vdot(rgrad, rgrad).real)
+        next_weight = NONMONOTONE * weight + 1.0
+        ref = (NONMONOTONE * weight * ref + value) / next_weight
+        weight = next_weight
+        if value < best[1]:
+            best = (w, value, slope)
+    w, value, slope = best
     return w, value, iters, accepted, evals, math.sqrt(slope)
 
 
 def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
     """Run ``config.restarts`` descents of ``fast_f``, restart ``rid``
     from a random isometry drawn from ``as_rng([*seed_key, rid])``.  Returns
-    their records and final isometries, both in restart order."""
+    their records and best isometries, both in restart order."""
 
     def one(rid):
         start = random_isometry(rank, out_dim, as_rng([*seed_key, rid]))

@@ -169,7 +169,7 @@ class ScriptClass(Enum):
     NON_FREE = "non_free"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Step:
     """One operation; which payload fields apply depends on ``kind``
     (``PAYLOAD`` lists the ones each kind needs).  The payload is checked,

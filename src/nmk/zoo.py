@@ -222,13 +222,6 @@ def zoo(name: str, params: dict | None = None, seed=0):
         raise BadParams(f"bad parameters for {name!r}: {exc}") from exc
 
 
-def documented_m_i(name: str):
-    for entry in manifest()["entries"]:
-        if entry["name"] == name:
-            return entry["m_i"]
-    raise UnknownName(name)
-
-
 def parse_zoo_ref(ref: str):
     """Parse ``zoo:name?param=value&...`` into (name, params).
 

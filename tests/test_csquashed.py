@@ -157,6 +157,14 @@ class TestEstimate:
         assert [r.objective for r in serial.trace] == [r.objective for r in threaded.trace]
 
 
+class TestSearch:
+    def test_gate_state_converges(self):
+        est = estimate_esqc(zoo("hs_random", {"dims": (4, 4, 2)}, seed=1), EsqcConfig(seed=1))
+        assert est.upper_bits <= 0.0013
+        # 60% of the 4,801 evaluations of Armijo steps from twice the last.
+        assert est.notes["evals"] <= 2880
+
+
 class TestWinnerOnly:
     """Restarts are ranked by their own objective; only a restart that beats
     the singleton becomes an ensemble of states."""

@@ -1,15 +1,17 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from nmk import (
+    EsqcConfig,
     EstimateConfig,
     baseline_witnesses,
     build_markov,
     entropy,
     estimate,
+    estimate_esqc,
     markov_witness,
     mutual_info,
     nonmarkovianity,
@@ -22,9 +24,9 @@ from nmk import (
 )
 from nmk.errors import BadRange, BudgetExceeded, DimensionTooSmall
 from nmk import nmf
-from nmk.nmf import _fast_objective
+from nmk.nmf import RestartRecord, _fast_objective
 from nmk.entropy import entropies_from_eigs
-from nmk.rand import random_isometry
+from nmk.rand import as_rng, random_isometry
 from nmk.states import member_spectra, steered_members
 
 from test_markov import random_components
@@ -144,6 +146,61 @@ def test_evals_count_kernel_calls(monkeypatch):
     rho = sample("density_hs", (2, 2, 2), 3, rank=2)
     est = estimate(rho, EstimateConfig(restarts=2, max_iters=40, seed=1))
     assert est.notes["evals"] == sum(r.evals for r in est.trace) == len(calls) > 0
+
+
+class TestSearch:
+    """The descent: Barzilai-Borwein steps against a nonmonotone reference,
+    returning each restart's best iterate."""
+
+    def test_gate_state_converges(self):
+        est = estimate(zoo("hs_random", {"dims": (2, 2, 2)}, seed=3), EstimateConfig(seed=1))
+        assert est.notes["grad_norm"] <= 1e-6
+        # 60% of the 9,603 evaluations of Armijo steps from twice the last.
+        assert est.notes["evals"] <= 5761
+
+    def test_restart_ends_at_most_at_its_start(self):
+        rho = sample("density_hs", (2, 2, 2), 3, rank=2)
+        config = EstimateConfig(restarts=3, max_iters=60, seed=5)
+        est = estimate(rho, config)
+        assert {r.round_id for r in est.trace} == {0, 1}
+        for r in est.trace:
+            ext = est.notes["rounds"][r.round_id]["ext"]
+            capacity = math.prod(ext) * 2
+            start = random_isometry(2, capacity, as_rng([config.seed, r.round_id, r.restart_id]))
+            start_value = recompute_objective(witness_from_isometry(rho, start, ext, 2))
+            assert r.objective <= start_value + 1e-12
+
+    def test_more_steps_never_end_higher(self):
+        # A run with a larger max_iters repeats a shorter run's steps and goes
+        # on, so with the best iterate returned each restart's objective is
+        # nonincreasing in max_iters, though the values along a run are not.
+        rho = sample("density_hs", (2, 2, 2), 1)
+        traces = [
+            estimate(rho, EstimateConfig(restarts=2, max_iters=m, seed=1, escalate=False)).trace
+            for m in range(5, 45, 5)
+        ]
+        for shorter, longer in zip(traces, traces[1:]):
+            assert all(b.objective <= a.objective for a, b in zip(shorter, longer))
+
+    def test_restart_record_fields_and_counts(self):
+        # perfbench/layers.py reads the records' fields by name.
+        assert [f.name for f in fields(RestartRecord)] == [
+            "restart_id",
+            "round_id",
+            "objective",
+            "iterations",
+            "accepted",
+            "evals",
+            "grad_norm",
+        ]
+        rho = zoo("hs_random", {"dims": (2, 2, 2)}, seed=1)
+        omega = zoo("hs_random", {"dims": (4, 4, 2)}, seed=2)
+        for max_iters in (5, 80):
+            nmf_est = estimate(rho, EstimateConfig(restarts=2, max_iters=max_iters, seed=1))
+            esqc_est = estimate_esqc(omega, EsqcConfig(restarts=2, max_iters=max_iters, seed=1))
+            for r in nmf_est.trace + esqc_est.trace:
+                assert 0 <= r.accepted <= r.iterations <= max_iters
+                assert r.evals >= r.accepted + 1
 
 
 class TestPureStates:

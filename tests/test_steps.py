@@ -82,6 +82,14 @@ class TestStepBoundary:
         assert step.on == ("A",) and step.sender is Party.BOB
         assert isinstance(step.operators, tuple) and step.operators[0].dtype == complex
 
+    def test_equality_is_identity(self):
+        # A step holds numpy operators; == compares identity instead of
+        # raising "truth value of an array is ambiguous", and hash() works.
+        step, again = (Step.broadcast_a(coin_ops(), ("A",), "J") for _ in range(2))
+        assert step == step and not step != step
+        assert step != again and not step == again
+        assert hash(step) == hash(step) and len({step, again}) == 2
+
 
 class TestApplyStep:
     def test_reversible_isometry_preserves_m_i(self, ghz):
