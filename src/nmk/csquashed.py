@@ -102,9 +102,7 @@ class EsqcEstimate:
     """Upper bound with the realizing ensemble.
 
     ``ensemble`` keeps the winner's pure members and reduces them to AB
-    states on access.  ``msq_upper_bits`` is filled by the extension
-    crosscheck: the smallest formation bracket over the configured
-    extension family (another upper bound of the same quantity).
+    states on access.
     """
 
     upper_bits: float
@@ -112,7 +110,6 @@ class EsqcEstimate:
     ensemble: PureMemberEnsemble
     trace: tuple[RestartRecord, ...]
     config: dict
-    msq_upper_bits: float | None = None
     notes: dict = field(default_factory=dict)
 
 

@@ -27,6 +27,7 @@ from .states import (
     _fidelity_matrix,
     _marginal_matrix,
     _permuted_matrix,
+    _require_budget,
     embed_operator,
 )
 from .steps import Scenario, Step
@@ -105,6 +106,7 @@ def build_markov(components: MarkovComponents) -> DensityState:
     """Assemble sum_j p_j sigma_j (x) tau_j (x) |j><j|, ordered as
     (alice..., bob..., index, eve memories...)."""
     raw, lay = _block_layouts(components)
+    _require_budget(raw.dim)
     entries = components.entries
     n = len(entries)
     mat = np.zeros((raw.dim, raw.dim), dtype=complex)

@@ -3,13 +3,15 @@
 The lower bound is the half-CQMI measure; the upper bound is the smallest
 witness objective found.  The two purification baselines are always
 included, so the upper bound is guaranteed to stay below min(S(A), S(B));
-optimized witnesses come from a Riemannian gradient descent over the
+optimized witnesses come from a Riemannian quasi-Newton descent over the
 isometry steering the purifying reference, on the Stiefel manifold
-(projected gradient, polar retraction, Barzilai-Borwein steps accepted
-against a nonmonotone Armijo reference).  Every evaluation, line-search
-trials included, is one call of the kernel ``states.member_value_and_grad``,
-which gives the value and its analytic gradient together.  Estimates are
-bracket pairs, never point claims.
+(projected gradient, polar retraction, a limited-memory BFGS direction
+over the last ``MEMORY`` = 5 curvature pairs, scaled by the
+Barzilai-Borwein step and capped at the length of the Barzilai-Borwein
+gradient step, accepted against a nonmonotone Armijo reference).  Every
+evaluation, line-search trials included, is one call of the kernel
+``states.member_value_and_grad``, which gives the value and its analytic
+gradient together.  Estimates are bracket pairs, never point claims.
 
 Restarts run in one place, ``_run_restarts``, which ``csquashed`` shares.
 Each restart reports the member-marginal objective at its best isometry;
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -171,6 +174,7 @@ FIRST_STEP = 1e-2
 BB_CLIP = (1e-10, 1e10)
 MIN_STEP = 1e-12
 GRAD_TOL = 1e-9
+MEMORY = 5
 
 
 def _polar(m: np.ndarray) -> np.ndarray:
@@ -186,45 +190,94 @@ def _riemannian(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - w @ (0.5 * (wg + wg.conj().T))
 
 
+def _flat(m: np.ndarray) -> np.ndarray:
+    """The real vector of a complex matrix's entries: its real dot product
+    is the real part of ``np.vdot`` of the matrices."""
+    return np.ascontiguousarray(m).reshape(-1).view(np.float64)
+
+
+def _direction(w: np.ndarray, rgrad: np.ndarray, step: float, pairs) -> np.ndarray:
+    """The first trial step of a descent at ``w``: d = -H rgrad, with H the
+    two-loop L-BFGS operator (Nocedal & Wright, Alg. 7.4) over ``pairs``,
+    oldest first, and H0 = ``step``.  A pair is the flat change s of the
+    isometry, the flat change y of the Riemannian gradient and 1/<s,y>;
+    pairs are neither transported nor re-projected, but d is projected
+    onto the tangent space at ``w`` and scaled down to the length of the
+    Barzilai-Borwein gradient step ``step * |rgrad|`` when it is longer.
+    If d is then no descent direction, ``pairs`` is cleared and the
+    gradient step -step * rgrad is returned (exactly that, too, when there
+    are no pairs)."""
+    if pairs:
+        q = _flat(rgrad).copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alpha = rho * (s @ q)
+            q -= alpha * y
+            alphas.append(alpha)
+        q *= step
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        d = _riemannian(w, -q.view(np.complex128).reshape(w.shape))
+        cap = step * math.sqrt(float(np.vdot(rgrad, rgrad).real))
+        length = math.sqrt(float(np.vdot(d, d).real))
+        if length > cap:
+            d *= cap / length
+        if float(np.vdot(d, rgrad).real) < 0:
+            return d
+        pairs.clear()
+    return -step * rgrad
+
+
 def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
-    """Riemannian gradient descent from the isometry ``w`` on the Stiefel
-    manifold: the projected gradient, a polar retraction, and a
-    Barzilai-Borwein first trial step, alternately <s,s>/|<s,y>| and
-    |<s,y>|/<y,y> for the last change s of the isometry and y of the
-    Riemannian gradient, clipped to ``BB_CLIP`` (``FIRST_STEP`` on the first
-    step) and halved until the value falls below the Zhang-Hager
-    nonmonotone reference C, a running average of the values weighted by
-    ``NONMONOTONE`` (Wen & Yin, Math. Program. 142, 2013).  Every
-    line-search trial is one ``value_and_grad`` evaluation, and an accepted
-    trial's gradient is the next step's.  Stops after ``max_iters`` steps,
-    at ``stop_at``, at a gradient norm below ``GRAD_TOL``, or when no step
-    of at least ``MIN_STEP`` passes.  A nonmonotone run can end above its
-    best iterate, so it returns the best iterate, its value, the steps
-    tried and taken, the evaluations and the best iterate's Riemannian
-    gradient norm."""
+    """Riemannian quasi-Newton descent from the isometry ``w`` on the
+    Stiefel manifold: the projected gradient, a polar retraction, and a
+    first trial step along the limited-memory BFGS direction of
+    ``_direction`` over the last ``MEMORY`` pairs (s, y) with <s,y> > 0,
+    for s the change of the isometry and y of the Riemannian gradient
+    (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015).  Its initial
+    scaling, and the cap on its length, is the Barzilai-Borwein step,
+    alternately <s,s>/|<s,y>| and |<s,y>|/<y,y> for the last pair, clipped
+    to ``BB_CLIP`` (``FIRST_STEP`` on the first step).  The trial is halved
+    until the value falls below the Zhang-Hager nonmonotone reference C, a
+    running average of the values weighted by ``NONMONOTONE`` (Wen & Yin,
+    Math. Program. 142, 2013).  Every line-search trial is one
+    ``value_and_grad`` evaluation, and an accepted trial's gradient is the
+    next step's.  Stops after ``max_iters`` steps, at ``stop_at``, at a
+    gradient norm below ``GRAD_TOL``, or when the line search halves
+    t * step below ``MIN_STEP`` without a pass.  A nonmonotone run can end
+    above its best iterate, so it returns the best iterate, its value, the
+    steps tried and taken, the evaluations and the best iterate's
+    Riemannian gradient norm."""
     value, grad = fast_f.value_and_grad(w)
     rgrad = _riemannian(w, grad)
     slope = float(np.vdot(rgrad, rgrad).real)
     best = (w, value, slope)
     ref, weight = value, 1.0
     evals, iters, accepted, step = 1, 0, 0, FIRST_STEP
+    pairs = deque(maxlen=MEMORY)
     while iters < max_iters and value > stop_at and slope > GRAD_TOL**2:
         iters += 1
-        while step >= MIN_STEP:
-            trial = _polar(w - step * rgrad)
+        d = _direction(w, rgrad, step, pairs)
+        decrease = ARMIJO * float(np.vdot(d, rgrad).real)
+        t = 1.0
+        while t * step >= MIN_STEP:
+            trial = _polar(w + t * d)
             trial_value, trial_grad = fast_f.value_and_grad(trial)
             evals += 1
-            if trial_value <= ref - ARMIJO * step * slope:
+            if trial_value <= ref + t * decrease:
                 break
-            step *= 0.5
+            t *= 0.5
         else:
             break
         accepted += 1
         trial_rgrad = _riemannian(trial, trial_grad)
-        s, y = trial - w, trial_rgrad - rgrad
-        sy = abs(float(np.vdot(s, y).real))
+        s, y = _flat(trial - w), _flat(trial_rgrad - rgrad)
+        sy = float(s @ y)
         if sy > 0:
-            bb = float(np.vdot(s, s).real) / sy if accepted % 2 else sy / float(np.vdot(y, y).real)
+            pairs.append((s, y, 1.0 / sy))
+        sy = abs(sy)
+        if sy > 0:
+            bb = float(s @ s) / sy if accepted % 2 else sy / float(y @ y)
         else:
             bb = BB_CLIP[1]
         step = min(max(bb, BB_CLIP[0]), BB_CLIP[1])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadDims
 from .registers import Party, Register, RegisterLayout
-from .states import DensityState, PureState
+from .states import DensityState, PureState, _require_budget
 
 DEFAULT_PARTIES = (Party.ALICE, Party.BOB, Party.EVE)
 
@@ -113,6 +113,7 @@ def sample(kind: str, dims, seed, *, layout: RegisterLayout | None = None, rank=
     if lay.dims != dims:
         raise BadDims(f"layout dims {lay.dims} do not match requested dims {dims}")
     total = math.prod(dims)
+    _require_budget(total)
     if kind == "pure":
         return PureState(lay, random_pure_vector(total, rng))
     if kind == "density_hs":

@@ -192,6 +192,7 @@ class PureState:
         return self.layout.dim
 
     def to_density(self) -> DensityState:
+        _require_budget(self.dim)
         return DensityState(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 

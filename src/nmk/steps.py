@@ -45,6 +45,7 @@ from .errors import (
     BadMu,
     BadParams,
     DimensionMismatch,
+    InvariantViolation,
     IrreversibleEveOp,
     UnknownLabel,
 )
@@ -448,5 +449,8 @@ def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
         per.append(math.log2(s))
     total = float(sum(per))
     bound = (l / 2 + 1) * float(sum(math.log2(m) for m in mu))
-    assert total <= bound + 1e-12
+    if total > bound + 1e-12:
+        raise InvariantViolation(
+            "dilution_bound", f"total {total:.12g} bits exceeds the bound {bound:.12g}"
+        )
     return DilutionConversion(tuple(per), total, bound)

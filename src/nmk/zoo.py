@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from urllib.parse import parse_qsl, urlsplit
@@ -89,13 +90,33 @@ def _classical_corr_e0(_params, _seed) -> DensityState:
     return tensor(ab, e)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(params, key: str) -> int:
+    """``params[key]`` as an int.  A value that is no integer (a float, a
+    string, a blank) raises BadParams naming the parameter instead of
+    being truncated."""
+    if not _is_integer(params[key]):
+        raise BadParams(f"{key} must be an integer, got {params[key]!r}")
+    return int(params[key])
+
+
+def _integers(params, key: str) -> tuple[int, ...]:
+    """``params[key]``, a list of integers, as a tuple of ints."""
+    value = params[key]
+    if not isinstance(value, (list, tuple)) or not all(map(_is_integer, value)):
+        raise BadParams(f"{key} must be a list of integers, got {value!r}")
+    return tuple(int(v) for v in value)
+
+
 def _markov_random(params, seed) -> MarkovComponents:
     rng = as_rng(seed)
-    n = int(params["entries"])
+    n = _integer(params, "entries")
     if n < 1:
         raise BadParams("entries must be >= 1")
-    d_a, d_b = int(params["d_a"]), int(params["d_b"])
-    d_el, d_er = int(params["d_el"]), int(params["d_er"])
+    d_a, d_b, d_el, d_er = (_integer(params, key) for key in ("d_a", "d_b", "d_el", "d_er"))
     probs = rng.dirichlet(np.ones(n))
     sig_lay = layout(("A", d_a, "alice"), ("EL", d_el, "eve"))
     tau_lay = layout(("B", d_b, "bob"), ("ER", d_er, "eve"))
@@ -108,14 +129,12 @@ def _markov_random(params, seed) -> MarkovComponents:
 
 
 def _hs_random(params, seed) -> DensityState:
-    dims = tuple(int(d) for d in params["dims"])
-    rank = params.get("rank")
-    return sample("density_hs", dims, seed, rank=None if rank is None else int(rank))
+    rank = None if params.get("rank") is None else _integer(params, "rank")
+    return sample("density_hs", _integers(params, "dims"), seed, rank=rank)
 
 
 def _pure_random(params, seed) -> DensityState:
-    dims = tuple(int(d) for d in params["dims"])
-    return sample("pure", dims, seed).to_density()
+    return sample("pure", _integers(params, "dims"), seed).to_density()
 
 
 def _script_irreversible_e() -> ZooScript:
@@ -226,7 +245,8 @@ def parse_zoo_ref(ref: str):
     """Parse ``zoo:name?param=value&...`` into (name, params).
 
     Values are coerced to int or float when they parse as one; ``dims``
-    style comma lists become integer lists.
+    style comma lists become lists.  A blank value is kept as ``""``, so
+    the builder rejects it instead of falling back to the default.
     """
     if not ref.startswith("zoo:"):
         raise UnknownName(f"not a zoo reference: {ref!r}")
@@ -234,7 +254,7 @@ def parse_zoo_ref(ref: str):
     split = urlsplit("//x/" + rest)
     name = rest.split("?", 1)[0]
     params = {}
-    for key, value in parse_qsl(split.query):
+    for key, value in parse_qsl(split.query, keep_blank_values=True):
         if "," in value:
             params[key] = [_coerce(v) for v in value.split(",")]
         else:

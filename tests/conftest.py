@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,18 @@ from nmk import DensityState, layout, tensor
 # checkout's package too.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def peak_before_raising(call, error) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``, which must raise
+    ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bell_pair(a="A", b="B"):

@@ -403,6 +403,10 @@ class TestBadRanges:
             ("fuzz", "witness", "--trials", "-3"),
             ("fuzz", "ssa", "--trials", "2", "--jobs", "0"),
             ("fuzz", "monotonicity", "--trials", "1", "--jobs", "-3"),
+            ("nmf", "zoo:hs_random?dims=2.5,2,2"),
+            ("esqc", "zoo:hs_random?dims=2,2&rank=1.5"),
+            ("nmf", "zoo:hs_random?dims="),
+            ("esqc", "zoo:markov_random?entries=2.5"),
         ],
     )
     def test_exits_2_without_traceback(self, args):

@@ -14,6 +14,7 @@ from nmk import (
     layout,
     mutual_info,
     objective,
+    partial_trace,
     purify,
     sample,
     trace_distance,
@@ -163,6 +164,23 @@ class TestSearch:
         assert est.upper_bits <= 0.0013
         # 60% of the 4,801 evaluations of Armijo steps from twice the last.
         assert est.notes["evals"] <= 2880
+
+    def test_gate_state_needs_fewer_evals_than_gradient_steps(self):
+        est = estimate_esqc(zoo("hs_random", {"dims": (4, 4, 2)}, seed=1), EsqcConfig(seed=1))
+        assert est.upper_bits <= 0.0013
+        # Barzilai-Borwein gradient steps took 2,135 evaluations.
+        assert est.notes["evals"] <= 1900
+
+    def test_short_budget_gets_below_the_singleton(self):
+        # At 50 steps Barzilai-Borwein gradient steps read 0.154 of the
+        # singleton bound on these states.
+        ratios = []
+        for seed in range(1, 5):
+            omega = zoo("hs_random", {"dims": (4, 4, 2)}, seed=seed)
+            est = estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=50, seed=1))
+            ab = partial_trace(omega, ("A", "B"))
+            ratios.append(est.upper_bits / (0.5 * mutual_info(ab, ("A",), ("B",))))
+        assert np.mean(ratios) <= 0.11
 
 
 class TestWinnerOnly:

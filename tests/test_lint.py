@@ -1,8 +1,10 @@
-"""Import hygiene of the package, checked with the standard library's ``ast``.
+"""Hygiene of the package, checked with the standard library's ``ast``.
 
 Every module imports at module level only, and reads every name it imports
 there.  ``__init__.py`` re-exports what it imports and is exempt from the
-second rule; ``from __future__ import annotations`` binds no name.
+second rule; ``from __future__ import annotations`` binds no name.  No
+module uses an ``assert`` statement, which ``python -O`` strips: a check
+that must hold raises an error of the package.
 """
 
 import ast
@@ -40,10 +42,14 @@ def _read_names(tree):
 
 
 def lint(source: str, exempt_unused: bool = False) -> list[str]:
-    """Problems in one module's source: imports inside a function, and
-    module-level imports whose names the module never reads."""
+    """Problems in one module's source: imports inside a function,
+    module-level imports whose names the module never reads, and
+    ``assert`` statements."""
     tree = ast.parse(source)
     problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            problems.append(f"line {node.lineno}: assert, which python -O strips")
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
@@ -80,3 +86,8 @@ def test_lint_catches_unused_and_local_imports():
         "line 5: import inside f()",
         "line 2: 'field' is imported but never read",
     ]
+
+
+def test_lint_catches_assert():
+    source = "def f(x):\n    assert x > 0\n    return x\n"
+    assert lint(source) == ["line 2: assert, which python -O strips"]

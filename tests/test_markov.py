@@ -22,10 +22,10 @@ from nmk import (
     sample,
     tensor,
 )
-from nmk.errors import BadProbabilities, InconsistentDims
+from nmk.errors import BadProbabilities, BudgetExceeded, InconsistentDims
 from nmk.registers import Register
 
-from conftest import classical_corr
+from conftest import classical_corr, peak_before_raising
 
 
 def random_components(seed, entries=3, d_el=2, d_er=2):
@@ -70,6 +70,13 @@ class TestBuildMarkov:
         xi = build_markov(c)
         reduced = xi.permuted(("A", "B", "E0", "Am", "Bm"))
         np.testing.assert_allclose(reduced.matrix, ghz.matrix, atol=1e-12)
+
+    def test_budget_checked_before_allocating(self, monkeypatch):
+        # Two blocks of 2x4 by 2x4: a 128-dimensional state, 256 KiB a matrix.
+        components = random_components(1, entries=2, d_el=4, d_er=4)
+        monkeypatch.setenv("NMK_DIM_BUDGET", "64")
+        peak = peak_before_raising(lambda: build_markov(components), BudgetExceeded)
+        assert peak < 0.1 * 2**20
 
     def test_random_components_markov(self):
         for seed in range(5):

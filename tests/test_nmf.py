@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import fields, replace
 
 import numpy as np
@@ -149,8 +150,9 @@ def test_evals_count_kernel_calls(monkeypatch):
 
 
 class TestSearch:
-    """The descent: Barzilai-Borwein steps against a nonmonotone reference,
-    returning each restart's best iterate."""
+    """The descent: quasi-Newton directions at the Barzilai-Borwein step
+    length against a nonmonotone reference, returning each restart's best
+    iterate."""
 
     def test_gate_state_converges(self):
         est = estimate(zoo("hs_random", {"dims": (2, 2, 2)}, seed=3), EstimateConfig(seed=1))
@@ -201,6 +203,35 @@ class TestSearch:
             for r in nmf_est.trace + esqc_est.trace:
                 assert 0 <= r.accepted <= r.iterations <= max_iters
                 assert r.evals >= r.accepted + 1
+
+    def test_gate_state_needs_fewer_evals_than_gradient_steps(self):
+        est = estimate(zoo("hs_random", {"dims": (2, 2, 2)}, seed=3), EstimateConfig(seed=1))
+        assert est.upper_bits == pytest.approx(0.67470, abs=1e-5)
+        # Barzilai-Borwein gradient steps took 4,647 evaluations.
+        assert est.notes["evals"] <= 4000
+
+    def test_direction_is_a_capped_tangent_descent(self, monkeypatch):
+        calls = []
+        real = nmf._direction
+
+        def logged(w, rgrad, step, pairs):
+            had_pairs = bool(pairs)
+            d = real(w, rgrad, step, pairs)
+            calls.append((w, rgrad, step, had_pairs, d))
+            return d
+
+        monkeypatch.setattr(nmf, "_direction", logged)
+        omega = zoo("hs_random", {"dims": (4, 4, 2)}, seed=1)
+        estimate_esqc(omega, EsqcConfig(restarts=1, max_iters=40, seed=1))
+        w, rgrad, step = calls[0][:3]
+        assert np.array_equal(real(w, rgrad, step, deque()), -step * rgrad)
+        quasi_newton = [c for c in calls if c[3]]
+        assert len(quasi_newton) >= 30
+        for w, rgrad, step, _, d in quasi_newton:
+            assert np.vdot(d, rgrad).real < 0
+            wd = w.conj().T @ d
+            assert np.abs(wd + wd.conj().T).max() / 2 <= 1e-12
+            assert np.linalg.norm(d) <= step * np.linalg.norm(rgrad) * (1 + 1e-12)
 
 
 class TestPureStates:

@@ -27,7 +27,7 @@ from nmk.errors import (
 from nmk.registers import Register
 from nmk.states import INVERSE_TOL, _inverse_deviation
 
-from conftest import bell_pair, classical_corr, eve_zero, ghz_diag
+from conftest import bell_pair, classical_corr, eve_zero, ghz_diag, peak_before_raising
 
 
 def basis_state(dim, i, label="A", party="alice"):
@@ -390,6 +390,18 @@ class TestValidation:
             DensityState(layout(("A", 8, "alice")), np.eye(8, dtype=complex) / 8)
         monkeypatch.setenv("NMK_DIM_BUDGET", "8")
         DensityState(layout(("A", 8, "alice")), np.eye(8, dtype=complex) / 8)
+
+    @pytest.mark.parametrize("kind, dims", [("density_hs", (2,) * 9), ("pure", (2,) * 8)])
+    def test_sample_checks_budget_before_allocating(self, monkeypatch, kind, dims):
+        # A 512-dimensional density matrix is 4 MiB, its Gaussian factor 8 MiB.
+        monkeypatch.setenv("NMK_DIM_BUDGET", "64")
+        assert peak_before_raising(lambda: sample(kind, dims, 1), BudgetExceeded) < 0.1 * 2**20
+
+    def test_to_density_checks_budget_before_allocating(self, monkeypatch):
+        # The outer product of 256 amplitudes is 1 MiB.
+        psi = sample("pure", (2,) * 8, 1)
+        monkeypatch.setenv("NMK_DIM_BUDGET", "64")
+        assert peak_before_raising(psi.to_density, BudgetExceeded) < 0.1 * 2**20
 
 
 def test_equality_is_identity():

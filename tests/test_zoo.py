@@ -67,6 +67,23 @@ def test_unknown_name_and_bad_params():
         zoo("nonfree_script", {"cls": "bogus"})
 
 
+@pytest.mark.parametrize(
+    "ref, name",
+    [
+        ("zoo:hs_random?dims=2.5,2,2", "dims"),
+        ("zoo:hs_random?dims=2,,2", "dims"),
+        ("zoo:hs_random?dims=", "dims"),
+        ("zoo:hs_random?dims=2,2&rank=1.5", "rank"),
+        ("zoo:pure_random?dims=2,x", "dims"),
+        ("zoo:markov_random?entries=2.0", "entries"),
+        ("zoo:markov_random?d_a=", "d_a"),
+    ],
+)
+def test_non_integer_params_are_named_not_truncated(ref, name):
+    with pytest.raises(BadParams, match=name):
+        zoo(*parse_zoo_ref(ref))
+
+
 def test_parse_ref_forms():
     assert parse_zoo_ref("zoo:dummy") == ("dummy", {})
     name, params = parse_zoo_ref("zoo:hs_random?dims=2,2,4&rank=3&seed=9")
