@@ -18,6 +18,7 @@ import json
 import secrets
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -153,17 +154,7 @@ def cmd_nmf(args) -> int:
     started = time.time()
     state = _need_state(load_ref(args.state), args.state)
     seed = _seed_of(args)
-    config = EstimateConfig(
-        k=args.k,
-        ext=args.ext,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=seed,
-        tol=args.tol,
-        escalate=not args.no_escalate,
-        jobs=args.jobs,
-    )
-    est = estimate(state, config)
+    est = estimate(state, _search_config(EstimateConfig, args, seed))
     result = {
         "command": "nmf",
         "input": args.state,
@@ -191,15 +182,7 @@ def cmd_esqc(args) -> int:
     started = time.time()
     state = _need_state(load_ref(args.state), args.state)
     seed = _seed_of(args)
-    config = EsqcConfig(
-        k=args.k,
-        e_prime=args.e_prime,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=seed,
-        tol=args.tol,
-        jobs=args.jobs,
-    )
+    config = _search_config(EsqcConfig, args, seed)
     est = estimate_esqc(state, config)
     result = {
         "command": "esqc",
@@ -362,6 +345,33 @@ def seed_value(text: str) -> int:
     return seed
 
 
+def _common(p, seeded=True) -> None:
+    p.add_argument("--csv", help="also write flattened numeric results to this CSV file")
+    if seeded:
+        p.add_argument("--seed", type=seed_value, default=None)
+
+
+def _search_parser(sub, name: str, config_cls, help: str) -> argparse.ArgumentParser:
+    """A subcommand running the restart search, with the flags of every
+    ``SearchConfig`` field but ``seed`` (which ``--seed`` gives), defaulting
+    to ``config_cls``'s values."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("state")
+    p.add_argument("--k", type=int, default=config_cls.k)
+    p.add_argument("--restarts", type=int, default=config_cls.restarts)
+    p.add_argument("--max-iters", type=int, default=config_cls.max_iters)
+    p.add_argument("--tol", type=float, default=config_cls.tol)
+    p.add_argument("--jobs", type=int, default=config_cls.jobs)
+    _common(p)
+    return p
+
+
+def _search_config(config_cls, args, seed: int):
+    """A ``config_cls`` read from the flags named after its fields."""
+    values = {f.name: getattr(args, f.name) for f in fields(config_cls) if f.name != "seed"}
+    return config_cls(**values, seed=seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmk",
@@ -371,57 +381,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
-        p.add_argument("--csv", help="also write flattened numeric results to this CSV file")
-        if seeded:
-            p.add_argument("--seed", type=seed_value, default=None)
-
     p = sub.add_parser("analyze", help="entropic report and Markov verdict for a state")
     p.add_argument("state", help="state file or zoo:name?params reference")
     p.add_argument("--alice", help="comma-separated register labels for the A group")
     p.add_argument("--bob")
     p.add_argument("--eve")
     p.add_argument("--tol", type=float, default=1e-8)
-    common(p, seeded=False)
+    _common(p, seeded=False)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("nmf", help="bracket the formation measure of a state")
-    p.add_argument("state")
-    p.add_argument("--k", type=int, default=None)
+    p = _search_parser(sub, "nmf", EstimateConfig, "bracket the formation measure of a state")
     p.add_argument(
-        "--ext", default=EstimateConfig.ext, type=ext_dims, help="extension dims a',b',e'"
+        "--ext",
+        default=EstimateConfig.ext,
+        type=ext_dims,
+        help="extension dims a',b',e' of the one round to run (default: 1,1,1 then 2,2,2)",
     )
-    p.add_argument("--restarts", type=int, default=EstimateConfig.restarts)
-    p.add_argument("--max-iters", type=int, default=EstimateConfig.max_iters)
-    p.add_argument("--tol", type=float, default=EstimateConfig.tol)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--no-escalate", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_nmf)
 
-    p = sub.add_parser("esqc", help="ensemble entanglement upper bound of a bipartite state")
-    p.add_argument("state")
-    p.add_argument("--k", type=int, default=None)
+    p = _search_parser(
+        sub, "esqc", EsqcConfig, "ensemble entanglement upper bound of a bipartite state"
+    )
     p.add_argument("--e-prime", type=int, default=EsqcConfig.e_prime)
-    p.add_argument("--restarts", type=int, default=EsqcConfig.restarts)
-    p.add_argument("--max-iters", type=int, default=EsqcConfig.max_iters)
-    p.add_argument("--tol", type=float, default=EsqcConfig.tol)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--crosscheck", action="store_true", help="also run the extension crosscheck")
-    common(p)
     p.set_defaults(func=cmd_esqc)
 
     p = sub.add_parser("markov-build", help="assemble a state from block components")
     p.add_argument("components", help="components file or zoo:markov_random?... reference")
     p.add_argument("--out", help="write the built state to this file")
-    common(p, seeded=False)
+    _common(p, seeded=False)
     p.set_defaults(func=cmd_markov_build)
 
     p = sub.add_parser("script", help="run a step script against a state")
     p.add_argument("script", help="script file or zoo:nonfree_script?cls=... reference")
     p.add_argument("state", nargs="?", help="state reference (unneeded for zoo scripts)")
     p.add_argument("--out", help="write the final state to this file")
-    common(p, seeded=False)
+    _common(p, seeded=False)
     p.set_defaults(func=cmd_script)
 
     p = sub.add_parser("fuzz", help="run a randomized property suite")
@@ -429,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=300)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--counterexample-dir", default=".")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("zoo", help="list or build catalog entries")
     p.add_argument("action", choices=("list", "build"))
     p.add_argument("name", nargs="?", help="entry name or zoo:name?params reference")
     p.add_argument("--out")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_zoo)
 
     return parser

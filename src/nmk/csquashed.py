@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from .errors import BadEnsemble, BudgetExceeded, DimensionTooSmall
 from .nmf import (
     EstimateConfig,
     RestartRecord,
+    SearchConfig,
     _MemberObjective,
-    _beats,
-    _check_search_config,
-    _run_restarts,
+    _purified,
+    _search,
     _search_notes,
     estimate,
 )
@@ -54,29 +54,19 @@ from .witness import witness_from_ab_ensemble
 
 
 @dataclass(frozen=True)
-class EsqcConfig:
+class EsqcConfig(SearchConfig):
     """Knobs for the ensemble search.
 
     Members are steered into a purifier extension E' of dimension
     ``e_prime`` times a flag of ``k`` values (default: the state's rank);
-    with ``e_prime`` 1 every member is a pure AB state.  ``restarts``
-    gradient descents from random isometries run, each of at most
-    ``max_iters`` gradient steps, stopping early below ``tol / 2``.
+    with ``e_prime`` 1 every member is a pure AB state.  A restart stops
+    early below ``tol / 2``.
     """
 
-    k: int | None = None
-    e_prime: int = 2
-    restarts: int = 4
-    max_iters: int = 600
-    seed: int = 0
+    MINIMA = {**SearchConfig.MINIMA, "e_prime": 1}
+
     tol: float = 1e-4
-    jobs: int = 1
-
-    def __post_init__(self):
-        _check_search_config(self, {"e_prime": 1, "restarts": 0, "max_iters": 0, "jobs": 1})
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    e_prime: int = 2
 
 
 class PureMemberEnsemble(Sequence):
@@ -119,7 +109,7 @@ def esqc_objective(weights, states) -> float:
     states = tuple(states)
     if not states or len(weights) != len(states):
         raise BadEnsemble("weights and states must pair up nonempty")
-    if any(p < -1e-10 for p in weights) or abs(sum(weights) - 1.0) > 1e-10:
+    if not (all(p >= -1e-10 for p in weights) and abs(sum(weights) - 1.0) <= 1e-10):
         raise BadEnsemble(f"weights must be nonnegative and sum to 1, got {sum(weights)}")
     lay = states[0].layout
     a = lay.party_labels(Party.ALICE)
@@ -140,7 +130,7 @@ def check_ensemble(weights, states, omega: DensityState, tol: float = 1e-9) -> f
     """Trace distance between the ensemble average and ``omega``."""
     avg = sum(p * s.matrix for p, s in zip(weights, states))
     dist = trace_distance(DensityState(states[0].layout, avg), omega)
-    if dist > tol:
+    if not dist <= tol:
         raise BadEnsemble(f"ensemble average deviates from the state by {dist:.3e}")
     return dist
 
@@ -183,11 +173,9 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         omega = partial_trace(omega, a + b)
     if omega.dim > 64:
         raise BudgetExceeded(f"ensemble search is limited to total dimension 64, got {omega.dim}")
-    psi = purify(omega, "__ref__")
-    rank = psi.layout.register("__ref__").dim
-    psi_arr = psi.amplitudes.reshape(omega.dim, rank)
+    psi_arr, rank = _purified(omega)
     # The singleton, as the one member its purification is.
-    best_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi.amplitudes[None, :]))
+    best_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi_arr.reshape(1, -1)))
     singleton = best_val = esqc_objective(*best_ens)
     best_source = "singleton"
     k = int(config.k) if config.k else rank
@@ -195,15 +183,14 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     if e_prime * k < rank:
         raise DimensionTooSmall(f"extension capacity {e_prime * k} below rank {rank}")
     fast_f = _fast_esqc_objective(omega, psi_arr, e_prime, k)
-    trace, isometries = _run_restarts(
-        fast_f, rank, e_prime * k, config, config.tol * 0.5, 0, [config.seed]
+    trace, won = _search(
+        fast_f, rank, e_prime * k, config, config.tol * 0.5, best_val, 0, [config.seed]
     )
-    top = min(trace, key=lambda r: r.objective, default=None)
     winner = None
-    if top is not None and _beats(top.objective, best_val):
-        best_ens = _members_from_matrix(omega, psi_arr, isometries[top.restart_id], e_prime, k)
-        best_val, best_source = esqc_objective(*best_ens), f"restart:{top.restart_id}"
-        winner = top
+    if won is not None:
+        winner, w_mat = won
+        best_ens = _members_from_matrix(omega, psi_arr, w_mat, e_prime, k)
+        best_val, best_source = esqc_objective(*best_ens), f"restart:{winner.restart_id}"
     check_ensemble(*best_ens, omega, tol=1e-8)
     return EsqcEstimate(
         upper_bits=float(best_val),

@@ -2,7 +2,8 @@
 
 Each suite draws seeded random instances, checks an inequality that is a
 theorem for exact arithmetic, and reports violations beyond tolerance as
-counterexamples carrying the serialized instance.  Every trial owns a
+counterexamples carrying the serialized instance.  Each check is written
+so that a NaN fails it.  Every trial owns a
 generator derived from ``(seed, trial index)``, so results are identical
 for any worker count; ``jobs`` spreads trials over ``rand.map_indexed``.
 
@@ -105,7 +106,7 @@ def fuzz_ssa(trials_222: int = 1000, trials_224: int = 200, seed=0, jobs: int = 
         dims = (2, 2, 2) if i < trials_222 else (2, 2, 4)
         rho = sample("density_hs", dims, as_rng([seed, i]))
         value = cqmi(rho, ("A",), ("B",), ("E",))
-        if value < -SSA_TOL:
+        if not value >= -SSA_TOL:
             return [{"dims": list(dims), "cqmi": value, "state": state_to_json(rho)}]
         return []
 
@@ -199,9 +200,9 @@ def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> Fuz
         step = _mono_step(cls, rng)
         before = nonmarkovianity(sc.block_state)
         after = nonmarkovianity(apply_step(sc, step).block_state)
-        bad = after > before + MONO_TOL
+        bad = not after <= before + MONO_TOL
         if cls == "reversible_e":
-            bad = abs(after - before) > MONO_TOL
+            bad = not abs(after - before) <= MONO_TOL
         if bad:
             return [
                 {
@@ -250,7 +251,7 @@ def fuzz_markov_closure(trials: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
             current = apply_step(current, step)
         a, b, e = party_partition(current.block_state)
         value = cqmi(current.block_state, a, b, e)
-        if value > CLOSURE_TOL:
+        if not value <= CLOSURE_TOL:
             return [
                 {
                     "trial": t,
@@ -295,30 +296,30 @@ def _witness_trial(seed, t):
         cqmi(joint, g.a + g.a_prime, g.b + g.b_prime, k)
         + cqmi(joint, g.a + g.b, g.e_prime + k, g.e)
     )
-    if abs(obj - realized) > DUAL_ROUTE_TOL:
+    if not abs(obj - realized) <= DUAL_ROUTE_TOL:
         fail("dual_route", objective=obj, recomputed=realized)
     lower = nonmarkovianity(rho)
-    if obj < lower - IDENTITY_TOL:
+    if not obj >= lower - IDENTITY_TOL:
         fail("lower_sandwich", objective=obj, lower=lower)
     other_lay = layout(("A2", 2, "alice"), ("B2", 2, "bob"), ("E2", 2, "eve"))
     _, w2 = _random_witness(rng, lay=other_lay)
     w2 = witness_relabeled(w2, "x")
     pair = witness_tensor(w, w2)
-    if abs(objective(pair) - obj - objective(w2)) > IDENTITY_TOL:
+    if not abs(objective(pair) - obj - objective(w2)) <= IDENTITY_TOL:
         fail("tensor_additivity", pair=objective(pair), parts=obj + objective(w2))
     mixed = witness_mix([(0.25, w), (0.75, w)])
-    if abs(objective(mixed) - obj) > IDENTITY_TOL:
+    if not abs(objective(mixed) - obj) <= IDENTITY_TOL:
         fail("mix_linearity", mixed=objective(mixed), part=obj)
     regrouped = witness_regroup(w, w.groups.a[0], to="e")
-    if objective(regrouped) > obj + IDENTITY_TOL:
+    if not objective(regrouped) <= obj + IDENTITY_TOL:
         fail("regroup_monotone", regrouped=objective(regrouped), objective=obj)
     iso = random_isometry(2, 4, rng)
     moved = witness_transport_e(w, iso, (w.groups.e[0],), (Register("F", 4, Party.EVE),))
-    if abs(objective(moved) - obj) > IDENTITY_TOL:
+    if not abs(objective(moved) - obj) <= IDENTITY_TOL:
         fail("transport_invariance", transported=objective(moved), objective=obj)
     chan = _random_channel(2, rng)
     local = witness_local_channel(w, "b", chan.kraus, (w.groups.b[0],), "Benv")
-    if objective(local) > obj + IDENTITY_TOL:
+    if not objective(local) <= obj + IDENTITY_TOL:
         fail("local_channel_monotone", transported=objective(local), objective=obj)
     return failures
 

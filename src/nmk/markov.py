@@ -60,7 +60,7 @@ class MarkovComponents:
         if not entries:
             raise InconsistentDims("need at least one block entry")
         total = sum(e.p for e in entries)
-        if any(e.p < -PROB_TOL for e in entries) or abs(total - 1.0) > PROB_TOL:
+        if not (all(e.p >= -PROB_TOL for e in entries) and abs(total - 1.0) <= PROB_TOL):
             raise BadProbabilities(f"weights must be nonnegative and sum to 1, got sum {total}")
         first = entries[0]
         for e in entries[1:]:

@@ -13,8 +13,9 @@ evaluation, line-search trials included, is one call of the kernel
 ``states.member_value_and_grad``, which gives the value and its analytic
 gradient together.  Estimates are bracket pairs, never point claims.
 
-Restarts run in one place, ``_run_restarts``, which ``csquashed`` shares.
-Each restart reports the member-marginal objective at its best isometry;
+Both estimators share one front end: the knobs of ``SearchConfig``, the
+purification ``_purified`` and the restart search ``_search``.  Each
+restart reports the member-marginal objective at its best isometry;
 restarts are ranked by that value, and only a restart that beats every
 earlier candidate is turned into a witness.  Everything is deterministic
 per seed: each restart starts from an isometry drawn from a generator
@@ -50,50 +51,57 @@ from .witness import (
 
 
 @dataclass(frozen=True)
-class EstimateConfig:
-    """Knobs for the bracket search.
+class SearchConfig:
+    """Knobs of the restart search both estimators run.
 
-    ``k`` defaults to the target state's rank; extension dims default to
-    (1, 1, 1) with one escalation round to (2, 2, 2) under the dimension
-    budget when the bracket gap stays above ``tol``.  Each round runs
-    ``restarts`` gradient descents from random isometries, each of at most
-    ``max_iters`` gradient steps; a restart stops early once it is within
-    ``tol / 2`` of the lower bound.
+    ``k`` is the flag dimension (default: the target state's rank).
+    ``restarts`` gradient descents run from random isometries, each of at
+    most ``max_iters`` gradient steps; a restart stops early once it is
+    within ``tol / 2`` of the lower bound.  Each integer field named in
+    ``MINIMA`` (and ``k`` unless None) must be at least its minimum.
     """
 
+    MINIMA = {"seed": 0, "restarts": 0, "max_iters": 0, "jobs": 1}
+
     k: int | None = None
-    ext: tuple[int, int, int] = (1, 1, 1)
     restarts: int = 4
     max_iters: int = 600
     seed: int = 0
     tol: float = 1e-3
-    escalate: bool = True
     jobs: int = 1
 
     def __post_init__(self):
-        if len(self.ext) != 3 or not all(
-            isinstance(x, numbers.Integral) and x >= 1 for x in self.ext
-        ):
-            raise BadRange(f"ext must be three positive integers, got {self.ext!r}")
-        _check_search_config(self, {"restarts": 0, "max_iters": 0, "jobs": 1})
+        minima = self.MINIMA if self.k is None else {"k": 1, **self.MINIMA}
+        for name, low in minima.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise BadRange(f"tol must be finite and >= 0, got {self.tol!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _check_search_config(config, minima: dict) -> None:
-    """Raise BadRange unless every integer field named in ``minima`` is at
-    least its minimum, ``seed`` is nonnegative, ``k`` is None or positive,
-    and ``tol`` is finite and nonnegative."""
-    minima = {"seed": 0, **minima}
-    if config.k is not None:
-        minima = {"k": 1, **minima}
-    for name, low in minima.items():
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Integral) or value < low:
-            raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
-    if not (math.isfinite(config.tol) and config.tol >= 0):
-        raise BadRange(f"tol must be finite and >= 0, got {config.tol!r}")
+@dataclass(frozen=True)
+class EstimateConfig(SearchConfig):
+    """Knobs for the bracket search.
+
+    ``ext`` gives the extension dims (a', b', e') of the one round to run.
+    By default (None) a round at (1, 1, 1) runs first and, when the bracket
+    gap stays above ``tol``, a round at (2, 2, 2) under the dimension
+    budget.
+    """
+
+    ext: tuple[int, int, int] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ext is not None and (
+            len(self.ext) != 3
+            or not all(isinstance(x, numbers.Integral) and x >= 1 for x in self.ext)
+        ):
+            raise BadRange(f"ext must be three positive integers, got {self.ext!r}")
 
 
 @dataclass(frozen=True)
@@ -292,10 +300,29 @@ def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
     return w, value, iters, accepted, evals, math.sqrt(slope)
 
 
-def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
-    """Run ``config.restarts`` descents of ``fast_f``, restart ``rid``
-    from a random isometry drawn from ``as_rng([*seed_key, rid])``.  Returns
-    their records and best isometries, both in restart order."""
+BEAT_MARGIN = 1e-12
+
+
+def _beats(value: float, best: float) -> bool:
+    """Whether a restart's ``value`` improves on ``best`` by more than
+    rounding: only such a restart takes the lead or counts as beating a
+    baseline."""
+    return value < best - BEAT_MARGIN
+
+
+def _purified(state: DensityState):
+    """The (system, reference) matrix of the purification of ``state`` and
+    the reference dimension, its rank."""
+    psi = purify(state, "__ref__")
+    rank = psi.layout.register("__ref__").dim
+    return psi.amplitudes.reshape(state.dim, rank), rank
+
+
+def _search(fast_f, rank, out_dim, config: SearchConfig, stop_at, best, round_id, seed_key):
+    """Run ``config.restarts`` descents of ``fast_f``, restart ``rid`` from a
+    random isometry drawn from ``as_rng([*seed_key, rid])``.  Returns their
+    records, in restart order, and the winning record with its best
+    isometry when the lowest restart beats ``best`` (else None)."""
 
     def one(rid):
         start = random_isometry(rank, out_dim, as_rng([*seed_key, rid]))
@@ -306,17 +333,10 @@ def _run_restarts(fast_f, rank, out_dim, config, stop_at, round_id, seed_key):
         RestartRecord(rid, round_id, value, iters, accepted, evals, grad_norm)
         for rid, (_, value, iters, accepted, evals, grad_norm) in enumerate(results)
     ]
-    return records, [w for w, *_ in results]
-
-
-BEAT_MARGIN = 1e-12
-
-
-def _beats(value: float, best: float) -> bool:
-    """Whether a restart's ``value`` improves on ``best`` by more than
-    rounding: only such a restart takes the lead or counts as beating a
-    baseline."""
-    return value < best - BEAT_MARGIN
+    top = min(records, key=lambda r: r.objective, default=None)
+    if top is None or not _beats(top.objective, best):
+        return records, None
+    return records, (top, results[top.restart_id][0])
 
 
 def _search_notes(trace, baseline: float, winner: RestartRecord | None) -> dict:
@@ -363,13 +383,8 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         "it equals) is not computed; this is a single-copy bracket",
     }
 
-    psi = purify(rho, "__ref__")
-    rank = psi.layout.register("__ref__").dim
-    psi_arr = psi.amplitudes.reshape(rho.dim, rank)
-
-    schedule = [tuple(int(x) for x in config.ext)]
-    if config.escalate and schedule[0] == (1, 1, 1):
-        schedule.append((2, 2, 2))
+    psi_arr, rank = _purified(rho)
+    schedule = [(1, 1, 1), (2, 2, 2)] if config.ext is None else [tuple(int(x) for x in config.ext)]
 
     for round_id, ext_dims in enumerate(schedule):
         if best_obj - lower <= config.tol:
@@ -392,16 +407,14 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
             continue
         fast_f = _fast_objective(rho, psi_arr, ext_dims, k)
         stop_at = lower + 0.5 * config.tol
-        records, isometries = _run_restarts(
-            fast_f, rank, capacity, config, stop_at, round_id, [config.seed, round_id]
+        records, won = _search(
+            fast_f, rank, capacity, config, stop_at, best_obj, round_id, [config.seed, round_id]
         )
         trace.extend(records)
-        top = min(records, key=lambda r: r.objective, default=None)
-        if top is not None and _beats(top.objective, best_obj):
-            w_mat = isometries[top.restart_id]
+        if won is not None:
+            winner, w_mat = won
             best_w = witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
-            best_obj, best_source = objective(best_w), f"restart:{top.restart_id}/{round_id}"
-            winner = top
+            best_obj, best_source = objective(best_w), f"restart:{winner.restart_id}/{round_id}"
         notes["rounds"].append({"round": round_id, "ext": ext_dims, "best": best_obj})
 
     upper = float(best_obj)

@@ -110,7 +110,7 @@ def _check_hermitian(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise InvariantViolation("finite", "matrix entries must be finite")
     herm_err = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if herm_err > HERMITIAN_TOL:
+    if not herm_err <= HERMITIAN_TOL:
         raise InvariantViolation("hermitian", f"max |m - m^dagger| = {herm_err:.3e}")
 
 
@@ -122,7 +122,7 @@ def _check_positive(m: np.ndarray) -> None:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < EIG_FLOOR:
+        if not lo >= EIG_FLOOR:
             raise InvariantViolation(
                 "positive_semidefinite", f"minimum eigenvalue {lo:.3e} < {EIG_FLOOR}"
             ) from None
@@ -150,7 +150,7 @@ class DensityState:
             )
         _check_hermitian(m)
         tr_err = abs(np.trace(m) - 1.0)
-        if tr_err > TRACE_TOL:
+        if not tr_err <= TRACE_TOL:
             raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
         _check_positive(m)
 
@@ -184,7 +184,7 @@ class PureState:
         if not np.isfinite(self.amplitudes).all():
             raise InvariantViolation("finite", "amplitudes must be finite")
         err = abs(np.linalg.norm(self.amplitudes) - 1.0)
-        if err > NORM_TOL:
+        if not err <= NORM_TOL:
             raise InvariantViolation("unit_norm", f"| ||psi|| - 1 | = {err:.3e}")
 
     @property
@@ -204,8 +204,8 @@ class ChannelMap:
     identity; reversibility is checked operationally when the map is built,
     not syntactically: the Choi matrix of the composition must match the
     identity's entrywise within 1e-8, which is the test on every matrix unit
-    (see ``_inverse_deviation``).  The completeness sum
-    ``sum K^dagger K = I`` is enforced unless ``trace_preserving`` is False
+    (see ``_inverse_deviation``).  Kraus operators must be finite, and the
+    completeness sum ``sum K^dagger K = I`` is enforced unless ``trace_preserving`` is False
     (needed for declared inverses of proper isometries, which are only
     trace-preserving on the range).
     """
@@ -222,11 +222,13 @@ class ChannelMap:
         for k in ops:
             if k.shape != (s, r):
                 raise DimensionMismatch("Kraus operators must share one shape")
+            if not np.isfinite(k).all():
+                raise InvariantViolation("finite", "Kraus operators must be finite")
         object.__setattr__(self, "kraus", ops)
         if self.trace_preserving:
             comp = sum(k.conj().T @ k for k in ops)
             err = np.max(np.abs(comp - np.eye(r)))
-            if err > KRAUS_TOL:
+            if not err <= KRAUS_TOL:
                 raise InvariantViolation(
                     "kraus_completeness", f"max |sum K^dagger K - I| = {err:.3e}"
                 )
@@ -249,7 +251,7 @@ class ChannelMap:
         if inv.in_dim != self.out_dim or inv.out_dim != self.in_dim:
             raise DimensionMismatch("declared inverse dimensions do not match the channel")
         err = _inverse_deviation(self.kraus, inv.kraus)
-        if err > tol:
+        if not err <= tol:
             raise InvariantViolation(
                 "inverse_composition", f"max |Choi(inverse o channel) - Choi(id)| = {err:.3e}"
             )
@@ -758,7 +760,7 @@ class BlockState:
             t = weight * _permuted_matrix(matrix, q.dims, order).reshape(rest, d, rest, d)
             off = t.copy()
             off[:, idx, :, idx] = 0.0
-            if float(np.max(np.abs(off))) > CLASSICAL_TOL:
+            if not float(np.max(np.abs(off))) <= CLASSICAL_TOL:
                 raise NotClassicalRegister(
                     f"register {label!r} is not classical (diagonal) within {CLASSICAL_TOL}"
                 )
@@ -837,7 +839,7 @@ def _settled(layout, classical, parts) -> BlockState:
         _check_hermitian(m)
     traces = [np.trace(m) for _, m in parts]
     tr_err = abs(sum(traces) - 1.0)
-    if tr_err > TRACE_TOL:
+    if not tr_err <= TRACE_TOL:
         raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
     for _, m in parts:
         _check_positive(m)

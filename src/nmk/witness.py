@@ -123,9 +123,9 @@ class Witness:
         if not all(np.isfinite(self.weights)) or not np.isfinite(members).all():
             raise InvariantViolation("finite", "witness weights and members must be finite")
         total = sum(self.weights)
-        if any(p < -WEIGHT_TOL for p in self.weights) or abs(total - 1.0) > WEIGHT_TOL:
+        if not (all(p >= -WEIGHT_TOL for p in self.weights) and abs(total - 1.0) <= WEIGHT_TOL):
             raise InvariantViolation("weights", f"weights must sum to 1, got {total}")
-        if np.max(np.abs(np.linalg.norm(members, axis=1) - 1.0)) > 1e-9:
+        if not np.max(np.abs(np.linalg.norm(members, axis=1) - 1.0)) <= 1e-9:
             raise InvariantViolation("unit_norm", "witness members must be normalized")
         if sorted(self.groups.all_labels()) != sorted(self.layout.labels):
             raise LayoutClash("witness groups must partition the member layout")
@@ -206,7 +206,7 @@ def check_witness(w: Witness, rho: DensityState, tol: float = 1e-9) -> float:
     if rho_cmp.layout.labels != target.layout.labels:
         rho_cmp = rho_cmp.permuted(target.layout.labels)
     dist = trace_distance(target, rho_cmp)
-    if dist > tol:
+    if not dist <= tol:
         raise InvariantViolation(
             "witness_reduction", f"witness target deviates from rho by {dist:.3e}"
         )
@@ -274,7 +274,7 @@ def witness_from_isometry(
         raise DimensionMismatch(
             f"isometry shape {w_matrix.shape} != ({ap * bp * ep * k}, {rank})"
         )
-    if np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) > 1e-8:
+    if not np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) <= 1e-8:
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
     weights, members = steered_members(psi.amplitudes.reshape(rho.dim, rank), w_matrix, lay.dims, k)
     w = Witness(lay, groups, weights / weights.sum(), members)
@@ -389,7 +389,7 @@ def witness_mix(parts) -> Witness:
     if "M" in first.layout:
         raise LayoutClash("mixture label 'M' clashes with member registers")
     total = sum(r for r, _ in parts)
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if not abs(total - 1.0) <= WEIGHT_TOL:
         raise InvariantViolation("weights", f"mixture weights must sum to 1, got {total}")
     n = len(parts)
     layout = first.layout.extended((Register("M", n, Party.EVE),))

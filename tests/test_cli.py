@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from nmk import ChannelMap, sample
+from nmk import ChannelMap, sample, zoo
 from nmk.registers import Register
-from nmk.serialize import script_to_json, state_to_json
+from nmk.serialize import components_to_json, script_to_json, state_to_json
 from nmk.steps import Step
 
 
@@ -350,6 +350,28 @@ class TestReaderRobustness:
         proc = run_cli("script", str(script), "zoo:hs_random?dims=2,2,2")
         assert proc.returncode == 3
         assert "budget" in proc.stderr and "4096" in proc.stderr
+
+
+class TestNanInput:
+    def test_script_with_nan_inverse_exits_2(self, tmp_path):
+        # An inverse that cannot be verified never makes a step reversible.
+        payload = script_to_json((Step.reversible_e(ChannelMap.unitary(np.eye(2)), ("E",)),))
+        for m in payload["steps"][0]["channel"]["inverse"]["kraus"]:
+            m["re"] = np.full((2, 2), np.nan).tolist()
+        script = tmp_path / "nan_inverse.json"
+        script.write_text(json.dumps(payload))
+        proc = run_cli("script", str(script), "zoo:ghz_diag")
+        assert proc.returncode == 2
+        assert "finite: Kraus operators" in proc.stderr
+
+    def test_markov_build_with_nan_weight_exits_2(self, tmp_path):
+        payload = components_to_json(zoo("markov_random", {"entries": 2}, seed=7))
+        payload["entries"][0]["p"] = float("nan")
+        components = tmp_path / "nan_weight.json"
+        components.write_text(json.dumps(payload))
+        proc = run_cli("markov-build", str(components))
+        assert proc.returncode == 2
+        assert "weights must be nonnegative" in proc.stderr
 
 
 class TestFuzz:

@@ -61,6 +61,12 @@ class TestObjective:
         with pytest.raises(BadEnsemble):
             esqc_objective((1.0,), ())
 
+    def test_nan_weight(self):
+        with pytest.raises(BadEnsemble, match="weights"):
+            esqc_objective((float("nan"),), (bell_pair(),))
+        with pytest.raises(BadEnsemble, match="weights"):
+            esqc_objective((float("nan"), 1.0), (bell_pair(), bell_pair()))
+
 
 @pytest.mark.parametrize("e_prime", [1, 2])
 @pytest.mark.parametrize("extra_k", [0, 1])

@@ -4,7 +4,9 @@ Every module imports at module level only, and reads every name it imports
 there.  ``__init__.py`` re-exports what it imports and is exempt from the
 second rule; ``from __future__ import annotations`` binds no name.  No
 module uses an ``assert`` statement, which ``python -O`` strips: a check
-that must hold raises an error of the package.
+that must hold raises an error of the package.  No tolerance gate that
+raises is written ``if err > tol`` or ``if p < -TOL``, which a NaN passes:
+it is written ``if not err <= tol``, which a NaN fails.
 """
 
 import ast
@@ -41,15 +43,44 @@ def _read_names(tree):
     return names
 
 
+def _is_tolerance(node):
+    """A float literal or a name ending in TOL, tol or FLOOR, or its negation."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    return isinstance(node, ast.Name) and node.id.endswith(("TOL", "tol", "FLOOR"))
+
+
+def _nan_blind_gate(node):
+    """Whether ``node`` is an ``if`` whose body raises and whose test compares
+    with ``>`` or ``<`` against a tolerance: a NaN makes that test False, so
+    the gate lets it through."""
+    if not isinstance(node, ast.If):
+        return False
+    if not any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)):
+        return False
+    for cmp in ast.walk(node.test):
+        if isinstance(cmp, ast.Compare):
+            operands = [cmp.left, *cmp.comparators]
+            for op, left, right in zip(cmp.ops, operands, operands[1:]):
+                strict = isinstance(op, (ast.Gt, ast.Lt))
+                if strict and (_is_tolerance(left) or _is_tolerance(right)):
+                    return True
+    return False
+
+
 def lint(source: str, exempt_unused: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
-    module-level imports whose names the module never reads, and
-    ``assert`` statements."""
+    module-level imports whose names the module never reads, ``assert``
+    statements and tolerance gates that a NaN passes."""
     tree = ast.parse(source)
     problems = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             problems.append(f"line {node.lineno}: assert, which python -O strips")
+        if _nan_blind_gate(node):
+            problems.append(f"line {node.lineno}: tolerance gate that a NaN passes")
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
@@ -91,3 +122,25 @@ def test_lint_catches_unused_and_local_imports():
 def test_lint_catches_assert():
     source = "def f(x):\n    assert x > 0\n    return x\n"
     assert lint(source) == ["line 2: assert, which python -O strips"]
+
+
+def test_lint_catches_nan_blind_gates():
+    source = (
+        "TOL = 1e-9\n"
+        "def f(err, p, tol):\n"
+        "    if err > tol:\n"
+        "        raise ValueError(err)\n"
+        "    if any(q < -TOL for q in p) or abs(sum(p) - 1) > 1e-10:\n"
+        "        raise ValueError(p)\n"
+        "    if not err <= tol:\n"
+        "        raise ValueError(err)\n"
+        "    if err > tol:\n"
+        "        return None\n"
+        "    if len(p) > 3:\n"
+        "        raise ValueError(p)\n"
+        "    return err\n"
+    )
+    assert lint(source) == [
+        "line 3: tolerance gate that a NaN passes",
+        "line 5: tolerance gate that a NaN passes",
+    ]

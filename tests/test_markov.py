@@ -89,6 +89,11 @@ class TestBuildMarkov:
                 (MarkovEntry(0.7, basis_qubit(0, "A", "alice"), basis_qubit(0, "B", "bob")),)
             )
 
+    def test_nan_probability(self):
+        first, second = random_components(3, entries=2).entries
+        with pytest.raises(BadProbabilities, match="weights"):
+            MarkovComponents((first, MarkovEntry(float("nan"), second.sigma, second.tau)))
+
     def test_inconsistent_layouts(self):
         a = basis_qubit(0, "A", "alice")
         with pytest.raises(InconsistentDims):

@@ -178,7 +178,7 @@ class TestSearch:
         # nonincreasing in max_iters, though the values along a run are not.
         rho = sample("density_hs", (2, 2, 2), 1)
         traces = [
-            estimate(rho, EstimateConfig(restarts=2, max_iters=m, seed=1, escalate=False)).trace
+            estimate(rho, EstimateConfig(restarts=2, max_iters=m, seed=1, ext=(1, 1, 1))).trace
             for m in range(5, 45, 5)
         ]
         for shorter, longer in zip(traces, traces[1:]):
@@ -302,7 +302,7 @@ class TestSandwich:
 
     def test_uncertified_flagged(self):
         rho = sample("density_hs", (2, 2, 2), 9)
-        est = estimate(rho, EstimateConfig(restarts=2, max_iters=50, seed=1, escalate=False))
+        est = estimate(rho, EstimateConfig(restarts=2, max_iters=50, seed=1, ext=(1, 1, 1)))
         if est.gap > est.config["tol"]:
             assert est.notes["uncertified"]
             assert not est.certified
@@ -348,7 +348,7 @@ class TestWinnerOnly:
         est = estimate(self.state(), self.CONFIG)
         assert 1 <= len(built) <= len({r.round_id for r in est.trace})
         built.clear()
-        estimate(self.state(), replace(self.CONFIG, escalate=False))
+        estimate(self.state(), replace(self.CONFIG, ext=(1, 1, 1)))
         assert len(built) == 1
 
     def test_upper_is_the_smallest_candidate(self):

@@ -384,6 +384,19 @@ class TestValidation:
         with pytest.raises(InvariantViolation, match="kraus_completeness"):
             ChannelMap((np.eye(2) * 0.5,))
 
+    @pytest.mark.parametrize("trace_preserving", [True, False])
+    def test_kraus_not_finite(self, trace_preserving):
+        with pytest.raises(InvariantViolation, match="finite"):
+            ChannelMap((np.full((2, 2), np.nan),), trace_preserving=trace_preserving)
+        with pytest.raises(InvariantViolation, match="finite"):
+            ChannelMap((np.eye(2), np.diag([0.0, np.inf])), trace_preserving=trace_preserving)
+
+    def test_declared_inverse_not_finite(self):
+        with pytest.raises(InvariantViolation, match="finite"):
+            ChannelMap.from_kraus(
+                (np.eye(2),), ChannelMap((np.full((2, 2), np.nan),), trace_preserving=False)
+            )
+
     def test_dim_budget(self, monkeypatch):
         monkeypatch.setenv("NMK_DIM_BUDGET", "4")
         with pytest.raises(BudgetExceeded):

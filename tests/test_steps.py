@@ -331,6 +331,21 @@ class TestPropertySuites:
         report = fuzz_markov_closure(trials=25, seed=2)
         assert report.ok, report.failures[:2]
 
+    @pytest.mark.parametrize(
+        "suite, checked",
+        [
+            (lambda: fuzz.fuzz_ssa(2, 1, seed=0), "cqmi"),
+            (lambda: fuzz_monotonicity(1, seed=0), "nonmarkovianity"),
+            (lambda: fuzz_markov_closure(2, seed=0), "cqmi"),
+            (lambda: fuzz.fuzz_witness(1, seed=0), "objective"),
+        ],
+        ids=["ssa", "monotonicity", "markov_closure", "witness"],
+    )
+    def test_a_nan_value_fails_every_check(self, monkeypatch, suite, checked):
+        monkeypatch.setattr(fuzz, checked, lambda *args, **kwargs: float("nan"))
+        report = suite()
+        assert report.passes == 0 and len(report.failures) == report.trials
+
     def test_worker_count_invariance(self, monkeypatch):
         # Every trial reports a "violation", so the reports list every
         # trial's value and state, in trial order.
