@@ -95,16 +95,21 @@ def sample(kind: str, dims, seed, *, layout: RegisterLayout | None = None, rank=
         ``density_hs`` -> DensityState on ``dims`` (Hilbert-Schmidt measure)
         ``unitary``    -> ndarray, ``dims`` a single int or [d]
         ``isometry``   -> ndarray, ``dims`` = (in_dim, out_dim)
+
+    The output dimension is checked against the budget before anything is
+    drawn.
     """
     rng = as_rng(seed)
     if kind == "unitary":
         d = int(dims if np.isscalar(dims) else math.prod(dims))
+        _require_budget(d)
         return random_unitary(d, rng)
     if kind == "isometry":
         try:
             in_dim, out_dim = (int(x) for x in dims)
         except (TypeError, ValueError):
             raise BadDims("isometry dims must be a pair (in_dim, out_dim)") from None
+        _require_budget(out_dim)
         return random_isometry(in_dim, out_dim, rng)
     dims = tuple(int(d) for d in (dims if not np.isscalar(dims) else [dims]))
     if not dims:

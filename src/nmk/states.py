@@ -18,9 +18,9 @@ keeps, rho = sum_x p_x |x><x|^(copies) (x) rho_x: classical variables, each
 held in one or more copy registers, times one normalized matrix on the
 remaining (quantum) registers per value.  A copy of a classical value adds
 a label, not dimension.  Its operations act block by block through the
-same raw-matrix kernels and check each block they return once, at the
-tolerances of :class:`DensityState`, applied to the weighted block
-``p_x rho_x`` (the block the dense matrix would hold).
+same raw-matrix kernels.  A block state checks its blocks when it is
+built, once, at the tolerances of :class:`DensityState`, applied to the
+weighted block ``p_x rho_x`` (the block the dense matrix would hold).
 
 Conventions
 -----------
@@ -38,6 +38,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -619,6 +620,31 @@ class Block(NamedTuple):
     matrix: np.ndarray
 
 
+class _CheckedBlocks(tuple):
+    """Blocks whose weighted matrices passed ``_checked_blocks``, or the one
+    block of a :class:`DensityState`, which passed the same checks.  A
+    block state built on them shares them without checking them again."""
+
+
+def _checked_blocks(blocks) -> _CheckedBlocks:
+    """``blocks`` with read-only matrices, once each weighted block
+    ``p_x rho_x`` (its share of the dense matrix) is checked as the dense
+    state would be: hermitian and positive, their traces summing to 1
+    within ``TRACE_TOL``."""
+    blocks = [Block(tuple(v), float(w), _freeze(m)) for v, w, m in blocks]
+    total = 0.0
+    for block in blocks:
+        weighted = block.weight * block.matrix
+        _check_hermitian(weighted)
+        total += np.trace(weighted)
+    tr_err = abs(total - 1.0)
+    if not tr_err <= TRACE_TOL:
+        raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
+    for block in blocks:
+        _check_positive(block.weight * block.matrix)
+    return _CheckedBlocks(blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class BlockState:
     """rho = sum_x p_x |x><x|^(copies) (x) rho_x on ``layout``.
@@ -626,16 +652,45 @@ class BlockState:
     ``classical`` lists the classical variables; a block's ``values`` give
     one value per variable, in that order.  Every other register of the
     layout is quantum and is held in each block's matrix.
+
+    A block state checks itself when it is built: every copy register has
+    its variable's dim, every value is in its variable's range, every
+    matrix is square of the quantum dimension, and the weighted blocks pass
+    ``_checked_blocks``.  Blocks taken from a state built earlier (by
+    ``from_density``, ``retagged`` or a classical copy) were checked then.
     """
 
     layout: RegisterLayout
     classical: tuple[ClassicalVar, ...]
     blocks: tuple[Block, ...]
 
+    def __post_init__(self):
+        for var in self.classical:
+            for lbl in var.labels:
+                if self.layout.register(lbl).dim != var.dim:
+                    raise InvariantViolation(
+                        "copy_dim", f"copy register {lbl!r} does not have {var.dim} levels"
+                    )
+        q_dim = self.quantum.dim
+        for values, _, matrix in self.blocks:
+            if len(values) != len(self.classical) or not all(
+                isinstance(v, numbers.Integral) and 0 <= v < var.dim
+                for v, var in zip(values, self.classical)
+            ):
+                raise InvariantViolation(
+                    "classical_value", f"block values {values!r} outside the variables' ranges"
+                )
+            if np.shape(matrix) != (q_dim, q_dim):
+                raise InvariantViolation(
+                    "shape", f"block shape {np.shape(matrix)} is not the quantum dimension {q_dim}"
+                )
+        if not isinstance(self.blocks, _CheckedBlocks):
+            object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
+
     @classmethod
     def from_density(cls, state: DensityState) -> "BlockState":
-        """The one-block form of ``state``, sharing its matrix."""
-        return cls(state.layout, (), (Block((), 1.0, state.matrix),))
+        """The one-block form of ``state``, sharing its checked matrix."""
+        return cls(state.layout, (), _CheckedBlocks((Block((), 1.0, state.matrix),)))
 
     @property
     def dim(self) -> int:
@@ -688,8 +743,8 @@ class BlockState:
 
     # -- operations ----------------------------------------------------------
     def retagged(self, label: str, party) -> "BlockState":
-        """The same state with one register moved to ``party``; nothing is
-        recomputed or checked again."""
+        """The same state with one register moved to ``party``; the blocks
+        are shared, not recomputed or checked again."""
         return BlockState(self.layout.retagged(label, party), self.classical, self.blocks)
 
     def channel(self, channel: ChannelMap, on, out=None) -> "BlockState":
@@ -831,24 +886,20 @@ def _merged(classical, parts):
 
 
 def _settled(layout, classical, parts) -> BlockState:
-    """The block state of the weighted block matrices ``parts``, each
-    checked once as the dense state would be (its share of the dense
-    matrix: hermitian, positive), their traces summing to 1 within
-    ``TRACE_TOL``.  Blocks of weight at most ``PRUNE_TOL`` are dropped."""
-    for _, m in parts:
-        _check_hermitian(m)
-    traces = [np.trace(m) for _, m in parts]
-    tr_err = abs(sum(traces) - 1.0)
-    if not tr_err <= TRACE_TOL:
-        raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
-    for _, m in parts:
-        _check_positive(m)
-    blocks = tuple(
-        Block(values, w, _sealed(m / w))
-        for (values, m), w in zip(parts, (float(t.real) for t in traces))
-        if w > PRUNE_TOL
-    )
-    return BlockState(layout, tuple(classical), blocks)
+    """The block state of the weighted block matrices ``parts``: a part of
+    weight (trace) above ``PRUNE_TOL`` becomes a block, normalized by its
+    weight, which the block state checks when it is built.  A lighter part
+    is checked hermitian and positive before it is dropped, so that pruning
+    cannot hide an invalid part."""
+    blocks = []
+    for values, m in parts:
+        w = float(np.trace(m).real)
+        if w > PRUNE_TOL:
+            blocks.append(Block(values, w, _sealed(m / w)))
+        else:
+            _check_hermitian(m)
+            _check_positive(m)
+    return BlockState(layout, tuple(classical), tuple(blocks))
 
 
 def trace_distance(a: DensityState, b: DensityState) -> float:

@@ -39,6 +39,7 @@ from nmk.fuzz import (
 )
 from nmk.rand import as_rng
 from nmk.registers import Party, Register, RegisterLayout
+from nmk.states import Block, ClassicalVar
 
 TOL = 1e-10
 
@@ -212,6 +213,45 @@ class TestBlockState:
         sc = apply_step(Scenario(zoo("ghz_diag")), Step.broadcast_a(coin(), ("A",), "J"))
         with pytest.raises(InvariantViolation, match="unit_trace"):
             apply_step(sc, Step.local_b(halving, ("B",)))
+
+
+def _direct(classical, blocks):
+    """A block state on A, B, E and the copy register J, built directly."""
+    regs = (("A", 2, "alice"), ("B", 2, "bob"), ("E", 2, "eve"), ("J", 2, "eve"))
+    lay = RegisterLayout(tuple(Register(*r) for r in regs))
+    if not classical:
+        lay = lay.without({"J"})
+    return BlockState(lay, classical, blocks)
+
+
+class TestDirectConstruction:
+    J = (ClassicalVar(2, ("J",)),)
+    HALF = np.eye(8, dtype=complex) / 8
+
+    @pytest.mark.parametrize(
+        "classical, blocks, invariant",
+        [
+            ((), (Block((), 3.0, -np.eye(8)),), "unit_trace"),
+            ((), (), "unit_trace"),
+            ((), (Block((), 1.0, np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])),), "positive_semidefinite"),
+            ((), (Block((), 1.0, np.triu(np.ones((8, 8))) / 8),), "hermitian"),
+            ((), (Block((), float("nan"), np.eye(8) / 8),), "finite"),
+            (J, (Block((0,), 0.5, HALF), Block((2,), 0.5, HALF)), "classical_value"),
+            (J, (Block((0, 1), 1.0, HALF),), "classical_value"),
+            (J, (Block((0.5,), 1.0, HALF),), "classical_value"),
+            ((ClassicalVar(3, ("J",)),), (Block((0,), 1.0, HALF),), "copy_dim"),
+            (J, (Block((0,), 1.0, np.eye(4) / 4),), "shape"),
+        ],
+    )
+    def test_invalid_blocks_raise_and_name_the_invariant(self, classical, blocks, invariant):
+        with pytest.raises(InvariantViolation, match=invariant):
+            _direct(classical, blocks)
+
+    def test_valid_blocks_are_held_read_only(self):
+        given = self.HALF.copy()
+        bs = _direct(self.J, (Block((0,), 0.25, given), Block((1,), 0.75, self.HALF)))
+        assert not bs.blocks[0].matrix.flags.writeable and given.flags.writeable
+        assert nonmarkovianity(bs) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_broadcast_script_memory_stays_small():

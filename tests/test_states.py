@@ -404,9 +404,18 @@ class TestValidation:
         monkeypatch.setenv("NMK_DIM_BUDGET", "8")
         DensityState(layout(("A", 8, "alice")), np.eye(8, dtype=complex) / 8)
 
-    @pytest.mark.parametrize("kind, dims", [("density_hs", (2,) * 9), ("pure", (2,) * 8)])
+    @pytest.mark.parametrize(
+        "kind, dims",
+        [
+            ("density_hs", (2,) * 9),
+            ("pure", (2,) * 8),
+            ("unitary", 512),
+            ("isometry", (256, 512)),
+        ],
+    )
     def test_sample_checks_budget_before_allocating(self, monkeypatch, kind, dims):
-        # A 512-dimensional density matrix is 4 MiB, its Gaussian factor 8 MiB.
+        # A 512-dimensional density matrix is 4 MiB, its Gaussian factor 8 MiB;
+        # a 512 x 512 unitary's draw and QR take 17 MiB, a 512 x 256 isometry's 7 MiB.
         monkeypatch.setenv("NMK_DIM_BUDGET", "64")
         assert peak_before_raising(lambda: sample(kind, dims, 1), BudgetExceeded) < 0.1 * 2**20
 
