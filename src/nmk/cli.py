@@ -152,13 +152,12 @@ def _partition_args(args, state):
 
 def cmd_nmf(args) -> int:
     started = time.time()
-    state = _need_state(load_ref(args.state), args.state)
-    seed = _seed_of(args)
-    est = estimate(state, _search_config(EstimateConfig, args, seed))
+    state, config = _search_inputs(EstimateConfig, args)
+    est = estimate(state, config)
     result = {
         "command": "nmf",
         "input": args.state,
-        "seed": seed,
+        "seed": config.seed,
         "config": est.config,
         "lower_bits": est.lower_bits,
         "upper_bits": est.upper_bits,
@@ -180,14 +179,12 @@ def cmd_nmf(args) -> int:
 
 def cmd_esqc(args) -> int:
     started = time.time()
-    state = _need_state(load_ref(args.state), args.state)
-    seed = _seed_of(args)
-    config = _search_config(EsqcConfig, args, seed)
+    state, config = _search_inputs(EsqcConfig, args)
     est = estimate_esqc(state, config)
     result = {
         "command": "esqc",
         "input": args.state,
-        "seed": seed,
+        "seed": config.seed,
         "config": est.config,
         "upper_bits": est.upper_bits,
         "weights": list(est.weights),
@@ -351,11 +348,11 @@ def _common(p, seeded=True) -> None:
         p.add_argument("--seed", type=seed_value, default=None)
 
 
-def _search_parser(sub, name: str, config_cls, help: str) -> argparse.ArgumentParser:
+def _search_parser(sub, name: str, config_cls, summary: str) -> argparse.ArgumentParser:
     """A subcommand running the restart search, with the flags of every
     ``SearchConfig`` field but ``seed`` (which ``--seed`` gives), defaulting
     to ``config_cls``'s values."""
-    p = sub.add_parser(name, help=help)
+    p = sub.add_parser(name, help=summary)
     p.add_argument("state")
     p.add_argument("--k", type=int, default=config_cls.k)
     p.add_argument("--restarts", type=int, default=config_cls.restarts)
@@ -366,10 +363,12 @@ def _search_parser(sub, name: str, config_cls, help: str) -> argparse.ArgumentPa
     return p
 
 
-def _search_config(config_cls, args, seed: int):
-    """A ``config_cls`` read from the flags named after its fields."""
+def _search_inputs(config_cls, args):
+    """The state the search runs on, and a ``config_cls`` read from the flags
+    named after its fields and the seed of ``_seed_of``."""
+    state = _need_state(load_ref(args.state), args.state)
     values = {f.name: getattr(args, f.name) for f in fields(config_cls) if f.name != "seed"}
-    return config_cls(**values, seed=seed)
+    return state, config_cls(**values, seed=_seed_of(args))
 
 
 def build_parser() -> argparse.ArgumentParser:

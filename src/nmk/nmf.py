@@ -384,7 +384,10 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     }
 
     psi_arr, rank = _purified(rho)
-    schedule = [(1, 1, 1), (2, 2, 2)] if config.ext is None else [tuple(int(x) for x in config.ext)]
+    if config.ext is None:
+        schedule = [(1, 1, 1), (2, 2, 2)]
+    else:
+        schedule = [tuple(int(x) for x in config.ext)]
 
     for round_id, ext_dims in enumerate(schedule):
         if best_obj - lower <= config.tol:

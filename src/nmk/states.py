@@ -206,9 +206,9 @@ class ChannelMap:
     not syntactically: the Choi matrix of the composition must match the
     identity's entrywise within 1e-8, which is the test on every matrix unit
     (see ``_inverse_deviation``).  Kraus operators must be finite, and the
-    completeness sum ``sum K^dagger K = I`` is enforced unless ``trace_preserving`` is False
-    (needed for declared inverses of proper isometries, which are only
-    trace-preserving on the range).
+    completeness sum ``sum K^dagger K = I`` is enforced unless
+    ``trace_preserving`` is False (needed for declared inverses of proper
+    isometries, which are only trace-preserving on the range).
     """
 
     kraus: tuple[np.ndarray, ...]

@@ -233,7 +233,7 @@ class TestDirectConstruction:
         [
             ((), (Block((), 3.0, -np.eye(8)),), "unit_trace"),
             ((), (), "unit_trace"),
-            ((), (Block((), 1.0, np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])),), "positive_semidefinite"),
+            ((), (Block((), 1.0, np.diag([1.5, -0.5] + [0] * 6)),), "positive_semidefinite"),
             ((), (Block((), 1.0, np.triu(np.ones((8, 8))) / 8),), "hermitian"),
             ((), (Block((), float("nan"), np.eye(8) / 8),), "finite"),
             (J, (Block((0,), 0.5, HALF), Block((2,), 0.5, HALF)), "classical_value"),
