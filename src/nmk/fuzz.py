@@ -3,9 +3,9 @@
 Each suite draws seeded random instances, checks an inequality that is a
 theorem for exact arithmetic, and reports violations beyond tolerance as
 counterexamples carrying the serialized instance.  Each check is written
-so that a NaN fails it.  Every trial owns a
-generator derived from ``(seed, trial index)``, so results are identical
-for any worker count; ``jobs`` spreads trials over ``rand.map_indexed``.
+so that a NaN fails it.  Every trial owns a generator derived from
+``(seed, trial index)``, so results are identical for any worker count;
+``jobs`` spreads trials over ``rand.map_indexed``.
 
 Suites:
 
