@@ -337,7 +337,7 @@ def ext_dims(text: str) -> tuple[int, ...]:
 
 def seed_value(text: str) -> int:
     seed = int(text)
-    if seed < 0:
+    if not seed >= 0:
         raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {seed}")
     return seed
 

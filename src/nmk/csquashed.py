@@ -227,14 +227,14 @@ class CrosscheckReport:
 
 
 def extension_crosscheck(
-    omega: DensityState,
-    esqc_config: EsqcConfig | None = None,
-    nmf_config: EstimateConfig | None = None,
+    omega: DensityState, esqc_config: EsqcConfig | None = None
 ) -> CrosscheckReport:
     """Compare the ensemble estimate with formation brackets of a finite
-    extension family (both sides upper-bound the same quantity)."""
+    extension family (both sides upper-bound the same quantity), each found
+    by an ``nmf`` search at 8 restarts of 400 iterations with the ensemble
+    search's seed and tolerance."""
     esqc_config = esqc_config or EsqcConfig()
-    nmf_config = nmf_config or EstimateConfig(
+    nmf_config = EstimateConfig(
         restarts=8, max_iters=400, seed=esqc_config.seed, tol=esqc_config.tol
     )
     a = omega.layout.party_labels(Party.ALICE)

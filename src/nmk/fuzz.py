@@ -35,9 +35,9 @@ from .errors import BadRange
 from .markov import build_markov
 from .nmf import EstimateConfig, estimate
 from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
-from .registers import Party, Register, RegisterLayout, layout
+from .registers import Party, Register, layout
 from .serialize import state_to_json, step_to_json
-from .states import ChannelMap, DensityState
+from .states import Block, BlockState, ChannelMap, ClassicalVar, DensityState
 from .steps import ACTOR, RECEIVERS, Scenario, Step, StepKind, apply_step
 from .witness import (
     objective,
@@ -132,15 +132,19 @@ FREE_CLASS_NAMES = (
 )
 
 
-def _random_channel(dim: int, rng, env: int = 2) -> ChannelMap:
-    iso = random_isometry(dim, dim * env, rng)
-    kraus = tuple(iso[i * dim : (i + 1) * dim, :] for i in range(env))
-    return ChannelMap(kraus)
+def _random_measurement(dim: int, rng):
+    """The two operators of a random two-outcome measurement; forgetting
+    the outcome makes them the Kraus operators of a random channel."""
+    iso = random_isometry(dim, 2 * dim, rng)
+    return iso[:dim], iso[dim:]
 
 
-def _random_measurement(dim: int, rng, outcomes: int = 2):
-    iso = random_isometry(dim, dim * outcomes, rng)
-    return tuple(iso[i * dim : (i + 1) * dim, :] for i in range(outcomes))
+def _flagged_state(parts, flag: str) -> DensityState:
+    """The dense state sum_m r_m rho_m (x) |m><m| of the parts (r_m, rho_m),
+    the flag register ``flag`` Eve's and last."""
+    lay = parts[0][1].layout.extended((Register(flag, len(parts), Party.EVE),))
+    blocks = [Block((m,), r, rho.matrix) for m, (r, rho) in enumerate(parts)]
+    return BlockState(lay, (ClassicalVar(len(parts), (flag,)),), blocks).to_density()
 
 
 def _random_step(kind: StepKind, register: str, dim: int, rng, label: str) -> Step:
@@ -152,7 +156,7 @@ def _random_step(kind: StepKind, register: str, dim: int, rng, label: str) -> St
         return Step(kind, operators=_random_measurement(dim, rng), on=(register,), msg_label=label)
     if ACTOR[kind] is Party.EVE:
         return Step(kind, channel=ChannelMap.unitary(random_unitary(dim, rng)), on=(register,))
-    return Step(kind, channel=_random_channel(dim, rng), on=(register,))
+    return Step(kind, channel=ChannelMap(_random_measurement(dim, rng)), on=(register,))
 
 
 def _mono_scenario(cls: str, rng) -> Scenario:
@@ -161,16 +165,11 @@ def _mono_scenario(cls: str, rng) -> Scenario:
         lay = layout(("A", 2, "alice"), ("Q", 2, party), ("B", 2, "bob"), ("E", 2, "eve"))
         return Scenario(sample("density_hs", (2, 2, 2, 2), rng, layout=lay))
     if cls in ("classical_e_to_a", "classical_e_to_b"):
-        # Classical message register at Eve: a block-diagonal mixture.
-        lay = layout(("A", 2, "alice"), ("B", 2, "bob"), ("E", 2, "eve"))
+        # Classical message register at Eve, given dense so that the
+        # copy-down checks it is diagonal.
         weights = rng.dirichlet(np.ones(2))
-        blocks = [sample("density_hs", (2, 2, 2), rng, layout=lay) for _ in range(2)]
-        msg = RegisterLayout((Register("ME", 2, Party.EVE),))
-        mat = sum(
-            w * np.kron(b.matrix, np.diag(np.eye(2)[m]).astype(complex))
-            for m, (w, b) in enumerate(zip(weights, blocks))
-        )
-        return Scenario(DensityState(lay.extended(msg.registers), mat))
+        blocks = [sample("density_hs", (2, 2, 2), rng) for _ in range(2)]
+        return Scenario(_flagged_state(list(zip(weights, blocks)), "ME"))
     return Scenario(sample("density_hs", (2, 2, 2), rng))
 
 
@@ -317,7 +316,7 @@ def _witness_trial(seed, t):
     moved = witness_transport_e(w, iso, (w.groups.e[0],), (Register("F", 4, Party.EVE),))
     if not abs(objective(moved) - obj) <= IDENTITY_TOL:
         fail("transport_invariance", transported=objective(moved), objective=obj)
-    chan = _random_channel(2, rng)
+    chan = ChannelMap(_random_measurement(2, rng))
     local = witness_local_channel(w, "b", chan.kraus, (w.groups.b[0],), "Benv")
     if not objective(local) <= obj + IDENTITY_TOL:
         fail("local_channel_monotone", transported=objective(local), objective=obj)
@@ -342,12 +341,7 @@ def fuzz_witness(trials: int = 100, seed=0, mixture_probes: int = 0, jobs: int =
             r = float(rng.uniform(0.2, 0.8))
             parts = [sample("density_hs", (2, 2, 2), rng, rank=2) for _ in range(2)]
             part_ests = [estimate(p, cfg) for p in parts]
-            mat = r * np.kron(parts[0].matrix, np.diag([1.0, 0.0])) + (1 - r) * np.kron(
-                parts[1].matrix, np.diag([0.0, 1.0])
-            )
-            lay = parts[0].layout.extended((Register("M", 2, Party.EVE),))
-            mixture = DensityState(lay, mat)
-            mix_est = estimate(mixture, cfg)
+            mix_est = estimate(_flagged_state([(r, parts[0]), (1 - r, parts[1])], "M"), cfg)
             weighted = r * part_ests[0].upper_bits + (1 - r) * part_ests[1].upper_bits
             notes["mixture_probes"].append(
                 {

@@ -416,7 +416,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         trace.extend(records)
         if won is not None:
             winner, w_mat = won
-            best_w = witness_from_isometry(rho, w_mat, ext_dims, k, validate=False)
+            best_w = witness_from_isometry(rho, w_mat, ext_dims, k)
             best_obj, best_source = objective(best_w), f"restart:{winner.restart_id}/{round_id}"
         notes["rounds"].append({"round": round_id, "ext": ext_dims, "best": best_obj})
 

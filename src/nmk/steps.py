@@ -36,6 +36,7 @@ Scenarios are immutable; ``apply_step`` returns a new one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -61,8 +62,10 @@ class CostLedger:
     cdown_bits: float = 0.0
 
     def __post_init__(self):
-        if self.qc_bits < 0 or self.cdown_bits < 0:
-            raise BadMu("ledger entries must be nonnegative")
+        if not (self.qc_bits >= 0 and self.cdown_bits >= 0):
+            raise BadMu(
+                f"ledger entries must be nonnegative, got {self.qc_bits} and {self.cdown_bits}"
+            )
 
     def add(self, qc=0.0, cdown=0.0) -> "CostLedger":
         return CostLedger(self.qc_bits + qc, self.cdown_bits + cdown)
@@ -427,6 +430,14 @@ class DilutionConversion:
         }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; anything but an integer (a bool included) is
+    rejected, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadMu(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
     """Quantum bits per message round: log2(ceil(sqrt(mu^l))).
 
@@ -434,12 +445,12 @@ def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
     round costs at least one classical bit); the total never exceeds
     (l/2 + 1) times the classical downward cost sum(log2 mu).
     """
-    mu = [int(m) for m in mu]
+    mu = [_integer(m, "message size") for m in mu]
     if not mu or any(m < 2 for m in mu):
         raise BadMu(f"every message size must be an integer >= 2, got {mu}")
-    if int(l) < 1 or l != int(l):
+    l = _integer(l, "copy count l")
+    if l < 1:
         raise BadMu(f"copy count l must be a positive integer, got {l}")
-    l = int(l)
     per = []
     for m in mu:
         n = m**l
@@ -449,7 +460,7 @@ def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
         per.append(math.log2(s))
     total = float(sum(per))
     bound = (l / 2 + 1) * float(sum(math.log2(m) for m in mu))
-    if total > bound + 1e-12:
+    if not total <= bound + 1e-12:
         raise InvariantViolation(
             "dilution_bound", f"total {total:.12g} bits exceeds the bound {bound:.12g}"
         )

@@ -15,8 +15,13 @@ objective is
 
 the member terms being the signed role groups of ``MEMBER_TERMS``.  The
 objective and the search (``nmf``) both read that one table; the realized
-state is built only by ``Witness.realized``, which tests and the fuzz
-suite use as the independent route.
+state is built only by ``Witness.realized``, through
+``BlockState.to_density``, and tests and the fuzz suite use it as the
+independent route.
+
+Every constructor composes three primitives: the one-member purification
+witness, ``witness_tensor`` and the flagged mixture behind ``witness_mix``,
+the one place where a flag register joins a member stack.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from .markov import INDEX_LABEL, MarkovComponents, _block_layouts
 from .registers import Party, Register, RegisterLayout
 from .states import (
     PRUNE_TOL,
+    Block,
+    BlockState,
+    ClassicalVar,
     DensityState,
     PureState,
     _clamped_eigvalsh,
@@ -175,13 +183,12 @@ class Witness:
 
     def realized(self) -> DensityState:
         """The dense joint state with the K flag as the last register."""
-        k, d = self.members.shape
-        blocks = self.members[:, :, None] * self.members.conj()[:, None, :]
-        # Diagonal block (i, i) over the flag holds p_i |m_i><m_i|.
-        mat = np.zeros((d, k, d, k), dtype=complex)
-        mat[:, np.arange(k), :, np.arange(k)] = np.asarray(self.weights)[:, None, None] * blocks
-        lay = self.layout.extended((Register(self.k_label, k, Party.REFERENCE),))
-        return DensityState(lay, mat.reshape(d * k, d * k))
+        lay = self.layout.extended((Register(self.k_label, self.k, Party.REFERENCE),))
+        blocks = [
+            Block((i,), p, np.outer(m, m.conj()))
+            for i, (p, m) in enumerate(zip(self.weights, self.members))
+        ]
+        return BlockState(lay, (ClassicalVar(self.k, (self.k_label,)),), blocks).to_density()
 
 
 def objective(w: Witness) -> float:
@@ -249,14 +256,12 @@ def witness_from_isometry(
     w_matrix: np.ndarray,
     ext_dims: tuple[int, int, int],
     k: int,
-    *,
-    validate: bool = True,
 ) -> Witness:
     """Build a witness by steering the purifying reference of ``rho``.
 
     ``w_matrix`` is an isometry from the reference (dim = rank of rho) into
     A' (x) B' (x) E' (x) K; slicing the K index after dephasing yields the
-    ensemble members.
+    ensemble members, checked to reduce to ``rho`` within 1e-8.
     """
     ap, bp, ep = (int(x) for x in ext_dims)
     k = int(k)
@@ -278,29 +283,29 @@ def witness_from_isometry(
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
     weights, members = steered_members(psi.amplitudes.reshape(rho.dim, rank), w_matrix, lay.dims, k)
     w = Witness(lay, groups, weights / weights.sum(), members)
-    if validate:
-        check_witness(w, rho, tol=1e-8)
+    check_witness(w, rho, tol=1e-8)
     return w
+
+
+def _purification_witness(state: DensityState, ref_label: str, role: str, ref_dim=None):
+    """The one-member witness of the purification of ``state``: the
+    reference ``ref_label`` (``ref_dim`` levels, default the rank) takes
+    ``role`` (a_prime, b_prime or e) and that role's party, and every other
+    register its party's role."""
+    party = {"a_prime": Party.ALICE, "b_prime": Party.BOB, "e": Party.EVE}[role]
+    psi = purify(state, ref_label, ref_dim=ref_dim, ref_party=party)
+    a, b, e = (state.layout.party_labels(p) for p in (Party.ALICE, Party.BOB, Party.EVE))
+    groups = WitnessGroups(a, (), b, (), e, ())
+    groups = replace(groups, **{role: getattr(groups, role) + (ref_label,)})
+    return Witness(psi.layout, groups, (1.0,), psi.amplitudes[None])
 
 
 def baseline_witnesses(rho: DensityState) -> list[Witness]:
     """The two purification witnesses; their objectives are
     I(A:BB')/2 <= S(A) and I(B:AA')/2 <= S(B), so including them guarantees
     the upper bound never exceeds min(S(A), S(B))."""
-    a, b, e = _party_groups(rho)
-    out = []
-    for ref_label, ref_party, assign in (("B'", Party.BOB, "b_prime"), ("A'", Party.ALICE, "a_prime")):
-        psi = purify(rho, ref_label, ref_party=ref_party)
-        groups = WitnessGroups(
-            a=a,
-            a_prime=(ref_label,) if assign == "a_prime" else (),
-            b=b,
-            b_prime=(ref_label,) if assign == "b_prime" else (),
-            e=e,
-            e_prime=(),
-        )
-        out.append(Witness(psi.layout, groups, (1.0,), psi.amplitudes[None]))
-    return out
+    _party_groups(rho)  # every register Alice's, Bob's or Eve's; A and B nonempty
+    return [_purification_witness(rho, "B'", "b_prime"), _purification_witness(rho, "A'", "a_prime")]
 
 
 def markov_witness(components: MarkovComponents) -> Witness:
@@ -311,35 +316,18 @@ def markov_witness(components: MarkovComponents) -> Witness:
     vanish.
     """
     entries = components.entries
-    n = len(entries)
-    sig_lay = entries[0].sigma.layout
-    tau_lay = entries[0].tau.layout
+    _, state_layout = _block_layouts(components)
     # Reference dims are padded to the largest block rank on each side so
     # all members share one layout.
     a_dim = max(_rank(e.sigma.matrix) for e in entries)
     b_dim = max(_rank(e.tau.matrix) for e in entries)
-    _, state_layout = _block_layouts(components)
-    a_ref, b_ref = Register("A'", a_dim, Party.ALICE), Register("B'", b_dim, Party.BOB)
-    member_layout = state_layout.extended((a_ref, b_ref))
-    # Member j is |sigma_j>|tau_j>|j> on the purifications' register order.
-    index = state_layout.register(INDEX_LABEL)
-    raw_layout = RegisterLayout(sig_lay.registers + (a_ref,) + tau_lay.registers + (b_ref, index))
-    members = np.zeros((n, raw_layout.dim // n, n), dtype=complex)
-    for j, entry in enumerate(entries):
-        ps = purify(entry.sigma, "A'", ref_dim=a_dim, ref_party=Party.ALICE)
-        pt = purify(entry.tau, "B'", ref_dim=b_dim, ref_party=Party.BOB)
-        members[j, :, j] = np.kron(ps.amplitudes, pt.amplitudes)
-    axes = [raw_layout.index(lbl) for lbl in member_layout.labels]
-    members, _ = _split_rows(members.reshape(n, -1), raw_layout.dims, axes)
-    groups = WitnessGroups(
-        a=sig_lay.party_labels(Party.ALICE),
-        a_prime=("A'",),
-        b=tau_lay.party_labels(Party.BOB),
-        b_prime=("B'",),
-        e=(INDEX_LABEL,) + sig_lay.party_labels(Party.EVE) + tau_lay.party_labels(Party.EVE),
-        e_prime=(),
-    )
-    return Witness(member_layout, groups, components.probs, members.reshape(n, -1))
+    a_sides = [_purification_witness(e.sigma, "A'", "a_prime", a_dim) for e in entries]
+    b_sides = [_purification_witness(e.tau, "B'", "b_prime", b_dim) for e in entries]
+    w = _flagged(zip(components.probs, map(witness_tensor, a_sides, b_sides)), INDEX_LABEL)
+    # The flag is the block index: registers in the built state's order.
+    lay = state_layout.extended((w.layout.register("A'"), w.layout.register("B'")))
+    members, _ = _split_rows(w.members, w.layout.dims, [w.layout.index(lbl) for lbl in lay.labels])
+    return Witness(lay, w.groups, w.weights, members.reshape(w.k, -1))
 
 
 def _rank(matrix: np.ndarray) -> int:
@@ -373,12 +361,11 @@ def witness_tensor(w1: Witness, w2: Witness) -> Witness:
     return Witness(layout, groups, weights, np.kron(w1.members, w2.members))
 
 
-def witness_mix(parts) -> Witness:
-    """Witness for the flagged mixture sum_m r_m rho_m (x) |m><m|.
-
-    The flag register joins the E group; the objective is the weighted sum
-    of the part objectives, exactly.
-    """
+def _flagged(parts, flag: str) -> Witness:
+    """The witness sum_m r_m w_m (x) |m><m| of the parts (r_m, w_m), which
+    share one layout and groups: each member of part m is extended by Eve's
+    register ``flag`` set to m, which joins the E group, and its weight is
+    scaled by r_m."""
     parts = [(float(r), w) for r, w in parts]
     if not parts:
         raise LayoutClash("need at least one part")
@@ -386,18 +373,27 @@ def witness_mix(parts) -> Witness:
     for _, w in parts[1:]:
         if w.layout != first.layout or w.groups != first.groups:
             raise LayoutClash("mixture parts must share layout and groups")
-    if "M" in first.layout:
-        raise LayoutClash("mixture label 'M' clashes with member registers")
+    if flag in first.layout:
+        raise LayoutClash(f"mixture label {flag!r} clashes with member registers")
     total = sum(r for r, _ in parts)
     if not abs(total - 1.0) <= WEIGHT_TOL:
         raise InvariantViolation("weights", f"mixture weights must sum to 1, got {total}")
     n = len(parts)
-    layout = first.layout.extended((Register("M", n, Party.EVE),))
-    groups = replace(first.groups, e=first.groups.e + ("M",))
+    layout = first.layout.extended((Register(flag, n, Party.EVE),))
+    groups = replace(first.groups, e=first.groups.e + (flag,))
     weights = np.concatenate([r * np.asarray(w.weights) for r, w in parts])
     flags = np.eye(n)
     members = np.concatenate([np.kron(w.members, flags[m]) for m, (_, w) in enumerate(parts)])
     return Witness(layout, groups, weights, members)
+
+
+def witness_mix(parts) -> Witness:
+    """Witness for the flagged mixture sum_m r_m rho_m (x) |m><m|.
+
+    The flag register ``M`` joins the E group; the objective is the
+    weighted sum of the part objectives, exactly.
+    """
+    return _flagged(parts, "M")
 
 
 def witness_regroup(w: Witness, label: str, to: str = "e") -> Witness:
@@ -497,30 +493,14 @@ def witness_from_ab_ensemble(weights, states) -> Witness:
     sum_k p_k sigma_k (x) |k><k| with E = (purifier, flag); its objective
     equals half the ensemble-averaged mutual information exactly.
     """
-    weights = tuple(float(p) for p in weights)
+    weights = tuple(weights)
     states = tuple(states)
     if not states or len(weights) != len(states):
         raise LayoutClash("weights and states must pair up nonempty")
-    lay = states[0].layout
-    for s in states[1:]:
-        if s.layout != lay:
-            raise LayoutClash("ensemble states must share one layout")
-    n = len(states)
     rank = max(_rank(s.matrix) for s in states)
-    # Member j is |psi_j>|j>, psi_j a purification of state j.
-    members = np.zeros((n, lay.dim * rank, n), dtype=complex)
-    for j, s in enumerate(states):
-        members[j, :, j] = purify(s, "Ee", ref_dim=rank, ref_party=Party.EVE).amplitudes
-    member_layout = lay.extended((Register("Ee", rank, Party.EVE), Register("Ke", n, Party.EVE)))
-    groups = WitnessGroups(
-        a=lay.party_labels(Party.ALICE),
-        a_prime=(),
-        b=lay.party_labels(Party.BOB),
-        b_prime=(),
-        e=("Ee", "Ke"),
-        e_prime=(),
+    return _flagged(
+        [(p, _purification_witness(s, "Ee", "e", rank)) for p, s in zip(weights, states)], "Ke"
     )
-    return Witness(member_layout, groups, weights, members.reshape(n, -1))
 
 
 def ab_ensemble_from_witness(w: Witness):

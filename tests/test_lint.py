@@ -5,8 +5,9 @@ there.  ``__init__.py`` re-exports what it imports and is exempt from the
 second rule; ``from __future__ import annotations`` binds no name.  No
 module uses an ``assert`` statement, which ``python -O`` strips: a check
 that must hold raises an error of the package.  No tolerance gate that
-raises is written ``if err > tol`` or ``if p < -TOL``, which a NaN passes:
-it is written ``if not err <= tol``, which a NaN fails.
+raises is written ``if err > tol``, ``if p < -TOL``, ``if total > bound +
+1e-12`` or ``if x < 0``, which a NaN passes: it is written
+``if not err <= tol``, which a NaN fails.
 """
 
 import ast
@@ -44,12 +45,15 @@ def _read_names(tree):
 
 
 def _is_tolerance(node):
-    """A float literal or a name ending in TOL, tol or FLOOR, or its negation."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        node = node.operand
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, float)
-    return isinstance(node, ast.Name) and node.id.endswith(("TOL", "tol", "FLOOR"))
+    """The literal 0, or an expression holding a float literal or a name
+    ending in TOL, tol or FLOOR (``-TOL``, ``bound + 1e-12``)."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value == 0
+    return any(
+        (isinstance(n, ast.Constant) and isinstance(n.value, float))
+        or (isinstance(n, ast.Name) and n.id.endswith(("TOL", "tol", "FLOOR")))
+        for n in ast.walk(node)
+    )
 
 
 def _nan_blind_gate(node):
@@ -138,9 +142,17 @@ def test_lint_catches_nan_blind_gates():
         "        return None\n"
         "    if len(p) > 3:\n"
         "        raise ValueError(p)\n"
+        "    if sum(p) > len(p) + 1e-12:\n"
+        "        raise ValueError(p)\n"
+        "    if err < 0:\n"
+        "        raise ValueError(err)\n"
+        "    if not err >= 0:\n"
+        "        raise ValueError(err)\n"
         "    return err\n"
     )
     assert lint(source) == [
         "line 3: tolerance gate that a NaN passes",
         "line 5: tolerance gate that a NaN passes",
+        "line 13: tolerance gate that a NaN passes",
+        "line 15: tolerance gate that a NaN passes",
     ]

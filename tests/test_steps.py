@@ -320,6 +320,25 @@ class TestDilutionConversion:
             dilution_conversion_cost([1], 2)
         with pytest.raises(BadMu):
             dilution_conversion_cost([4], 0)
+        # Anything but an integer is rejected, naming the value, not rounded.
+        for mu, l, named in (
+            ([2.5], 2, "2.5"),
+            ([math.nan], 2, "nan"),
+            ([4], math.nan, "nan"),
+            (["3"], 2, "'3'"),
+            ([4], True, "True"),
+        ):
+            with pytest.raises(BadMu) as exc:
+                dilution_conversion_cost(mu, l)
+            assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("qc, cdown", [(math.nan, 0.0), (0.0, math.nan)])
+def test_ledger_rejects_nan(qc, cdown):
+    with pytest.raises(BadMu):
+        CostLedger(qc, cdown)
+    with pytest.raises(BadMu):
+        CostLedger().add(qc=qc, cdown=cdown)
 
 
 class TestPropertySuites:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nmk import (
     mutual_info,
     nonmarkovianity,
     objective,
+    purify,
     sample,
     tensor,
     witness_from_ab_ensemble,
@@ -40,7 +42,7 @@ from nmk.errors import (
     LayoutClash,
 )
 from nmk.rand import random_isometry
-from nmk.registers import Party, Register
+from nmk.registers import Party, Register, RegisterLayout
 
 from conftest import eve_zero
 from test_markov import random_components
@@ -210,6 +212,146 @@ def _witnesses_on_the_definition():
 )
 def test_objective_equals_definition_on_realized_state(w):
     assert abs(objective(w) - realized_objective(w)) < 1e-10
+
+
+def _rank(state):
+    return int(np.sum(np.linalg.eigvalsh(state.matrix) > 1e-12))
+
+
+def _roles(**groups):
+    """Each role's labels as a set; a role not named is empty."""
+    return {f.name: set(groups.get(f.name, ())) for f in fields(WitnessGroups)}
+
+
+def _flagged_members(vectors):
+    """Member j is vector j with a flag register of len(vectors) levels,
+    set to j, as the last register."""
+    flags = np.eye(len(vectors))
+    return np.array([np.kron(v, flags[j]) for j, v in enumerate(vectors)])
+
+
+def _reordered(members, raw, labels):
+    """A member stack on ``raw`` with its registers put in ``labels`` order."""
+    t = members.reshape((len(members),) + raw.dims)
+    axes = [1 + raw.index(lbl) for lbl in labels]
+    return t.transpose([0] + axes).reshape(len(members), -1)
+
+
+def reference_baselines(rho):
+    """The two purification witnesses, written out."""
+    lay = rho.layout
+    parties = dict(
+        a=lay.party_labels(Party.ALICE),
+        b=lay.party_labels(Party.BOB),
+        e=lay.party_labels(Party.EVE),
+    )
+    out = []
+    for ref, party, role in (("B'", Party.BOB, "b_prime"), ("A'", Party.ALICE, "a_prime")):
+        psi = purify(rho, ref, ref_party=party)
+        out.append((psi.layout, _roles(**parties, **{role: (ref,)}), (1.0,), psi.amplitudes[None]))
+    return out
+
+
+def reference_markov_witness(mc):
+    """Member j is |sigma_j>|tau_j>|j>, each side purified with its
+    reference padded to the side's largest rank, in the built state's
+    register order followed by A', B'."""
+    entries = mc.entries
+    a_dim = max(_rank(e.sigma) for e in entries)
+    b_dim = max(_rank(e.tau) for e in entries)
+    vectors = []
+    for e in entries:
+        ps = purify(e.sigma, "A'", ref_dim=a_dim, ref_party=Party.ALICE)
+        pt = purify(e.tau, "B'", ref_dim=b_dim, ref_party=Party.BOB)
+        vectors.append(np.kron(ps.amplitudes, pt.amplitudes))
+    raw = RegisterLayout(
+        ps.layout.registers + pt.layout.registers + (Register("E0", len(entries), Party.EVE),)
+    )
+    lay = build_markov(mc).layout.extended((raw.register("A'"), raw.register("B'")))
+    sig, tau = entries[0].sigma.layout, entries[0].tau.layout
+    roles = _roles(
+        a=sig.party_labels(Party.ALICE),
+        a_prime=("A'",),
+        b=tau.party_labels(Party.BOB),
+        b_prime=("B'",),
+        e=("E0",) + sig.party_labels(Party.EVE) + tau.party_labels(Party.EVE),
+    )
+    return lay, roles, mc.probs, _reordered(_flagged_members(vectors), raw, lay.labels)
+
+
+def reference_ab_witness(weights, states):
+    """Member j is a purification of state j, its reference Ee padded to
+    the largest rank, then the flag Ke set to j."""
+    rank = max(_rank(s) for s in states)
+    vectors = [purify(s, "Ee", ref_dim=rank, ref_party=Party.EVE).amplitudes for s in states]
+    extra = (Register("Ee", rank, Party.EVE), Register("Ke", len(states), Party.EVE))
+    lay = states[0].layout.extended(extra)
+    roles = _roles(a=lay.party_labels(Party.ALICE), b=lay.party_labels(Party.BOB), e=("Ee", "Ke"))
+    return lay, roles, weights, _flagged_members(vectors)
+
+
+def padded_components(seed):
+    """Two blocks whose sides differ in rank, so that both references are
+    padded for one block."""
+    rng = np.random.default_rng(seed)
+    sig_lay = layout(("A", 2, "alice"), ("EL", 2, "eve"))
+    tau_lay = layout(("B", 2, "bob"), ("ER", 1, "eve"))
+    return MarkovComponents(
+        tuple(
+            MarkovEntry(
+                p,
+                sample("density_hs", (2, 2), rng, rank=r_sig, layout=sig_lay),
+                sample("density_hs", (2, 1), rng, rank=r_tau, layout=tau_lay),
+            )
+            for p, r_sig, r_tau in ((0.4, 1, 2), (0.6, 3, 1))
+        )
+    )
+
+
+def _composed_witnesses():
+    """Each witness constructor built by composition, beside the reference
+    construction of the same witness."""
+    rho = sample("density_hs", (2, 2, 2), 41, rank=3)
+    names = ("baseline_b", "baseline_a")
+    yield from zip(names, baseline_witnesses(rho), reference_baselines(rho))
+    for name, mc in (
+        ("markov", random_components(42)),
+        ("markov_one_entry", random_components(43, entries=1)),
+        ("markov_rank_padded", padded_components(44)),
+    ):
+        yield name, markov_witness(mc), reference_markov_witness(mc)
+    rng = np.random.default_rng(45)
+    ab = layout(("A", 2, "alice"), ("B", 2, "bob"))
+    states = [sample("density_hs", (2, 2), rng, rank=r, layout=ab) for r in (1, 3, 2)]
+    weights = (0.2, 0.5, 0.3)
+    w = witness_from_ab_ensemble(weights, states)
+    yield "ab_ensemble", w, reference_ab_witness(weights, states)
+
+
+@pytest.mark.parametrize(
+    "w, reference", [pytest.param(w, ref, id=name) for name, w, ref in _composed_witnesses()]
+)
+def test_composed_constructor_matches_reference(w, reference):
+    lay, roles, weights, members = reference
+    assert w.layout == lay
+    assert {role: set(group) for role, group in asdict(w.groups).items()} == roles
+    assert np.array_equal(w.weights, weights)
+    assert np.array_equal(w.members, members)
+
+
+@pytest.mark.parametrize(
+    "w", [pytest.param(w, id=name) for name, w in _witnesses_on_the_definition()]
+)
+def test_realized_matches_reference(w):
+    """Against the dense realized state written out: block (i, i) over the
+    flag K, the last register, holds p_i |m_i><m_i|."""
+    k, d = w.members.shape
+    mat = np.zeros((d, k, d, k), dtype=complex)
+    for i, (p, m) in enumerate(zip(w.weights, w.members)):
+        mat[:, i, :, i] = p * np.outer(m, m.conj())
+    joint = w.realized()
+    assert joint.layout == w.layout.extended((Register("K", k, Party.REFERENCE),))
+    assert np.array_equal(joint.matrix, mat.reshape(d * k, d * k))
 
 
 class TestBaselines:
