@@ -6,10 +6,10 @@ included, so the upper bound is guaranteed to stay below min(S(A), S(B));
 optimized witnesses come from a Riemannian quasi-Newton descent over the
 isometry steering the purifying reference, on the Stiefel manifold
 (projected gradient, polar retraction, a limited-memory BFGS direction
-over the last ``MEMORY`` = 5 curvature pairs, scaled by the
-Barzilai-Borwein step and capped at the length of the Barzilai-Borwein
-gradient step, accepted against a nonmonotone Armijo reference).  Every
-evaluation, line-search trials included, is one call of the kernel
+over the last ``MEMORY`` = 5 curvature pairs with the standard initial
+scaling <s,y>/<y,y> of the newest pair, tried at its full length, and
+accepted against a nonmonotone Armijo reference).  Every evaluation,
+line-search trials included, is one call of the kernel
 ``states.member_value_and_grad``, which gives the value and its analytic
 gradient together.  Estimates are bracket pairs, never point claims.
 
@@ -35,7 +35,7 @@ import numpy as np
 from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
-from .registers import Register, RegisterLayout
+from .registers import Register, RegisterLayout, is_integer
 from .states import DensityState, _require_budget, dim_budget, member_value_and_grad, purify
 from .witness import (
     Witness,
@@ -58,7 +58,8 @@ class SearchConfig:
     ``restarts`` gradient descents run from random isometries, each of at
     most ``max_iters`` gradient steps; a restart stops early once it is
     within ``tol / 2`` of the lower bound.  Each integer field named in
-    ``MINIMA`` (and ``k`` unless None) must be at least its minimum.
+    ``MINIMA`` (and ``k`` unless None) must be an integer, not a bool, of at
+    least its minimum, and ``tol`` a finite real >= 0.
     """
 
     MINIMA = {"seed": 0, "restarts": 0, "max_iters": 0, "jobs": 1}
@@ -74,10 +75,12 @@ class SearchConfig:
         minima = self.MINIMA if self.k is None else {"k": 1, **self.MINIMA}
         for name, low in minima.items():
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise BadRange(f"tol must be finite and >= 0, got {self.tol!r}")
+        tol = self.tol
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol >= 0):
+            raise BadRange(f"tol must be a finite real >= 0, got {tol!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -98,8 +101,9 @@ class EstimateConfig(SearchConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.ext is not None and (
-            len(self.ext) != 3
-            or not all(isinstance(x, numbers.Integral) and x >= 1 for x in self.ext)
+            not isinstance(self.ext, (tuple, list))
+            or len(self.ext) != 3
+            or not all(is_integer(x) and x >= 1 for x in self.ext)
         ):
             raise BadRange(f"ext must be three positive integers, got {self.ext!r}")
 
@@ -207,14 +211,13 @@ def _flat(m: np.ndarray) -> np.ndarray:
 def _direction(w: np.ndarray, rgrad: np.ndarray, step: float, pairs) -> np.ndarray:
     """The first trial step of a descent at ``w``: d = -H rgrad, with H the
     two-loop L-BFGS operator (Nocedal & Wright, Alg. 7.4) over ``pairs``,
-    oldest first, and H0 = ``step``.  A pair is the flat change s of the
-    isometry, the flat change y of the Riemannian gradient and 1/<s,y>;
-    pairs are neither transported nor re-projected, but d is projected
-    onto the tangent space at ``w`` and scaled down to the length of the
-    Barzilai-Borwein gradient step ``step * |rgrad|`` when it is longer.
-    If d is then no descent direction, ``pairs`` is cleared and the
-    gradient step -step * rgrad is returned (exactly that, too, when there
-    are no pairs)."""
+    oldest first, and H0 = gamma I with gamma = <s,y>/<y,y> of the newest
+    pair (their eq. 7.20).  A pair is the flat change s of the isometry,
+    the flat change y of the Riemannian gradient and 1/<s,y>; pairs are
+    neither transported nor re-projected, but d is projected onto the
+    tangent space at ``w``.  If d is then no descent direction, ``pairs``
+    is cleared and the Barzilai-Borwein gradient step -step * rgrad is
+    returned (exactly that, too, when there are no pairs)."""
     if pairs:
         q = _flat(rgrad).copy()
         alphas = []
@@ -222,14 +225,11 @@ def _direction(w: np.ndarray, rgrad: np.ndarray, step: float, pairs) -> np.ndarr
             alpha = rho * (s @ q)
             q -= alpha * y
             alphas.append(alpha)
-        q *= step
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
             q += (alpha - rho * (y @ q)) * s
         d = _riemannian(w, -q.view(np.complex128).reshape(w.shape))
-        cap = step * math.sqrt(float(np.vdot(rgrad, rgrad).real))
-        length = math.sqrt(float(np.vdot(d, d).real))
-        if length > cap:
-            d *= cap / length
         if float(np.vdot(d, rgrad).real) < 0:
             return d
         pairs.clear()
@@ -242,20 +242,23 @@ def _descend(fast_f: _MemberObjective, w, max_iters: int, stop_at: float):
     first trial step along the limited-memory BFGS direction of
     ``_direction`` over the last ``MEMORY`` pairs (s, y) with <s,y> > 0,
     for s the change of the isometry and y of the Riemannian gradient
-    (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015).  Its initial
-    scaling, and the cap on its length, is the Barzilai-Borwein step,
-    alternately <s,s>/|<s,y>| and |<s,y>|/<y,y> for the last pair, clipped
-    to ``BB_CLIP`` (``FIRST_STEP`` on the first step).  The trial is halved
-    until the value falls below the Zhang-Hager nonmonotone reference C, a
-    running average of the values weighted by ``NONMONOTONE`` (Wen & Yin,
-    Math. Program. 142, 2013).  Every line-search trial is one
-    ``value_and_grad`` evaluation, and an accepted trial's gradient is the
-    next step's.  Stops after ``max_iters`` steps, at ``stop_at``, at a
-    gradient norm below ``GRAD_TOL``, or when the line search halves
-    t * step below ``MIN_STEP`` without a pass.  A nonmonotone run can end
-    above its best iterate, so it returns the best iterate, its value, the
-    steps tried and taken, the evaluations and the best iterate's
-    Riemannian gradient norm."""
+    (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015), scaled by
+    <s,y>/<y,y> of the newest pair and tried at its full length.  The
+    Barzilai-Borwein step ``step``, alternately <s,s>/|<s,y>| and
+    |<s,y>|/<y,y> for the last step, clipped to ``BB_CLIP`` (``FIRST_STEP``
+    on the first step), is the gradient step taken when there is no pair or
+    the quasi-Newton direction does not descend, and scales the line
+    search's floor t * step >= ``MIN_STEP``.  The trial is halved until the
+    value falls below the Zhang-Hager nonmonotone reference C, a running
+    average of the values weighted by ``NONMONOTONE`` (Wen & Yin, Math.
+    Program. 142, 2013).  Every line-search trial is one ``value_and_grad``
+    evaluation, and an accepted trial's gradient is the next step's.  Stops
+    after ``max_iters`` steps, at ``stop_at``, at a gradient norm below
+    ``GRAD_TOL``, or when the line search halves t * step below
+    ``MIN_STEP`` without a pass.  A nonmonotone run can end above its best
+    iterate, so it returns the best iterate, its value, the steps tried and
+    taken, the evaluations and the best iterate's Riemannian gradient
+    norm."""
     value, grad = fast_f.value_and_grad(w)
     rgrad = _riemannian(w, grad)
     slope = float(np.vdot(rgrad, rgrad).real)

@@ -10,6 +10,7 @@ partial traces and permutations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +22,12 @@ class Party(str, Enum):
     BOB = "bob"
     EVE = "eve"
     REFERENCE = "reference"
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a numpy integer included) and not a
+    bool, which Python counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _coerce_party(party) -> Party:

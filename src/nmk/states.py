@@ -38,7 +38,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,7 +53,7 @@ from .errors import (
     LayoutMismatch,
     NotClassicalRegister,
 )
-from .registers import Party, Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout, is_integer
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -674,7 +673,7 @@ class BlockState:
         q_dim = self.quantum.dim
         for values, _, matrix in self.blocks:
             if len(values) != len(self.classical) or not all(
-                isinstance(v, numbers.Integral) and 0 <= v < var.dim
+                is_integer(v) and 0 <= v < var.dim
                 for v, var in zip(values, self.classical)
             ):
                 raise InvariantViolation(

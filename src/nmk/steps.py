@@ -36,7 +36,6 @@ Scenarios are immutable; ``apply_step`` returns a new one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -50,7 +49,7 @@ from .errors import (
     IrreversibleEveOp,
     UnknownLabel,
 )
-from .registers import Party, Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout, is_integer
 from .states import BlockState, ChannelMap, DensityState
 
 
@@ -433,7 +432,7 @@ class DilutionConversion:
 def _integer(value, what: str) -> int:
     """``value`` as an int; anything but an integer (a bool included) is
     rejected, not rounded."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise BadMu(f"{what} must be an integer, got {value!r}")
     return int(value)
 

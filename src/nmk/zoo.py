@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from urllib.parse import parse_qsl, urlsplit
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import BadParams, UnknownName
 from .markov import MarkovComponents, MarkovEntry
 from .rand import as_rng, sample
-from .registers import RegisterLayout, layout
+from .registers import RegisterLayout, is_integer, layout
 from .states import ChannelMap, DensityState, tensor
 from .steps import Scenario, Step
 
@@ -90,15 +89,11 @@ def _classical_corr_e0(_params, _seed) -> DensityState:
     return tensor(ab, e)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _integer(params, key: str) -> int:
     """``params[key]`` as an int.  A value that is no integer (a float, a
     string, a blank) raises BadParams naming the parameter instead of
     being truncated."""
-    if not _is_integer(params[key]):
+    if not is_integer(params[key]):
         raise BadParams(f"{key} must be an integer, got {params[key]!r}")
     return int(params[key])
 
@@ -106,7 +101,7 @@ def _integer(params, key: str) -> int:
 def _integers(params, key: str) -> tuple[int, ...]:
     """``params[key]``, a list of integers, as a tuple of ints."""
     value = params[key]
-    if not isinstance(value, (list, tuple)) or not all(map(_is_integer, value)):
+    if not isinstance(value, (list, tuple)) or not all(map(is_integer, value)):
         raise BadParams(f"{key} must be a list of integers, got {value!r}")
     return tuple(int(v) for v in value)
 

@@ -239,6 +239,7 @@ class TestDirectConstruction:
             (J, (Block((0,), 0.5, HALF), Block((2,), 0.5, HALF)), "classical_value"),
             (J, (Block((0, 1), 1.0, HALF),), "classical_value"),
             (J, (Block((0.5,), 1.0, HALF),), "classical_value"),
+            (J, (Block((True,), 1.0, HALF),), "classical_value"),
             ((ClassicalVar(3, ("J",)),), (Block((0,), 1.0, HALF),), "copy_dim"),
             (J, (Block((0,), 1.0, np.eye(4) / 4),), "shape"),
         ],

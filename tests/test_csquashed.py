@@ -109,6 +109,10 @@ class TestEstimate:
         with pytest.raises(BadRange, match="seed"):
             EsqcConfig(seed=-1)
 
+    def test_bool_e_prime_rejected(self):
+        with pytest.raises(BadRange, match="^e_prime must"):
+            EsqcConfig(e_prime=True)
+
     def test_bell_is_unit(self):
         est = estimate_esqc(bell_pair(), FAST)
         assert est.upper_bits == pytest.approx(1.0, abs=1e-6)
@@ -177,6 +181,12 @@ class TestSearch:
         # Barzilai-Borwein gradient steps took 2,135 evaluations.
         assert est.notes["evals"] <= 1900
 
+    def test_gate_state_needs_fewer_evals_than_capped_directions(self):
+        est = estimate_esqc(zoo("hs_random", {"dims": (4, 4, 2)}, seed=1), EsqcConfig(seed=1))
+        assert est.upper_bits <= 0.0013
+        # Directions capped at the Barzilai-Borwein step's length took 1,686.
+        assert est.notes["evals"] <= 1300
+
     def test_short_budget_gets_below_the_singleton(self):
         # At 50 steps Barzilai-Borwein gradient steps read 0.154 of the
         # singleton bound on these states.
@@ -187,6 +197,8 @@ class TestSearch:
             ab = partial_trace(omega, ("A", "B"))
             ratios.append(est.upper_bits / (0.5 * mutual_info(ab, ("A",), ("B",))))
         assert np.mean(ratios) <= 0.11
+        # Directions capped at the Barzilai-Borwein step's length read 0.0819.
+        assert np.mean(ratios) <= 0.07
 
 
 class TestWinnerOnly:

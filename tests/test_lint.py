@@ -7,7 +7,9 @@ module uses an ``assert`` statement, which ``python -O`` strips: a check
 that must hold raises an error of the package.  No tolerance gate that
 raises is written ``if err > tol``, ``if p < -TOL``, ``if total > bound +
 1e-12`` or ``if x < 0``, which a NaN passes: it is written
-``if not err <= tol``, which a NaN fails.
+``if not err <= tol``, which a NaN fails.  ``numbers.Integral`` is read only
+inside ``registers.is_integer``, the one integer test, which refuses the
+bools that ``numbers.Integral`` admits.
 """
 
 import ast
@@ -74,12 +76,36 @@ def _nan_blind_gate(node):
     return False
 
 
+def _integral_reads(tree):
+    """The line numbers where ``Integral`` is read outside a function named
+    ``is_integer``."""
+    helper = {
+        id(n)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "is_integer"
+        for n in ast.walk(func)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in helper
+        and (
+            (isinstance(node, ast.Attribute) and node.attr == "Integral")
+            or (isinstance(node, ast.Name) and node.id == "Integral")
+        )
+    )
+
+
 def lint(source: str, exempt_unused: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
-    statements and tolerance gates that a NaN passes."""
+    statements, tolerance gates that a NaN passes and integer tests that
+    bypass ``is_integer``."""
     tree = ast.parse(source)
-    problems = []
+    problems = [
+        f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
+        for lineno in _integral_reads(tree)
+    ]
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             problems.append(f"line {node.lineno}: assert, which python -O strips")
@@ -126,6 +152,23 @@ def test_lint_catches_unused_and_local_imports():
 def test_lint_catches_assert():
     source = "def f(x):\n    assert x > 0\n    return x\n"
     assert lint(source) == ["line 2: assert, which python -O strips"]
+
+
+def test_lint_catches_integral_outside_is_integer():
+    source = (
+        "import numbers\n"
+        "from numbers import Integral\n"
+        "def is_integer(value):\n"
+        "    return isinstance(value, numbers.Integral) and not isinstance(value, bool)\n"
+        "def f(n):\n"
+        "    if not isinstance(n, numbers.Integral):\n"
+        "        raise ValueError(n)\n"
+        "    return isinstance(n, Integral)\n"
+    )
+    assert lint(source) == [
+        "line 6: numbers.Integral outside is_integer(), which admits bools",
+        "line 8: numbers.Integral outside is_integer(), which admits bools",
+    ]
 
 
 def test_lint_catches_nan_blind_gates():

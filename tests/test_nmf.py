@@ -150,9 +150,9 @@ def test_evals_count_kernel_calls(monkeypatch):
 
 
 class TestSearch:
-    """The descent: quasi-Newton directions at the Barzilai-Borwein step
-    length against a nonmonotone reference, returning each restart's best
-    iterate."""
+    """The descent: L-BFGS directions scaled by <s,y>/<y,y>, Barzilai-Borwein
+    gradient steps when there is no pair, a nonmonotone reference, and each
+    restart's best iterate returned."""
 
     def test_gate_state_converges(self):
         est = estimate(zoo("hs_random", {"dims": (2, 2, 2)}, seed=3), EstimateConfig(seed=1))
@@ -206,18 +206,23 @@ class TestSearch:
 
     def test_gate_state_needs_fewer_evals_than_gradient_steps(self):
         est = estimate(zoo("hs_random", {"dims": (2, 2, 2)}, seed=3), EstimateConfig(seed=1))
-        assert est.upper_bits == pytest.approx(0.67470, abs=1e-5)
+        assert est.upper_bits == pytest.approx(0.674593, abs=1e-5)
         # Barzilai-Borwein gradient steps took 4,647 evaluations.
         assert est.notes["evals"] <= 4000
 
-    def test_direction_is_a_capped_tangent_descent(self, monkeypatch):
+    def test_gate_state_needs_fewer_evals_than_capped_directions(self):
+        est = estimate(zoo("hs_random", {"dims": (2, 2, 2)}, seed=3), EstimateConfig(seed=1))
+        # Directions capped at the Barzilai-Borwein step's length took 3,527.
+        assert est.notes["evals"] <= 3200
+
+    def test_direction_is_a_tangent_descent(self, monkeypatch):
         calls = []
         real = nmf._direction
 
         def logged(w, rgrad, step, pairs):
-            had_pairs = bool(pairs)
+            stored = list(pairs)
             d = real(w, rgrad, step, pairs)
-            calls.append((w, rgrad, step, had_pairs, d))
+            calls.append((w, rgrad, step, stored, d))
             return d
 
         monkeypatch.setattr(nmf, "_direction", logged)
@@ -231,7 +236,19 @@ class TestSearch:
             assert np.vdot(d, rgrad).real < 0
             wd = w.conj().T @ d
             assert np.abs(wd + wd.conj().T).max() / 2 <= 1e-12
-            assert np.linalg.norm(d) <= step * np.linalg.norm(rgrad) * (1 + 1e-12)
+        # With one pair, d is the tangent part of -H g for the dense BFGS
+        # update H = (I - rho s y^T) gamma (I - rho y s^T) + rho s s^T of
+        # H0 = gamma I, gamma = <s,y>/<y,y>, over the real entries g of rgrad.
+        w, rgrad, _, [(s, y, rho)], d = next(c for c in calls if len(c[3]) == 1)
+        g = rgrad.reshape(-1).view(np.float64)
+        eye = np.eye(g.size)
+        gamma = (s @ y) / (y @ y)
+        bfgs = (eye - rho * np.outer(s, y)) @ (gamma * eye) @ (eye - rho * np.outer(y, s))
+        bfgs += rho * np.outer(s, s)
+        newton = -(bfgs @ g).view(np.complex128).reshape(w.shape)
+        wn = w.conj().T @ newton
+        tangent = newton - w @ (wn + wn.conj().T) / 2
+        assert np.allclose(d, tangent, rtol=0, atol=1e-12 * np.abs(tangent).max())
 
 
 class TestPureStates:
@@ -418,6 +435,22 @@ class TestLimits:
     def test_negative_seed_rejected(self):
         with pytest.raises(BadRange, match="seed"):
             EstimateConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("restarts", True),
+            ("max_iters", False),
+            ("k", True),
+            ("ext", (True, 1, 1)),
+            ("ext", 5),
+            ("tol", "1"),
+            ("tol", True),
+        ],
+    )
+    def test_bools_and_strings_rejected_naming_the_field(self, name, value):
+        with pytest.raises(BadRange, match=f"^{name} must"):
+            EstimateConfig(**{name: value})
 
     def test_budget_exceeded(self):
         rho = sample("density_hs", (2, 2, 2), 14)
