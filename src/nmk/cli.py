@@ -167,14 +167,24 @@ def cmd_nmf(args) -> int:
         "witness": witness_to_json(est.best),
         "notes": est.notes,
     }
-    flag = "" if est.certified else "  [UNCERTIFIED: bracket gap above tol]"
-    _emit(
-        result,
-        started,
-        args,
-        [f"bracket [{est.lower_bits:.6f}, {est.upper_bits:.6f}] bits{flag}"],
-    )
+    _emit(result, started, args, [_bracket_line(est)], _search_meta(est))
     return 0
+
+
+def _bracket_line(est) -> str:
+    flag = "" if est.certified else "  [UNCERTIFIED: bracket gap above tol]"
+    return f"bracket [{est.lower_bits:.6f}, {est.upper_bits:.6f}] bits{flag}"
+
+
+def _search_meta(est) -> dict:
+    """The search counts of an estimate, for stderr ``meta``: evaluations,
+    the winner's gradient norm and the rounds run (skipped ones not
+    counted)."""
+    return {
+        "evals": est.notes["evals"],
+        "grad_norm": est.notes["grad_norm"],
+        "rounds": sum("best" in r for r in est.notes["rounds"]),
+    }
 
 
 def cmd_esqc(args) -> int:
@@ -186,19 +196,22 @@ def cmd_esqc(args) -> int:
         "input": args.state,
         "seed": config.seed,
         "config": est.config,
+        "lower_bits": est.lower_bits,
         "upper_bits": est.upper_bits,
+        "gap": est.gap,
+        "certified": est.certified,
         "weights": list(est.weights),
         "ensemble": [state_to_json(s) for s in est.ensemble],
         "trace": [r.to_dict() for r in est.trace],
         "notes": est.notes,
     }
-    lines = [f"ensemble upper bound {est.upper_bits:.6f} bits"]
+    lines = [_bracket_line(est)]
     if args.crosscheck:
         rep = extension_crosscheck(state, config)
         result["msq_upper_bits"] = rep.msq_ub
         result["crosscheck"] = rep.to_dict()
         lines.append(f"extension crosscheck gap {rep.gap:.6f} bits")
-    _emit(result, started, args, lines)
+    _emit(result, started, args, lines, _search_meta(est))
     return 0
 
 
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nmf)
 
     p = _search_parser(
-        sub, "esqc", EsqcConfig, "ensemble entanglement upper bound of a bipartite state"
+        sub, "esqc", EsqcConfig, "bracket the ensemble entanglement of a bipartite state"
     )
     p.add_argument("--e-prime", type=int, default=EsqcConfig.e_prime)
     p.add_argument("--crosscheck", action="store_true", help="also run the extension crosscheck")

@@ -1,15 +1,34 @@
 """Ensemble-based (classically squashed) entanglement of bipartite states.
 
 The measure is half the ensemble-averaged mutual information, minimized
-over decompositions of the state; the singleton ensemble is always
-included, so the estimate never exceeds half the state's own mutual
-information.  Decompositions are parametrized by steering the purifying
-reference through an isometry into (purifier extension E') x (flag), and
-searched by the formation estimator's restart loop: gradient descents on
-the isometry from random starts.  Restarts are ranked by their own
-ensemble objective, and only a restart that beats the singleton is turned
-into an ensemble, kept as its pure members and reduced to AB states on
-access.
+over decompositions of the state; its operational meaning is the
+communication cost the paper derives from it, so it is estimated as a
+bracket.  The upper bound is the best decomposition found; the singleton
+ensemble is always included, so it never exceeds half the state's own
+mutual information.  The lower bound is the hashing bound
+L = max(0, S(A) - S(AB), S(B) - S(AB)), the coherent information of
+either direction: distillable entanglement is at least it (Devetak &
+Winter, Proc. R. Soc. A 461, 2005), squashed entanglement is at least
+distillable entanglement (Christandl & Winter, J. Math. Phys. 45, 2004),
+and the c-squashed entanglement, an infimum over a subset of the
+extensions, is at least the squashed one.  L is 0 on every state whose
+coherent information is negative, and reaches the value on pure states,
+where no search runs.
+
+Decompositions are parametrized by steering the purifying reference
+through an isometry into (purifier extension E') x (flag of k values),
+and searched by the formation estimator's round loop: gradient descents
+on the isometry from random starts, each stopping within ``tol / 2`` of
+L.  The flag dimension climbs a ladder while the gap stays above ``tol``:
+``restarts`` descents at k = rank, then one at k = 2 rank.  Near
+separability a decomposition needs more members than the rank (a
+separable one may need up to (d_A d_B)^2, P. Horodecki, Phys. Lett. A
+232, 1997), while away from it the extra members add flat directions that
+keep restarts stepping, so the larger flag is tried only when the first
+round leaves the gap open.  Restarts are ranked by their own ensemble
+objective, and only a restart that beats the best candidate so far is
+turned into an ensemble, kept as its pure members and reduced to AB
+states on access.
 
 ``extension_crosscheck`` compares this estimate against the smallest
 formation bracket over a configured family of tripartite extensions
@@ -26,16 +45,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import mutual_info
+from .entropy import entropy, mutual_info
 from .errors import BadEnsemble, BudgetExceeded, DimensionTooSmall
 from .nmf import (
+    Bracket,
     EstimateConfig,
     RestartRecord,
     SearchConfig,
     _MemberObjective,
     _purified,
-    _search,
-    _search_notes,
+    _Round,
+    _run_rounds,
     estimate,
 )
 from .registers import Party, Register, RegisterLayout
@@ -58,9 +78,9 @@ class EsqcConfig(SearchConfig):
     """Knobs for the ensemble search.
 
     Members are steered into a purifier extension E' of dimension
-    ``e_prime`` times a flag of ``k`` values (default: the state's rank);
-    with ``e_prime`` 1 every member is a pure AB state.  A restart stops
-    early below ``tol / 2``.
+    ``e_prime`` times a flag of ``k`` values (default: the ladder k = rank,
+    then k = 2 rank); with ``e_prime`` 1 every member is a pure AB state.
+    A restart stops early within ``tol / 2`` of the lower bound.
     """
 
     MINIMA = {**SearchConfig.MINIMA, "e_prime": 1}
@@ -88,13 +108,15 @@ class PureMemberEnsemble(Sequence):
 
 
 @dataclass(frozen=True)
-class EsqcEstimate:
-    """Upper bound with the realizing ensemble.
+class EsqcEstimate(Bracket):
+    """Bracket [lower_bits, upper_bits] with the ensemble realizing the
+    upper bound.
 
     ``ensemble`` keeps the winner's pure members and reduces them to AB
     states on access.
     """
 
+    lower_bits: float
     upper_bits: float
     weights: tuple[float, ...]
     ensemble: PureMemberEnsemble
@@ -152,16 +174,28 @@ def _members_from_matrix(omega, psi_arr, w_matrix, e_prime, k):
     return tuple((weights / weights.sum()).tolist()), PureMemberEnsemble(omega.layout, members)
 
 
-def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> EsqcEstimate:
-    """Minimize the ensemble objective over reference-steering isometries.
+def _hashing_bound(omega: DensityState) -> float:
+    """The lower bound max(0, S(A) - S(AB), S(B) - S(AB)) of the c-squashed
+    entanglement of ``omega``, a state on Alice's and Bob's registers only."""
+    a = omega.layout.party_labels(Party.ALICE)
+    b = omega.layout.party_labels(Party.BOB)
+    s_ab = entropy(omega)
+    return max(0.0, entropy(omega, a) - s_ab, entropy(omega, b) - s_ab)
 
-    The singleton decomposition is always a candidate, so the result never
-    exceeds half of I(A:B).  ``notes["best_source"]`` names the winner:
-    ``singleton`` or ``restart:<rid>``; ``notes["evals"]`` counts objective
-    evaluations (line-search trials included),
-    ``notes["restarts_beating_baseline"]`` the restarts that ended below the
-    singleton, and ``notes["grad_norm"]`` is the winning restart's final
-    gradient norm (None for the singleton).
+
+def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> EsqcEstimate:
+    """Bracket the ensemble measure: ``_hashing_bound`` below, and above the
+    smallest ensemble objective over reference-steering isometries.
+
+    The singleton decomposition is always a candidate, so the upper bound
+    never exceeds half of I(A:B); when it is within ``tol`` of the lower
+    bound, no search runs.  By default a round at k = rank runs
+    ``restarts`` descents and, while the gap stays above ``tol``, a round
+    at k = 2 rank runs one; an explicit ``k`` runs that round only.  The
+    notes are ``nmf.estimate``'s: ``best_source`` (``singleton`` or
+    ``restart:<rid>/<round>``), ``rounds``, ``uncertified``, ``evals``,
+    ``restarts_beating_baseline`` (restarts that ended below the singleton)
+    and ``grad_norm``.
     """
     config = config or EsqcConfig()
     a = omega.layout.party_labels(Party.ALICE)
@@ -175,35 +209,59 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         raise BudgetExceeded(f"ensemble search is limited to total dimension 64, got {omega.dim}")
     psi_arr, rank = _purified(omega)
     # The singleton, as the one member its purification is.
-    best_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi_arr.reshape(1, -1)))
-    singleton = best_val = esqc_objective(*best_ens)
-    best_source = "singleton"
-    k = int(config.k) if config.k else rank
+    singleton_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi_arr.reshape(1, -1)))
+    singleton = esqc_objective(*singleton_ens)
+    # S(A) - S(AB) <= S(B) (Araki-Lieb), so the bound is at most the
+    # singleton's value; the min only drops rounding on pure states.
+    lower = min(_hashing_bound(omega), singleton)
     e_prime = int(config.e_prime)
-    if e_prime * k < rank:
-        raise DimensionTooSmall(f"extension capacity {e_prime * k} below rank {rank}")
-    fast_f = _fast_esqc_objective(omega, psi_arr, e_prime, k)
-    trace, won = _search(
-        fast_f, rank, e_prime * k, config, config.tol * 0.5, best_val, 0, [config.seed]
+    if config.k:
+        ladder = [(int(config.k), (config.seed,), config.restarts)]
+    else:
+        ladder = [
+            (rank, (config.seed,), config.restarts),
+            (2 * rank, (config.seed, 1), min(config.restarts, 1)),
+        ]
+    rounds = [
+        _Round(
+            {"k": k},
+            e_prime * k,
+            seed_key,
+            restarts,
+            DimensionTooSmall(f"extension capacity {e_prime * k} below rank {rank}")
+            if e_prime * k < rank
+            else None,
+        )
+        for k, seed_key, restarts in ladder
+    ]
+
+    def build(params, w_mat):
+        ens = _members_from_matrix(omega, psi_arr, w_mat, e_prime, params["k"])
+        return esqc_objective(*ens), ens
+
+    upper, best_ens, trace, search_notes = _run_rounds(
+        rounds,
+        rank,
+        config,
+        lower,
+        (singleton, "singleton", singleton_ens),
+        singleton,
+        lambda params: _fast_esqc_objective(omega, psi_arr, e_prime, params["k"]),
+        build,
     )
-    winner = None
-    if won is not None:
-        winner, w_mat = won
-        best_ens = _members_from_matrix(omega, psi_arr, w_mat, e_prime, k)
-        best_val, best_source = esqc_objective(*best_ens), f"restart:{winner.restart_id}"
     check_ensemble(*best_ens, omega, tol=1e-8)
     return EsqcEstimate(
-        upper_bits=float(best_val),
+        lower_bits=float(lower),
+        upper_bits=float(upper),
         weights=best_ens[0],
         ensemble=best_ens[1],
         trace=tuple(trace),
         config=config.to_dict(),
         notes={
             "single_copy": True,
-            "dilution_cdown_single_copy_bits": 2.0 * float(best_val),
+            "dilution_cdown_single_copy_bits": 2.0 * float(upper),
             "dilution_note": "single-copy bound on the dilution cost (twice the estimate)",
-            "best_source": best_source,
-            **_search_notes(trace, singleton, winner),
+            **search_notes,
         },
     )
 

@@ -14,10 +14,12 @@ line-search trials included, is one call of the kernel
 gradient together.  Estimates are bracket pairs, never point claims.
 
 Both estimators share one front end: the knobs of ``SearchConfig``, the
-purification ``_purified`` and the restart search ``_search``.  Each
-restart reports the member-marginal objective at its best isometry;
-restarts are ranked by that value, and only a restart that beats every
-earlier candidate is turned into a witness.  Everything is deterministic
+purification ``_purified`` and the round loop ``_run_rounds``, which runs
+each estimator's schedule of rounds while the bracket gap stays above
+``tol`` and records them in ``notes["rounds"]``.  Each restart reports
+the member-marginal objective at its best isometry; restarts are ranked
+by that value, and only a restart that beats every earlier candidate is
+turned into a witness.  Everything is deterministic
 per seed: each restart starts from an isometry drawn from a generator
 derived from the master seed by counter, and the reduction over restarts
 is a deterministic min, so results do not depend on the worker count.
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .entropy import entropy, nonmarkovianity
-from .errors import BadRange, BudgetExceeded, DimensionTooSmall
+from .errors import BadRange, BudgetExceeded, DimensionTooSmall, NmkError
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout, is_integer
 from .states import DensityState, _require_budget, dim_budget, member_value_and_grad, purify
@@ -128,16 +130,9 @@ class RestartRecord:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class NmfEstimate:
-    """Bracket [lower_bits, upper_bits] with the best witness found."""
-
-    lower_bits: float
-    upper_bits: float
-    best: Witness
-    trace: tuple[RestartRecord, ...]
-    config: dict
-    notes: dict = field(default_factory=dict)
+class Bracket:
+    """The gap of an estimate's [lower_bits, upper_bits], and whether it is
+    within the config's ``tol``."""
 
     @property
     def gap(self) -> float:
@@ -146,6 +141,18 @@ class NmfEstimate:
     @property
     def certified(self) -> bool:
         return self.gap <= self.config.get("tol", 0.0) + 1e-9
+
+
+@dataclass(frozen=True)
+class NmfEstimate(Bracket):
+    """Bracket [lower_bits, upper_bits] with the best witness found."""
+
+    lower_bits: float
+    upper_bits: float
+    best: Witness
+    trace: tuple[RestartRecord, ...]
+    config: dict
+    notes: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,36 +328,81 @@ def _purified(state: DensityState):
     return psi.amplitudes.reshape(state.dim, rank), rank
 
 
-def _search(fast_f, rank, out_dim, config: SearchConfig, stop_at, best, round_id, seed_key):
-    """Run ``config.restarts`` descents of ``fast_f``, restart ``rid`` from a
-    random isometry drawn from ``as_rng([*seed_key, rid])``.  Returns their
-    records, in restart order, and the winning record with its best
-    isometry when the lowest restart beats ``best`` (else None)."""
+@dataclass(frozen=True)
+class _Round:
+    """One round of the restart search.  ``params`` set it apart from the
+    other rounds (its ``ext`` or its ``k``) and are what ``notes["rounds"]``
+    records of it; ``capacity`` is the steering isometry's output dimension;
+    ``restarts`` descents run, restart ``rid`` from a random isometry drawn
+    from ``as_rng([*seed_key, rid])``.  ``problem``, when not None, is the
+    error that refuses the round."""
 
-    def one(rid):
-        start = random_isometry(rank, out_dim, as_rng([*seed_key, rid]))
-        return _descend(fast_f, start, config.max_iters, stop_at)
-
-    results = map_indexed(one, config.restarts, config.jobs)
-    records = [
-        RestartRecord(rid, round_id, value, iters, accepted, evals, grad_norm)
-        for rid, (_, value, iters, accepted, evals, grad_norm) in enumerate(results)
-    ]
-    top = min(records, key=lambda r: r.objective, default=None)
-    if top is None or not _beats(top.objective, best):
-        return records, None
-    return records, (top, results[top.restart_id][0])
+    params: dict
+    capacity: int
+    seed_key: tuple
+    restarts: int
+    problem: NmkError | None = None
 
 
-def _search_notes(trace, baseline: float, winner: RestartRecord | None) -> dict:
-    """Objective evaluations spent, how many restarts beat ``baseline``, and
-    the final gradient norm of the winning restart (None when no restart
-    won)."""
-    return {
+def _run_rounds(rounds, rank, config: SearchConfig, lower, start, baseline, objective_of, build):
+    """The round loop both estimators run.  Rounds run in order while the
+    gap between the best candidate and ``lower`` stays above ``config.tol``
+    (none runs if ``start`` is already that close).  A round runs its
+    restarts as ``_Round`` says, each a descent of ``objective_of(params)``
+    stopping at ``lower + tol / 2``, and ranks them by the value each
+    reports.  ``start`` is the (value, source, candidate) to beat; only a
+    restart that beats it takes the lead, and ``build(params, w)`` turns
+    its best isometry ``w`` into the (value, candidate) that replaces it.
+    A refused round raises its ``problem`` as round 0 and is recorded as
+    skipped later.
+
+    Returns the best value and candidate, the restart records and the
+    search notes: ``rounds`` (one entry per round reached: its params and
+    its ``best`` value or what ``skipped`` it), ``uncertified`` (the gap
+    stayed above tol), ``best_source`` (the start's source or
+    ``restart:<rid>/<round>``), ``evals`` (each one ``member_value_and_grad``
+    call, line-search trials included), ``restarts_beating_baseline`` (the
+    restarts that ended below ``baseline``) and ``grad_norm`` (the winning
+    restart's final Riemannian gradient norm, None when no restart won)."""
+    value, source, candidate = start
+    stop_at = lower + 0.5 * config.tol
+    trace: list[RestartRecord] = []
+    winner, round_notes = None, []
+    for round_id, rnd in enumerate(rounds):
+        if value - lower <= config.tol:
+            break
+        if rnd.problem is not None:
+            if round_id == 0:
+                raise rnd.problem
+            round_notes.append({"round": round_id, **rnd.params, "skipped": str(rnd.problem)})
+            continue
+        fast_f = objective_of(rnd.params)
+
+        def one(rid):
+            start_w = random_isometry(rank, rnd.capacity, as_rng([*rnd.seed_key, rid]))
+            return _descend(fast_f, start_w, config.max_iters, stop_at)
+
+        results = map_indexed(one, rnd.restarts, config.jobs)
+        records = [
+            RestartRecord(rid, round_id, obj, iters, accepted, evals, grad_norm)
+            for rid, (_, obj, iters, accepted, evals, grad_norm) in enumerate(results)
+        ]
+        trace.extend(records)
+        top = min(records, key=lambda r: r.objective, default=None)
+        if top is not None and _beats(top.objective, value):
+            winner = top
+            value, candidate = build(rnd.params, results[top.restart_id][0])
+            source = f"restart:{top.restart_id}/{round_id}"
+        round_notes.append({"round": round_id, **rnd.params, "best": value})
+    notes = {
+        "rounds": round_notes,
+        "uncertified": bool(float(value) - lower > config.tol),
+        "best_source": source,
         "evals": sum(r.evals for r in trace),
         "restarts_beating_baseline": sum(_beats(r.objective, baseline) for r in trace),
         "grad_norm": None if winner is None else winner.grad_norm,
     }
+    return value, candidate, trace, notes
 
 
 def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) -> NmfEstimate:
@@ -376,60 +428,50 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     for i, w in enumerate(seeds):
         check_witness(w, rho, tol=1e-7)
         candidates.append((objective(w), f"seed:{i}", w))
-    best_obj, best_source, best_w = min(candidates, key=lambda c: c[0])
-    winner = None
-    trace: list[RestartRecord] = []
-    notes = {
-        "single_copy": True,
-        "rounds": [],
-        "asymptotic": "the regularized measure (and the generation cost per copy "
-        "it equals) is not computed; this is a single-copy bracket",
-    }
-
     psi_arr, rank = _purified(rho)
+    k = int(config.k) if config.k else rank
     if config.ext is None:
         schedule = [(1, 1, 1), (2, 2, 2)]
     else:
         schedule = [tuple(int(x) for x in config.ext)]
-
+    rounds = []
     for round_id, ext_dims in enumerate(schedule):
-        if best_obj - lower <= config.tol:
-            break
-        ap, bp, ep = ext_dims
-        k = int(config.k) if config.k else rank
-        capacity = ap * bp * ep * k
+        capacity = math.prod(ext_dims) * k
         realized_dim = rho.dim * capacity
-        if capacity < rank or realized_dim > dim_budget():
-            problem = (
-                f"extension capacity {capacity} below rank {rank}"
-                if capacity < rank
-                else f"realized dimension {realized_dim} over budget {dim_budget()}"
+        problem = None
+        if capacity < rank:
+            problem = DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
+        elif realized_dim > dim_budget():
+            problem = BudgetExceeded(
+                f"realized dimension {realized_dim} over budget {dim_budget()}"
             )
-            if round_id == 0:
-                if capacity < rank:
-                    raise DimensionTooSmall(problem)
-                raise BudgetExceeded(problem)
-            notes["rounds"].append({"round": round_id, "ext": ext_dims, "skipped": problem})
-            continue
-        fast_f = _fast_objective(rho, psi_arr, ext_dims, k)
-        stop_at = lower + 0.5 * config.tol
-        records, won = _search(
-            fast_f, rank, capacity, config, stop_at, best_obj, round_id, [config.seed, round_id]
+        rounds.append(
+            _Round({"ext": ext_dims}, capacity, (config.seed, round_id), config.restarts, problem)
         )
-        trace.extend(records)
-        if won is not None:
-            winner, w_mat = won
-            best_w = witness_from_isometry(rho, w_mat, ext_dims, k)
-            best_obj, best_source = objective(best_w), f"restart:{winner.restart_id}/{round_id}"
-        notes["rounds"].append({"round": round_id, "ext": ext_dims, "best": best_obj})
 
-    upper = float(best_obj)
-    notes["uncertified"] = bool(upper - lower > config.tol)
-    notes["best_source"] = best_source
-    notes.update(_search_notes(trace, baseline, winner))
+    def build(params, w_mat):
+        w = witness_from_isometry(rho, w_mat, params["ext"], k)
+        return objective(w), w
+
+    upper, best_w, trace, search_notes = _run_rounds(
+        rounds,
+        rank,
+        config,
+        lower,
+        min(candidates, key=lambda c: c[0]),
+        baseline,
+        lambda params: _fast_objective(rho, psi_arr, params["ext"], k),
+        build,
+    )
+    notes = {
+        "single_copy": True,
+        "asymptotic": "the regularized measure (and the generation cost per copy "
+        "it equals) is not computed; this is a single-copy bracket",
+        **search_notes,
+    }
     return NmfEstimate(
         lower_bits=float(lower),
-        upper_bits=upper,
+        upper_bits=float(upper),
         best=best_w,
         trace=tuple(trace),
         config=config.to_dict(),

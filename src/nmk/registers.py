@@ -46,8 +46,10 @@ class Register:
 
     def __post_init__(self):
         object.__setattr__(self, "party", _coerce_party(self.party))
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not is_integer(self.dim) or self.dim < 1:
             raise BadDims(f"register {self.label!r} needs a positive integer dim, got {self.dim!r}")
+        # A numpy integer is stored as an int, so layouts and JSON see one type.
+        object.__setattr__(self, "dim", int(self.dim))
 
 
 @dataclass(frozen=True)

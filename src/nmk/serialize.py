@@ -13,7 +13,6 @@ built in Python.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -214,7 +213,3 @@ def jsonable(obj):
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)
-
-
-def dumps_canonical(payload) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":"))

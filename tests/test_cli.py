@@ -129,17 +129,69 @@ class TestCapacityBelowRank:
         assert "budget error:" in proc.stderr and "64" in proc.stderr
 
 
+def meta_of(proc):
+    return json.loads(proc.stderr.splitlines()[0])["meta"]
+
+
 class TestEsqc:
     def test_bell(self):
         proc = run_cli("esqc", "zoo:bell_e0", "--seed", "3")
         out = result_of(proc)
         assert out["upper_bits"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_bell_is_a_certified_bracket_without_search(self):
+        proc = run_cli("esqc", "zoo:bell_e0", "--seed", "3")
+        out = result_of(proc)
+        assert out["lower_bits"] == pytest.approx(1.0, abs=1e-12)
+        assert out["upper_bits"] == pytest.approx(1.0, abs=1e-12)
+        assert out["certified"] is True and out["gap"] <= 1e-12
+        assert out["notes"]["evals"] == 0 and out["trace"] == []
+        assert out["notes"]["uncertified"] is False
+        assert "bracket [1.000000, 1.000000] bits" in proc.stderr
+        assert "UNCERTIFIED" not in proc.stderr
+        meta = meta_of(proc)
+        assert (meta["evals"], meta["grad_norm"], meta["rounds"]) == (0, None, 0)
+
+    def test_open_gap_is_flagged_and_reruns_are_identical(self):
+        args = ("esqc", "zoo:hs_random?dims=4,4,2", "--restarts", "1", "--max-iters", "5")
+        first = run_cli(*args, "--seed", "2")
+        second = run_cli(*args, "--seed", "2")
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        out = result_of(first)
+        assert out["certified"] is False and out["notes"]["uncertified"] is True
+        assert out["lower_bits"] == 0.0 and out["gap"] == out["upper_bits"]
+        assert "[UNCERTIFIED: bracket gap above tol]" in first.stderr
+        meta = meta_of(first)
+        assert meta["evals"] == out["notes"]["evals"] > 0
+        assert meta["grad_norm"] == out["notes"]["grad_norm"]
+        assert meta["rounds"] == len(out["notes"]["rounds"]) == 2
+
     def test_crosscheck_flag(self):
         proc = run_cli("esqc", "zoo:classical_corr_e0", "--seed", "4", "--crosscheck")
         out = result_of(proc)
         assert out["upper_bits"] <= 1e-3
         assert out["crosscheck"]["gap"] <= 1e-3
+
+
+class TestSearchMeta:
+    ARGS = ("nmf", "zoo:hs_random?dims=2,2,2", "--restarts", "1", "--max-iters", "5", "--seed", "1")
+
+    def test_nmf_meta_counts_the_search(self):
+        proc = run_cli(*self.ARGS)
+        out = result_of(proc)
+        meta = meta_of(proc)
+        assert meta["evals"] == out["notes"]["evals"] == sum(r["evals"] for r in out["trace"])
+        assert meta["grad_norm"] == out["notes"]["grad_norm"]
+        assert meta["rounds"] == len(out["notes"]["rounds"]) == 2
+
+    def test_skipped_round_is_not_counted(self, monkeypatch):
+        # Round 1 would realize dimension 8 * 64 = 512.
+        monkeypatch.setenv("NMK_DIM_BUDGET", "64")
+        proc = run_cli(*self.ARGS)
+        rounds = result_of(proc)["notes"]["rounds"]
+        assert [("skipped" in r) for r in rounds] == [False, True]
+        assert meta_of(proc)["rounds"] == 1
 
 
 class TestScript:

@@ -201,6 +201,98 @@ class TestSearch:
         assert np.mean(ratios) <= 0.07
 
 
+def winning_record(est):
+    """The trace record that ``notes["best_source"]``, restart:<rid>/<round>,
+    names."""
+    rid, round_id = map(int, est.notes["best_source"].removeprefix("restart:").split("/"))
+    (record,) = [r for r in est.trace if (r.restart_id, r.round_id) == (rid, round_id)]
+    return record
+
+
+def oracle_hashing_bound(omega):
+    """max(0, S(A) - S(AB), S(B) - S(AB)) of the AB marginal, from numpy
+    eigenvalues of marginals reduced with einsum."""
+    da, db = omega.layout.dims[:2]
+    rest = omega.dim // (da * db)
+    t = omega.matrix.reshape(da, db, rest, da, db, rest)
+    ab = np.einsum("abeABe->abAB", t)
+
+    def s(m):
+        vals = np.linalg.eigvalsh(m)
+        vals = vals[vals > 1e-12]
+        return float(-np.sum(vals * np.log2(vals)))
+
+    s_ab = s(ab.reshape(da * db, da * db))
+    s_a = s(np.einsum("abAb->aA", ab))
+    s_b = s(np.einsum("abaB->bB", ab))
+    return max(0.0, s_a - s_ab, s_b - s_ab)
+
+
+class TestBracket:
+    CHEAP = EsqcConfig(restarts=1, max_iters=30, seed=1)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2), (4, 4, 1), (4, 4, 2)])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_lower_is_the_hashing_bound_below_upper(self, dims, rank):
+        for seed in range(1, 6):
+            omega = zoo("hs_random", {"dims": dims, "rank": rank}, seed=seed)
+            est = estimate_esqc(omega, self.CHEAP)
+            lower = oracle_hashing_bound(omega)
+            assert est.lower_bits == pytest.approx(lower, abs=1e-9)
+            assert lower <= est.upper_bits + 1e-9
+            assert est.gap == est.upper_bits - est.lower_bits >= 0
+            assert est.certified == (not est.notes["uncertified"])
+
+    def test_pure_states_reach_their_lower_bound(self):
+        # (2,2,1) states of rank 1 are pure on AB: L = S(A) = E_sq^c.
+        for seed in range(1, 6):
+            omega = zoo("hs_random", {"dims": (2, 2, 1), "rank": 1}, seed=seed)
+            est = estimate_esqc(omega, self.CHEAP)
+            assert est.certified and est.notes["evals"] == 0
+            assert est.upper_bits == pytest.approx(oracle_hashing_bound(omega), abs=1e-9)
+
+    def test_ladder_doubles_k_for_one_restart(self):
+        omega = zoo("hs_random", {"dims": (4, 4, 2)}, seed=1)
+        est = estimate_esqc(omega, EsqcConfig(restarts=2, max_iters=30, seed=1))
+        rounds = est.notes["rounds"]
+        assert [(r["round"], r["k"]) for r in rounds] == [(0, 16), (1, 32)]
+        assert [(r.round_id, r.restart_id) for r in est.trace] == [(0, 0), (0, 1), (1, 0)]
+        assert rounds[1]["best"] == est.upper_bits < rounds[0]["best"]
+        assert est.notes["best_source"] == "restart:0/1"
+
+    def test_explicit_k_runs_one_round(self):
+        omega = zoo("hs_random", {"dims": (4, 4, 2)}, seed=1)
+        est = estimate_esqc(omega, EsqcConfig(k=16, restarts=2, max_iters=30, seed=1))
+        assert est.notes["uncertified"]
+        assert [(r["round"], r["k"]) for r in est.notes["rounds"]] == [(0, 16)]
+        assert {r.round_id for r in est.trace} == {0}
+        # Round 0 is the default ladder's first round, record for record.
+        ladder = estimate_esqc(omega, EsqcConfig(restarts=2, max_iters=30, seed=1))
+        assert est.trace == ladder.trace[:2]
+
+    def test_round_one_winner_is_an_ensemble_of_the_state(self):
+        omega = zoo("hs_random", {"dims": (4, 4, 2)}, seed=1)
+        config = EsqcConfig(restarts=1, max_iters=50, seed=1)
+        est = estimate_esqc(omega, config)
+        assert est.notes["best_source"] == "restart:0/1"
+        ab = partial_trace(omega, ("A", "B"))
+        assert csquashed.check_ensemble(est.weights, est.ensemble, ab, tol=1e-8) <= 1e-8
+        assert 16 < len(est.ensemble) <= 32
+        assert esqc_objective(est.weights, est.ensemble) == pytest.approx(est.upper_bits, abs=1e-12)
+        # Round 1's restart starts from the isometry of seed key [seed, 1, 0].
+        psi = purify(ab, "__ref__")
+        psi_arr = psi.amplitudes.reshape(ab.dim, 16)
+        start = random_isometry(16, 2 * 32, np.random.default_rng([1, 1, 0]))
+        start_value = esqc_objective(*_members_from_matrix(ab, psi_arr, start, 2, 32))
+        assert winning_record(est).objective <= start_value
+
+    def test_gate_state_stops_in_round_zero(self):
+        est = estimate_esqc(zoo("hs_random", {"dims": (4, 4, 2)}, seed=1), EsqcConfig(seed=1))
+        assert est.upper_bits <= 0.0013 and est.certified
+        assert [r["round"] for r in est.notes["rounds"]] == [0]
+        assert est.notes["evals"] <= 1157
+
+
 class TestWinnerOnly:
     """Restarts are ranked by their own objective; only a restart that beats
     the singleton becomes an ensemble of states."""
@@ -219,8 +311,7 @@ class TestWinnerOnly:
         singleton = 0.5 * mutual_info(omega, ("A",), ("B",))
         assert est.upper_bits == pytest.approx(min([singleton] + objectives), abs=1e-12)
         assert esqc_objective(est.weights, est.ensemble) == est.upper_bits
-        rid = int(est.notes["best_source"].removeprefix("restart:"))
-        assert objectives[rid] == min(objectives)
+        assert winning_record(est).objective == min(objectives)
 
     def test_notes_count_evals_and_restarts_beating_singleton(self):
         # Separable: decompositions into products reach 0, below the
@@ -232,12 +323,11 @@ class TestWinnerOnly:
         assert all(r.evals >= r.iterations + 1 for r in est.trace)
         beating = [r for r in est.trace if r.objective < singleton - 1e-12]
         assert 0 < est.notes["restarts_beating_baseline"] == len(beating)
-        rid = int(est.notes["best_source"].removeprefix("restart:"))
-        assert est.notes["grad_norm"] == est.trace[rid].grad_norm
-        # Pure: every decomposition is the state itself, so none beats it.
+        assert est.notes["grad_norm"] == winning_record(est).grad_norm
+        # Pure: the singleton meets the lower bound, so no restart runs.
         est = estimate_esqc(self.pure_state(), EsqcConfig(restarts=2, max_iters=50, seed=2))
-        assert est.notes["restarts_beating_baseline"] == 0
-        assert est.notes["evals"] == sum(r.evals for r in est.trace) > 0
+        assert est.certified and est.trace == ()
+        assert est.notes["evals"] == est.notes["restarts_beating_baseline"] == 0
         assert est.notes["grad_norm"] is None
 
     def test_evals_count_kernel_calls(self, monkeypatch):
@@ -261,7 +351,7 @@ class TestWinnerOnly:
     def test_result_keeps_members_not_dense_states(self):
         # At e' = 1 the 16 members take 4 KiB; 16 dense AB states, 64 KiB.
         omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
-        config = EsqcConfig(e_prime=1, restarts=1, max_iters=50, seed=2)
+        config = EsqcConfig(k=16, e_prime=1, restarts=1, max_iters=50, seed=2)
         estimate_esqc(omega, config)  # warm caches outside the measurement
         gc.collect()
         tracemalloc.start()

@@ -9,7 +9,9 @@ raises is written ``if err > tol``, ``if p < -TOL``, ``if total > bound +
 1e-12`` or ``if x < 0``, which a NaN passes: it is written
 ``if not err <= tol``, which a NaN fails.  ``numbers.Integral`` is read only
 inside ``registers.is_integer``, the one integer test, which refuses the
-bools that ``numbers.Integral`` admits.
+bools that ``numbers.Integral`` admits; nor is an integer tested with a bare
+``isinstance(x, int)``, which admits bools and refuses numpy integers (a
+tuple of types, as in a type dispatch, is allowed).
 """
 
 import ast
@@ -76,23 +78,39 @@ def _nan_blind_gate(node):
     return False
 
 
-def _integral_reads(tree):
-    """The line numbers where ``Integral`` is read outside a function named
-    ``is_integer``."""
+def _outside_is_integer(tree):
+    """The nodes of ``tree`` outside any function named ``is_integer``."""
     helper = {
         id(n)
         for func in ast.walk(tree)
         if isinstance(func, ast.FunctionDef) and func.name == "is_integer"
         for n in ast.walk(func)
     }
+    return [node for node in ast.walk(tree) if id(node) not in helper]
+
+
+def _integral_reads(tree):
+    """The line numbers where ``Integral`` is read outside ``is_integer``."""
     return sorted(
         node.lineno
-        for node in ast.walk(tree)
-        if id(node) not in helper
-        and (
-            (isinstance(node, ast.Attribute) and node.attr == "Integral")
-            or (isinstance(node, ast.Name) and node.id == "Integral")
-        )
+        for node in _outside_is_integer(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "Integral")
+        or (isinstance(node, ast.Name) and node.id == "Integral")
+    )
+
+
+def _bare_int_checks(tree):
+    """The line numbers of ``isinstance(x, int)`` calls outside
+    ``is_integer``; a tuple of types, as in a type dispatch, is allowed."""
+    return sorted(
+        node.lineno
+        for node in _outside_is_integer(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "int"
     )
 
 
@@ -100,11 +118,16 @@ def lint(source: str, exempt_unused: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
     statements, tolerance gates that a NaN passes and integer tests that
-    bypass ``is_integer``."""
+    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``)."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
         for lineno in _integral_reads(tree)
+    ]
+    problems += [
+        f"line {lineno}: isinstance(x, int) outside is_integer(), which admits bools "
+        "and refuses numpy integers"
+        for lineno in _bare_int_checks(tree)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
@@ -168,6 +191,23 @@ def test_lint_catches_integral_outside_is_integer():
     assert lint(source) == [
         "line 6: numbers.Integral outside is_integer(), which admits bools",
         "line 8: numbers.Integral outside is_integer(), which admits bools",
+    ]
+
+
+def test_lint_catches_bare_int_checks():
+    source = (
+        "def is_integer(value):\n"
+        "    return isinstance(value, int) and not isinstance(value, bool)\n"
+        "def f(n, obj):\n"
+        "    if not isinstance(n, int):\n"
+        "        raise ValueError(n)\n"
+        "    if isinstance(obj, (int, float)) and not isinstance(obj, bool):\n"
+        "        return obj\n"
+        "    return isinstance(obj, (bool, int, float, str))\n"
+    )
+    assert lint(source) == [
+        "line 4: isinstance(x, int) outside is_integer(), which admits bools "
+        "and refuses numpy integers",
     ]
 
 

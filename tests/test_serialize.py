@@ -8,7 +8,6 @@ from nmk.errors import BadParams, DimensionMismatch, InvariantViolation
 from nmk.serialize import (
     components_from_json,
     components_to_json,
-    dumps_canonical,
     script_from_json,
     script_to_json,
     state_from_json,
@@ -104,11 +103,6 @@ def test_witness_flag_label_is_k():
     payload["k_label"] = "Q"
     with pytest.raises(BadParams, match="k_label"):
         witness_from_json(payload)
-
-
-def test_canonical_dump_handles_numpy_scalars():
-    out = dumps_canonical({"x": np.float64(0.5), "y": [np.int64(2)], "z": {"k": True}})
-    assert json.loads(out) == {"x": 0.5, "y": [2], "z": {"k": True}}
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,18 @@ class TestSample:
             sample("pure", (), 0)
 
 
+class TestRegisterDim:
+    def test_numpy_integer_stored_as_int(self):
+        reg = Register("A", np.int64(2), "alice")
+        assert reg.dim == 2 and type(reg.dim) is int
+        assert type(layout(("A", np.int32(3), "alice")).dim) is int
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_refused_naming_dim(self, flag):
+        with pytest.raises(BadDims, match="dim"):
+            Register("A", flag, "alice")
+
+
 class TestValidation:
     def test_not_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
