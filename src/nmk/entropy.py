@@ -29,20 +29,11 @@ from .states import (
 )
 
 
-def entropy_from_eigs(vals: np.ndarray) -> float:
-    """Shannon entropy in bits of a spectrum (values at most 1e-12 count as 0)."""
-    # + 0.0 turns the -0.0 of a spectrum with no value above the clamp into 0.0.
-    return float(entropies_from_eigs(vals)) + 0.0
-
-
-def entropies_from_eigs(spectra: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropies in bits of a ``(k, n)`` stack of spectra."""
-    vals = np.asarray(spectra, dtype=float)
-    return -np.sum(vals * _clamped_logs(vals), axis=-1)
-
-
 def entropy_of_matrix(matrix: np.ndarray) -> float:
-    return entropy_from_eigs(_clamped_eigvalsh(matrix))
+    """Entropy in bits of a matrix's spectrum (values at most 1e-12 count as 0)."""
+    vals = _clamped_eigvalsh(matrix)
+    # + 0.0 turns the -0.0 of a spectrum with no value above the clamp into 0.0.
+    return float(-np.sum(vals * _clamped_logs(vals))) + 0.0
 
 
 def _marginals(state, subset) -> list[np.ndarray]:

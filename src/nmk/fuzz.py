@@ -15,9 +15,10 @@ Suites:
 ``markov_closure`` random free scripts keep built block states Markov
 ``witness``        witness-level identities: the objective against its
                    definition 1/2 [I(AA':BB'|K) + I(AB:E'K|E)] on the
-                   dense realized state (the dual route), the lower
-                   bound, tensor additivity, mix linearity, regroup and
-                   local-channel monotonicity, and transport invariance
+                   realized state, block by block over K (the dual
+                   route), the lower bound, tensor additivity, mix
+                   linearity, regroup and local-channel monotonicity, and
+                   transport invariance
 
 The random steps of ``monotonicity`` and ``markov_closure`` read the acting
 party and the receivers of each kind of step from the one table that
@@ -289,7 +290,7 @@ def _witness_trial(seed, t):
     def fail(kind, **payload):
         failures.append({"trial": t, "check": kind, **payload})
 
-    # The definition, on the dense realized state with its flag K.
+    # The definition, on the blocks of the realized state over its flag K.
     g, joint, k = w.groups, w.realized(), (w.k_label,)
     realized = 0.5 * (
         cqmi(joint, g.a + g.a_prime, g.b + g.b_prime, k)

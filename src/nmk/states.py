@@ -98,11 +98,15 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues with the small-negative floor applied."""
-    vals = np.linalg.eigvalsh(matrix)
+def _floored(vals: np.ndarray) -> np.ndarray:
+    """``vals``, clamped in place: values in ``[EIG_FLOOR, 0)`` become 0."""
     vals[(vals < 0.0) & (vals >= EIG_FLOOR)] = 0.0
     return vals
+
+
+def _clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues with the small-negative floor applied."""
+    return _floored(np.linalg.eigvalsh(matrix))
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -405,12 +409,6 @@ def steered_members(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int):
     return weights, slices[live] / np.sqrt(weights)[:, None]
 
 
-def member_spectra(members: np.ndarray, dims, keep_axes) -> list[np.ndarray]:
-    """Clamped ``(k, d_group)`` spectra of the reductions of a ``(k, D)``
-    member stack onto each axis group, one batched eigensolve per group."""
-    return [_clamped_eigvalsh(_pure_reduced_matrix(members, dims, axes)) for axes in keep_axes]
-
-
 def _clamped_logs(vals: np.ndarray) -> np.ndarray:
     """log2 of a spectrum, with 0 where a value is at most ``LOG_CLAMP``
     (so that ``-sum(vals * logs)`` is the entropy, with 0 log 0 = 0)."""
@@ -434,9 +432,11 @@ def member_value_and_grad(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: in
     dF/d conj(W) = G_U^T conj(psi_arr), G_U the member gradients as a
     (system, out) matrix; dF = 2 Re Tr[grad^dagger dW].
 
-    The value is computed as ``member_spectra`` computes it, from the
-    normalized members' spectra with the same ``EIG_FLOOR`` and
-    ``LOG_CLAMP`` clamps, but with one batched ``eigh`` per group.
+    The value comes from the normalized members' spectra, clamped at
+    ``EIG_FLOOR`` and ``LOG_CLAMP``, with one batched ``eigh`` per group.
+    ``witness.objective`` reads its member sum here too: its weighted
+    stack sqrt(p_i) m_i, as ``psi_arr`` with K the reference, steered by
+    the identity.
     """
     slices, weights, live = _steered_slices(psi_arr, w_matrix, dims, k)
     p = weights[live]
@@ -449,7 +449,7 @@ def member_value_and_grad(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: in
     for axes, sign in signed_groups:
         arr, order = _split_rows(members, dims, axes)
         vals, vecs = np.linalg.eigh(arr @ arr.conj().swapaxes(-1, -2))
-        vals[(vals < 0.0) & (vals >= EIG_FLOOR)] = 0.0
+        vals = _floored(vals)
         logs = _clamped_logs(vals)
         signed = signed + sign * -np.sum(vals * logs, axis=-1)
         # log2 sigma = log2 p + log2 (sigma / p) on the member's support.
@@ -477,8 +477,7 @@ def purify(
     if ref_label in state.layout:
         raise DuplicateLabel(f"reference label {ref_label!r} already in layout")
     vals, vecs = np.linalg.eigh(state.matrix)
-    vals = vals.copy()
-    vals[(vals < 0.0) & (vals >= EIG_FLOOR)] = 0.0
+    vals = _floored(vals)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     kept = vals > 1e-12

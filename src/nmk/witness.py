@@ -14,10 +14,12 @@ objective is
     1/2 [ S(AB|E) + sum_i p_i (S(AA')_i + S(BB')_i - S(A'B')_i) ],
 
 the member terms being the signed role groups of ``MEMBER_TERMS``.  The
-objective and the search (``nmf``) both read that one table; the realized
-state is built only by ``Witness.realized``, through
-``BlockState.to_density``, and tests and the fuzz suite use it as the
-independent route.
+objective and the search (``nmf``) both read that one table, and both take
+the member sum from one kernel, ``states.member_value_and_grad``.  The
+realized state is built only by ``Witness.realized``, as a ``BlockState``
+with one block per member; tests and the fuzz suite take the definition's
+entropies from it as the independent route, and ``.to_density()`` gives
+the dense matrix.
 
 Every constructor composes three primitives: the one-member purification
 witness, ``witness_tensor`` and the flagged mixture behind ``witness_mix``,
@@ -32,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .entropy import entropies_from_eigs, entropy_of_matrix
+from .entropy import entropy_of_matrix
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -54,7 +56,7 @@ from .states import (
     _freeze,
     _pure_reduced_matrix,
     _split_rows,
-    member_spectra,
+    member_value_and_grad,
     purify,
     steered_members,
     trace_distance,
@@ -181,29 +183,31 @@ class Witness:
         keep = tuple(lbl for lbl in self.layout.labels if lbl in set(g.a + g.b + g.e))
         return DensityState(self.layout.subset(keep), self._mix_reduced(keep))
 
-    def realized(self) -> DensityState:
-        """The dense joint state with the K flag as the last register."""
+    def realized(self) -> BlockState:
+        """The joint state with the K flag as the last register, one block
+        p_i |m_i><m_i| per member; ``.to_density()`` gives the dense matrix."""
         lay = self.layout.extended((Register(self.k_label, self.k, Party.REFERENCE),))
         blocks = [
             Block((i,), p, np.outer(m, m.conj()))
             for i, (p, m) in enumerate(zip(self.weights, self.members))
         ]
-        return BlockState(lay, (ClassicalVar(self.k, (self.k_label,)),), blocks).to_density()
+        return BlockState(lay, (ClassicalVar(self.k, (self.k_label,)),), blocks)
 
 
 def objective(w: Witness) -> float:
     """The witness objective 1/2 [I(AA':BB'|K) + I(AB:E'K|E)] of the
     realized state, in bits, from its member form
-    1/2 [S(AB|E) + sum_i p_i (signed ``MEMBER_TERMS`` entropies of member i)].
+    1/2 [S(AB|E) + sum_i p_i (signed ``MEMBER_TERMS`` entropies of member i)],
+    the member sum from the kernel of the search, with the weighted member
+    stack sqrt(p_i) m_i steered by the identity.
     """
     g = w.groups
-    weights = np.asarray(w.weights)
-    live = weights > PRUNE_TOL
-    terms = _member_terms(w.layout, g)
-    spectra = member_spectra(w.members[live], w.layout.dims, [axes for axes, _ in terms])
-    signed = sum(sign * entropies_from_eigs(s) for (_, sign), s in zip(terms, spectra))
+    stack = np.sqrt(np.maximum(w.weights, 0.0))[:, None] * w.members
+    signed, _ = member_value_and_grad(
+        stack.T, np.eye(w.k), w.layout.dims, w.k, _member_terms(w.layout, g)
+    )
     s_ab_e = w._entropy_mix(g.a + g.b + g.e) - w._entropy_mix(g.e)
-    return 0.5 * (s_ab_e + float(weights[live] @ signed))
+    return 0.5 * (s_ab_e + signed)
 
 
 def check_witness(w: Witness, rho: DensityState, tol: float = 1e-9) -> float:

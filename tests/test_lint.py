@@ -11,7 +11,9 @@ raises is written ``if err > tol``, ``if p < -TOL``, ``if total > bound +
 inside ``registers.is_integer``, the one integer test, which refuses the
 bools that ``numbers.Integral`` admits; nor is an integer tested with a bare
 ``isinstance(x, int)``, which admits bools and refuses numpy integers (a
-tuple of types, as in a type dispatch, is allowed).
+tuple of types, as in a type dispatch, is allowed).  Every module-level
+private name (one leading underscore, not a dunder) is read by some module
+of the package, so that a deletion leaves no orphaned helper behind.
 """
 
 import ast
@@ -147,6 +149,78 @@ def lint(source: str, exempt_unused: bool = False) -> list[str]:
                     if name not in read:
                         problems.append(f"line {lineno}: {name!r} is imported but never read")
     return problems
+
+
+def _private_definitions(tree):
+    """The module-level private names a module defines (one leading
+    underscore, not a dunder), with their line numbers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _loaded_names(tree):
+    """The names and attribute names a module reads (not the ones it binds)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def orphans(sources: dict) -> list[str]:
+    """The module-level private names of ``sources`` (file name -> source)
+    that no source reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(_loaded_names, trees.values()))
+    return [
+        f"{name} line {lineno}: {private!r} is read by no module"
+        for name, tree in trees.items()
+        for private, lineno in _private_definitions(tree)
+        if private not in read
+    ]
+
+
+def test_no_orphaned_private_names():
+    assert orphans({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_lint_catches_orphaned_private_names():
+    sources = {
+        "a.py": (
+            "import b\n"
+            "_LIMIT = 3\n"
+            "_unused: int = 4\n"
+            "__version__ = '1'\n"
+            "def _helper():\n"
+            "    return _LIMIT + b._shared()\n"
+            "def _orphan():\n"
+            "    _local = 1\n"
+            "    return _local\n"
+            "class _Gone:\n"
+            "    _flag = 1\n"
+        ),
+        "b.py": (
+            "from a import _helper\n"
+            "def _shared():\n"
+            "    return 1\n"
+            "def run():\n"
+            "    return _helper()\n"
+        ),
+    }
+    assert orphans(sources) == [
+        "a.py line 3: '_unused' is read by no module",
+        "a.py line 7: '_orphan' is read by no module",
+        "a.py line 10: '_Gone' is read by no module",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

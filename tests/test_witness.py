@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nmk import (
+    BlockState,
     DensityState,
     MarkovComponents,
     MarkovEntry,
@@ -66,14 +67,33 @@ def recompute_objective(w):
     return 0.5 * (s_ab_e + total)
 
 
-def realized_objective(w):
-    """Independent oracle: the definition 1/2 [I(AA':BB'|K) + I(AB:E'K|E)],
-    with ``cqmi`` on the dense realized state and its flag register K."""
-    g, joint = w.groups, w.realized()
-    return 0.5 * (
-        cqmi(joint, g.a + g.a_prime, g.b + g.b_prime, ("K",))
-        + cqmi(joint, g.a + g.b, g.e_prime + ("K",), g.e)
+def definition_terms(w, joint):
+    """The two terms of the definition 1/2 [I(AA':BB'|K) + I(AB:E'K|E)],
+    with ``cqmi`` on ``joint``, a realized state of ``w`` with its flag K."""
+    g = w.groups
+    return (
+        cqmi(joint, g.a + g.a_prime, g.b + g.b_prime, ("K",)),
+        cqmi(joint, g.a + g.b, g.e_prime + ("K",), g.e),
     )
+
+
+def realized_objective(w):
+    """Independent oracle: the definition on the dense realized state."""
+    return 0.5 * sum(definition_terms(w, w.realized().to_density()))
+
+
+def count_dense_builds(monkeypatch) -> list:
+    """Patch ``DensityState.__post_init__`` to log the layout labels of
+    each state built; returns the log."""
+    built = []
+    check = DensityState.__post_init__
+
+    def counted(state):
+        built.append(state.layout.labels)
+        check(state)
+
+    monkeypatch.setattr(DensityState, "__post_init__", counted)
+    return built
 
 
 def random_witness(seed, ext=(1, 1, 1), k=None, rank=3):
@@ -119,7 +139,7 @@ class TestConstruction:
 
     def test_realized_state_has_classical_flag(self):
         _, w = random_witness(4)
-        joint = w.realized()
+        joint = w.realized().to_density()
         assert joint.layout.register("K").dim == w.k
         # Off-diagonal flag blocks vanish by construction.
         t = joint.matrix.reshape(w.layout.dim, w.k, w.layout.dim, w.k)
@@ -150,14 +170,7 @@ class TestObjective:
 
     def test_markov_witness_builds_no_dense_state(self, monkeypatch):
         mc = zoo("markov_random", {"entries": 3}, seed=4)
-        built = []
-        check = DensityState.__post_init__
-
-        def counted(state):
-            built.append(state.layout.labels)
-            check(state)
-
-        monkeypatch.setattr(DensityState, "__post_init__", counted)
+        built = count_dense_builds(monkeypatch)
         w = markov_witness(mc)
         assert built == []
         monkeypatch.undo()
@@ -342,16 +355,24 @@ def test_composed_constructor_matches_reference(w, reference):
 @pytest.mark.parametrize(
     "w", [pytest.param(w, id=name) for name, w in _witnesses_on_the_definition()]
 )
-def test_realized_matches_reference(w):
+def test_realized_matches_reference(w, monkeypatch):
     """Against the dense realized state written out: block (i, i) over the
-    flag K, the last register, holds p_i |m_i><m_i|."""
+    flag K, the last register, holds p_i |m_i><m_i|.  The realized state is
+    a block state, built with no dense state, and the definition's terms
+    read the same on its blocks as on its dense matrix."""
     k, d = w.members.shape
     mat = np.zeros((d, k, d, k), dtype=complex)
     for i, (p, m) in enumerate(zip(w.weights, w.members)):
         mat[:, i, :, i] = p * np.outer(m, m.conj())
-    joint = w.realized()
+    built = count_dense_builds(monkeypatch)
+    blocks = w.realized()
+    assert built == []
+    monkeypatch.undo()
+    assert isinstance(blocks, BlockState)
+    joint = blocks.to_density()
     assert joint.layout == w.layout.extended((Register("K", k, Party.REFERENCE),))
     assert np.array_equal(joint.matrix, mat.reshape(d * k, d * k))
+    assert definition_terms(w, blocks) == pytest.approx(definition_terms(w, joint), abs=1e-12)
 
 
 class TestBaselines:
