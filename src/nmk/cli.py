@@ -315,7 +315,9 @@ def cmd_zoo(args) -> int:
         _emit(result, started, args, [f"{len(catalog_names())} entries"])
         return 0
     name, params = (args.name, {})
-    if name and name.startswith("zoo:"):
+    if not name:
+        raise BadParams("zoo build needs an entry name")
+    if name.startswith("zoo:"):
         name, params = parse_zoo_ref(name)
     obj = zoo(name, params, seed=args.seed or 0)
     if isinstance(obj, DensityState):

@@ -46,12 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import entropy, mutual_info
-from .errors import BadEnsemble, BudgetExceeded, DimensionTooSmall
+from .errors import BadEnsemble
 from .nmf import (
     Bracket,
     EstimateConfig,
     RestartRecord,
     SearchConfig,
+    _admission,
     _MemberObjective,
     _purified,
     _Round,
@@ -191,11 +192,13 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     never exceeds half of I(A:B); when it is within ``tol`` of the lower
     bound, no search runs.  By default a round at k = rank runs
     ``restarts`` descents and, while the gap stays above ``tol``, a round
-    at k = 2 rank runs one; an explicit ``k`` runs that round only.  The
-    notes are ``nmf.estimate``'s: ``best_source`` (``singleton`` or
-    ``restart:<rid>/<round>``), ``rounds``, ``uncertified``, ``evals``,
-    ``restarts_beating_baseline`` (restarts that ended below the singleton)
-    and ``grad_norm``.
+    at k = 2 rank runs one; an explicit ``k`` runs that round only.  A
+    round whose realized dimension d_AB e' k exceeds the budget is refused:
+    round 0 raises ``BudgetExceeded``, a later round is recorded as
+    ``skipped`` in ``notes["rounds"]``.  The notes are ``nmf.estimate``'s:
+    ``best_source`` (``singleton`` or ``restart:<rid>/<round>``),
+    ``rounds``, ``uncertified``, ``evals``, ``restarts_beating_baseline``
+    (restarts that ended below the singleton) and ``grad_norm``.
     """
     config = config or EsqcConfig()
     a = omega.layout.party_labels(Party.ALICE)
@@ -205,8 +208,6 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     if len(a) + len(b) != len(omega.layout):
         # The measure is of the AB marginal; drop Eve's side.
         omega = partial_trace(omega, a + b)
-    if omega.dim > 64:
-        raise BudgetExceeded(f"ensemble search is limited to total dimension 64, got {omega.dim}")
     psi_arr, rank = _purified(omega)
     # The singleton, as the one member its purification is.
     singleton_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi_arr.reshape(1, -1)))
@@ -223,15 +224,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
             (2 * rank, (config.seed, 1), min(config.restarts, 1)),
         ]
     rounds = [
-        _Round(
-            {"k": k},
-            e_prime * k,
-            seed_key,
-            restarts,
-            DimensionTooSmall(f"extension capacity {e_prime * k} below rank {rank}")
-            if e_prime * k < rank
-            else None,
-        )
+        _Round({"k": k}, e_prime * k, seed_key, restarts, _admission(omega.dim, e_prime * k, rank))
         for k, seed_key, restarts in ladder
     ]
 

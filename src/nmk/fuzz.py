@@ -223,15 +223,10 @@ def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> Fuz
 # free scripts keep block states Markov
 
 OMEGA_SCRIPT_CLASSES = tuple(kind.value for kind in ACTOR)
-# Broadcasts multiply the total dimension by the outcome count per receiving
-# party.  Past dimension 64 only local steps (those that send no message)
-# are drawn; the cap fixes which scripts each seed draws.
-_LOCAL_KINDS = tuple(kind for kind in ACTOR if kind not in RECEIVERS)
 
 
 def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
-    kinds = _LOCAL_KINDS if sc.block_state.dim > 64 else tuple(ACTOR)
-    kind = kinds[int(rng.integers(len(kinds)))]
+    kind = tuple(ACTOR)[int(rng.integers(len(ACTOR)))]
     lay = sc.block_state.layout
     register = lay.party_labels(ACTOR[kind])[0]
     return _random_step(kind, register, lay.register(register).dim, rng, f"J{msg_counter}")

@@ -38,7 +38,7 @@ from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall, NmkError
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout, is_integer
-from .states import DensityState, _require_budget, dim_budget, member_value_and_grad, purify
+from .states import DensityState, _require_budget, member_value_and_grad, purify
 from .witness import (
     Witness,
     _member_terms,
@@ -344,6 +344,19 @@ class _Round:
     problem: NmkError | None = None
 
 
+def _admission(system_dim: int, capacity: int, rank: int) -> NmkError | None:
+    """The error that refuses a round of steering-isometry output ``capacity``
+    on a state of ``system_dim`` and ``rank`` (a capacity below the rank, or
+    a realized dimension system_dim * capacity over the budget), or None."""
+    if capacity < rank:
+        return DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
+    try:
+        _require_budget(system_dim * capacity, "realized dimension")
+    except BudgetExceeded as err:
+        return err
+    return None
+
+
 def _run_rounds(rounds, rank, config: SearchConfig, lower, start, baseline, objective_of, build):
     """The round loop both estimators run.  Rounds run in order while the
     gap between the best candidate and ``lower`` stays above ``config.tol``
@@ -437,14 +450,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     rounds = []
     for round_id, ext_dims in enumerate(schedule):
         capacity = math.prod(ext_dims) * k
-        realized_dim = rho.dim * capacity
-        problem = None
-        if capacity < rank:
-            problem = DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
-        elif realized_dim > dim_budget():
-            problem = BudgetExceeded(
-                f"realized dimension {realized_dim} over budget {dim_budget()}"
-            )
+        problem = _admission(rho.dim, capacity, rank)
         rounds.append(
             _Round({"ext": ext_dims}, capacity, (config.seed, round_id), config.restarts, problem)
         )

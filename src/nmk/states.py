@@ -29,10 +29,12 @@ Conventions
 * Eigenvalues in ``[-1e-9, 0]`` are clamped to zero before entropies and
   purifications; anything below ``-1e-9`` fails validation.  Entropies
   drop eigenvalues of at most ``LOG_CLAMP`` (1e-12), with 0 log 0 = 0.
-* Total (layout) dimension is capped (default 4096, override with the
-  ``NMK_DIM_BUDGET`` environment variable), for block states too.  Channel
-  application, tensor products, block-state steps and densifying a block
-  state check the cap before allocating.
+* One size rule, the budget B (default 4096, override with the
+  ``NMK_DIM_BUDGET`` environment variable), caps what is allocated: a dense
+  state's dimension is at most B, and a block state of n blocks of quantum
+  dimension q holds n q^2 <= B^2 entries (the dense case is n = 1).
+  Channel application, tensor products, block-state steps and densifying a
+  block state check it before allocating.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 
 from .errors import (
     BadDims,
+    BadParams,
     BudgetExceeded,
     DimensionMismatch,
     DuplicateLabel,
@@ -68,13 +71,20 @@ DEFAULT_DIM_BUDGET = 4096
 
 
 def dim_budget() -> int:
-    """Hard cap on the total dimension of a state."""
-    return int(os.environ.get("NMK_DIM_BUDGET", DEFAULT_DIM_BUDGET))
+    """Hard cap on the total dimension of a dense state: ``NMK_DIM_BUDGET``,
+    which must be a positive integer."""
+    raw = os.environ.get("NMK_DIM_BUDGET", str(DEFAULT_DIM_BUDGET))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise BadParams(f"NMK_DIM_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _require_budget(dim: int, what: str = "total dimension") -> None:
-    if dim > dim_budget():
-        raise BudgetExceeded(f"{what} {dim} exceeds the budget of {dim_budget()}")
+def _require_budget(size: int, what: str = "total dimension", power: int = 1) -> None:
+    """Refuse a ``size`` above the budget to the ``power`` (2 for a count
+    of matrix entries)."""
+    budget = dim_budget() ** power
+    if size > budget:
+        raise BudgetExceeded(f"{what} {size} exceeds the budget of {budget}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -521,7 +531,7 @@ def _channel_layout(lay: RegisterLayout, channel: "ChannelMap", on, out):
     """The output block of ``channel`` on the registers ``on`` of ``lay``,
     registers in the channel's output order, and the layout the channel
     leaves; see :func:`apply_channel` for ``out``.  Checks the dims, the
-    labels and the budget; computes nothing."""
+    labels; computes nothing."""
     on = tuple(on)
     on_axes = [lay.index(lbl) for lbl in on]
     if len(set(on)) != len(on):
@@ -554,7 +564,6 @@ def _channel_layout(lay: RegisterLayout, channel: "ChannelMap", on, out):
     raw = RegisterLayout(keep_regs + block)
     if sorted(labels) != sorted(raw.labels):
         raise LayoutMismatch("output layout labels do not match the channel result")
-    _require_budget(lay.dim // in_dim * channel.out_dim, "channel output dimension")
     return block, raw.reordered(labels)
 
 
@@ -593,6 +602,7 @@ def apply_channel(
     """
     on = tuple(on)
     block, out_layout = _channel_layout(state.layout, channel, on, out)
+    _require_budget(out_layout.dim, "channel output dimension")
     matrix = _channel_matrix(state.matrix, state.layout, on, channel.kraus, block, out_layout)
     return DensityState(out_layout, matrix)
 
@@ -754,6 +764,8 @@ class BlockState:
         block, out_layout = _channel_layout(self.layout, channel, on, out)
         classical, parts = self._quantized(on)
         q = _quantum_layout(self.layout, classical)
+        q_out = q.dim // channel.in_dim * channel.out_dim
+        _require_budget(len(parts) * q_out**2, "block-state entries", power=2)
         parts = [
             (v, _channel_matrix(m, q, on, channel.kraus, block, out_layout)) for v, m in parts
         ]
@@ -765,9 +777,9 @@ class BlockState:
         are the registers ``copies``, appended to the layout."""
         on = tuple(on)
         layout = self.layout.extended(copies)
-        _require_budget(layout.dim, "scenario dimension")
         classical, parts = self._quantized(on)
         q = _quantum_layout(self.layout, classical)
+        _require_budget(len(parts) * len(operators) * q.dim**2, "block-state entries", power=2)
         block = tuple(q.register(lbl) for lbl in on)
         parts = [
             (v + (k,), _channel_matrix(m, q, on, (op,), block, q))
@@ -794,9 +806,8 @@ class BlockState:
         register ``label``.  A classical copy is relabeled with no scan; a
         quantum register must be diagonal within ``CLASSICAL_TOL`` (weighted,
         in every block) and becomes a classical variable, splitting each
-        block."""
+        block; a split adds no entries, so the budget needs no check."""
         layout = self.layout.extended((copy,))
-        _require_budget(layout.dim, "scenario dimension")
         for i, var in enumerate(self.classical):
             if label in var.labels:
                 classical = list(self.classical)
@@ -835,6 +846,7 @@ class BlockState:
         size = math.prod(m_dims)
         raw = q.labels + tuple(moving)
         raw_dims = q.dims + tuple(m_dims)
+        _require_budget(len(parts) * (q.dim * size) ** 2, "block-state entries", power=2)
         axes = [raw.index(lbl) for lbl in self.layout.labels if lbl in raw]
         lifted = []
         for values, m in parts:

@@ -19,9 +19,10 @@ registers, so a broadcast adds labels, not dimension.  Later steps may act
 on a message register like any other register: a channel that names a copy
 first turns it into a quantum register |x><x| in every block, and
 discarding the last copy of a variable merges the blocks it separated.
-``Scenario.state`` builds the dense state on demand.  The dimension budget
-caps the scenario's total (layout) dimension and is checked before a step
-computes anything.
+``Scenario.state`` builds the dense state on demand.  The budget caps what
+a step stores, its blocks' entries (see :mod:`nmk.states`), and is checked
+before a step computes anything; only the dense state is capped at its
+total (layout) dimension.
 
 One table gives the acting party and the receivers for each kind of step:
 ``ACTOR`` names the party whose registers a free step acts on, and

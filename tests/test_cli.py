@@ -124,9 +124,10 @@ class TestCapacityBelowRank:
         assert "budget" not in proc.stderr
 
     def test_esqc_size_cap_exits_3(self):
+        # Full rank 81 realizes 81 * 2 * 81 = 13122 > 4096 in round 0.
         proc = run_cli("esqc", "zoo:hs_random?dims=9,9", "--seed", "1")
         assert proc.returncode == 3, proc.stderr
-        assert "budget error:" in proc.stderr and "64" in proc.stderr
+        assert "budget error: realized dimension 13122 exceeds the budget of 4096" in proc.stderr
 
 
 def meta_of(proc):
@@ -252,6 +253,13 @@ def two_broadcasts():
     )
 
 
+def coin_broadcasts(count):
+    """``count`` one-qubit coin broadcasts by Alice: each leaves the state
+    alone and doubles the number of blocks."""
+    coin = tuple(np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(2))
+    return tuple(Step.broadcast_a(coin, ("A",), f"J{i}") for i in range(count))
+
+
 class TestBlockScript:
     """``nmk script`` runs on the block form: stdout is as before, stderr
     ``meta`` reports the blocks, and ``--out`` writes the dense state."""
@@ -312,6 +320,20 @@ class TestBlockScript:
         assert "budget" in err and "512" in err
         assert not target.exists()
         assert all(512 not in np.atleast_1d(shape) for shape in shapes)
+
+    def test_four_broadcasts_run_but_out_exits_3(self, tmp_path):
+        # 16 blocks of dim 8 fit the default budget; their dense state
+        # (dim 32768) does not, so --out is refused and writes no file.
+        script = tmp_path / "four.json"
+        script.write_text(json.dumps(script_to_json(coin_broadcasts(4))))
+        proc = run_cli("script", str(script), self.STATE)
+        assert proc.returncode == 0, proc.stderr
+        assert meta_of(proc)["blocks"] == 16
+        out = tmp_path / "final.json"
+        proc = run_cli("script", str(script), self.STATE, "--out", str(out))
+        assert proc.returncode == 3
+        assert "32768 exceeds the budget of 4096" in proc.stderr
+        assert not out.exists()
 
 
 def valid_script():
@@ -394,14 +416,15 @@ class TestReaderRobustness:
         assert "unit_trace" in proc.stderr
 
     def test_over_budget_broadcast_exits_3(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NMK_DIM_BUDGET", "512")
-        coin = tuple(np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(2))
-        steps = tuple(Step.broadcast_a(coin, ("A",), f"J{i}") for i in range(3))
-        script = tmp_path / "grow.json"
-        script.write_text(json.dumps(script_to_json(steps)))
-        proc = run_cli("script", str(script), "zoo:hs_random?dims=2,2,2")
-        assert proc.returncode == 3
-        assert "budget" in proc.stderr and "4096" in proc.stderr
+        # B = 16 admits 16^2 = 256 block entries: two broadcasts reach 4
+        # blocks of dim 8 (256 entries), the third would store 512.
+        monkeypatch.setenv("NMK_DIM_BUDGET", "16")
+        for count, code in ((2, 0), (3, 3)):
+            script = tmp_path / f"grow{count}.json"
+            script.write_text(json.dumps(script_to_json(coin_broadcasts(count))))
+            proc = run_cli("script", str(script), "zoo:hs_random?dims=2,2,2")
+            assert proc.returncode == code, proc.stderr
+        assert "block-state entries 512 exceeds the budget of 256" in proc.stderr
 
 
 class TestNanInput:
@@ -548,7 +571,26 @@ class TestNegativeSeed:
         assert "seed must be a nonnegative integer" in proc.stderr
 
 
+class TestBudgetSetting:
+    @pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5"])
+    @pytest.mark.parametrize("source", ["file", "zoo"])
+    def test_invalid_budget_exits_2(self, tmp_path, monkeypatch, value, source):
+        state = "zoo:bell_e0"
+        if source == "file":
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(state_to_json(zoo("bell_e0"))))
+        monkeypatch.setenv("NMK_DIM_BUDGET", value)
+        proc = run_cli("analyze", str(state))
+        assert proc.returncode == 2, proc.stderr
+        assert "NMK_DIM_BUDGET" in proc.stderr
+
+
 class TestZooCommand:
+    def test_build_needs_a_name(self):
+        proc = run_cli("zoo", "build")
+        assert proc.returncode == 2
+        assert "error: zoo build needs an entry name" in proc.stderr
+
     def test_list_matches_manifest(self):
         proc = run_cli("zoo", "list")
         out = result_of(proc)

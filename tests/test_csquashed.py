@@ -148,11 +148,31 @@ class TestEstimate:
                 0.5 * mutual_info(omega, ("A",), ("B",)), abs=1e-6
             )
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        # Rank 2 on 9 x 9 realizes 81 * 2 * 2 = 324: within the default
+        # budget, over a budget of 256.
         lay = layout(("A", 9, "alice"), ("B", 9, "bob"))
         omega = sample("density_hs", (9, 9), 6, layout=lay, rank=2)
-        with pytest.raises(BudgetExceeded, match="64"):
+        est = estimate_esqc(omega, FAST)
+        assert est.lower_bits <= est.upper_bits
+        monkeypatch.setenv("NMK_DIM_BUDGET", "256")
+        with pytest.raises(BudgetExceeded, match="dimension 324 exceeds the budget of 256"):
             estimate_esqc(omega, FAST)
+
+    def test_over_budget_round_1_is_skipped(self, monkeypatch):
+        # The benchmark's hs_random 4,4,2 state: round 0 (k = 16) realizes
+        # 16 * 2 * 16 = 512, round 1 (k = 32) 1024, over a budget of 600.
+        omega = zoo("hs_random", {"dims": [4, 4, 2]}, seed=1)
+        config = EsqcConfig(restarts=1, max_iters=20, seed=1)
+        full = estimate_esqc(omega, config)
+        assert [r["round"] for r in full.notes["rounds"]] == [0, 1]
+        monkeypatch.setenv("NMK_DIM_BUDGET", "600")
+        capped = estimate_esqc(omega, config)
+        assert capped.notes["rounds"][0] == full.notes["rounds"][0]
+        assert capped.notes["rounds"][1]["skipped"] == (
+            "realized dimension 1024 exceeds the budget of 600"
+        )
+        assert list(capped.trace) == [r for r in full.trace if r.round_id == 0]
 
     def test_eve_marginal_taken(self):
         est = estimate_esqc(zoo("bell_e0"), FAST)

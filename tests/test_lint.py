@@ -11,7 +11,9 @@ raises is written ``if err > tol``, ``if p < -TOL``, ``if total > bound +
 inside ``registers.is_integer``, the one integer test, which refuses the
 bools that ``numbers.Integral`` admits; nor is an integer tested with a bare
 ``isinstance(x, int)``, which admits bools and refuses numpy integers (a
-tuple of types, as in a type dispatch, is allowed).  Every module-level
+tuple of types, as in a type dispatch, is allowed).  No ``.dim`` is
+compared with an integer literal above 1: sizes are capped only through
+the budget helpers of ``states`` (``dim < 1`` checks stay).  Every module-level
 private name (one leading underscore, not a dunder) is read by some module
 of the package, so that a deletion leaves no orphaned helper behind.
 """
@@ -116,11 +118,28 @@ def _bare_int_checks(tree):
     )
 
 
+def _size_caps(tree):
+    """The line numbers of comparisons between a ``.dim`` attribute and an
+    integer literal above 1: a size cap written outside the budget."""
+    lines = set()
+    for cmp in ast.walk(tree):
+        if isinstance(cmp, ast.Compare):
+            operands = [cmp.left, *cmp.comparators]
+            for pair in zip(operands, operands[1:]):
+                if any(isinstance(n, ast.Attribute) and n.attr == "dim" for n in pair) and any(
+                    isinstance(n, ast.Constant) and type(n.value) is int and n.value > 1
+                    for n in pair
+                ):
+                    lines.add(cmp.lineno)
+    return sorted(lines)
+
+
 def lint(source: str, exempt_unused: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
-    statements, tolerance gates that a NaN passes and integer tests that
-    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``)."""
+    statements, tolerance gates that a NaN passes, integer tests that
+    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``) and size
+    caps that bypass the budget."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -130,6 +149,10 @@ def lint(source: str, exempt_unused: bool = False) -> list[str]:
         f"line {lineno}: isinstance(x, int) outside is_integer(), which admits bools "
         "and refuses numpy integers"
         for lineno in _bare_int_checks(tree)
+    ]
+    problems += [
+        f"line {lineno}: .dim compared with a literal size; cap sizes with the budget"
+        for lineno in _size_caps(tree)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
@@ -313,3 +336,24 @@ def test_lint_catches_nan_blind_gates():
         "line 13: tolerance gate that a NaN passes",
         "line 15: tolerance gate that a NaN passes",
     ]
+
+
+def test_lint_catches_hard_coded_size_caps():
+    # Lines 2 and 4 are the caps the budget replaced in csquashed and fuzz.
+    source = (
+        "def f(omega, sc, _LOCAL_KINDS, ACTOR):\n"
+        "    if omega.dim > 64:\n"
+        "        raise ValueError(omega.dim)\n"
+        "    kinds = _LOCAL_KINDS if sc.block_state.dim > 64 else tuple(ACTOR)\n"
+        "    if omega.dim < 1 or 1 >= sc.dim:\n"
+        "        raise ValueError(omega.dim)\n"
+        "    if 2 <= sc.dim:\n"
+        "        return len(omega.dims) > 2, omega.dim == 1, sc.dim > omega.dim\n"
+        "    return kinds\n"
+    )
+    assert lint(source) == [
+        "line 2: .dim compared with a literal size; cap sizes with the budget",
+        "line 4: .dim compared with a literal size; cap sizes with the budget",
+        "line 7: .dim compared with a literal size; cap sizes with the budget",
+    ]
+

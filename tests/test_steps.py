@@ -198,11 +198,12 @@ class TestApplyStep:
         np.testing.assert_allclose(named.matrix, ordered.state.matrix, atol=1e-12)
 
     def test_budget_checked_before_the_channel_runs(self, monkeypatch):
-        # Three one-qubit broadcasts take dims 8 -> 64 -> 512 -> 4096; the
-        # third is refused before any of its matrix is computed.
+        # Three one-qubit broadcasts take 1 -> 2 -> 4 -> 8 blocks of dim 8;
+        # B = 16 admits 256 entries, so the third (512) is refused before
+        # any of its matrices is computed.
         from nmk import states
 
-        monkeypatch.setenv("NMK_DIM_BUDGET", "512")
+        monkeypatch.setenv("NMK_DIM_BUDGET", "16")
         calls = []
         kernel = states._apply_kraus_block
 
@@ -214,9 +215,9 @@ class TestApplyStep:
         sc = Scenario(sample("density_hs", (2, 2, 2), 6))
         for i in range(2):
             sc = apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), f"J{i}"))
-        assert sc.state.dim == 512
+        assert len(sc.block_state.blocks) == 4 and sc.block_state.max_block_dim == 8
         ran = len(calls)
-        with pytest.raises(BudgetExceeded, match="4096"):
+        with pytest.raises(BudgetExceeded, match="entries 512 exceeds the budget of 256"):
             apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), "J2"))
         assert ran > 0 and len(calls) == ran
 
