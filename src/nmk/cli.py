@@ -154,21 +154,26 @@ def cmd_nmf(args) -> int:
     started = time.time()
     state, config = _search_inputs(EstimateConfig, args)
     est = estimate(state, config)
-    result = {
-        "command": "nmf",
+    result = _bracket_report("nmf", args, est, witness=witness_to_json(est.best))
+    _emit(result, started, args, [_bracket_line(est)], _search_meta(est))
+    return 0
+
+
+def _bracket_report(command: str, args, est, **extra) -> dict:
+    """The result keys every bracket search reports, then ``extra``."""
+    return {
+        "command": command,
         "input": args.state,
-        "seed": config.seed,
+        "seed": est.config["seed"],
         "config": est.config,
         "lower_bits": est.lower_bits,
         "upper_bits": est.upper_bits,
         "gap": est.gap,
         "certified": est.certified,
         "trace": [r.to_dict() for r in est.trace],
-        "witness": witness_to_json(est.best),
         "notes": est.notes,
+        **extra,
     }
-    _emit(result, started, args, [_bracket_line(est)], _search_meta(est))
-    return 0
 
 
 def _bracket_line(est) -> str:
@@ -191,20 +196,13 @@ def cmd_esqc(args) -> int:
     started = time.time()
     state, config = _search_inputs(EsqcConfig, args)
     est = estimate_esqc(state, config)
-    result = {
-        "command": "esqc",
-        "input": args.state,
-        "seed": config.seed,
-        "config": est.config,
-        "lower_bits": est.lower_bits,
-        "upper_bits": est.upper_bits,
-        "gap": est.gap,
-        "certified": est.certified,
-        "weights": list(est.weights),
-        "ensemble": [state_to_json(s) for s in est.ensemble],
-        "trace": [r.to_dict() for r in est.trace],
-        "notes": est.notes,
-    }
+    result = _bracket_report(
+        "esqc",
+        args,
+        est,
+        weights=list(est.weights),
+        ensemble=[state_to_json(s) for s in est.ensemble],
+    )
     lines = [_bracket_line(est)]
     if args.crosscheck:
         rep = extension_crosscheck(state, config)

@@ -17,9 +17,11 @@ where no search runs.
 
 Decompositions are parametrized by steering the purifying reference
 through an isometry into (purifier extension E') x (flag of k values),
-and searched by the formation estimator's round loop: gradient descents
-on the isometry from random starts, each stopping within ``tol / 2`` of
-L.  The flag dimension climbs a ladder while the gap stays above ``tol``:
+and searched by the formation estimator's round loop, which admits each
+round and certifies the bracket: gradient descents on the isometry from
+random starts, each stopping within ``tol / 2`` of L.  This module states
+only the schedule, one round per flag dimension, and the flag dimension
+climbs a ladder while the gap stays above ``tol``:
 ``restarts`` descents at k = rank, then one at k = 2 rank.  Near
 separability a decomposition needs more members than the rank (a
 separable one may need up to (d_A d_B)^2, P. Horodecki, Phys. Lett. A
@@ -52,9 +54,7 @@ from .nmf import (
     EstimateConfig,
     RestartRecord,
     SearchConfig,
-    _admission,
     _MemberObjective,
-    _purified,
     _Round,
     _run_rounds,
     estimate,
@@ -65,6 +65,7 @@ from .states import (
     DensityState,
     _freeze,
     _pure_reduced_matrix,
+    _purified,
     partial_trace,
     purify,
     steered_members,
@@ -224,7 +225,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
             (2 * rank, (config.seed, 1), min(config.restarts, 1)),
         ]
     rounds = [
-        _Round({"k": k}, e_prime * k, seed_key, restarts, _admission(omega.dim, e_prime * k, rank))
+        _Round({"k": k}, _fast_esqc_objective(omega, psi_arr, e_prime, k), seed_key, restarts)
         for k, seed_key, restarts in ladder
     ]
 
@@ -233,14 +234,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         return esqc_objective(*ens), ens
 
     upper, best_ens, trace, search_notes = _run_rounds(
-        rounds,
-        rank,
-        config,
-        lower,
-        (singleton, "singleton", singleton_ens),
-        singleton,
-        lambda params: _fast_esqc_objective(omega, psi_arr, e_prime, params["k"]),
-        build,
+        rounds, config, lower, (singleton, "singleton", singleton_ens), singleton, build
     )
     check_ensemble(*best_ens, omega, tol=1e-8)
     return EsqcEstimate(

@@ -36,7 +36,7 @@ from .errors import BadRange
 from .markov import build_markov
 from .nmf import EstimateConfig, estimate
 from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
-from .registers import Party, Register, layout
+from .registers import Party, Register, is_integer, layout
 from .serialize import state_to_json, step_to_json
 from .states import Block, BlockState, ChannelMap, ClassicalVar, DensityState
 from .steps import ACTOR, RECEIVERS, Scenario, Step, StepKind, apply_step
@@ -88,11 +88,13 @@ def _run_trials(worker, count: int, jobs: int):
     return [f for r in map_indexed(worker, count, jobs) for f in r]
 
 
-def _require_trials(count: int, jobs: int) -> None:
-    if count < 1:
-        raise BadRange(f"trials must be at least 1, got {count}")
-    if jobs < 1:
-        raise BadRange(f"jobs must be an integer >= 1, got {jobs!r}")
+def _require_counts(**counts) -> None:
+    """Refuse, naming it, a count that is not an integer (a bool is not
+    one) of at least 1, or of at least 0 for the optional ones."""
+    for name, value in counts.items():
+        low = 0 if name in ("trials_224", "mixture_probes") else 1
+        if not is_integer(value) or value < low:
+            raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,7 @@ def _require_trials(count: int, jobs: int) -> None:
 
 
 def fuzz_ssa(trials_222: int = 1000, trials_224: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
-    _require_trials(trials_222, jobs)
+    _require_counts(trials_222=trials_222, trials_224=trials_224, jobs=jobs)
     total = trials_222 + trials_224
 
     def worker(i):
@@ -190,7 +192,7 @@ def _mono_step(cls: str, rng) -> Step:
 
 
 def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> FuzzReport:
-    _require_trials(trials_per_class, jobs)
+    _require_counts(trials_per_class=trials_per_class, jobs=jobs)
     total = trials_per_class * len(FREE_CLASS_NAMES)
 
     def worker(i):
@@ -233,7 +235,7 @@ def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
 
 
 def fuzz_markov_closure(trials: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
-    _require_trials(trials, jobs)
+    _require_counts(trials=trials, jobs=jobs)
 
     def worker(t):
         rng = as_rng([seed, t])
@@ -320,7 +322,7 @@ def _witness_trial(seed, t):
 
 
 def fuzz_witness(trials: int = 100, seed=0, mixture_probes: int = 0, jobs: int = 1) -> FuzzReport:
-    _require_trials(trials, jobs)
+    _require_counts(trials=trials, mixture_probes=mixture_probes, jobs=jobs)
     notes = {
         "mixture_probes": [],
         "transport_coverage": "explicit mappings only (local channels, reversible "

@@ -13,13 +13,15 @@ line-search trials included, is one call of the kernel
 ``states.member_value_and_grad``, which gives the value and its analytic
 gradient together.  Estimates are bracket pairs, never point claims.
 
-Both estimators share one front end: the knobs of ``SearchConfig``, the
-purification ``_purified`` and the round loop ``_run_rounds``, which runs
-each estimator's schedule of rounds while the bracket gap stays above
-``tol`` and records them in ``notes["rounds"]``.  Each restart reports
-the member-marginal objective at its best isometry; restarts are ranked
-by that value, and only a restart that beats every earlier candidate is
-turned into a witness.  Everything is deterministic
+Both estimators share one front end: the knobs of ``SearchConfig`` and
+the round loop ``_run_rounds``.  An estimator states only its schedule,
+one ``_Round`` per steering objective.  The loop admits each round
+(``_admission``) when it reaches it, runs the schedule until the bracket
+gap is within ``tol`` (``_within_tol``, also the one test behind
+``certified``) and records the rounds in ``notes["rounds"]``.  Each
+restart reports the member-marginal objective at its best isometry;
+restarts are ranked by that value, and only a restart that beats every
+earlier candidate is turned into a witness.  Everything is deterministic
 per seed: each restart starts from an isometry drawn from a generator
 derived from the master seed by counter, and the reduction over restarts
 is a deterministic min, so results do not depend on the worker count.
@@ -35,10 +37,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .entropy import entropy, nonmarkovianity
-from .errors import BadRange, BudgetExceeded, DimensionTooSmall, NmkError
+from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
 from .registers import Register, RegisterLayout, is_integer
-from .states import DensityState, _require_budget, member_value_and_grad, purify
+from .states import DensityState, _purified, _require_budget, member_value_and_grad
 from .witness import (
     Witness,
     _member_terms,
@@ -132,7 +134,7 @@ class RestartRecord:
 
 class Bracket:
     """The gap of an estimate's [lower_bits, upper_bits], and whether it is
-    within the config's ``tol``."""
+    within the config's ``tol`` by ``_within_tol``."""
 
     @property
     def gap(self) -> float:
@@ -140,7 +142,7 @@ class Bracket:
 
     @property
     def certified(self) -> bool:
-        return self.gap <= self.config.get("tol", 0.0) + 1e-9
+        return _within_tol(self.gap, self.config["tol"])
 
 
 @dataclass(frozen=True)
@@ -320,59 +322,56 @@ def _beats(value: float, best: float) -> bool:
     return value < best - BEAT_MARGIN
 
 
-def _purified(state: DensityState):
-    """The (system, reference) matrix of the purification of ``state`` and
-    the reference dimension, its rank."""
-    psi = purify(state, "__ref__")
-    rank = psi.layout.register("__ref__").dim
-    return psi.amplitudes.reshape(state.dim, rank), rank
-
-
 @dataclass(frozen=True)
 class _Round:
-    """One round of the restart search.  ``params`` set it apart from the
-    other rounds (its ``ext`` or its ``k``) and are what ``notes["rounds"]``
-    records of it; ``capacity`` is the steering isometry's output dimension;
-    ``restarts`` descents run, restart ``rid`` from a random isometry drawn
-    from ``as_rng([*seed_key, rid])``.  ``problem``, when not None, is the
-    error that refuses the round."""
+    """One round of the restart search: ``objective``, the steering
+    objective its restarts descend, and ``restarts`` descents, restart
+    ``rid`` from a random isometry drawn from ``as_rng([*seed_key, rid])``.
+    ``params`` set it apart from the other rounds (its ``ext`` or its
+    ``k``) and are what ``notes["rounds"]`` records of it."""
 
     params: dict
-    capacity: int
+    objective: _MemberObjective
     seed_key: tuple
     restarts: int
-    problem: NmkError | None = None
 
 
-def _admission(system_dim: int, capacity: int, rank: int) -> NmkError | None:
-    """The error that refuses a round of steering-isometry output ``capacity``
-    on a state of ``system_dim`` and ``rank`` (a capacity below the rank, or
-    a realized dimension system_dim * capacity over the budget), or None."""
+def _admission(objective: _MemberObjective) -> tuple[int, int]:
+    """The rank and capacity (steering-isometry output dimension) of a round
+    descending ``objective``, read off its (system, reference) matrix and
+    member dims.  A capacity below the rank is ``DimensionTooSmall``, and a
+    realized dimension system_dim * capacity over the budget is refused."""
+    system_dim, rank = objective.psi_arr.shape
+    capacity = math.prod(objective.dims) // system_dim * objective.k
     if capacity < rank:
-        return DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
-    try:
-        _require_budget(system_dim * capacity, "realized dimension")
-    except BudgetExceeded as err:
-        return err
-    return None
+        raise DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
+    _require_budget(system_dim * capacity, "realized dimension")
+    return rank, capacity
 
 
-def _run_rounds(rounds, rank, config: SearchConfig, lower, start, baseline, objective_of, build):
-    """The round loop both estimators run.  Rounds run in order while the
-    gap between the best candidate and ``lower`` stays above ``config.tol``
-    (none runs if ``start`` is already that close).  A round runs its
-    restarts as ``_Round`` says, each a descent of ``objective_of(params)``
-    stopping at ``lower + tol / 2``, and ranks them by the value each
-    reports.  ``start`` is the (value, source, candidate) to beat; only a
-    restart that beats it takes the lead, and ``build(params, w)`` turns
-    its best isometry ``w`` into the (value, candidate) that replaces it.
-    A refused round raises its ``problem`` as round 0 and is recorded as
-    skipped later.
+def _within_tol(gap: float, tol: float) -> bool:
+    """Whether a bracket ``gap`` is within ``tol``, up to 1e-9 of rounding:
+    the one test of certification, and the one that ends the round loop."""
+    return gap <= tol + 1e-9
+
+
+def _run_rounds(rounds, config: SearchConfig, lower, start, baseline, build):
+    """The round loop both estimators run, and the one place that admits a
+    round and certifies a bracket.  Rounds run in order until the gap
+    between the best candidate and ``lower`` is ``_within_tol`` (none runs
+    if ``start`` is already that close).  A round is admitted by
+    ``_admission`` when the loop reaches it: a refused round raises as
+    round 0 and is recorded as skipped later.  An admitted round runs its
+    restarts as ``_Round`` says, each a descent of its objective stopping
+    at ``lower + tol / 2``, and ranks them by the value each reports.
+    ``start`` is the (value, source, candidate) to beat; only a restart
+    that beats it takes the lead, and ``build(params, w)`` turns its best
+    isometry ``w`` into the (value, candidate) that replaces it.
 
     Returns the best value and candidate, the restart records and the
     search notes: ``rounds`` (one entry per round reached: its params and
     its ``best`` value or what ``skipped`` it), ``uncertified`` (the gap
-    stayed above tol), ``best_source`` (the start's source or
+    is not within tol), ``best_source`` (the start's source or
     ``restart:<rid>/<round>``), ``evals`` (each one ``member_value_and_grad``
     call, line-search trials included), ``restarts_beating_baseline`` (the
     restarts that ended below ``baseline``) and ``grad_norm`` (the winning
@@ -382,18 +381,19 @@ def _run_rounds(rounds, rank, config: SearchConfig, lower, start, baseline, obje
     trace: list[RestartRecord] = []
     winner, round_notes = None, []
     for round_id, rnd in enumerate(rounds):
-        if value - lower <= config.tol:
+        if _within_tol(value - lower, config.tol):
             break
-        if rnd.problem is not None:
+        try:
+            rank, capacity = _admission(rnd.objective)
+        except (DimensionTooSmall, BudgetExceeded) as err:
             if round_id == 0:
-                raise rnd.problem
-            round_notes.append({"round": round_id, **rnd.params, "skipped": str(rnd.problem)})
+                raise
+            round_notes.append({"round": round_id, **rnd.params, "skipped": str(err)})
             continue
-        fast_f = objective_of(rnd.params)
 
         def one(rid):
-            start_w = random_isometry(rank, rnd.capacity, as_rng([*rnd.seed_key, rid]))
-            return _descend(fast_f, start_w, config.max_iters, stop_at)
+            start_w = random_isometry(rank, capacity, as_rng([*rnd.seed_key, rid]))
+            return _descend(rnd.objective, start_w, config.max_iters, stop_at)
 
         results = map_indexed(one, rnd.restarts, config.jobs)
         records = [
@@ -409,7 +409,7 @@ def _run_rounds(rounds, rank, config: SearchConfig, lower, start, baseline, obje
         round_notes.append({"round": round_id, **rnd.params, "best": value})
     notes = {
         "rounds": round_notes,
-        "uncertified": bool(float(value) - lower > config.tol),
+        "uncertified": not _within_tol(float(value) - lower, config.tol),
         "best_source": source,
         "evals": sum(r.evals for r in trace),
         "restarts_beating_baseline": sum(_beats(r.objective, baseline) for r in trace),
@@ -447,27 +447,22 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         schedule = [(1, 1, 1), (2, 2, 2)]
     else:
         schedule = [tuple(int(x) for x in config.ext)]
-    rounds = []
-    for round_id, ext_dims in enumerate(schedule):
-        capacity = math.prod(ext_dims) * k
-        problem = _admission(rho.dim, capacity, rank)
-        rounds.append(
-            _Round({"ext": ext_dims}, capacity, (config.seed, round_id), config.restarts, problem)
+    rounds = [
+        _Round(
+            {"ext": ext},
+            _fast_objective(rho, psi_arr, ext, k),
+            (config.seed, round_id),
+            config.restarts,
         )
+        for round_id, ext in enumerate(schedule)
+    ]
 
     def build(params, w_mat):
         w = witness_from_isometry(rho, w_mat, params["ext"], k)
         return objective(w), w
 
     upper, best_w, trace, search_notes = _run_rounds(
-        rounds,
-        rank,
-        config,
-        lower,
-        min(candidates, key=lambda c: c[0]),
-        baseline,
-        lambda params: _fast_objective(rho, psi_arr, params["ext"], k),
-        build,
+        rounds, config, lower, min(candidates, key=lambda c: c[0]), baseline, build
     )
     notes = {
         "single_copy": True,

@@ -332,7 +332,7 @@ def tensor(a: DensityState, b: DensityState) -> DensityState:
     _require_budget(a.dim * b.dim)
     return DensityState(
         RegisterLayout(a.layout.registers + b.layout.registers),
-        np.kron(a.matrix, b.matrix),
+        _sealed(np.kron(a.matrix, b.matrix)),
     )
 
 
@@ -349,7 +349,7 @@ def permute_registers(state: DensityState, labels) -> DensityState:
     """Reorder registers; the matrix is permuted to match."""
     axes = [state.layout.index(lbl) for lbl in labels]
     matrix = _permuted_matrix(state.matrix, state.layout.dims, axes)
-    return DensityState(state.layout.reordered(tuple(labels)), matrix)
+    return DensityState(state.layout.reordered(tuple(labels)), _sealed(matrix))
 
 
 def _marginal_matrix(matrix: np.ndarray, dims, keep_axes) -> np.ndarray:
@@ -366,7 +366,7 @@ def partial_trace(state: DensityState, keep) -> DensityState:
     """Trace out every register not in ``keep`` (kept in original order)."""
     keep_axes = state.layout.positions(keep)
     reduced = _marginal_matrix(state.matrix, state.layout.dims, keep_axes)
-    return DensityState(state.layout.subset(keep), reduced)
+    return DensityState(state.layout.subset(keep), _sealed(reduced))
 
 
 def _split_rows(vec: np.ndarray, dims, keep_axes):
@@ -508,6 +508,14 @@ def purify(
     return PureState(new_layout, arr.reshape(-1))
 
 
+def _purified(state: DensityState):
+    """The (system, reference) matrix of the purification of ``state`` and
+    the reference dimension, its rank."""
+    psi = purify(state, "__ref__")
+    rank = psi.layout.register("__ref__").dim
+    return psi.amplitudes.reshape(state.dim, rank), rank
+
+
 def _apply_kraus_block(matrix, dims, on_axes, kraus_ops, out_block_dim):
     """Apply Kraus operators on a register block, identity elsewhere.
 
@@ -604,7 +612,7 @@ def apply_channel(
     block, out_layout = _channel_layout(state.layout, channel, on, out)
     _require_budget(out_layout.dim, "channel output dimension")
     matrix = _channel_matrix(state.matrix, state.layout, on, channel.kraus, block, out_layout)
-    return DensityState(out_layout, matrix)
+    return DensityState(out_layout, _sealed(matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from .states import (
     _clamped_eigvalsh,
     _freeze,
     _pure_reduced_matrix,
+    _purified,
     _split_rows,
     member_value_and_grad,
     purify,
@@ -272,8 +273,7 @@ def witness_from_isometry(
     if min(ap, bp, ep, k) < 1:
         raise DimensionTooSmall("extension dimensions must be positive")
     lay, groups = _steered_layout(rho, (ap, bp, ep))
-    psi = purify(rho, "__ref__")
-    rank = psi.layout.register("__ref__").dim
+    psi_arr, rank = _purified(rho)
     if ap * bp * ep * k < rank:
         raise DimensionTooSmall(
             f"extension capacity {ap * bp * ep * k} is below the state rank {rank}"
@@ -285,7 +285,7 @@ def witness_from_isometry(
         )
     if not np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) <= 1e-8:
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
-    weights, members = steered_members(psi.amplitudes.reshape(rho.dim, rank), w_matrix, lay.dims, k)
+    weights, members = steered_members(psi_arr, w_matrix, lay.dims, k)
     w = Witness(lay, groups, weights / weights.sum(), members)
     check_witness(w, rho, tol=1e-8)
     return w
@@ -468,11 +468,7 @@ def witness_local_channel(w: Witness, side: str, kraus, on, env_label: str) -> W
     if s != r:
         raise DimensionMismatch("witness transport supports square channels only")
     n_env = len(kraus)
-    sting = np.zeros((s * n_env, r), dtype=complex)
-    for i, k in enumerate(kraus):
-        e = np.zeros((n_env, 1), dtype=complex)
-        e[i, 0] = 1.0
-        sting += np.kron(k, e)
+    sting = np.stack(kraus, axis=1).reshape(s * n_env, r)
     party = Party.ALICE if side == "a" else Party.BOB
     out_regs = tuple(w.layout.register(lbl) for lbl in on) + (
         Register(env_label, n_env, party),

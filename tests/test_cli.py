@@ -1,6 +1,8 @@
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -511,6 +513,21 @@ class TestBadRanges:
         assert proc.returncode == 2, proc.stderr
         assert "error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["nmf", "esqc"])
+def test_each_search_flag_is_a_config_field(command):
+    # _search_inputs reads one flag per config field but seed; a field
+    # without a flag (or a flag without a field) must not slip in.
+    from nmk import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = sub.choices[command]
+    flags = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    config_cls = {"nmf": cli.EstimateConfig, "esqc": cli.EsqcConfig}[command]
+    assert flags - {"state", "seed", "csv", "crosscheck"} == {
+        f.name for f in fields(config_cls) if f.name != "seed"
+    }
 
 
 class TestAnalyzeTol:

@@ -17,6 +17,7 @@ from nmk import (
     mutual_info,
     nonmarkovianity,
     objective,
+    partial_trace,
     purify,
     sample,
     two_copy_bracket,
@@ -25,8 +26,10 @@ from nmk import (
 )
 from nmk.errors import BadRange, BudgetExceeded, DimensionTooSmall
 from nmk import nmf
+from nmk.csquashed import _fast_esqc_objective
 from nmk.nmf import RestartRecord, _fast_objective
 from nmk.rand import as_rng, random_isometry
+from nmk.states import _purified
 
 from test_markov import random_components
 from test_witness import recompute_objective
@@ -485,3 +488,50 @@ class TestLimits:
         est = estimate(rho, EstimateConfig(restarts=2, max_iters=60, seed=3))
         skipped = [r for r in est.notes["rounds"] if "skipped" in r]
         assert skipped and "budget" in skipped[0]["skipped"]
+
+
+class TestRoundLoop:
+    """``_run_rounds`` admits each round and certifies the bracket, with one
+    within-tol test."""
+
+    def test_admission_reads_rank_and_capacity_off_the_objective(self, monkeypatch):
+        rho = sample("density_hs", (2, 2, 2), 21, rank=3)
+        psi_arr, rank = _purified(rho)
+        assert rank == 3
+        for k in (3, 5):
+            assert nmf._admission(_fast_objective(rho, psi_arr, (2, 2, 2), k)) == (3, 8 * k)
+        omega = partial_trace(rho, ("A", "B"))
+        psi_ab, rank_ab = _purified(omega)
+        for e_prime, k in ((1, 4), (2, 4), (3, 5)):
+            fast = _fast_esqc_objective(omega, psi_ab, e_prime, k)
+            assert nmf._admission(fast) == (rank_ab, e_prime * k)
+        with pytest.raises(DimensionTooSmall, match="capacity 2 below rank 3"):
+            nmf._admission(_fast_objective(rho, psi_arr, (1, 1, 1), 2))
+        # (2,2,2) at k = 3: capacity 24, realized 8 * 24 = 192.
+        monkeypatch.setenv("NMK_DIM_BUDGET", "191")
+        with pytest.raises(BudgetExceeded, match="realized dimension 192 exceeds"):
+            nmf._admission(_fast_objective(rho, psi_arr, (2, 2, 2), 3))
+
+    @pytest.mark.parametrize("search", ["nmf", "esqc"])
+    def test_certified_agrees_with_the_notes_at_tol_zero(self, search):
+        # ghz_diag is Markov: round 0 closes the gap to rounding, so no
+        # second round runs.
+        if search == "nmf":
+            est = estimate(zoo("ghz_diag"), EstimateConfig(tol=0.0, seed=1))
+        else:
+            est = estimate_esqc(zoo("ghz_diag"), EsqcConfig(tol=0.0, seed=1))
+        assert 0 < est.gap <= 1e-9
+        assert est.certified and not est.notes["uncertified"]
+        assert len(est.notes["rounds"]) == 1
+        assert {r.round_id for r in est.trace} == {0}
+
+    @pytest.mark.parametrize("excess, certified", [(5e-10, True), (2e-9, False)])
+    def test_start_gap_within_tol_up_to_rounding(self, excess, certified):
+        tol, lower = 1e-3, 0.25
+        config = EstimateConfig(tol=tol)
+        start = (lower + tol + excess, "start", None)
+        upper, _, trace, notes = nmf._run_rounds([], config, lower, start, 1.0, None)
+        est = nmf.NmfEstimate(lower, upper, None, tuple(trace), config.to_dict(), notes)
+        assert est.certified is certified
+        assert notes["uncertified"] is not certified
+        assert notes["rounds"] == [] and trace == []

@@ -24,6 +24,7 @@ from nmk.errors import (
     LayoutMismatch,
     UnknownLabel,
 )
+from nmk import states
 from nmk.registers import Register
 from nmk.states import INVERSE_TOL, _inverse_deviation
 
@@ -479,3 +480,34 @@ def test_callers_arrays_are_copied_not_frozen():
         frozen = np.array(source)
         frozen.flags.writeable = False
         assert np.shares_memory(held(frozen), frozen)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda s: apply_channel(s["ghz"], s["dephasing"], ("A",)),
+        lambda s: partial_trace(s["ghz"], ("A", "E")),
+        lambda s: tensor(s["bell"], s["eve"]),
+        lambda s: s["ghz"].permuted(("E", "A", "B")),
+    ],
+    ids=["apply_channel", "partial_trace", "tensor", "permute_registers"],
+)
+def test_dense_results_are_handed_over_sealed(monkeypatch, operation):
+    # A freshly computed matrix reaches _freeze read-only, so the state
+    # shares it instead of copying it once more.
+    operands = {
+        "ghz": ghz_diag(),
+        "bell": bell_pair(),
+        "eve": eve_zero(),
+        "dephasing": ChannelMap.dephasing(2),
+    }
+    writeable = []
+    real = states._freeze
+
+    def spy(arr):
+        writeable.append(arr.flags.writeable)
+        return real(arr)
+
+    monkeypatch.setattr(states, "_freeze", spy)
+    operation(operands)
+    assert writeable == [False]

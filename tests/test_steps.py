@@ -23,6 +23,7 @@ from nmk import (
 from nmk.errors import (
     BadMu,
     BadParams,
+    BadRange,
     BudgetExceeded,
     IrreversibleEveOp,
     NotClassicalRegister,
@@ -365,6 +366,37 @@ class TestPropertySuites:
         monkeypatch.setattr(fuzz, checked, lambda *args, **kwargs: float("nan"))
         report = suite()
         assert report.passes == 0 and len(report.failures) == report.trials
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: fuzz.fuzz_ssa(10, -5), "trials_224"),
+            (lambda: fuzz.fuzz_ssa(2.5, 1), "trials_222"),
+            (lambda: fuzz.fuzz_ssa(0, 1), "trials_222"),
+            (lambda: fuzz_monotonicity(True), "trials_per_class"),
+            (lambda: fuzz_markov_closure(np.float64(2)), "trials"),
+            (lambda: fuzz.fuzz_witness(20, mixture_probes=-1), "mixture_probes"),
+            (lambda: fuzz.fuzz_witness(1, mixture_probes=1.0), "mixture_probes"),
+            (lambda: fuzz.fuzz_ssa(2, 1, jobs=0), "jobs"),
+        ],
+        ids=[
+            "ssa_negative",
+            "ssa_float",
+            "ssa_zero",
+            "monotonicity_bool",
+            "closure_numpy_float",
+            "witness_negative",
+            "witness_float",
+            "ssa_zero_jobs",
+        ],
+    )
+    def test_bad_counts_rejected_naming_the_parameter(self, call, name):
+        with pytest.raises(BadRange, match=f"^{name} must be an integer >= "):
+            call()
+
+    def test_optional_counts_may_be_zero(self):
+        assert fuzz.fuzz_ssa(np.int64(2), 0).trials == 2
+        assert fuzz.fuzz_witness(1, mixture_probes=0).notes["mixture_probes"] == []
 
     def test_worker_count_invariance(self, monkeypatch):
         # Every trial reports a "violation", so the reports list every
