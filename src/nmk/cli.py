@@ -32,6 +32,7 @@ from .serialize import (
     components_from_json,
     components_to_json,
     jsonable,
+    layout_to_json,
     script_from_json,
     script_to_json,
     state_from_json,
@@ -132,12 +133,20 @@ def cmd_analyze(args) -> int:
     result = {
         "command": "analyze",
         "input": args.state,
-        "entropy": report.to_dict(),
-        "markov": score.to_dict(),
+        "entropy": report,
+        "markov": _markov_section(score),
     }
     verdict = "markov" if score.verdict else "non-markov"
     _emit(result, started, args, [f"M_I = {report.m_i_bits:.9f} bits; verdict: {verdict}"])
     return 0
+
+
+def _markov_section(score) -> dict:
+    """A ``MarkovScore``'s fields and the advisory note on its verdict."""
+    return {
+        **jsonable(score),
+        "note": "verdict decided by the cqmi threshold; fidelity is diagnostic",
+    }
 
 
 def _partition_args(args, state):
@@ -170,7 +179,7 @@ def _bracket_report(command: str, args, est, **extra) -> dict:
         "upper_bits": est.upper_bits,
         "gap": est.gap,
         "certified": est.certified,
-        "trace": [r.to_dict() for r in est.trace],
+        "trace": est.trace,
         "notes": est.notes,
         **extra,
     }
@@ -207,7 +216,7 @@ def cmd_esqc(args) -> int:
     if args.crosscheck:
         rep = extension_crosscheck(state, config)
         result["msq_upper_bits"] = rep.msq_ub
-        result["crosscheck"] = rep.to_dict()
+        result["crosscheck"] = rep
         lines.append(f"extension crosscheck gap {rep.gap:.6f} bits")
     _emit(result, started, args, lines, _search_meta(est))
     return 0
@@ -224,7 +233,7 @@ def cmd_markov_build(args) -> int:
         "command": "markov-build",
         "input": args.components,
         "state": state_to_json(state),
-        "markov": score.to_dict(),
+        "markov": _markov_section(score),
     }
     if args.out:
         Path(args.out).write_text(json.dumps(jsonable(state_to_json(state))))
@@ -250,14 +259,11 @@ def cmd_script(args) -> int:
         "command": "script",
         "input": args.script,
         "classification": run.classification.value,
-        "ledger": run.final.ledger.to_dict(),
+        "ledger": run.final.ledger,
         "steps_applied": len(run.step_ledgers),
-        "before": before.to_dict(),
-        "after": after.to_dict(),
-        "final_registers": [
-            {"label": r.label, "dim": r.dim, "party": r.party.value}
-            for r in final.layout.registers
-        ],
+        "before": before,
+        "after": after,
+        "final_registers": layout_to_json(final.layout),
     }
     if args.out:
         Path(args.out).write_text(json.dumps(jsonable(state_to_json(run.final.state))))
@@ -355,6 +361,13 @@ def seed_value(text: str) -> int:
     return seed
 
 
+def trial_count(text: str) -> int:
+    trials = int(text)
+    if not trials >= 1:
+        raise argparse.ArgumentTypeError(f"trials must be an integer >= 1, got {trials}")
+    return trials
+
+
 def _common(p, seeded=True) -> None:
     p.add_argument("--csv", help="also write flattened numeric results to this CSV file")
     if seeded:
@@ -433,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a randomized property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=300)
+    p.add_argument("--trials", type=trial_count, default=300)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--counterexample-dir", default=".")
     _common(p)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -243,7 +243,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
         weights=best_ens[0],
         ensemble=best_ens[1],
         trace=tuple(trace),
-        config=config.to_dict(),
+        config=asdict(config),
         notes={
             "single_copy": True,
             "dilution_cdown_single_copy_bits": 2.0 * float(upper),
@@ -260,15 +260,6 @@ class CrosscheckReport:
     gap: float
     per_extension: dict
     notes: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "esqc_ub": self.esqc_ub,
-            "msq_ub": self.msq_ub,
-            "gap": self.gap,
-            "per_extension": self.per_extension,
-            "notes": self.notes,
-        }
 
 
 def extension_crosscheck(

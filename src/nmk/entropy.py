@@ -15,7 +15,7 @@ state is the one-group case.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,9 +133,6 @@ class EntropyReport:
     i_a_b: float
     cqmi_bits: float
     m_i_bits: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def entropy_report(state: DensityState | BlockState, a=None, b=None, e=None) -> EntropyReport:

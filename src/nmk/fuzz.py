@@ -72,15 +72,6 @@ class FuzzReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "notes": self.notes,
-        }
-
 
 def _run_trials(worker, count: int, jobs: int):
     """Failures of trials ``0..count-1``, in trial order, for any worker

@@ -174,15 +174,6 @@ class MarkovScore:
     verdict: bool
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "cqmi_bits": self.cqmi_bits,
-            "recovery_fidelity": self.recovery_fidelity,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "note": "verdict decided by the cqmi threshold; fidelity is diagnostic",
-        }
-
 
 def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8) -> MarkovScore:
     if not (math.isfinite(tol) and tol >= 0):

@@ -44,6 +44,8 @@ from .states import DensityState, _purified, _require_budget, member_value_and_g
 from .witness import (
     Witness,
     _member_terms,
+    _party_groups,
+    _require_capacity,
     _steered_layout,
     baseline_witnesses,
     check_witness,
@@ -86,9 +88,6 @@ class SearchConfig:
         if not (real and math.isfinite(tol) and tol >= 0):
             raise BadRange(f"tol must be a finite real >= 0, got {tol!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EstimateConfig(SearchConfig):
@@ -127,9 +126,6 @@ class RestartRecord:
     accepted: int
     evals: int
     grad_norm: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Bracket:
@@ -178,15 +174,24 @@ class _MemberObjective:
         return 0.5 * (self.const + value), 0.5 * grad
 
 
-def _fast_objective(rho: DensityState, psi_arr: np.ndarray, ext_dims, k: int):
+def _state_term(rho: DensityState) -> float:
+    """S(AB|E) = S(ABE) - S(E) of ``rho`` over its party groups: the part of
+    the witness objective that no steering isometry changes."""
+    a, b, e = _party_groups(rho)
+    return entropy(rho, a + b + e) - (entropy(rho, e) if e else 0.0)
+
+
+def _fast_objective(
+    rho: DensityState, psi_arr: np.ndarray, ext_dims, k: int, state_term: float
+):
     """The witness objective as a function of the steering isometry, on the
     layout and with the signed ``MEMBER_TERMS`` axes that
     ``witness_from_isometry`` uses, so a restart's value is the objective of
     the witness built from its isometry:
-    1/2 [S(AB|E) + sum_i p_i (S(AA') + S(BB') - S(A'B'))]."""
+    1/2 [S(AB|E) + sum_i p_i (S(AA') + S(BB') - S(A'B'))], with
+    ``state_term`` the S(AB|E) of ``_state_term(rho)``."""
     lay, g = _steered_layout(rho, ext_dims)
-    s_ab_e = entropy(rho, g.a + g.b + g.e) - (entropy(rho, g.e) if g.e else 0.0)
-    return _MemberObjective(psi_arr, lay.dims, k, _member_terms(lay, g), s_ab_e)
+    return _MemberObjective(psi_arr, lay.dims, k, _member_terms(lay, g), state_term)
 
 
 ARMIJO = 1e-4
@@ -339,12 +344,12 @@ class _Round:
 def _admission(objective: _MemberObjective) -> tuple[int, int]:
     """The rank and capacity (steering-isometry output dimension) of a round
     descending ``objective``, read off its (system, reference) matrix and
-    member dims.  A capacity below the rank is ``DimensionTooSmall``, and a
-    realized dimension system_dim * capacity over the budget is refused."""
+    member dims.  A capacity below the rank is refused by
+    ``_require_capacity``, and a realized dimension system_dim * capacity
+    over the budget is refused."""
     system_dim, rank = objective.psi_arr.shape
     capacity = math.prod(objective.dims) // system_dim * objective.k
-    if capacity < rank:
-        raise DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
+    _require_capacity(capacity, rank)
     _require_budget(system_dim * capacity, "realized dimension")
     return rank, capacity
 
@@ -443,6 +448,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         candidates.append((objective(w), f"seed:{i}", w))
     psi_arr, rank = _purified(rho)
     k = int(config.k) if config.k else rank
+    state_term = _state_term(rho)
     if config.ext is None:
         schedule = [(1, 1, 1), (2, 2, 2)]
     else:
@@ -450,7 +456,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     rounds = [
         _Round(
             {"ext": ext},
-            _fast_objective(rho, psi_arr, ext, k),
+            _fast_objective(rho, psi_arr, ext, k, state_term),
             (config.seed, round_id),
             config.restarts,
         )
@@ -475,7 +481,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         upper_bits=float(upper),
         best=best_w,
         trace=tuple(trace),
-        config=config.to_dict(),
+        config=asdict(config),
         notes=notes,
     )
 

@@ -1,5 +1,10 @@
 """JSON codecs for states, components, scripts, witnesses and reports.
 
+Reports reach JSON through one rule, :func:`jsonable`: a record (a
+dataclass such as ``EntropyReport``, ``MarkovScore`` or ``CostLedger``)
+becomes the dict of its fields, so a record has no ``to_dict`` of its own
+and a new field is emitted without further code.
+
 State files carry the register list and the matrix split into real and
 imaginary parts, row-major in register order.  Readers re-validate every
 invariant; a violation surfaces as :class:`~nmk.errors.InvariantViolation`
@@ -13,7 +18,7 @@ built in Python.
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -201,15 +206,21 @@ def script_from_json(d: dict) -> tuple[Step, ...]:
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps succeeds."""
+    """``obj`` in a form ``json.dumps`` takes: the one rule that turns a
+    record into JSON.  A dataclass instance becomes the dict of its fields,
+    so ``dataclasses.fields`` decides what is emitted; dicts, lists and
+    tuples are converted item by item, and numpy booleans, numbers and
+    arrays become their Python values."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.bool_, np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return str(obj)

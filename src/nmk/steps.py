@@ -70,9 +70,6 @@ class CostLedger:
     def add(self, qc=0.0, cdown=0.0) -> "CostLedger":
         return CostLedger(self.qc_bits + qc, self.cdown_bits + cdown)
 
-    def to_dict(self) -> dict:
-        return {"qc_bits": self.qc_bits, "cdown_bits": self.cdown_bits}
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -421,13 +418,6 @@ class DilutionConversion:
     per_step_bits: tuple[float, ...]
     total_bits: float
     conversion_bound: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_step_bits": list(self.per_step_bits),
-            "total_bits": self.total_bits,
-            "conversion_bound": self.conversion_bound,
-        }
 
 
 def _integer(value, what: str) -> int:

@@ -256,6 +256,14 @@ def _steered_layout(rho: DensityState, ext_dims) -> tuple[RegisterLayout, Witnes
     return lay, WitnessGroups(a=a, a_prime=("A'",), b=b, b_prime=("B'",), e=e, e_prime=("E'",))
 
 
+def _require_capacity(capacity: int, rank: int) -> None:
+    """Refuse a steering isometry whose output dimension ``capacity`` is
+    below the state's ``rank``: the one test of capacity against rank, for
+    ``witness_from_isometry`` and the search's round admission alike."""
+    if capacity < rank:
+        raise DimensionTooSmall(f"extension capacity {capacity} below rank {rank}")
+
+
 def witness_from_isometry(
     rho: DensityState,
     w_matrix: np.ndarray,
@@ -274,10 +282,7 @@ def witness_from_isometry(
         raise DimensionTooSmall("extension dimensions must be positive")
     lay, groups = _steered_layout(rho, (ap, bp, ep))
     psi_arr, rank = _purified(rho)
-    if ap * bp * ep * k < rank:
-        raise DimensionTooSmall(
-            f"extension capacity {ap * bp * ep * k} is below the state rank {rank}"
-        )
+    _require_capacity(ap * bp * ep * k, rank)
     w_matrix = np.asarray(w_matrix, dtype=complex)
     if w_matrix.shape != (ap * bp * ep * k, rank):
         raise DimensionMismatch(

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from nmk import ChannelMap, sample, zoo
+from nmk.cli import load_ref
+from nmk.csquashed import CrosscheckReport
+from nmk.entropy import EntropyReport
+from nmk.markov import MarkovScore
+from nmk.nmf import RestartRecord
 from nmk.registers import Register
-from nmk.serialize import components_to_json, script_to_json, state_to_json
-from nmk.steps import Step
+from nmk.serialize import components_to_json, layout_to_json, script_to_json, state_to_json
+from nmk.steps import CostLedger, Step, run_script
 
 
 def run_cli(*args, cwd=None):
@@ -175,6 +180,42 @@ class TestEsqc:
         out = result_of(proc)
         assert out["upper_bits"] <= 1e-3
         assert out["crosscheck"]["gap"] <= 1e-3
+
+
+def field_names(record_cls) -> set:
+    return {f.name for f in fields(record_cls)}
+
+
+class TestRecordKeys:
+    """Each record the CLI prints is the dict of its dataclass fields."""
+
+    def test_analyze(self):
+        out = result_of(run_cli("analyze", "zoo:ghz_diag"))
+        assert set(out["entropy"]) == field_names(EntropyReport)
+        assert set(out["markov"]) == field_names(MarkovScore) | {"note"}
+
+    def test_markov_build(self):
+        out = result_of(run_cli("markov-build", "zoo:markov_random"))
+        assert set(out["markov"]) == field_names(MarkovScore) | {"note"}
+
+    def test_script(self):
+        ref = "zoo:nonfree_script?cls=secret_ab"
+        out = result_of(run_cli("script", ref))
+        assert set(out["ledger"]) == field_names(CostLedger)
+        assert set(out["before"]) == set(out["after"]) == field_names(EntropyReport)
+        script = load_ref(ref)
+        final = run_script(script.scenario, script.steps).final.block_state
+        assert out["final_registers"] == layout_to_json(final.layout)
+
+    def test_nmf_trace(self):
+        args = ("nmf", "zoo:hs_random?dims=2,2,2&rank=2", "--max-iters", "20", "--seed", "1")
+        trace = result_of(run_cli(*args))["trace"]
+        assert trace and all(set(r) == field_names(RestartRecord) for r in trace)
+
+    def test_esqc_crosscheck(self):
+        args = ("esqc", "zoo:hs_random?dims=2,2,1&rank=2", "--crosscheck", "--seed", "1")
+        out = result_of(run_cli(*args))
+        assert set(out["crosscheck"]) == field_names(CrosscheckReport)
 
 
 class TestSearchMeta:
@@ -513,6 +554,12 @@ class TestBadRanges:
         assert proc.returncode == 2, proc.stderr
         assert "error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_trials_below_one_names_the_flag(self, value):
+        proc = run_cli("fuzz", "ssa", "--trials", value, "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert f"argument --trials: trials must be an integer >= 1, got {value}" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["nmf", "esqc"])

@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ class TestProperties:
 def test_conditional_entropy_and_report(ghz):
     assert abs(conditional_entropy(ghz, ("A", "B"), ("E",))) < 1e-10
     rep = entropy_report(ghz)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["m_i_bits"] == pytest.approx(0.0, abs=1e-10)
     assert d["s_a"] == pytest.approx(1.0, abs=1e-10)
     assert d["i_a_b"] == pytest.approx(1.0, abs=1e-10)
@@ -197,7 +198,7 @@ def test_entropy_report_matches_numpy_oracle(groups):
     assert state.layout.labels == ("A", "B", "E", "J_A", "J_B", "J_E")
     rep = entropy_report(state) if groups is None else entropy_report(state, *groups)
     expected = oracle_report(state, rep.a, rep.b, rep.e)
-    got = rep.to_dict()
+    got = asdict(rep)
     for key, value in expected.items():
         assert got[key] == pytest.approx(value, abs=1e-12), key
 

@@ -15,7 +15,9 @@ tuple of types, as in a type dispatch, is allowed).  No ``.dim`` is
 compared with an integer literal above 1: sizes are capped only through
 the budget helpers of ``states`` (``dim < 1`` checks stay).  Every module-level
 private name (one leading underscore, not a dunder) is read by some module
-of the package, so that a deletion leaves no orphaned helper behind.
+of the package, so that a deletion leaves no orphaned helper behind.  No
+class defines ``to_dict``: a record reaches JSON through
+``serialize.jsonable``, which emits its dataclass fields.
 """
 
 import ast
@@ -138,8 +140,8 @@ def lint(source: str, exempt_unused: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
     statements, tolerance gates that a NaN passes, integer tests that
-    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``) and size
-    caps that bypass the budget."""
+    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), size
+    caps that bypass the budget and ``to_dict`` methods."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -155,6 +157,14 @@ def lint(source: str, exempt_unused: bool = False) -> list[str]:
         for lineno in _size_caps(tree)
     ]
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            problems += [
+                f"line {item.lineno}: {node.name}.to_dict; records reach JSON "
+                "through serialize.jsonable"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name == "to_dict"
+            ]
         if isinstance(node, ast.Assert):
             problems.append(f"line {node.lineno}: assert, which python -O strips")
         if _nan_blind_gate(node):
@@ -357,3 +367,24 @@ def test_lint_catches_hard_coded_size_caps():
         "line 7: .dim compared with a literal size; cap sizes with the budget",
     ]
 
+
+
+def test_lint_catches_to_dict_methods():
+    source = (
+        "from dataclasses import asdict, dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    value: float\n"
+        "    def to_dict(self):\n"
+        "        return asdict(self)\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def to_dict(self):\n"
+        "            return {}\n"
+        "def to_dict(report):\n"
+        "    return {'value': report.value}\n"
+    )
+    assert lint(source) == [
+        "line 5: Report.to_dict; records reach JSON through serialize.jsonable",
+        "line 9: Inner.to_dict; records reach JSON through serialize.jsonable",
+    ]

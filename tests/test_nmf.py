@@ -1,6 +1,6 @@
 import math
 from collections import deque
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from nmk import (
 from nmk.errors import BadRange, BudgetExceeded, DimensionTooSmall
 from nmk import nmf
 from nmk.csquashed import _fast_esqc_objective
-from nmk.nmf import RestartRecord, _fast_objective
+from nmk.nmf import RestartRecord
 from nmk.rand import as_rng, random_isometry
 from nmk.states import _purified
 
@@ -35,6 +35,11 @@ from test_markov import random_components
 from test_witness import recompute_objective
 
 FAST = EstimateConfig(restarts=6, max_iters=300, seed=0)
+
+
+def fast_objective(rho, psi_arr, ext, k):
+    """``nmf._fast_objective`` with the state term ``estimate`` gives it."""
+    return nmf._fast_objective(rho, psi_arr, ext, k, nmf._state_term(rho))
 
 
 def steering_isometry(rank, ext, k, rng):
@@ -57,7 +62,7 @@ def test_fast_objective_matches_dense_oracle(ext, extra_k):
         rank = psi.layout.register("__ref__").dim
         k = rank + extra_k
         w_mat = steering_isometry(rank, ext, k, rng)
-        fast_f = _fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, k)
+        fast_f = fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, k)
         fast = fast_f.value_and_grad(w_mat)[0]
         witness = witness_from_isometry(rho, w_mat, ext, k)
         assert witness.k == rank  # an empty flag slot is pruned
@@ -92,7 +97,7 @@ def test_gradient_matches_dense_oracle(ext):
         rho = sample("density_hs", (2, 2, 2), rng, rank=3)
         psi = purify(rho, "__ref__")
         rank = psi.layout.register("__ref__").dim
-        fast = _fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, rank)
+        fast = fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, rank)
         w_mat = random_isometry(rank, math.prod(ext) * rank, rng)
 
         def oracle(w):
@@ -128,7 +133,7 @@ def test_gradient_value_matches_numpy_oracle_on_near_pure_members(ext):
     rho = zoo("ghz_diag")
     psi = purify(rho, "__ref__")
     rank = psi.layout.register("__ref__").dim
-    fast = _fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, rank)
+    fast = fast_objective(rho, psi.amplitudes.reshape(rho.dim, rank), ext, rank)
     rng = np.random.default_rng(43)
     cap = math.prod(ext) * rank
     for t in (0.0, 1e-7, 1e-6, 1e-5, 1e-3):
@@ -499,18 +504,37 @@ class TestRoundLoop:
         psi_arr, rank = _purified(rho)
         assert rank == 3
         for k in (3, 5):
-            assert nmf._admission(_fast_objective(rho, psi_arr, (2, 2, 2), k)) == (3, 8 * k)
+            assert nmf._admission(fast_objective(rho, psi_arr, (2, 2, 2), k)) == (3, 8 * k)
         omega = partial_trace(rho, ("A", "B"))
         psi_ab, rank_ab = _purified(omega)
         for e_prime, k in ((1, 4), (2, 4), (3, 5)):
             fast = _fast_esqc_objective(omega, psi_ab, e_prime, k)
             assert nmf._admission(fast) == (rank_ab, e_prime * k)
         with pytest.raises(DimensionTooSmall, match="capacity 2 below rank 3"):
-            nmf._admission(_fast_objective(rho, psi_arr, (1, 1, 1), 2))
+            nmf._admission(fast_objective(rho, psi_arr, (1, 1, 1), 2))
         # (2,2,2) at k = 3: capacity 24, realized 8 * 24 = 192.
         monkeypatch.setenv("NMK_DIM_BUDGET", "191")
         with pytest.raises(BudgetExceeded, match="realized dimension 192 exceeds"):
-            nmf._admission(_fast_objective(rho, psi_arr, (2, 2, 2), 3))
+            nmf._admission(fast_objective(rho, psi_arr, (2, 2, 2), 3))
+
+    def test_capacity_below_rank_is_one_test_with_one_message(self):
+        # Round admission and the public witness constructor refuse the
+        # same capacity with the same message.
+        rho = zoo("hs_random", {"dims": [2, 2, 2]}, seed=1)
+        assert _purified(rho)[1] == 8
+        with pytest.raises(DimensionTooSmall) as searched:
+            estimate(rho, EstimateConfig(k=1, ext=(1, 1, 1), seed=1))
+        with pytest.raises(DimensionTooSmall) as built:
+            witness_from_isometry(rho, np.eye(1, 8), (1, 1, 1), 1)
+        assert str(searched.value) == str(built.value) == "extension capacity 1 below rank 8"
+
+    def test_state_term_is_computed_once_per_estimate(self, monkeypatch):
+        calls = []
+        real = nmf.entropy
+        monkeypatch.setattr(nmf, "entropy", lambda *a: calls.append(a) or real(*a))
+        est = estimate(zoo("bell_e0"), EstimateConfig(seed=1))
+        assert est.notes["rounds"] == []  # certified by a baseline: no round runs
+        assert len(calls) == 2  # S(ABE) and S(E), for both rounds
 
     @pytest.mark.parametrize("search", ["nmf", "esqc"])
     def test_certified_agrees_with_the_notes_at_tol_zero(self, search):
@@ -531,7 +555,7 @@ class TestRoundLoop:
         config = EstimateConfig(tol=tol)
         start = (lower + tol + excess, "start", None)
         upper, _, trace, notes = nmf._run_rounds([], config, lower, start, 1.0, None)
-        est = nmf.NmfEstimate(lower, upper, None, tuple(trace), config.to_dict(), notes)
+        est = nmf.NmfEstimate(lower, upper, None, tuple(trace), asdict(config), notes)
         assert est.certified is certified
         assert notes["uncertified"] is not certified
         assert notes["rounds"] == [] and trace == []

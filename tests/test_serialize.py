@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from nmk.errors import BadParams, DimensionMismatch, InvariantViolation
 from nmk.serialize import (
     components_from_json,
     components_to_json,
+    jsonable,
     script_from_json,
     script_to_json,
     state_from_json,
@@ -123,3 +125,37 @@ def test_witness_reader_wraps_malformed_payloads(mutate):
     mutate(payload)
     with pytest.raises(BadParams):
         witness_from_json(payload)
+
+
+def test_jsonable_turns_numpy_booleans_into_booleans():
+    assert jsonable(np.True_) is True and jsonable(np.False_) is False
+    assert jsonable({"ok": np.bool_(False), "n": np.int64(3)}) == {"ok": False, "n": 3}
+
+
+@dataclass(frozen=True)
+class _Inner:
+    flag: np.bool_
+    values: tuple
+
+
+@dataclass
+class _Record:
+    name: str
+    inner: _Inner
+    rows: list = field(default_factory=list)
+
+    @property
+    def derived(self):
+        return "not a field"
+
+
+def test_jsonable_emits_a_dataclass_as_its_fields():
+    record = _Record("r", _Inner(np.True_, (np.float64(0.5), 2)), [_Inner(np.False_, ())])
+    assert jsonable(record) == {
+        "name": "r",
+        "inner": {"flag": True, "values": [0.5, 2]},
+        "rows": [{"flag": False, "values": []}],
+    }
+    assert json.loads(json.dumps(jsonable({"record": record}))) == {"record": jsonable(record)}
+    # A class is not a record: it falls through to its string form.
+    assert jsonable(_Record) == str(_Record)

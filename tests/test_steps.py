@@ -405,4 +405,4 @@ class TestPropertySuites:
         serial = fuzz.fuzz_ssa(trials_222=12, trials_224=4, seed=5, jobs=1)
         threaded = fuzz.fuzz_ssa(trials_222=12, trials_224=4, seed=5, jobs=3)
         assert len(serial.failures) == 16
-        assert threaded.to_dict() == serial.to_dict()
+        assert threaded == serial
