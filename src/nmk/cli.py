@@ -28,6 +28,7 @@ from .errors import BadParams, BudgetExceeded, NmkError
 from .fuzz import SUITES
 from .markov import MarkovComponents, build_markov, markov_score
 from .nmf import EstimateConfig, estimate
+from .registers import require_integer
 from .serialize import (
     components_from_json,
     components_to_json,
@@ -46,11 +47,11 @@ from .zoo import ZooScript, catalog_names, manifest, parse_zoo_ref, zoo
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise BadParams(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BadParams(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -61,6 +62,8 @@ def load_ref(ref: str):
         seed = params.pop("seed", 0)
         return zoo(name, params, seed=seed)
     payload = _load_json(ref)
+    if not isinstance(payload, dict):
+        raise BadParams(f"{ref}: expected a JSON object, got {type(payload).__name__}")
     if "registers" in payload:
         return state_from_json(payload)
     if "entries" in payload:
@@ -350,22 +353,26 @@ def cmd_zoo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer_flag(name: str, text: str, low: int) -> int:
+    """The integer ``text`` spells, refused by ``require_integer`` (naming
+    ``name``) when it spells none or one below ``low``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return require_integer(name, value, low, argparse.ArgumentTypeError)
+
+
 def ext_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_integer_flag("ext", x, 1) for x in text.split(","))
 
 
 def seed_value(text: str) -> int:
-    seed = int(text)
-    if not seed >= 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
+    return _integer_flag("seed", text, 0)
 
 
 def trial_count(text: str) -> int:
-    trials = int(text)
-    if not trials >= 1:
-        raise argparse.ArgumentTypeError(f"trials must be an integer >= 1, got {trials}")
-    return trials
+    return _integer_flag("trials", text, 1)
 
 
 def _common(p, seeded=True) -> None:

@@ -216,9 +216,9 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     # S(A) - S(AB) <= S(B) (Araki-Lieb), so the bound is at most the
     # singleton's value; the min only drops rounding on pure states.
     lower = min(_hashing_bound(omega), singleton)
-    e_prime = int(config.e_prime)
+    e_prime = config.e_prime
     if config.k:
-        ladder = [(int(config.k), (config.seed,), config.restarts)]
+        ladder = [(config.k, (config.seed,), config.restarts)]
     else:
         ladder = [
             (rank, (config.seed,), config.restarts),

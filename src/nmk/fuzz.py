@@ -36,7 +36,7 @@ from .errors import BadRange
 from .markov import build_markov
 from .nmf import EstimateConfig, estimate
 from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
-from .registers import Party, Register, is_integer, layout
+from .registers import Party, Register, layout, require_integer
 from .serialize import state_to_json, step_to_json
 from .states import Block, BlockState, ChannelMap, ClassicalVar, DensityState
 from .steps import ACTOR, RECEIVERS, Scenario, Step, StepKind, apply_step
@@ -83,9 +83,7 @@ def _require_counts(**counts) -> None:
     """Refuse, naming it, a count that is not an integer (a bool is not
     one) of at least 1, or of at least 0 for the optional ones."""
     for name, value in counts.items():
-        low = 0 if name in ("trials_224", "mixture_probes") else 1
-        if not is_integer(value) or value < low:
-            raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
+        require_integer(name, value, 0 if name in ("trials_224", "mixture_probes") else 1, BadRange)
 
 
 # ---------------------------------------------------------------------------

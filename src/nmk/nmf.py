@@ -39,7 +39,7 @@ import numpy as np
 from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
-from .registers import Register, RegisterLayout, is_integer
+from .registers import Register, RegisterLayout, require_integer
 from .states import DensityState, _purified, _require_budget, member_value_and_grad
 from .witness import (
     Witness,
@@ -80,9 +80,8 @@ class SearchConfig:
     def __post_init__(self):
         minima = self.MINIMA if self.k is None else {"k": 1, **self.MINIMA}
         for name, low in minima.items():
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise BadRange(f"{name} must be an integer >= {low}, got {value!r}")
+            value = require_integer(name, getattr(self, name), low, BadRange)
+            object.__setattr__(self, name, value)
         tol = self.tol
         real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
         if not (real and math.isfinite(tol) and tol >= 0):
@@ -103,12 +102,12 @@ class EstimateConfig(SearchConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.ext is not None and (
-            not isinstance(self.ext, (tuple, list))
-            or len(self.ext) != 3
-            or not all(is_integer(x) and x >= 1 for x in self.ext)
-        ):
-            raise BadRange(f"ext must be three positive integers, got {self.ext!r}")
+        if self.ext is None:
+            return
+        if not isinstance(self.ext, (tuple, list)) or len(self.ext) != 3:
+            raise BadRange(f"ext must be three integers, got {self.ext!r}")
+        ext = tuple(require_integer("ext", x, 1, BadRange) for x in self.ext)
+        object.__setattr__(self, "ext", ext)
 
 
 @dataclass(frozen=True)
@@ -447,12 +446,12 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         check_witness(w, rho, tol=1e-7)
         candidates.append((objective(w), f"seed:{i}", w))
     psi_arr, rank = _purified(rho)
-    k = int(config.k) if config.k else rank
+    k = config.k or rank
     state_term = _state_term(rho)
     if config.ext is None:
         schedule = [(1, 1, 1), (2, 2, 2)]
     else:
-        schedule = [tuple(int(x) for x in config.ext)]
+        schedule = [config.ext]
     rounds = [
         _Round(
             {"ext": ext},

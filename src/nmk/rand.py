@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import BadDims
-from .registers import Party, Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout, require_integer
 from .states import DensityState, PureState, _require_budget
 
 DEFAULT_PARTIES = (Party.ALICE, Party.BOB, Party.EVE)
@@ -69,8 +69,8 @@ def random_density_matrix(dim: int, seed, rank: int | None = None) -> np.ndarray
     """Hilbert-Schmidt random density matrix (optionally rank-limited)."""
     if dim < 1:
         raise BadDims(f"density dim must be positive, got {dim}")
-    rank = dim if rank is None else rank
-    if rank < 1 or rank > dim:
+    rank = dim if rank is None else require_integer("rank", rank, 1)
+    if rank > dim:
         raise BadDims(f"rank must be in [1, {dim}], got {rank}")
     rng = as_rng(seed)
     g = _gaussian_complex(rng, dim, rank)
@@ -83,7 +83,7 @@ def _default_layout(dims) -> RegisterLayout:
     for i, d in enumerate(dims):
         party = DEFAULT_PARTIES[i] if i < len(DEFAULT_PARTIES) else Party.EVE
         label = ("A", "B", "E")[i] if i < 3 else f"E{i - 2}"
-        regs.append(Register(label, int(d), party))
+        regs.append(Register(label, d, party))
     return RegisterLayout(tuple(regs))
 
 
@@ -100,18 +100,20 @@ def sample(kind: str, dims, seed, *, layout: RegisterLayout | None = None, rank=
     drawn.
     """
     rng = as_rng(seed)
-    if kind == "unitary":
-        d = int(dims if np.isscalar(dims) else math.prod(dims))
-        _require_budget(d)
-        return random_unitary(d, rng)
     if kind == "isometry":
         try:
-            in_dim, out_dim = (int(x) for x in dims)
+            in_dim, out_dim = dims
         except (TypeError, ValueError):
             raise BadDims("isometry dims must be a pair (in_dim, out_dim)") from None
+        in_dim = require_integer("in_dim", in_dim, 1)
+        out_dim = require_integer("out_dim", out_dim, 1)
         _require_budget(out_dim)
         return random_isometry(in_dim, out_dim, rng)
-    dims = tuple(int(d) for d in (dims if not np.isscalar(dims) else [dims]))
+    dims = tuple(require_integer("dims", d, 1) for d in ([dims] if np.isscalar(dims) else dims))
+    if kind == "unitary":
+        d = math.prod(dims)
+        _require_budget(d)
+        return random_unitary(d, rng)
     if not dims:
         raise BadDims("need at least one register dimension")
     lay = layout if layout is not None else _default_layout(dims)

@@ -5,6 +5,12 @@ significant everywhere: matrices are stored row-major in the big-endian
 register order of the layout (first register is the most significant
 index), which pins down one unambiguous convention for tensor products,
 partial traces and permutations.
+
+Every integer input to the package (a register dimension, an extension
+dimension, a flag size, a message size, a count) passes through one rule,
+:func:`require_integer`, where it enters: it must be an integer, not a
+bool, of at least a floor, or it is refused with an error that names it.
+No size is truncated on the way in.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadDims, DuplicateLabel, UnknownLabel
+from .errors import BadDims, BadParams, DuplicateLabel, UnknownLabel
 
 
 class Party(str, Enum):
@@ -28,6 +34,15 @@ def is_integer(value) -> bool:
     """Whether ``value`` is an integer (a numpy integer included) and not a
     bool, which Python counts as one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integer(name: str, value, low: int, error=BadDims) -> int:
+    """``value`` as an int, when it is an integer (``is_integer``) of at
+    least ``low``; anything else (a float, a string, a bool, infinity)
+    raises ``error`` naming ``name`` instead of being truncated."""
+    if not (is_integer(value) and value >= low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _coerce_party(party) -> Party:
@@ -45,11 +60,12 @@ class Register:
     party: Party
 
     def __post_init__(self):
+        if not (isinstance(self.label, str) and self.label):
+            raise BadParams(f"register label must be a non-empty string, got {self.label!r}")
         object.__setattr__(self, "party", _coerce_party(self.party))
-        if not is_integer(self.dim) or self.dim < 1:
-            raise BadDims(f"register {self.label!r} needs a positive integer dim, got {self.dim!r}")
         # A numpy integer is stored as an int, so layouts and JSON see one type.
-        object.__setattr__(self, "dim", int(self.dim))
+        dim = require_integer(f"register {self.label!r} dim", self.dim, 1)
+        object.__setattr__(self, "dim", dim)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""JSON codecs for states, components, scripts, witnesses and reports.
+"""JSON codecs for states, components, scripts and reports, and a writer
+for witnesses.
 
 Reports reach JSON through one rule, :func:`jsonable`: a record (a
 dataclass such as ``EntropyReport``, ``MarkovScore`` or ``CostLedger``)
@@ -27,7 +28,7 @@ from .markov import MarkovComponents, MarkovEntry
 from .registers import Party, Register, RegisterLayout
 from .states import ChannelMap, DensityState
 from .steps import Step, StepKind
-from .witness import Witness, WitnessGroups
+from .witness import Witness
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -50,7 +51,7 @@ def layout_to_json(layout: RegisterLayout) -> list:
 
 def layout_from_json(items) -> RegisterLayout:
     try:
-        regs = tuple(Register(it["label"], int(it["dim"]), it["party"]) for it in items)
+        regs = tuple(Register(it["label"], it["dim"], it["party"]) for it in items)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed register list: {exc}") from exc
     return RegisterLayout(regs)
@@ -96,20 +97,6 @@ def witness_to_json(w: Witness) -> dict:
         "ext_dims": w.ext_dims,
         "flag_is_classical": True,
     }
-
-
-def witness_from_json(d: dict) -> Witness:
-    try:
-        g = d["groups"]
-        groups = WitnessGroups(**{f.name: tuple(g[f.name]) for f in fields(WitnessGroups)})
-        weights = tuple(float(p) for p in d["weights"])
-        members = [matrix_from_json(m) for m in d["members"]]
-        lay = layout_from_json(d["registers"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadParams(f"malformed witness payload: {exc}") from exc
-    if d.get("k_label", Witness.k_label) != Witness.k_label:
-        raise BadParams(f"k_label must be {Witness.k_label!r}, got {d['k_label']!r}")
-    return Witness(lay, groups, weights, members)
 
 
 def channel_to_json(c: ChannelMap) -> dict:

@@ -50,7 +50,7 @@ from .errors import (
     IrreversibleEveOp,
     UnknownLabel,
 )
-from .registers import Party, Register, RegisterLayout, is_integer
+from .registers import Party, Register, RegisterLayout, require_integer
 from .states import BlockState, ChannelMap, DensityState
 
 
@@ -420,14 +420,6 @@ class DilutionConversion:
     conversion_bound: float
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; anything but an integer (a bool included) is
-    rejected, not rounded."""
-    if not is_integer(value):
-        raise BadMu(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
     """Quantum bits per message round: log2(ceil(sqrt(mu^l))).
 
@@ -435,12 +427,10 @@ def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
     round costs at least one classical bit); the total never exceeds
     (l/2 + 1) times the classical downward cost sum(log2 mu).
     """
-    mu = [_integer(m, "message size") for m in mu]
-    if not mu or any(m < 2 for m in mu):
-        raise BadMu(f"every message size must be an integer >= 2, got {mu}")
-    l = _integer(l, "copy count l")
-    if l < 1:
-        raise BadMu(f"copy count l must be a positive integer, got {l}")
+    mu = [require_integer("message size", m, 2, BadMu) for m in mu]
+    if not mu:
+        raise BadMu("need at least one message size")
+    l = require_integer("copy count l", l, 1, BadMu)
     per = []
     for m in mu:
         n = m**l

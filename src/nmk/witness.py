@@ -44,7 +44,7 @@ from .errors import (
     UnknownLabel,
 )
 from .markov import INDEX_LABEL, MarkovComponents, _block_layouts
-from .registers import Party, Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout, require_integer
 from .states import (
     PRUNE_TOL,
     Block,
@@ -276,10 +276,8 @@ def witness_from_isometry(
     A' (x) B' (x) E' (x) K; slicing the K index after dephasing yields the
     ensemble members, checked to reduce to ``rho`` within 1e-8.
     """
-    ap, bp, ep = (int(x) for x in ext_dims)
-    k = int(k)
-    if min(ap, bp, ep, k) < 1:
-        raise DimensionTooSmall("extension dimensions must be positive")
+    ap, bp, ep = (require_integer("ext_dims", x, 1, DimensionTooSmall) for x in ext_dims)
+    k = require_integer("k", k, 1, DimensionTooSmall)
     lay, groups = _steered_layout(rho, (ap, bp, ep))
     psi_arr, rank = _purified(rho)
     _require_capacity(ap * bp * ep * k, rank)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BadParams, UnknownName
 from .markov import MarkovComponents, MarkovEntry
 from .rand import as_rng, sample
-from .registers import RegisterLayout, is_integer, layout
+from .registers import RegisterLayout, layout, require_integer
 from .states import ChannelMap, DensityState, tensor
 from .steps import Scenario, Step
 
@@ -89,29 +89,20 @@ def _classical_corr_e0(_params, _seed) -> DensityState:
     return tensor(ab, e)
 
 
-def _integer(params, key: str) -> int:
-    """``params[key]`` as an int.  A value that is no integer (a float, a
-    string, a blank) raises BadParams naming the parameter instead of
-    being truncated."""
-    if not is_integer(params[key]):
-        raise BadParams(f"{key} must be an integer, got {params[key]!r}")
-    return int(params[key])
-
-
-def _integers(params, key: str) -> tuple[int, ...]:
-    """``params[key]``, a list of integers, as a tuple of ints."""
-    value = params[key]
-    if not isinstance(value, (list, tuple)) or not all(map(is_integer, value)):
-        raise BadParams(f"{key} must be a list of integers, got {value!r}")
-    return tuple(int(v) for v in value)
+def _dims(params) -> tuple[int, ...]:
+    """``params["dims"]``, a list of integers, as a tuple of ints."""
+    dims = params["dims"]
+    if not isinstance(dims, (list, tuple)):
+        raise BadParams(f"dims must be a list of integers, got {dims!r}")
+    return tuple(require_integer("dims", d, 1, BadParams) for d in dims)
 
 
 def _markov_random(params, seed) -> MarkovComponents:
     rng = as_rng(seed)
-    n = _integer(params, "entries")
-    if n < 1:
-        raise BadParams("entries must be >= 1")
-    d_a, d_b, d_el, d_er = (_integer(params, key) for key in ("d_a", "d_b", "d_el", "d_er"))
+    n, d_a, d_b, d_el, d_er = (
+        require_integer(key, params[key], 1, BadParams)
+        for key in ("entries", "d_a", "d_b", "d_el", "d_er")
+    )
     probs = rng.dirichlet(np.ones(n))
     sig_lay = layout(("A", d_a, "alice"), ("EL", d_el, "eve"))
     tau_lay = layout(("B", d_b, "bob"), ("ER", d_er, "eve"))
@@ -124,12 +115,13 @@ def _markov_random(params, seed) -> MarkovComponents:
 
 
 def _hs_random(params, seed) -> DensityState:
-    rank = None if params.get("rank") is None else _integer(params, "rank")
-    return sample("density_hs", _integers(params, "dims"), seed, rank=rank)
+    rank = params.get("rank")
+    rank = None if rank is None else require_integer("rank", rank, 1, BadParams)
+    return sample("density_hs", _dims(params), seed, rank=rank)
 
 
 def _pure_random(params, seed) -> DensityState:
-    return sample("pure", _integers(params, "dims"), seed).to_density()
+    return sample("pure", _dims(params), seed).to_density()
 
 
 def _script_irreversible_e() -> ZooScript:

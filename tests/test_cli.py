@@ -447,6 +447,33 @@ class TestReaderRobustness:
         proc = run_cli("script", str(script), "zoo:ghz_diag")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("label", [7, None, False, ""], ids=repr)
+    @pytest.mark.parametrize("command", ["analyze", "nmf"])
+    def test_bad_register_label_exits_2(self, tmp_path, capsys, command, label):
+        from nmk import cli
+
+        payload = state_to_json(zoo("ghz_diag"))
+        payload["registers"][0]["label"] = label
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"register label must be a non-empty string, got {label!r}" in err
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [(b"5", "expected a JSON object, got int"), (b'{"registers": "\xff"}', "not valid JSON")],
+        ids=["number", "not_utf8"],
+    )
+    def test_unreadable_payload_exits_2(self, tmp_path, capsys, content, named):
+        from nmk import cli
+
+        path = tmp_path / "payload.json"
+        path.write_bytes(content)
+        assert cli.main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and named in captured.err
+
     def test_trace_decreasing_channel_names_unit_trace(self, tmp_path):
         # A declared non-trace-preserving channel is accepted as a map, but
         # its output fails the state check at the channel step.
@@ -555,6 +582,20 @@ class TestBadRanges:
         assert "error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("nmf", "zoo:bell_e0", "--seed", "abc"), "seed must be an integer >= 0, got 'abc'"),
+            (("fuzz", "ssa", "--trials", "2.5"), "trials must be an integer >= 1, got '2.5'"),
+            (("nmf", "zoo:bell_e0", "--ext", "1,x,1"), "ext must be an integer >= 1, got 'x'"),
+        ],
+        ids=["seed", "trials", "ext"],
+    )
+    def test_non_integer_flag_says_what_it_needs(self, args, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert f"argument {args[-2]}: {message}" in proc.stderr
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_trials_below_one_names_the_flag(self, value):
         proc = run_cli("fuzz", "ssa", "--trials", value, "--seed", "1")
@@ -632,7 +673,7 @@ class TestNegativeSeed:
     def test_rejected_at_parse_time(self, args):
         proc = run_cli(*args, "--seed", "-1")
         assert proc.returncode == 2, proc.stderr
-        assert "seed must be a nonnegative integer" in proc.stderr
+        assert "argument --seed: seed must be an integer >= 0, got -1" in proc.stderr
 
 
 class TestBudgetSetting:

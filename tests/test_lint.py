@@ -11,12 +11,14 @@ raises is written ``if err > tol``, ``if p < -TOL``, ``if total > bound +
 inside ``registers.is_integer``, the one integer test, which refuses the
 bools that ``numbers.Integral`` admits; nor is an integer tested with a bare
 ``isinstance(x, int)``, which admits bools and refuses numpy integers (a
-tuple of types, as in a type dispatch, is allowed).  No ``.dim`` is
-compared with an integer literal above 1: sizes are capped only through
-the budget helpers of ``states`` (``dim < 1`` checks stay).  Every module-level
-private name (one leading underscore, not a dunder) is read by some module
-of the package, so that a deletion leaves no orphaned helper behind.  No
-class defines ``to_dict``: a record reaches JSON through
+tuple of types, as in a type dispatch, is allowed).  No module but
+``registers`` and ``states`` imports ``is_integer``: an integer input is
+checked with ``registers.require_integer``, which refuses it naming it.
+No ``.dim`` is compared with an integer literal above 1: sizes are capped
+only through the budget helpers of ``states`` (``dim < 1`` checks stay).
+Every module-level private name (one leading underscore, not a dunder) is
+read by some module of the package, so that a deletion leaves no orphaned
+helper behind.  No class defines ``to_dict``: a record reaches JSON through
 ``serialize.jsonable``, which emits its dataclass fields.
 """
 
@@ -136,12 +138,22 @@ def _size_caps(tree):
     return sorted(lines)
 
 
-def lint(source: str, exempt_unused: bool = False) -> list[str]:
+def _is_integer_imports(tree):
+    """The line numbers of imports that bind ``is_integer``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "is_integer" for a in node.names)
+    )
+
+
+def lint(source: str, exempt_unused: bool = False, tests_integers: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
     statements, tolerance gates that a NaN passes, integer tests that
-    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), size
-    caps that bypass the budget and ``to_dict`` methods."""
+    bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), imports
+    of ``is_integer`` unless ``tests_integers``, size caps that bypass the
+    budget and ``to_dict`` methods."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -151,6 +163,11 @@ def lint(source: str, exempt_unused: bool = False) -> list[str]:
         f"line {lineno}: isinstance(x, int) outside is_integer(), which admits bools "
         "and refuses numpy integers"
         for lineno in _bare_int_checks(tree)
+    ]
+    problems += [
+        f"line {lineno}: is_integer imported; check an integer input with "
+        "registers.require_integer"
+        for lineno in ([] if tests_integers else _is_integer_imports(tree))
     ]
     problems += [
         f"line {lineno}: .dim compared with a literal size; cap sizes with the budget"
@@ -256,9 +273,19 @@ def test_lint_catches_orphaned_private_names():
     ]
 
 
+#: The modules that test integers themselves: ``registers`` defines the test
+#: and ``require_integer``; ``states.BlockState`` bounds its values above too.
+INTEGER_TESTERS = {"registers.py", "states.py"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports(path):
-    assert lint(path.read_text(), exempt_unused=path.name == "__init__.py") == []
+    problems = lint(
+        path.read_text(),
+        exempt_unused=path.name == "__init__.py",
+        tests_integers=path.name in INTEGER_TESTERS,
+    )
+    assert problems == []
 
 
 def test_lint_catches_unused_and_local_imports():
@@ -316,6 +343,19 @@ def test_lint_catches_bare_int_checks():
         "line 4: isinstance(x, int) outside is_integer(), which admits bools "
         "and refuses numpy integers",
     ]
+
+
+def test_lint_catches_is_integer_imports():
+    source = (
+        "from .registers import Register, is_integer\n"
+        "from nmk.registers import is_integer as integral\n"
+        "from .registers import require_integer\n"
+        "def f(n):\n"
+        "    return is_integer(n) and integral(n) and require_integer('n', n, 1) and Register\n"
+    )
+    message = "is_integer imported; check an integer input with registers.require_integer"
+    assert lint(source) == [f"line 1: {message}", f"line 2: {message}"]
+    assert lint(source, tests_integers=True) == []
 
 
 def test_lint_catches_nan_blind_gates():

@@ -1,5 +1,5 @@
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import pytest
@@ -10,13 +10,16 @@ from nmk.serialize import (
     components_from_json,
     components_to_json,
     jsonable,
+    layout_from_json,
+    layout_to_json,
+    matrix_from_json,
     script_from_json,
     script_to_json,
     state_from_json,
     state_to_json,
-    witness_from_json,
     witness_to_json,
 )
+from nmk.witness import Witness, WitnessGroups
 from nmk.zoo import zoo as build_zoo
 
 from test_markov import random_components
@@ -69,10 +72,35 @@ def test_script_roundtrip_with_channels():
         )
 
 
+def _rebuilt(payload) -> Witness:
+    """The witness a ``witness_to_json`` payload describes, read back from
+    its keys here: the package writes witnesses but has no reader for them."""
+    return Witness(
+        layout_from_json(payload["registers"]),
+        WitnessGroups(**{role: tuple(group) for role, group in payload["groups"].items()}),
+        payload["weights"],
+        [matrix_from_json(m) for m in payload["members"]],
+    )
+
+
+def test_witness_writer_pins_keys_and_member_stack():
+    _, w = random_witness(5, ext=(2, 1, 1), k=3)
+    payload = json.loads(json.dumps(witness_to_json(w)))
+    assert sorted(payload) == [
+        "ext_dims", "flag_is_classical", "groups", "k_label", "members", "registers", "weights"
+    ]
+    assert payload["registers"] == layout_to_json(w.layout)
+    assert payload["groups"] == {role: list(g) for role, g in asdict(w.groups).items()}
+    assert payload["weights"] == list(w.weights)
+    assert payload["ext_dims"] == {"a_prime": 2, "b_prime": 1, "e_prime": 1, "k": 3}
+    stack = np.stack([matrix_from_json(m) for m in payload["members"]])
+    np.testing.assert_array_equal(stack, w.members)
+
+
 def test_witness_roundtrip_preserves_objective():
     _, w = random_witness(5, ext=(2, 1, 1), k=3)
     payload = json.loads(json.dumps(witness_to_json(w)))
-    back = witness_from_json(payload)
+    back = _rebuilt(payload)
     assert abs(objective(back) - objective(w)) < 1e-12
     assert payload["flag_is_classical"] is True
 
@@ -82,7 +110,7 @@ def test_baseline_witness_roundtrip_with_empty_groups():
 
     rho = sample("density_hs", (2, 2, 2), 9, rank=2)
     w = baseline_witnesses(rho)[0]
-    back = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+    back = _rebuilt(json.loads(json.dumps(witness_to_json(w))))
     assert back.groups.a_prime == () and back.groups.b_prime == ("B'",)
     assert abs(objective(back) - objective(w)) < 1e-12
 
@@ -93,38 +121,14 @@ def test_witness_reader_rejects_ragged_members():
     for part in ("re", "im"):
         del payload["members"][1][part][-1]
     with pytest.raises(DimensionMismatch):
-        witness_from_json(payload)
+        _rebuilt(payload)
 
 
 def test_witness_flag_label_is_k():
     _, w = random_witness(6, ext=(2, 1, 1), k=3)
     payload = json.loads(json.dumps(witness_to_json(w)))
     assert payload["k_label"] == "K"
-    del payload["k_label"]
-    assert witness_from_json(payload).realized().layout.labels[-1] == "K"
-    payload["k_label"] = "Q"
-    with pytest.raises(BadParams, match="k_label"):
-        witness_from_json(payload)
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.pop("groups"),
-        lambda d: d["groups"].pop("e"),
-        lambda d: d.pop("weights"),
-        lambda d: d.pop("members"),
-        lambda d: d["members"][0].pop("im"),
-        lambda d: d.__setitem__("weights", ["heavy"]),
-        lambda d: d["registers"][0].pop("dim"),
-    ],
-)
-def test_witness_reader_wraps_malformed_payloads(mutate):
-    _, w = random_witness(6, ext=(2, 1, 1), k=3)
-    payload = json.loads(json.dumps(witness_to_json(w)))
-    mutate(payload)
-    with pytest.raises(BadParams):
-        witness_from_json(payload)
+    assert _rebuilt(payload).realized().layout.labels[-1] == "K"
 
 
 def test_jsonable_turns_numpy_booleans_into_booleans():
