@@ -19,6 +19,7 @@ import secrets
 import sys
 import time
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -51,16 +52,14 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise BadParams(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
         raise BadParams(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_ref(ref: str):
     """Resolve a state/components/script reference: a zoo URI or a file."""
     if ref.startswith("zoo:"):
-        name, params = parse_zoo_ref(ref)
-        seed = params.pop("seed", 0)
-        return zoo(name, params, seed=seed)
+        return zoo(*parse_zoo_ref(ref))
     payload = _load_json(ref)
     if not isinstance(payload, dict):
         raise BadParams(f"{ref}: expected a JSON object, got {type(payload).__name__}")
@@ -153,12 +152,9 @@ def _markov_section(score) -> dict:
 
 
 def _partition_args(args, state):
-    if args.alice or args.bob or args.eve:
-        return (
-            tuple((args.alice or "").split(",")) if args.alice else (),
-            tuple((args.bob or "").split(",")) if args.bob else (),
-            tuple((args.eve or "").split(",")) if args.eve else (),
-        )
+    groups = (args.alice, args.bob, args.eve)
+    if any(groups):
+        return tuple(tuple(g.split(",")) if g else () for g in groups)
     return party_partition(state)
 
 
@@ -367,31 +363,25 @@ def ext_dims(text: str) -> tuple[int, ...]:
     return tuple(_integer_flag("ext", x, 1) for x in text.split(","))
 
 
-def seed_value(text: str) -> int:
-    return _integer_flag("seed", text, 0)
-
-
-def trial_count(text: str) -> int:
-    return _integer_flag("trials", text, 1)
-
-
 def _common(p, seeded=True) -> None:
     p.add_argument("--csv", help="also write flattened numeric results to this CSV file")
     if seeded:
-        p.add_argument("--seed", type=seed_value, default=None)
+        p.add_argument("--seed", type=partial(_integer_flag, "seed", low=0), default=None)
 
 
 def _search_parser(sub, name: str, config_cls, summary: str) -> argparse.ArgumentParser:
-    """A subcommand running the restart search, with the flags of every
-    ``SearchConfig`` field but ``seed`` (which ``--seed`` gives), defaulting
-    to ``config_cls``'s values."""
+    """A subcommand running the restart search: one flag per field of
+    ``config_cls`` but ``seed`` (which ``--seed`` gives), with the field's
+    name, default and ``help``; an integer field's floor is its ``MINIMA``."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("state")
-    p.add_argument("--k", type=int, default=config_cls.k)
-    p.add_argument("--restarts", type=int, default=config_cls.restarts)
-    p.add_argument("--max-iters", type=int, default=config_cls.max_iters)
-    p.add_argument("--tol", type=float, default=config_cls.tol)
-    p.add_argument("--jobs", type=int, default=config_cls.jobs)
+    minima = {"k": 1, **config_cls.MINIMA}
+    for f in fields(config_cls):
+        if f.name != "seed":
+            parse = {"tol": float, "ext": ext_dims}.get(f.name)
+            parse = parse or partial(_integer_flag, f.name, low=minima[f.name])
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=parse, default=f.default, help=f.metadata.get("help"))
     _common(p)
     return p
 
@@ -423,18 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = _search_parser(sub, "nmf", EstimateConfig, "bracket the formation measure of a state")
-    p.add_argument(
-        "--ext",
-        default=EstimateConfig.ext,
-        type=ext_dims,
-        help="extension dims a',b',e' of the one round to run (default: 1,1,1 then 2,2,2)",
-    )
     p.set_defaults(func=cmd_nmf)
 
     p = _search_parser(
         sub, "esqc", EsqcConfig, "bracket the ensemble entanglement of a bipartite state"
     )
-    p.add_argument("--e-prime", type=int, default=EsqcConfig.e_prime)
     p.add_argument("--crosscheck", action="store_true", help="also run the extension crosscheck")
     p.set_defaults(func=cmd_esqc)
 
@@ -453,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a randomized property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=trial_count, default=300)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trials", type=partial(_integer_flag, "trials", low=1), default=300)
+    p.add_argument("--jobs", type=partial(_integer_flag, "jobs", low=1), default=1)
     p.add_argument("--counterexample-dir", default=".")
     _common(p)
     p.set_defaults(func=cmd_fuzz)

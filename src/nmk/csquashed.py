@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .entropy import entropy, mutual_info
+from .entropy import entropy, mutual_info, party_partition
 from .errors import BadEnsemble
 from .nmf import (
     Bracket,
@@ -136,8 +136,7 @@ def esqc_objective(weights, states) -> float:
     if not (all(p >= -1e-10 for p in weights) and abs(sum(weights) - 1.0) <= 1e-10):
         raise BadEnsemble(f"weights must be nonnegative and sum to 1, got {sum(weights)}")
     lay = states[0].layout
-    a = lay.party_labels(Party.ALICE)
-    b = lay.party_labels(Party.BOB)
+    a, b, _ = party_partition(states[0])
     if not a or not b:
         raise BadEnsemble("ensemble states need alice- and bob-tagged registers")
     total = 0.0
@@ -164,9 +163,8 @@ def _fast_esqc_objective(omega: DensityState, psi_arr, e_prime: int, k: int):
     steering isometry, for ``omega`` on Alice's and Bob's registers only:
     a member is pure on AB E', so S(AB) = S(E'), the smaller side."""
     lay = omega.layout
-    a_axes = sorted(lay.index(lbl) for lbl in lay.party_labels(Party.ALICE))
-    b_axes = sorted(lay.index(lbl) for lbl in lay.party_labels(Party.BOB))
-    signed_groups = ((a_axes, 1.0), (b_axes, 1.0), ([len(lay)], -1.0))
+    a, b, _ = party_partition(omega)
+    signed_groups = ((lay.positions(a), 1.0), (lay.positions(b), 1.0), ([len(lay)], -1.0))
     return _MemberObjective(psi_arr, lay.dims + (e_prime,), k, signed_groups)
 
 
@@ -179,10 +177,18 @@ def _members_from_matrix(omega, psi_arr, w_matrix, e_prime, k):
 def _hashing_bound(omega: DensityState) -> float:
     """The lower bound max(0, S(A) - S(AB), S(B) - S(AB)) of the c-squashed
     entanglement of ``omega``, a state on Alice's and Bob's registers only."""
-    a = omega.layout.party_labels(Party.ALICE)
-    b = omega.layout.party_labels(Party.BOB)
+    a, b, _ = party_partition(omega)
     s_ab = entropy(omega)
     return max(0.0, entropy(omega, a) - s_ab, entropy(omega, b) - s_ab)
+
+
+def _ab_marginal(omega: DensityState) -> DensityState:
+    """``omega`` on Alice's and Bob's registers, Eve's traced out: the state
+    both ensemble routines measure.  Refused unless both have a register."""
+    a, b, _ = party_partition(omega)
+    if not a or not b:
+        raise BadEnsemble("the state needs alice- and bob-tagged registers")
+    return omega if len(a) + len(b) == len(omega.layout) else partial_trace(omega, a + b)
 
 
 def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> EsqcEstimate:
@@ -202,13 +208,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     (restarts that ended below the singleton) and ``grad_norm``.
     """
     config = config or EsqcConfig()
-    a = omega.layout.party_labels(Party.ALICE)
-    b = omega.layout.party_labels(Party.BOB)
-    if not a or not b:
-        raise BadEnsemble("the state needs alice- and bob-tagged registers")
-    if len(a) + len(b) != len(omega.layout):
-        # The measure is of the AB marginal; drop Eve's side.
-        omega = partial_trace(omega, a + b)
+    omega = _ab_marginal(omega)
     psi_arr, rank = _purified(omega)
     # The singleton, as the one member its purification is.
     singleton_ens = ((1.0,), PureMemberEnsemble(omega.layout, psi_arr.reshape(1, -1)))
@@ -273,10 +273,7 @@ def extension_crosscheck(
     nmf_config = EstimateConfig(
         restarts=8, max_iters=400, seed=esqc_config.seed, tol=esqc_config.tol
     )
-    a = omega.layout.party_labels(Party.ALICE)
-    b = omega.layout.party_labels(Party.BOB)
-    if len(a) + len(b) != len(omega.layout):
-        omega = partial_trace(omega, a + b)
+    omega = _ab_marginal(omega)
     ens_est = estimate_esqc(omega, esqc_config)
 
     e_label = "E"

@@ -76,10 +76,13 @@ def mutual_info(state: DensityState | BlockState, x, y) -> float:
     return entropy(state, x) + entropy(state, y) - entropy(state, x + y)
 
 
-def _as_groups(a, b, e):
-    a = (a,) if isinstance(a, str) else tuple(a)
-    b = (b,) if isinstance(b, str) else tuple(b)
-    e = (e,) if isinstance(e, str) else tuple(e)
+def _as_groups(state, a, b, e):
+    """The groups ``a``, ``b``, ``e`` as label tuples (a string is one
+    label), refused when they overlap; the state's ``party_partition`` when
+    none is given."""
+    if a is None and b is None and e is None:
+        return party_partition(state)
+    a, b, e = ((g,) if isinstance(g, str) else tuple(g) for g in (a, b, e))
     if (set(a) & set(b)) or (set(a) & set(e)) or (set(b) & set(e)):
         raise OverlappingPartition(f"partition groups overlap: {a}, {b}, {e}")
     return a, b, e
@@ -88,7 +91,7 @@ def _as_groups(a, b, e):
 def cqmi(state: DensityState | BlockState, a, b, e) -> float:
     """I(A:B|E) = S(AE) + S(BE) - S(ABE) - S(E); registers outside the
     partition are traced out.  E may be empty."""
-    a, b, e = _as_groups(a, b, e)
+    a, b, e = _as_groups(state, a, b, e)
     if not a or not b:
         return 0.0
     s_abe = entropy(state, a + b + e)
@@ -103,19 +106,14 @@ def nonmarkovianity(state: DensityState | BlockState, a=None, b=None, e=None) ->
 
     With no explicit partition, the register party tags define the groups.
     """
-    if a is None and b is None and e is None:
-        a, b, e = party_partition(state)
     return 0.5 * cqmi(state, a, b, e)
 
 
 def party_partition(state: DensityState | BlockState):
-    """(alice, bob, eve) label groups from the layout's party tags."""
-    lay = state.layout
-    return (
-        lay.party_labels("alice"),
-        lay.party_labels("bob"),
-        lay.party_labels("eve"),
-    )
+    """(alice, bob, eve) label groups from the layout's party tags: the one
+    reader of a state's party groups (``witness._party_groups`` is its
+    checked form)."""
+    return tuple(state.layout.party_labels(p) for p in ("alice", "bob", "eve"))
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,7 @@ class EntropyReport:
 def entropy_report(state: DensityState | BlockState, a=None, b=None, e=None) -> EntropyReport:
     """Entropies of the partition's marginals; each distinct one is
     diagonalized once, and registers outside the partition are traced out."""
-    if a is None and b is None and e is None:
-        a, b, e = party_partition(state)
-    a, b, e = _as_groups(a, b, e)
+    a, b, e = _as_groups(state, a, b, e)
     if not a + b + e:
         raise OverlappingPartition("the partition selects no registers")
     solved = functools.cache(lambda labels: entropy(state, labels) if labels else 0.0)

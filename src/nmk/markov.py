@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import cqmi, party_partition
+from .entropy import _as_groups, cqmi
 from .errors import BadProbabilities, BadRange, InconsistentDims
 from .registers import Party, Register, RegisterLayout, layout
 from .states import (
@@ -178,9 +178,7 @@ class MarkovScore:
 def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8) -> MarkovScore:
     if not (math.isfinite(tol) and tol >= 0):
         raise BadRange(f"tol must be finite and >= 0, got {tol!r}")
-    if a is None and b is None and e is None:
-        a, b, e = party_partition(state)
-    a, b, e = tuple(a), tuple(b), tuple(e)
+    a, b, e = _as_groups(state, a, b, e)
     value = cqmi(state, a, b, e)
     recovered, _ = petz_recover(state, a, b, e)
     axes = [state.layout.index(lbl) for lbl in a + b + e]

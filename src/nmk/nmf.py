@@ -98,7 +98,10 @@ class EstimateConfig(SearchConfig):
     budget.
     """
 
-    ext: tuple[int, int, int] | None = None
+    ext: tuple[int, int, int] | None = field(
+        default=None,
+        metadata={"help": "extension dims a',b',e' of the one round to run (default: 1,1,1 then 2,2,2)"},
+    )
 
     def __post_init__(self):
         super().__post_init__()

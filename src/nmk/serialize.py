@@ -10,8 +10,9 @@ State files carry the register list and the matrix split into real and
 imaginary parts, row-major in register order.  Readers re-validate every
 invariant; a violation surfaces as :class:`~nmk.errors.InvariantViolation`
 whose message names the failed invariant.  A malformed payload (a missing
-key, a wrong type, an unknown party) raises :class:`~nmk.errors.BadParams`
-naming the field.  A script step is read field by field through one table
+key, an unknown party, a wrong JSON type: a flag not ``true``/``false``, a
+weight or matrix entry not a number, a ragged matrix) raises
+:class:`~nmk.errors.BadParams` naming the field.  A script step is read field by field through one table
 of (encode, decode) pairs; the fields its kind needs (``steps.PAYLOAD``)
 are checked by :class:`~nmk.steps.Step` when it is built, as for a step
 built in Python.
@@ -36,11 +37,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
+def _boolean(name: str, value) -> bool:
+    """``value`` if it is JSON true or false; else BadParams naming ``name``."""
+    if not isinstance(value, bool):
+        raise BadParams(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float if it is a JSON number (not a bool); else BadParams naming ``name``."""
+    if type(value) not in (int, float):
+        raise BadParams(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
+    """The matrix of ``{"re": ..., "im": ...}``: nested lists of ``_real`` numbers of one shape."""
     try:
-        return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = (np.array(d[part], dtype=object) for part in ("re", "im"))
+        re, im = (
+            np.array([_real("matrix entry", x) for x in a.flat]).reshape(a.shape) for a in (re, im)
+        )
+    except (KeyError, OverflowError, RuntimeError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed matrix payload: {exc}") from exc
+    if not re.shape or re.shape != im.shape:
+        raise BadParams(f"malformed matrix payload: 're' has shape {re.shape}, 'im' {im.shape}")
+    return re + 1j * im
 
 
 def layout_to_json(layout: RegisterLayout) -> list:
@@ -79,7 +101,7 @@ def components_to_json(c: MarkovComponents) -> dict:
 def components_from_json(d: dict) -> MarkovComponents:
     try:
         entries = tuple(
-            MarkovEntry(float(it["p"]), state_from_json(it["sigma"]), state_from_json(it["tau"]))
+            MarkovEntry(_real("p", it["p"]), *map(state_from_json, (it["sigma"], it["tau"])))
             for it in d["entries"]
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -110,15 +132,13 @@ def channel_to_json(c: ChannelMap) -> dict:
 
 
 def channel_from_json(d: dict) -> ChannelMap:
-    inverse = None
-    if d.get("inverse"):
-        inverse = ChannelMap(
-            tuple(matrix_from_json(k) for k in d["inverse"]["kraus"]), trace_preserving=False
-        )
+    inverse = d.get("inverse")
+    if inverse is not None:
+        inverse = ChannelMap(tuple(map(matrix_from_json, inverse["kraus"])), trace_preserving=False)
     return ChannelMap(
         tuple(matrix_from_json(k) for k in d["kraus"]),
         declared_inverse=inverse,
-        trace_preserving=bool(d.get("trace_preserving", True)),
+        trace_preserving=_boolean("trace_preserving", d.get("trace_preserving", True)),
     )
 
 
@@ -178,7 +198,7 @@ _STEP_FIELDS = {
     ),
     "msg_label": (str, _label),
     "sender": (lambda party: party.value, Party),
-    "bypass": (bool, bool),
+    "bypass": (bool, lambda value: _boolean("bypass", value)),
 }
 
 

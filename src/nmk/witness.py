@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .entropy import entropy_of_matrix
+from .entropy import entropy_of_matrix, party_partition
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -226,11 +226,10 @@ def check_witness(w: Witness, rho: DensityState, tol: float = 1e-9) -> float:
 
 
 def _party_groups(rho: DensityState):
-    lay = rho.layout
-    a = lay.party_labels(Party.ALICE)
-    b = lay.party_labels(Party.BOB)
-    e = lay.party_labels(Party.EVE)
-    if len(a) + len(b) + len(e) != len(lay):
+    """``party_partition(rho)``, with every register Alice's, Bob's or Eve's
+    and A and B nonempty."""
+    a, b, e = party_partition(rho)
+    if len(a) + len(b) + len(e) != len(rho.layout):
         raise UnknownLabel("every register must be tagged alice, bob or eve")
     if not a or not b:
         raise UnknownLabel("need at least one alice and one bob register")
@@ -301,7 +300,7 @@ def _purification_witness(state: DensityState, ref_label: str, role: str, ref_di
     register its party's role."""
     party = {"a_prime": Party.ALICE, "b_prime": Party.BOB, "e": Party.EVE}[role]
     psi = purify(state, ref_label, ref_dim=ref_dim, ref_party=party)
-    a, b, e = (state.layout.party_labels(p) for p in (Party.ALICE, Party.BOB, Party.EVE))
+    a, b, e = party_partition(state)
     groups = WitnessGroups(a, (), b, (), e, ())
     groups = replace(groups, **{role: getattr(groups, role) + (ref_label,)})
     return Witness(psi.layout, groups, (1.0,), psi.amplitudes[None])

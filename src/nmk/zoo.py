@@ -210,7 +210,8 @@ _BUILDERS = {
 
 def zoo(name: str, params: dict | None = None, seed=0):
     """Build a catalog entry; returns a DensityState, MarkovComponents or
-    ZooScript depending on the entry kind."""
+    ZooScript depending on the entry kind.  ``seed`` (or a ``seed``
+    parameter) is an integer >= 0 or a numpy ``Generator``."""
     entries = {e["name"]: e for e in manifest()["entries"]}
     if name not in entries:
         raise UnknownName(f"no zoo entry named {name!r}; have {sorted(entries)}")
@@ -222,6 +223,8 @@ def zoo(name: str, params: dict | None = None, seed=0):
         if key not in merged:
             raise BadParams(f"entry {name!r} takes no parameter {key!r}")
         merged[key] = value
+    if not isinstance(seed, np.random.Generator):
+        seed = require_integer("seed", seed, 0, BadParams)
     try:
         return _BUILDERS[name](merged, seed)
     except (ValueError, TypeError) as exc:

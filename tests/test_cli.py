@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import subprocess
 import sys
@@ -14,7 +15,13 @@ from nmk.entropy import EntropyReport
 from nmk.markov import MarkovScore
 from nmk.nmf import RestartRecord
 from nmk.registers import Register
-from nmk.serialize import components_to_json, layout_to_json, script_to_json, state_to_json
+from nmk.serialize import (
+    components_to_json,
+    jsonable,
+    layout_to_json,
+    script_to_json,
+    state_to_json,
+)
 from nmk.steps import CostLedger, Step, run_script
 
 
@@ -395,6 +402,8 @@ def valid_script():
 
 
 DROP = object()
+#: The channel of ``valid_script``'s ``reversible_e`` step (index 2).
+FLIP_CHANNEL = valid_script()["steps"][2]["channel"]
 
 
 class TestReaderRobustness:
@@ -427,6 +436,17 @@ class TestReaderRobustness:
             (2, "discard", ["E"], "'discard'"),
             (0, "discard", ["A"], "'discard'"),
             (4, "discard", ["B"], "'discard'"),
+            (2, "bypass", "false", "bypass must be true or false, got 'false'"),
+            (2, "bypass", 2.7, "bypass must be true or false, got 2.7"),
+            (
+                2,
+                "channel",
+                dict(FLIP_CHANNEL, trace_preserving="yes"),
+                "trace_preserving must be true or false, got 'yes'",
+            ),
+            (2, "channel", dict(FLIP_CHANNEL, trace_preserving=0), "trace_preserving must be"),
+            (2, "channel", dict(FLIP_CHANNEL, inverse={}), "'kraus'"),
+            (4, "operators", [{"re": [[True]], "im": [[0]]}], "matrix entry must be a number"),
         ],
     )
     def test_malformed_step_exits_2(self, tmp_path, index, key, value, named):
@@ -447,6 +467,38 @@ class TestReaderRobustness:
         proc = run_cli("script", str(script), "zoo:ghz_diag")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda m: m["re"][0].__setitem__(1, False), "matrix entry must be a number, got False"),
+            (lambda m: m["re"][2].__setitem__(2, "0"), "matrix entry must be a number, got '0'"),
+            (lambda m: m.__setitem__("im", 0), "'re' has shape (8, 8), 'im' ()"),
+            (lambda m: m.__setitem__("im", m["im"][:1]), "'re' has shape (8, 8), 'im' (1, 8)"),
+            (lambda m: m["re"][3].pop(), "matrix entry must be a number, got ["),
+        ],
+        ids=["false_entry", "string_entry", "scalar_im", "im_rows_deleted", "ragged_re"],
+    )
+    def test_malformed_matrix_exits_2(self, tmp_path, capsys, mutate, named):
+        from nmk import cli
+
+        payload = state_to_json(zoo("ghz_diag"))
+        mutate(payload["matrix"])
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["analyze", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["0.5", True, None, [0.5]], ids=repr)
+    def test_weight_that_is_no_number_exits_2(self, tmp_path, capsys, weight):
+        from nmk import cli
+
+        payload = jsonable(components_to_json(zoo("markov_random", {"entries": 2}, seed=7)))
+        payload["entries"][0]["p"] = weight
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["markov-build", str(path)]) == 2
+        assert f"p must be a number, got {weight!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("label", [7, None, False, ""], ids=repr)
     @pytest.mark.parametrize("command", ["analyze", "nmf"])
     def test_bad_register_label_exits_2(self, tmp_path, capsys, command, label):
@@ -462,8 +514,13 @@ class TestReaderRobustness:
 
     @pytest.mark.parametrize(
         "content, named",
-        [(b"5", "expected a JSON object, got int"), (b'{"registers": "\xff"}', "not valid JSON")],
-        ids=["number", "not_utf8"],
+        [
+            (b"5", "expected a JSON object, got int"),
+            (b'{"registers": "\xff"}', "not valid JSON"),
+            (b"[" * 100_000, "not valid JSON"),
+            (b"1" * 5_000, "not valid JSON"),
+        ],
+        ids=["number", "not_utf8", "nested_too_deep", "too_many_digits"],
     )
     def test_unreadable_payload_exits_2(self, tmp_path, capsys, content, named):
         from nmk import cli
@@ -601,6 +658,54 @@ class TestBadRanges:
         proc = run_cli("fuzz", "ssa", "--trials", value, "--seed", "1")
         assert proc.returncode == 2, proc.stderr
         assert f"argument --trials: trials must be an integer >= 1, got {value}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag, floor",
+        [
+            ("nmf", "--k", 1),
+            ("nmf", "--restarts", 0),
+            ("nmf", "--max-iters", 0),
+            ("nmf", "--jobs", 1),
+            ("esqc", "--k", 1),
+            ("esqc", "--restarts", 0),
+            ("esqc", "--max-iters", 0),
+            ("esqc", "--jobs", 1),
+            ("esqc", "--e-prime", 1),
+            ("fuzz", "--jobs", 1),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["fraction", "below_floor"])
+    def test_integer_flag_names_its_field_and_floor(self, capsys, command, flag, floor, kind):
+        from nmk import cli
+
+        target = "ssa" if command == "fuzz" else "zoo:bell_e0"
+        value = "1.5" if kind == "fraction" else str(floor - 1)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, target, flag, value])
+        assert exit_.value.code == 2
+        field = flag[2:].replace("-", "_")
+        shown = repr(value) if kind == "fraction" else value
+        message = f"argument {flag}: {field} must be an integer >= {floor}, got {shown}"
+        assert message in capsys.readouterr().err
+
+    def test_nmf_help_explains_ext(self, capsys):
+        from nmk import cli
+
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["nmf", "--help"])
+        assert exit_.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--ext EXT extension dims a',b',e' of the one round to run" in help_text
+
+    @pytest.mark.parametrize(
+        "ref", ["zoo:ghz_diag?seed=2.5", "zoo:hs_random?dims=2,2,2&seed=2.5", "zoo:bell_e0?seed=-1"]
+    )
+    def test_zoo_seed_names_the_parameter(self, capsys, ref):
+        from nmk import cli
+
+        assert cli.main(["analyze", ref]) == 2
+        seed = ref.rsplit("=", 1)[1]
+        assert f"error: seed must be an integer >= 0, got {seed}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["nmf", "esqc"])
@@ -740,3 +845,124 @@ def test_markov_build_roundtrip(tmp_path):
     check = run_cli("analyze", str(out_file))
     assert check.returncode == 0
     assert result_of(check)["markov"]["verdict"] is True
+
+
+def _node_paths(tree, path=()):
+    """The path (keys and list indices) of every node below the root."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+#: One node's replacement per mutation kind, drawn from these values.
+MUTATIONS = {
+    "null": [None],
+    "bool": [True, False],
+    "number": [0, -1, 2.5, 3],
+    "nan": [float("nan")],
+    "infinity": [float("inf"), float("-inf")],
+    "string": ["", "x", "2", "false"],
+    "list": [[], [1]],
+    "object": [{}, {"re": 1}],
+    "delete": [DROP],
+}
+#: The kinds each typed field refuses: a number field (a weight ``p`` or a
+#: matrix entry) everything but a number, a flag everything but a boolean.
+#: A null flag is left out: a null step field reads as absent.
+WRONG_KINDS = {
+    "number": {"null", "bool", "string", "list", "object"},
+    "flag": {"number", "nan", "infinity", "string", "list", "object"},
+}
+
+
+def _typed_field(payload, path):
+    """Which typed field ``path`` names ("number" or "flag"), or None."""
+    if path[-1] in ("bypass", "trace_preserving"):
+        return "flag"
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    leaf = parent[path[-1]]
+    if path[-1] == "p" or ({"re", "im"} & set(path) and isinstance(leaf, (int, float))):
+        return "number"
+    return None
+
+
+class TestMutationFuzz:
+    """Single-node mutations of valid payloads, run through ``cli.main``:
+    no exception escapes, every exit is 0, 2 or 3, and a value of the wrong
+    JSON type in a typed field exits 2."""
+
+    SEED = 7
+    PER_PAYLOAD = 100
+
+    @staticmethod
+    def payloads(tmp_path):
+        """Each base payload, with the command line that reads it (the
+        mutated file goes in place of the None)."""
+        payloads = {
+            "state": (state_to_json(zoo("ghz_diag")), ["analyze"]),
+            "components": (
+                components_to_json(zoo("markov_random", {"entries": 2}, seed=7)),
+                ["markov-build"],
+            ),
+        }
+        for cls in ("secret_ab", "irreversible_e"):
+            script = zoo("nonfree_script", {"cls": cls})
+            state = tmp_path / f"{cls}_state.json"
+            state.write_text(json.dumps(state_to_json(script.scenario.state)))
+            payloads[cls] = (script_to_json(script.steps), ["script", None, str(state)])
+        return {
+            name: (json.loads(json.dumps(jsonable(payload))), command)
+            for name, (payload, command) in payloads.items()
+        }
+
+    def test_mutated_payloads_exit_cleanly(self, tmp_path, capsys):
+        from nmk import cli
+
+        rng = np.random.default_rng(self.SEED)
+        escaped, bad_exits, typed, typed_not_refused = [], [], 0, []
+        path_file = tmp_path / "mutated.json"
+        for name, (base, command) in self.payloads(tmp_path).items():
+            # Draw a node shape (its path with list indices dropped) first, so
+            # the many matrix entries do not crowd out the other fields.
+            shapes = {}
+            for path in _node_paths(base):
+                shapes.setdefault(tuple(k for k in path if isinstance(k, str)), []).append(path)
+            keys = sorted(shapes)
+            for _ in range(self.PER_PAYLOAD):
+                paths = shapes[keys[rng.integers(len(keys))]]
+                path = paths[rng.integers(len(paths))]
+                kind = sorted(MUTATIONS)[rng.integers(len(MUTATIONS))]
+                values = MUTATIONS[kind]
+                value = values[rng.integers(len(values))]
+                mutated = copy.deepcopy(base)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is DROP:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)
+                path_file.write_text(json.dumps(mutated))
+                argv = [command[0], str(path_file), *command[2:]]
+                case = (name, path, kind, value)
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    escaped.append((case, repr(exc)))
+                    continue
+                finally:
+                    capsys.readouterr()
+                if code not in (0, 2, 3):
+                    bad_exits.append((case, code))
+                field = _typed_field(base, path)
+                if field and kind in WRONG_KINDS[field]:
+                    typed += 1
+                    if code != 2:
+                        typed_not_refused.append((case, code))
+        assert escaped == []
+        assert bad_exits == []
+        assert typed_not_refused == []
+        assert typed >= 20

@@ -19,7 +19,10 @@ only through the budget helpers of ``states`` (``dim < 1`` checks stay).
 Every module-level private name (one leading underscore, not a dunder) is
 read by some module of the package, so that a deletion leaves no orphaned
 helper behind.  No class defines ``to_dict``: a record reaches JSON through
-``serialize.jsonable``, which emits its dataclass fields.
+``serialize.jsonable``, which emits its dataclass fields.  No call passes
+``type=int``, which refuses ``--k 2.5`` as an "invalid int value": an
+integer flag parses through ``cli._integer_flag``, which names the field
+and its floor.
 """
 
 import ast
@@ -147,13 +150,25 @@ def _is_integer_imports(tree):
     )
 
 
+def _int_flag_types(tree):
+    """The line numbers of calls passing the keyword ``type=int``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword)
+        and node.arg == "type"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "int"
+    )
+
+
 def lint(source: str, exempt_unused: bool = False, tests_integers: bool = False) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
     statements, tolerance gates that a NaN passes, integer tests that
     bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), imports
     of ``is_integer`` unless ``tests_integers``, size caps that bypass the
-    budget and ``to_dict`` methods."""
+    budget, ``to_dict`` methods and ``type=int`` flags."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -172,6 +187,10 @@ def lint(source: str, exempt_unused: bool = False, tests_integers: bool = False)
     problems += [
         f"line {lineno}: .dim compared with a literal size; cap sizes with the budget"
         for lineno in _size_caps(tree)
+    ]
+    problems += [
+        f"line {lineno}: type=int flag; parse an integer flag through cli._integer_flag"
+        for lineno in _int_flag_types(tree)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -428,3 +447,19 @@ def test_lint_catches_to_dict_methods():
         "line 5: Report.to_dict; records reach JSON through serialize.jsonable",
         "line 9: Inner.to_dict; records reach JSON through serialize.jsonable",
     ]
+
+
+def test_lint_catches_int_flag_types():
+    source = (
+        "import argparse\n"
+        "from functools import partial\n"
+        "def build(p, parse):\n"
+        "    p.add_argument('--jobs', type=int, default=1)\n"
+        "    p.add_argument('--k', default=None,\n"
+        "                   type=int)\n"
+        "    p.add_argument('--tol', type=float)\n"
+        "    p.add_argument('--seed', type=partial(parse, 'seed', low=0))\n"
+        "    return argparse, int('3'), dict(type='int')\n"
+    )
+    message = "type=int flag; parse an integer flag through cli._integer_flag"
+    assert lint(source) == [f"line 4: {message}", f"line 6: {message}"]
