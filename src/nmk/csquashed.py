@@ -59,7 +59,7 @@ from .nmf import (
     _run_rounds,
     estimate,
 )
-from .registers import Party, Register, RegisterLayout
+from .registers import Party, Register, RegisterLayout, require_distribution
 from .states import (
     PRUNE_TOL,
     DensityState,
@@ -129,12 +129,11 @@ class EsqcEstimate(Bracket):
 
 def esqc_objective(weights, states) -> float:
     """Half the weighted average of I(A:B) over the ensemble."""
-    weights = tuple(float(p) for p in weights)
+    weights = tuple(weights)
     states = tuple(states)
     if not states or len(weights) != len(states):
         raise BadEnsemble("weights and states must pair up nonempty")
-    if not (all(p >= -1e-10 for p in weights) and abs(sum(weights) - 1.0) <= 1e-10):
-        raise BadEnsemble(f"weights must be nonnegative and sum to 1, got {sum(weights)}")
+    weights = require_distribution("weights", weights, BadEnsemble)
     lay = states[0].layout
     a, b, _ = party_partition(states[0])
     if not a or not b:
@@ -151,6 +150,9 @@ def esqc_objective(weights, states) -> float:
 
 def check_ensemble(weights, states, omega: DensityState, tol: float = 1e-9) -> float:
     """Trace distance between the ensemble average and ``omega``."""
+    weights = require_distribution("weights", weights, BadEnsemble)
+    if len(weights) != len(states):
+        raise BadEnsemble("weights and states must pair up")
     avg = sum(p * s.matrix for p, s in zip(weights, states))
     dist = trace_distance(DensityState(states[0].layout, avg), omega)
     if not dist <= tol:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .entropy import _as_groups, cqmi
 from .errors import BadProbabilities, BadRange, InconsistentDims
-from .registers import Party, Register, RegisterLayout, layout
+from .registers import Party, Register, RegisterLayout, layout, require_distribution, require_real
 from .states import (
     ChannelMap,
     DensityState,
@@ -31,8 +31,6 @@ from .states import (
     embed_operator,
 )
 from .steps import Scenario, Step
-
-PROB_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,7 @@ class MarkovComponents:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise InconsistentDims("need at least one block entry")
-        total = sum(e.p for e in entries)
-        if not (all(e.p >= -PROB_TOL for e in entries) and abs(total - 1.0) <= PROB_TOL):
-            raise BadProbabilities(f"weights must be nonnegative and sum to 1, got sum {total}")
+        require_distribution("weights", (e.p for e in entries), BadProbabilities)
         first = entries[0]
         for e in entries[1:]:
             if e.sigma.layout != first.sigma.layout or e.tau.layout != first.tau.layout:
@@ -176,8 +172,7 @@ class MarkovScore:
 
 
 def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8) -> MarkovScore:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise BadRange(f"tol must be finite and >= 0, got {tol!r}")
+    tol = require_real("tol", tol, 0, BadRange)
     a, b, e = _as_groups(state, a, b, e)
     value = cqmi(state, a, b, e)
     recovered, _ = petz_recover(state, a, b, e)

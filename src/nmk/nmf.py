@@ -30,7 +30,6 @@ is a deterministic min, so results do not depend on the worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
@@ -39,7 +38,7 @@ import numpy as np
 from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
 from .rand import as_rng, map_indexed, random_isometry
-from .registers import Register, RegisterLayout, require_integer
+from .registers import Register, RegisterLayout, require_integer, require_real
 from .states import DensityState, _purified, _require_budget, member_value_and_grad
 from .witness import (
     Witness,
@@ -82,10 +81,7 @@ class SearchConfig:
         for name, low in minima.items():
             value = require_integer(name, getattr(self, name), low, BadRange)
             object.__setattr__(self, name, value)
-        tol = self.tol
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol >= 0):
-            raise BadRange(f"tol must be a finite real >= 0, got {tol!r}")
+        object.__setattr__(self, "tol", require_real("tol", self.tol, 0, BadRange))
 
 
 @dataclass(frozen=True)

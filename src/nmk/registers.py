@@ -6,11 +6,11 @@ register order of the layout (first register is the most significant
 index), which pins down one unambiguous convention for tensor products,
 partial traces and permutations.
 
-Every integer input to the package (a register dimension, an extension
-dimension, a flag size, a message size, a count) passes through one rule,
-:func:`require_integer`, where it enters: it must be an integer, not a
-bool, of at least a floor, or it is refused with an error that names it.
-No size is truncated on the way in.
+Every number the package takes in passes the one rule for its kind where
+it enters, which refuses anything else, a bool included, with an error
+naming it: an integer (a dimension, a size, a count) :func:`require_integer`,
+never truncated; a real (a tolerance) :func:`require_real`; and the weights
+of an ensemble, a mixture or a block decomposition :func:`require_distribution`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadDims, BadParams, DuplicateLabel, UnknownLabel
+from .errors import BadDims, BadParams, BadProbabilities, BadRange, DuplicateLabel, UnknownLabel
+
+WEIGHT_TOL = 1e-10
 
 
 class Party(str, Enum):
@@ -43,6 +45,25 @@ def require_integer(name: str, value, low: int, error=BadDims) -> int:
     if not (is_integer(value) and value >= low):
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def require_real(name: str, value, low: float, error=BadRange) -> float:
+    """``value`` as a float when it is a finite real (not a bool) >= ``low``, else ``error``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= low):
+        raise error(f"{name} must be a finite real >= {low}, got {value!r}")
+    return float(value)
+
+
+def require_distribution(name: str, weights, error=BadProbabilities) -> tuple[float, ...]:
+    """``weights`` as floats: reals of at least ``-WEIGHT_TOL`` whose sum is 1 within it."""
+    rule = f"{name} must be nonnegative and sum to 1"
+    weights = tuple(
+        require_real(f"{rule}: weight {i}", p, -WEIGHT_TOL, error) for i, p in enumerate(weights)
+    )
+    if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:
+        raise error(f"{rule}: they sum to {sum(weights)}")
+    return weights
 
 
 def _coerce_party(party) -> Party:

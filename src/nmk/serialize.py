@@ -52,17 +52,23 @@ def _real(name: str, value) -> float:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    """The matrix of ``{"re": ..., "im": ...}``: nested lists of ``_real`` numbers of one shape."""
+    """The matrix of ``{"re": ..., "im": ...}``: nested lists of ``_real`` numbers of one shape.
+
+    Each type among the entries is checked once, with one of its entries.
+    The matrix is assembled part by part as ``re + 1j * im`` would be, zero
+    signs included, but without the product, which warns on an infinity."""
     try:
         re, im = (np.array(d[part], dtype=object) for part in ("re", "im"))
-        re, im = (
-            np.array([_real("matrix entry", x) for x in a.flat]).reshape(a.shape) for a in (re, im)
-        )
+        for x in {type(x): x for a in (re, im) for x in a.flat}.values():
+            _real("matrix entry", x)
+        re, im = re.astype(float), im.astype(float)
     except (KeyError, OverflowError, RuntimeError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed matrix payload: {exc}") from exc
     if not re.shape or re.shape != im.shape:
         raise BadParams(f"malformed matrix payload: 're' has shape {re.shape}, 'im' {im.shape}")
-    return re + 1j * im
+    m = np.empty(re.shape, dtype=complex)
+    m.real, m.imag = re + np.copysign(0.0, im), im + 0.0
+    return m
 
 
 def layout_to_json(layout: RegisterLayout) -> list:

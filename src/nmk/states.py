@@ -56,7 +56,8 @@ from .errors import (
     LayoutMismatch,
     NotClassicalRegister,
 )
-from .registers import Party, Register, RegisterLayout, is_integer
+from .registers import Party, Register, RegisterLayout, is_integer, require_integer
+from .registers import require_distribution
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -290,6 +291,7 @@ class ChannelMap:
 
     @classmethod
     def dephasing(cls, dim: int) -> "ChannelMap":
+        dim = require_integer("dim", dim, 1)
         ops = []
         for i in range(dim):
             p = np.zeros((dim, dim), dtype=complex)
@@ -300,10 +302,11 @@ class ChannelMap:
     @classmethod
     def mixing(cls, unitaries, probs) -> "ChannelMap":
         """Random-unitary channel sum_i p_i U_i rho U_i^dagger."""
-        ops = tuple(
-            math.sqrt(p) * np.asarray(u, dtype=complex) for u, p in zip(unitaries, probs)
-        )
-        return cls(ops)
+        probs = require_distribution("probs", probs)
+        ops = tuple(np.asarray(u, dtype=complex) for u in unitaries)
+        if len(ops) != len(probs):
+            raise DimensionMismatch(f"probs and unitaries must pair up: {len(probs)} != {len(ops)}")
+        return cls(tuple(math.sqrt(max(p, 0.0)) * u for u, p in zip(ops, probs)))
 
 
 def _inverse_deviation(kraus, inverse_kraus) -> float:
@@ -493,10 +496,7 @@ def purify(
     kept = vals > 1e-12
     vals, vecs = vals[kept], vecs[:, kept]
     rank = int(vals.size)
-    if ref_dim is None:
-        ref_dim = rank
-    elif ref_dim < rank:
-        raise BadDims(f"reference dim {ref_dim} below rank {rank}")
+    ref_dim = rank if ref_dim is None else require_integer("ref_dim", ref_dim, rank)
     arr = np.zeros((state.dim, ref_dim), dtype=complex)
     for i in range(rank):
         v = vecs[:, i]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, replace
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -44,7 +45,8 @@ from .errors import (
     UnknownLabel,
 )
 from .markov import INDEX_LABEL, MarkovComponents, _block_layouts
-from .registers import Party, Register, RegisterLayout, require_integer
+from .registers import Party, Register, RegisterLayout
+from .registers import require_distribution, require_integer, require_real
 from .states import (
     PRUNE_TOL,
     Block,
@@ -63,7 +65,7 @@ from .states import (
     trace_distance,
 )
 
-WEIGHT_TOL = 1e-10
+_weights_violation = partial(InvariantViolation, "weights")
 
 #: The member terms of the objective: each row is a set of roles whose
 #: joint member entropy enters the weighted sum with its sign.
@@ -126,16 +128,14 @@ class Witness:
         except ValueError as exc:
             raise DimensionMismatch(f"witness members must form a (k, {d}) stack: {exc}") from None
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "weights", tuple(float(p) for p in self.weights))
         if members.ndim != 2 or members.shape[1] != d:
             raise DimensionMismatch(f"members of shape {members.shape} are not a (k, {d}) stack")
         if len(self.weights) != len(members) or not len(members):
             raise DimensionMismatch("weights and members must pair up nonempty")
-        if not all(np.isfinite(self.weights)) or not np.isfinite(members).all():
-            raise InvariantViolation("finite", "witness weights and members must be finite")
-        total = sum(self.weights)
-        if not (all(p >= -WEIGHT_TOL for p in self.weights) and abs(total - 1.0) <= WEIGHT_TOL):
-            raise InvariantViolation("weights", f"weights must sum to 1, got {total}")
+        if not np.isfinite(members).all():
+            raise InvariantViolation("finite", "witness members must be finite")
+        weights = require_distribution("weights", self.weights, _weights_violation)
+        object.__setattr__(self, "weights", weights)
         if not np.max(np.abs(np.linalg.norm(members, axis=1) - 1.0)) <= 1e-9:
             raise InvariantViolation("unit_norm", "witness members must be normalized")
         if sorted(self.groups.all_labels()) != sorted(self.layout.labels):
@@ -372,7 +372,7 @@ def _flagged(parts, flag: str) -> Witness:
     share one layout and groups: each member of part m is extended by Eve's
     register ``flag`` set to m, which joins the E group, and its weight is
     scaled by r_m."""
-    parts = [(float(r), w) for r, w in parts]
+    parts = [(r, w) for r, w in parts]
     if not parts:
         raise LayoutClash("need at least one part")
     first = parts[0][1]
@@ -381,13 +381,11 @@ def _flagged(parts, flag: str) -> Witness:
             raise LayoutClash("mixture parts must share layout and groups")
     if flag in first.layout:
         raise LayoutClash(f"mixture label {flag!r} clashes with member registers")
-    total = sum(r for r, _ in parts)
-    if not abs(total - 1.0) <= WEIGHT_TOL:
-        raise InvariantViolation("weights", f"mixture weights must sum to 1, got {total}")
+    rates = require_distribution("mixture weights", (r for r, _ in parts), _weights_violation)
     n = len(parts)
     layout = first.layout.extended((Register(flag, n, Party.EVE),))
     groups = replace(first.groups, e=first.groups.e + (flag,))
-    weights = np.concatenate([r * np.asarray(w.weights) for r, w in parts])
+    weights = np.concatenate([r * np.asarray(w.weights) for r, (_, w) in zip(rates, parts)])
     flags = np.eye(n)
     members = np.concatenate([np.kron(w.members, flags[m]) for m, (_, w) in enumerate(parts)])
     return Witness(layout, groups, weights, members)
@@ -529,10 +527,10 @@ def continuity_bound(eps: float, d_a: int, d_b: int) -> float:
     under an eps trace-distance perturbation:
     4 sqrt(eps) log2(dA dB) + 3 (1 + sqrt(eps)) h(sqrt(eps)/(1 + sqrt(eps))).
     """
-    if not 0.0 <= eps <= 1.0:
+    if not require_real("eps", eps, 0, BadRange) <= 1.0:
         raise BadRange(f"eps must lie in [0, 1], got {eps}")
-    if d_a < 1 or d_b < 1:
-        raise BadRange("dimensions must be positive")
+    d_a = require_integer("d_a", d_a, 1, BadRange)
+    d_b = require_integer("d_b", d_b, 1, BadRange)
     root = math.sqrt(eps)
     return 4.0 * root * math.log2(d_a * d_b) + 3.0 * (1.0 + root) * binary_entropy(
         root / (1.0 + root)

@@ -14,6 +14,10 @@ bools that ``numbers.Integral`` admits; nor is an integer tested with a bare
 tuple of types, as in a type dispatch, is allowed).  No module but
 ``registers`` and ``states`` imports ``is_integer``: an integer input is
 checked with ``registers.require_integer``, which refuses it naming it.
+No module but ``registers`` reads ``math.isfinite`` or ``numbers.Real``: a
+real input is checked with ``registers.require_real`` and a probability
+vector with ``registers.require_distribution`` (numpy's array
+``np.isfinite`` checks are not scalar rules and stay where they are).
 No ``.dim`` is compared with an integer literal above 1: sizes are capped
 only through the budget helpers of ``states`` (``dim < 1`` checks stay).
 Every module-level private name (one leading underscore, not a dunder) is
@@ -150,6 +154,28 @@ def _is_integer_imports(tree):
     )
 
 
+#: The scalar real tests that only ``registers`` reads, as (module, name).
+REAL_TESTS = {("math", "isfinite"), ("numbers", "Real")}
+
+
+def _real_test_reads(tree):
+    """The line numbers where ``math.isfinite`` or ``numbers.Real`` is read,
+    as an attribute or through a ``from`` import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in REAL_TESTS
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any((node.module, a.name) in REAL_TESTS for a in node.names)
+        )
+    )
+
+
 def _int_flag_types(tree):
     """The line numbers of calls passing the keyword ``type=int``."""
     return sorted(
@@ -162,12 +188,15 @@ def _int_flag_types(tree):
     )
 
 
-def lint(source: str, exempt_unused: bool = False, tests_integers: bool = False) -> list[str]:
+def lint(
+    source: str, exempt_unused: bool = False, tests_integers: bool = False, tests_reals: bool = False
+) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
     statements, tolerance gates that a NaN passes, integer tests that
     bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), imports
-    of ``is_integer`` unless ``tests_integers``, size caps that bypass the
+    of ``is_integer`` unless ``tests_integers``, reads of ``math.isfinite``
+    or ``numbers.Real`` unless ``tests_reals``, size caps that bypass the
     budget, ``to_dict`` methods and ``type=int`` flags."""
     tree = ast.parse(source)
     problems = [
@@ -183,6 +212,11 @@ def lint(source: str, exempt_unused: bool = False, tests_integers: bool = False)
         f"line {lineno}: is_integer imported; check an integer input with "
         "registers.require_integer"
         for lineno in ([] if tests_integers else _is_integer_imports(tree))
+    ]
+    problems += [
+        f"line {lineno}: scalar real test outside registers; check a real with "
+        "registers.require_real and weights with registers.require_distribution"
+        for lineno in ([] if tests_reals else _real_test_reads(tree))
     ]
     problems += [
         f"line {lineno}: .dim compared with a literal size; cap sizes with the budget"
@@ -303,6 +337,7 @@ def test_module_imports(path):
         path.read_text(),
         exempt_unused=path.name == "__init__.py",
         tests_integers=path.name in INTEGER_TESTERS,
+        tests_reals=path.name == "registers.py",
     )
     assert problems == []
 
@@ -375,6 +410,25 @@ def test_lint_catches_is_integer_imports():
     message = "is_integer imported; check an integer input with registers.require_integer"
     assert lint(source) == [f"line 1: {message}", f"line 2: {message}"]
     assert lint(source, tests_integers=True) == []
+
+
+def test_lint_catches_real_tests_outside_registers():
+    source = (
+        "import math\n"
+        "import numbers\n"
+        "from math import isfinite as finite, log2\n"
+        "from numbers import Real\n"
+        "import numpy as np\n"
+        "def f(tol, p):\n"
+        "    ok = isinstance(tol, numbers.Real) and math.isfinite(tol)\n"
+        "    return ok and finite(p) and Real and np.isfinite(p).all() and log2(2)\n"
+    )
+    message = (
+        "scalar real test outside registers; check a real with registers.require_real "
+        "and weights with registers.require_distribution"
+    )
+    assert lint(source) == [f"line {n}: {message}" for n in (3, 4, 7, 7)]
+    assert lint(source, tests_reals=True) == []
 
 
 def test_lint_catches_nan_blind_gates():

@@ -10,14 +10,15 @@ import re
 import numpy as np
 import pytest
 
-from nmk import cli, sample, zoo
+from nmk import cli, purify, sample, zoo
 from nmk.errors import BadDims, BadMu, BadParams, BadRange, DimensionTooSmall
 from nmk.fuzz import fuzz_ssa
 from nmk.nmf import EstimateConfig
 from nmk.registers import require_integer
 from nmk.serialize import layout_from_json, state_to_json
+from nmk.states import ChannelMap
 from nmk.steps import dilution_conversion_cost
-from nmk.witness import witness_from_isometry
+from nmk.witness import continuity_bound, witness_from_isometry
 
 BAD_VALUES = [2.7, "2", True, math.inf, 0]
 
@@ -47,6 +48,9 @@ ENTRY_POINTS = {
     "dilution": (lambda v: dilution_conversion_cost([4], v), BadMu, "copy count l"),
     "estimate_config": (lambda v: EstimateConfig(ext=(v, 1, 1)), BadRange, "ext"),
     "fuzz": (lambda v: fuzz_ssa(v, 0), BadRange, "trials_222"),
+    "continuity_bound": (lambda v: continuity_bound(0.1, v, 2), BadRange, "d_a"),
+    "dephasing": (ChannelMap.dephasing, BadDims, "dim"),
+    "purify": (lambda v: purify(RHO, "R", ref_dim=v), BadDims, "ref_dim"),
 }
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,6 +50,25 @@ def test_reader_names_violated_invariant():
 
     with pytest.raises(BadParams):
         state_from_json({"registers": []})
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=repr)
+def test_non_finite_entry_reaches_the_finite_check_without_warnings(part, value):
+    payload = state_to_json(sample("density_hs", (2, 2), 2))
+    payload["matrix"][part][0][1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="finite"):
+            state_from_json(payload)
+
+
+def test_matrix_reader_matches_the_complex_product_bit_for_bit():
+    # Every pair of signed zeros, extremes and ordinary values, as re and im.
+    values = [0, 0.0, -0.0, 1, -3, 1.5, -2.25, 1e-300, -5e-324, 1e308, -1e308, 10**20]
+    re, im = (list(v) for v in zip(*itertools.product(values, values)))
+    expected = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    assert matrix_from_json({"re": [re], "im": [im]}).tobytes() == expected[None].tobytes()
 
 
 def test_components_roundtrip():
