@@ -1,10 +1,11 @@
 """Command-line interface.
 
-JSON reports go to stdout, a short human summary to stderr.  Every run
-records its seed; without ``--seed`` a fresh one is drawn and printed so
-the run stays replayable.  The ``result`` object of a report is
-byte-identical across repeated runs with the same inputs and seed; wall
-times live under ``meta``.
+A subcommand returns a :class:`Run`; ``main`` owns the clock, the report
+(the JSON ``result`` on stdout, a ``meta`` line and a short human summary
+on stderr) and the exit code.  Every run records its seed; without
+``--seed`` a fresh one is drawn and printed so the run stays replayable.
+The ``result`` object of a report is byte-identical across repeated runs
+with the same inputs and seed; wall times live under ``meta``.
 
 Exit codes: 0 success, 1 invariant violation found (fuzz), 2 input or
 validation error (an output file that cannot be written included, and a
@@ -21,6 +22,7 @@ import time
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .csquashed import EsqcConfig, estimate_esqc, extension_crosscheck
@@ -88,17 +90,24 @@ def _seed_of(args) -> int:
     return args.seed
 
 
-def _emit(result: dict, started: float, args, summary_lines, meta=None) -> None:
+class Run(NamedTuple):
+    """A subcommand's report: ``result`` for stdout, ``summary`` lines and its
+    own ``meta`` counts for stderr (beside ``wall_time_s`` and ``version``), exit ``code``."""
+
+    result: dict
+    summary: list
+    meta: dict = {}
+    code: int = 0
+
+
+def _emit(run: Run, started: float, args) -> None:
     # The CSV goes first, so a run whose file cannot be written prints no report.
     if getattr(args, "csv", None):
-        _write_csv(args.csv, result)
-    report = {
-        "result": jsonable(result),
-        "meta": {"wall_time_s": time.time() - started, "version": __version__, **(meta or {})},
-    }
-    print(json.dumps(report["result"], sort_keys=True, indent=2))
-    print(json.dumps({"meta": report["meta"]}, sort_keys=True), file=sys.stderr)
-    for line in summary_lines:
+        _write_csv(args.csv, run.result)
+    print(json.dumps(jsonable(run.result), sort_keys=True, indent=2))
+    meta = {"wall_time_s": time.time() - started, "version": __version__, **run.meta}
+    print(json.dumps({"meta": meta}, sort_keys=True), file=sys.stderr)
+    for line in run.summary:
         print(line, file=sys.stderr)
 
 
@@ -126,8 +135,7 @@ def _write_csv(path: str, result: dict) -> None:
 # subcommands
 
 
-def cmd_analyze(args) -> int:
-    started = time.time()
+def cmd_analyze(args) -> Run:
     state = _need_state(load_ref(args.state), args.state)
     groups = _partition_args(args, state)
     report = entropy_report(state, *groups)
@@ -139,8 +147,7 @@ def cmd_analyze(args) -> int:
         "markov": _markov_section(score),
     }
     verdict = "markov" if score.verdict else "non-markov"
-    _emit(result, started, args, [f"M_I = {report.m_i_bits:.9f} bits; verdict: {verdict}"])
-    return 0
+    return Run(result, [f"M_I = {report.m_i_bits:.9f} bits; verdict: {verdict}"])
 
 
 def _markov_section(score) -> dict:
@@ -158,13 +165,11 @@ def _partition_args(args, state):
     return party_partition(state)
 
 
-def cmd_nmf(args) -> int:
-    started = time.time()
+def cmd_nmf(args) -> Run:
     state, config = _search_inputs(EstimateConfig, args)
     est = estimate(state, config)
     result = _bracket_report("nmf", args, est, witness=witness_to_json(est.best))
-    _emit(result, started, args, [_bracket_line(est)], _search_meta(est))
-    return 0
+    return Run(result, [_bracket_line(est)], _search_meta(est))
 
 
 def _bracket_report(command: str, args, est, **extra) -> dict:
@@ -200,8 +205,7 @@ def _search_meta(est) -> dict:
     }
 
 
-def cmd_esqc(args) -> int:
-    started = time.time()
+def cmd_esqc(args) -> Run:
     state, config = _search_inputs(EsqcConfig, args)
     est = estimate_esqc(state, config)
     result = _bracket_report(
@@ -217,12 +221,10 @@ def cmd_esqc(args) -> int:
         result["msq_upper_bits"] = rep.msq_ub
         result["crosscheck"] = rep
         lines.append(f"extension crosscheck gap {rep.gap:.6f} bits")
-    _emit(result, started, args, lines, _search_meta(est))
-    return 0
+    return Run(result, lines, _search_meta(est))
 
 
-def cmd_markov_build(args) -> int:
-    started = time.time()
+def cmd_markov_build(args) -> Run:
     obj = load_ref(args.components)
     if not isinstance(obj, MarkovComponents):
         raise BadParams(f"{args.components} does not resolve to block components")
@@ -236,12 +238,10 @@ def cmd_markov_build(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(json.dumps(jsonable(state_to_json(state))))
-    _emit(result, started, args, [f"built dim {state.dim}; cqmi = {score.cqmi_bits:.3e}"])
-    return 0
+    return Run(result, [f"built dim {state.dim}; cqmi = {score.cqmi_bits:.3e}"])
 
 
-def cmd_script(args) -> int:
-    started = time.time()
+def cmd_script(args) -> Run:
     obj = load_ref(args.script)
     if isinstance(obj, ZooScript):
         scenario, steps = obj.scenario, obj.steps
@@ -266,22 +266,16 @@ def cmd_script(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(json.dumps(jsonable(state_to_json(run.final.state))))
-    _emit(
-        result,
-        started,
-        args,
-        [
-            f"class {run.classification.value}; Qc = {run.final.ledger.qc_bits} bits, "
-            f"C_down = {run.final.ledger.cdown_bits} bits; "
-            f"M_I {before.m_i_bits:.6f} -> {after.m_i_bits:.6f}"
-        ],
-        {"blocks": len(final.blocks), "max_block_dim": final.max_block_dim},
+    ledger = run.final.ledger
+    summary = (
+        f"class {run.classification.value}; Qc = {ledger.qc_bits} bits, "
+        f"C_down = {ledger.cdown_bits} bits; M_I {before.m_i_bits:.6f} -> {after.m_i_bits:.6f}"
     )
-    return 0
+    meta = {"blocks": len(final.blocks), "max_block_dim": final.max_block_dim}
+    return Run(result, [summary], meta)
 
 
-def cmd_fuzz(args) -> int:
-    started = time.time()
+def cmd_fuzz(args) -> Run:
     seed = _seed_of(args)
     report = SUITES[args.suite](args.trials, seed, jobs=args.jobs)
     result = {
@@ -302,21 +296,15 @@ def cmd_fuzz(args) -> int:
             path.write_text(json.dumps(jsonable(failure), sort_keys=True, indent=2))
             files.append(str(path))
     result["counterexample_files"] = files
-    _emit(
-        result,
-        started,
-        args,
-        [f"{report.passes}/{report.trials} checks passed" + ("" if report.ok else "; VIOLATIONS FOUND")],
-    )
-    return 0 if report.ok else 1
+    verdict = "" if report.ok else "; VIOLATIONS FOUND"
+    summary = f"{report.passes}/{report.trials} checks passed{verdict}"
+    return Run(result, [summary], code=0 if report.ok else 1)
 
 
-def cmd_zoo(args) -> int:
-    started = time.time()
+def cmd_zoo(args) -> Run:
     if args.action == "list":
         result = {"command": "zoo", "action": "list", "catalog": manifest()["entries"]}
-        _emit(result, started, args, [f"{len(catalog_names())} entries"])
-        return 0
+        return Run(result, [f"{len(catalog_names())} entries"])
     name, params = (args.name, {})
     if not name:
         raise BadParams("zoo build needs an entry name")
@@ -342,8 +330,7 @@ def cmd_zoo(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(json.dumps(jsonable(payload)))
-    _emit(result, started, args, [f"built zoo entry {name}"])
-    return 0
+    return Run(result, [f"built zoo entry {name}"])
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        run = args.func(args)
+        _emit(run, started, args)
+        return run.code
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3

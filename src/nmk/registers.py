@@ -49,8 +49,12 @@ def require_integer(name: str, value, low: int, error=BadDims) -> int:
 
 def require_real(name: str, value, low: float, error=BadRange) -> float:
     """``value`` as a float when it is a finite real (not a bool) >= ``low``, else ``error``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value >= low):
+    finite = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = finite and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not (finite and value >= low):
         raise error(f"{name} must be a finite real >= {low}, got {value!r}")
     return float(value)
 

@@ -48,7 +48,10 @@ def _real(name: str, value) -> float:
     """``value`` as a float if it is a JSON number (not a bool); else BadParams naming ``name``."""
     if type(value) not in (int, float):
         raise BadParams(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadParams(f"{name} is too large for a float: {len(str(abs(value)))} digits") from None
 
 
 def matrix_from_json(d: dict) -> np.ndarray:

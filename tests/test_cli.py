@@ -245,6 +245,35 @@ class TestSearchMeta:
         assert meta_of(proc)["rounds"] == 1
 
 
+#: One quick run per subcommand, and the keys it adds to stderr ``meta``.
+ENVELOPE_RUNS = {
+    "analyze": (["analyze", "zoo:ghz_diag"], set()),
+    "nmf": (["nmf", "zoo:classical_corr_e0", "--seed", "1"], {"evals", "grad_norm", "rounds"}),
+    "esqc": (["esqc", "zoo:bell_e0", "--seed", "3"], {"evals", "grad_norm", "rounds"}),
+    "markov-build": (["markov-build", "zoo:markov_random?entries=2"], set()),
+    "script": (["script", "zoo:nonfree_script?cls=secret_ab"], {"blocks", "max_block_dim"}),
+    "fuzz": (["fuzz", "ssa", "--trials", "5", "--seed", "1"], set()),
+    "zoo list": (["zoo", "list"], set()),
+    "zoo build": (["zoo", "build", "bell_e0"], set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_RUNS))
+def test_every_subcommand_reports_through_one_envelope(capsys, name):
+    """Exit 0, the ``result`` on stdout, and a ``meta`` line first on stderr
+    holding ``wall_time_s`` and ``version`` plus exactly the command's own keys."""
+    from nmk import __version__, cli
+
+    argv, own = ENVELOPE_RUNS[name]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["command"] == argv[0]
+    meta = json.loads(err.splitlines()[0])["meta"]
+    assert set(meta) == {"wall_time_s", "version"} | own
+    assert isinstance(meta["wall_time_s"], float) and meta["wall_time_s"] >= 0
+    assert meta["version"] == __version__
+
+
 class TestScript:
     def test_zoo_script(self):
         proc = run_cli("script", "zoo:nonfree_script?cls=quantum_e_to_a")
@@ -498,6 +527,18 @@ class TestReaderRobustness:
         path.write_text(json.dumps(payload))
         assert cli.main(["markov-build", str(path)]) == 2
         assert f"p must be a number, got {weight!r}" in capsys.readouterr().err
+
+    def test_weight_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        from nmk import cli
+
+        payload = jsonable(components_to_json(zoo("markov_random", {"entries": 2}, seed=7)))
+        payload["entries"][0]["p"] = 10**400
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["markov-build", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "p is too large for a float: 401 digits" in captured.err
 
     @pytest.mark.parametrize("label", [7, None, False, ""], ids=repr)
     @pytest.mark.parametrize("command", ["analyze", "nmf"])

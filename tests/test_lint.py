@@ -26,7 +26,9 @@ helper behind.  No class defines ``to_dict``: a record reaches JSON through
 ``serialize.jsonable``, which emits its dataclass fields.  No call passes
 ``type=int``, which refuses ``--k 2.5`` as an "invalid int value": an
 integer flag parses through ``cli._integer_flag``, which names the field
-and its floor.
+and its floor.  ``time.time`` is read only in ``cli.main``, which starts a
+run's clock, and ``cli._emit``, which reads it into ``meta``: a subcommand
+returns a ``cli.Run`` and neither times nor prints it.
 """
 
 import ast
@@ -93,22 +95,22 @@ def _nan_blind_gate(node):
     return False
 
 
-def _outside_is_integer(tree):
-    """The nodes of ``tree`` outside any function named ``is_integer``."""
-    helper = {
+def _outside(tree, names):
+    """The nodes of ``tree`` outside any function named in ``names``."""
+    inside = {
         id(n)
         for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name == "is_integer"
+        if isinstance(func, ast.FunctionDef) and func.name in names
         for n in ast.walk(func)
     }
-    return [node for node in ast.walk(tree) if id(node) not in helper]
+    return [node for node in ast.walk(tree) if id(node) not in inside]
 
 
 def _integral_reads(tree):
     """The line numbers where ``Integral`` is read outside ``is_integer``."""
     return sorted(
         node.lineno
-        for node in _outside_is_integer(tree)
+        for node in _outside(tree, {"is_integer"})
         if (isinstance(node, ast.Attribute) and node.attr == "Integral")
         or (isinstance(node, ast.Name) and node.id == "Integral")
     )
@@ -119,7 +121,7 @@ def _bare_int_checks(tree):
     ``is_integer``; a tuple of types, as in a type dispatch, is allowed."""
     return sorted(
         node.lineno
-        for node in _outside_is_integer(tree)
+        for node in _outside(tree, {"is_integer"})
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "isinstance"
@@ -176,6 +178,25 @@ def _real_test_reads(tree):
     )
 
 
+def _clock_reads(tree, readers):
+    """The line numbers where ``time.time`` is read, as an attribute or
+    through a ``from`` import, outside the functions named in ``readers``."""
+    return sorted(
+        node.lineno
+        for node in _outside(tree, readers)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) == ("time", "time")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "time"
+            and any(a.name == "time" for a in node.names)
+        )
+    )
+
+
 def _int_flag_types(tree):
     """The line numbers of calls passing the keyword ``type=int``."""
     return sorted(
@@ -189,7 +210,11 @@ def _int_flag_types(tree):
 
 
 def lint(
-    source: str, exempt_unused: bool = False, tests_integers: bool = False, tests_reals: bool = False
+    source: str,
+    exempt_unused: bool = False,
+    tests_integers: bool = False,
+    tests_reals: bool = False,
+    clock_readers: frozenset = frozenset(),
 ) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
@@ -197,7 +222,8 @@ def lint(
     bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), imports
     of ``is_integer`` unless ``tests_integers``, reads of ``math.isfinite``
     or ``numbers.Real`` unless ``tests_reals``, size caps that bypass the
-    budget, ``to_dict`` methods and ``type=int`` flags."""
+    budget, ``to_dict`` methods, ``type=int`` flags and reads of
+    ``time.time`` outside the functions named in ``clock_readers``."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -225,6 +251,11 @@ def lint(
     problems += [
         f"line {lineno}: type=int flag; parse an integer flag through cli._integer_flag"
         for lineno in _int_flag_types(tree)
+    ]
+    problems += [
+        f"line {lineno}: time.time read outside cli.main and cli._emit; "
+        "a subcommand returns a cli.Run, which main times"
+        for lineno in _clock_reads(tree, clock_readers)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -330,6 +361,10 @@ def test_lint_catches_orphaned_private_names():
 #: and ``require_integer``; ``states.BlockState`` bounds its values above too.
 INTEGER_TESTERS = {"registers.py", "states.py"}
 
+#: The functions that read the wall clock: ``cli.main`` starts a run's clock
+#: and ``cli._emit`` reads it into ``meta``.
+CLOCK_READERS = {"cli.py": frozenset({"main", "_emit"})}
+
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports(path):
@@ -338,6 +373,7 @@ def test_module_imports(path):
         exempt_unused=path.name == "__init__.py",
         tests_integers=path.name in INTEGER_TESTERS,
         tests_reals=path.name == "registers.py",
+        clock_readers=CLOCK_READERS.get(path.name, frozenset()),
     )
     assert problems == []
 
@@ -501,6 +537,30 @@ def test_lint_catches_to_dict_methods():
         "line 5: Report.to_dict; records reach JSON through serialize.jsonable",
         "line 9: Inner.to_dict; records reach JSON through serialize.jsonable",
     ]
+
+
+def test_lint_catches_clock_reads_outside_main_and_emit():
+    source = (
+        "import time\n"
+        "from time import perf_counter, time as now\n"
+        "STARTED = time.time()\n"
+        "def cmd_fuzz(args):\n"
+        "    started = time.time()\n"
+        "    return started, perf_counter(), time.sleep\n"
+        "def _emit(run, started):\n"
+        "    return time.time() - started, run\n"
+        "def main(argv):\n"
+        "    started = time.time()\n"
+        "    return _emit(cmd_fuzz(argv), started), now\n"
+    )
+    message = (
+        "time.time read outside cli.main and cli._emit; a subcommand returns a cli.Run, "
+        "which main times"
+    )
+    assert lint(source, clock_readers=frozenset({"main", "_emit"})) == [
+        f"line {n}: {message}" for n in (2, 3, 5)
+    ]
+    assert lint(source) == [f"line {n}: {message}" for n in (2, 3, 5, 8, 10)]
 
 
 def test_lint_catches_int_flag_types():

@@ -21,10 +21,13 @@ from nmk.states import ChannelMap
 from nmk.witness import Witness, WitnessGroups, continuity_bound, witness_mix
 
 #: Two-weight vectors: a negative weight summing to 1, a sum of 1.1, NaN,
-#: infinity, a bool and a numeric string.
-BAD_WEIGHTS = [(1.5, -0.5), (0.6, 0.5), (math.nan, 0.5), (math.inf, 0.5), (True, 0.0), ("0.5", 0.5)]
+#: infinity, a bool, a numeric string and an integer too large for a float.
+BAD_WEIGHTS = [
+    (1.5, -0.5), (0.6, 0.5), (math.nan, 0.5), (math.inf, 0.5), (True, 0.0), ("0.5", 0.5),
+    (10**400, 0.5),
+]
 
-BAD_REALS = ["x", True, math.nan, -1]
+BAD_REALS = ["x", True, math.nan, -1, 10**400]
 
 RHO = sample("density_hs", (2, 2, 2), 1, rank=2)
 AB = sample("density_hs", (2, 2), 1)
