@@ -2,8 +2,12 @@
 
 A subcommand returns a :class:`Run`; ``main`` owns the clock, the report
 (the JSON ``result`` on stdout, a ``meta`` line and a short human summary
-on stderr) and the exit code.  Every run records its seed; without
-``--seed`` a fresh one is drawn and printed so the run stays replayable.
+on stderr) and the exit code.  :func:`load_ref` decides what kind of
+reference each command accepts, and ``_emit`` writes every file, before
+the report.  A seeded run reports its seed: ``nmf``, ``esqc`` and
+``fuzz`` draw and print a fresh one without ``--seed``, so the run stays
+replayable; ``zoo build`` seeds an entry from its ``seed=`` parameter or
+``--seed`` (default 0) and draws none.
 The ``result`` object of a report is byte-identical across repeated runs
 with the same inputs and seed; wall times live under ``meta``.
 
@@ -31,7 +35,7 @@ from .errors import BadParams, BudgetExceeded, NmkError
 from .fuzz import SUITES
 from .markov import MarkovComponents, build_markov, markov_score
 from .nmf import EstimateConfig, estimate
-from .registers import require_integer
+from .registers import require_integer, require_real
 from .serialize import (
     components_from_json,
     components_to_json,
@@ -58,28 +62,38 @@ def _load_json(path: str) -> dict:
         raise BadParams(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_ref(ref: str):
-    """Resolve a state/components/script reference: a zoo URI or a file."""
+#: The kinds a reference may resolve to, as an error names them.
+_KINDS = {DensityState: "a state", MarkovComponents: "block components", ZooScript: "a script"}
+
+
+def load_ref(ref: str, kind: type | None = None):
+    """Resolve ``ref``, a zoo URI or a JSON file, to one of ``_KINDS``; given ``kind``,
+    to that one (block components stand for the state ``build_markov`` makes of
+    them), or BadParams names ``ref`` and ``kind``.  A script file reads as a
+    ``ZooScript`` whose scenario is the ``state`` it carries, or None."""
     if ref.startswith("zoo:"):
-        return zoo(*parse_zoo_ref(ref))
-    payload = _load_json(ref)
-    if not isinstance(payload, dict):
-        raise BadParams(f"{ref}: expected a JSON object, got {type(payload).__name__}")
-    if "registers" in payload:
-        return state_from_json(payload)
-    if "entries" in payload:
-        return components_from_json(payload)
-    if "steps" in payload:
-        return script_from_json(payload)
-    raise BadParams(f"{ref}: unrecognized payload (no registers/entries/steps key)")
-
-
-def _need_state(obj, ref: str) -> DensityState:
-    if isinstance(obj, DensityState):
-        return obj
-    if isinstance(obj, MarkovComponents):
-        return build_markov(obj)
-    raise BadParams(f"{ref} does not resolve to a state")
+        obj = zoo(*parse_zoo_ref(ref))
+    else:
+        payload = _load_json(ref)
+        if not isinstance(payload, dict):
+            raise BadParams(f"{ref}: expected a JSON object, got {type(payload).__name__}")
+        if "registers" in payload:
+            obj = state_from_json(payload)
+        elif "entries" in payload:
+            obj = components_from_json(payload)
+        elif "steps" in payload:
+            state, expected = payload.get("state"), payload.get("expected_m_i")
+            scenario = None if state is None else Scenario(state_from_json(state))
+            if expected is not None:
+                expected = require_real("expected_m_i", expected, 0.0, BadParams)
+            obj = ZooScript(ref, scenario, script_from_json(payload), expected)
+        else:
+            raise BadParams(f"{ref}: unrecognized payload (no registers/entries/steps key)")
+    if kind is DensityState and isinstance(obj, MarkovComponents):
+        obj = build_markov(obj)
+    if kind and not isinstance(obj, kind):
+        raise BadParams(f"{ref} does not resolve to {_KINDS[kind]}")
+    return obj
 
 
 def _seed_of(args) -> int:
@@ -91,19 +105,23 @@ def _seed_of(args) -> int:
 
 
 class Run(NamedTuple):
-    """A subcommand's report: ``result`` for stdout, ``summary`` lines and its
-    own ``meta`` counts for stderr (beside ``wall_time_s`` and ``version``), exit ``code``."""
+    """A subcommand's report: ``result`` for stdout, ``summary`` lines and its own
+    ``meta`` counts for stderr, exit ``code``, and ``files``, each path's JSON payload."""
 
     result: dict
     summary: list
     meta: dict = {}
     code: int = 0
+    files: dict = {}
 
 
 def _emit(run: Run, started: float, args) -> None:
-    # The CSV goes first, so a run whose file cannot be written prints no report.
+    # Files go first, so a run whose file cannot be written prints no report.
     if getattr(args, "csv", None):
         _write_csv(args.csv, run.result)
+    for path, payload in run.files.items():
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(json.dumps(jsonable(payload), sort_keys=True))
     print(json.dumps(jsonable(run.result), sort_keys=True, indent=2))
     meta = {"wall_time_s": time.time() - started, "version": __version__, **run.meta}
     print(json.dumps({"meta": meta}, sort_keys=True), file=sys.stderr)
@@ -126,9 +144,7 @@ def _write_csv(path: str, result: dict) -> None:
 
     walk("", jsonable(result))
     with open(path, "w") as fh:
-        fh.write("key,value\n")
-        for key, value in rows:
-            fh.write(f"{key},{value}\n")
+        fh.writelines(["key,value\n", *(f"{key},{value}\n" for key, value in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +152,7 @@ def _write_csv(path: str, result: dict) -> None:
 
 
 def cmd_analyze(args) -> Run:
-    state = _need_state(load_ref(args.state), args.state)
+    state = load_ref(args.state, DensityState)
     groups = _partition_args(args, state)
     report = entropy_report(state, *groups)
     score = markov_score(state, *groups, tol=args.tol)
@@ -152,10 +168,8 @@ def cmd_analyze(args) -> Run:
 
 def _markov_section(score) -> dict:
     """A ``MarkovScore``'s fields and the advisory note on its verdict."""
-    return {
-        **jsonable(score),
-        "note": "verdict decided by the cqmi threshold; fidelity is diagnostic",
-    }
+    note = "verdict decided by the cqmi threshold; fidelity is diagnostic"
+    return {**jsonable(score), "note": note}
 
 
 def _partition_args(args, state):
@@ -208,13 +222,8 @@ def _search_meta(est) -> dict:
 def cmd_esqc(args) -> Run:
     state, config = _search_inputs(EsqcConfig, args)
     est = estimate_esqc(state, config)
-    result = _bracket_report(
-        "esqc",
-        args,
-        est,
-        weights=list(est.weights),
-        ensemble=[state_to_json(s) for s in est.ensemble],
-    )
+    ensemble = [state_to_json(s) for s in est.ensemble]
+    result = _bracket_report("esqc", args, est, weights=list(est.weights), ensemble=ensemble)
     lines = [_bracket_line(est)]
     if args.crosscheck:
         rep = extension_crosscheck(state, config)
@@ -225,10 +234,7 @@ def cmd_esqc(args) -> Run:
 
 
 def cmd_markov_build(args) -> Run:
-    obj = load_ref(args.components)
-    if not isinstance(obj, MarkovComponents):
-        raise BadParams(f"{args.components} does not resolve to block components")
-    state = build_markov(obj)
+    state = build_markov(load_ref(args.components, MarkovComponents))
     score = markov_score(state)
     result = {
         "command": "markov-build",
@@ -236,22 +242,18 @@ def cmd_markov_build(args) -> Run:
         "state": state_to_json(state),
         "markov": _markov_section(score),
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(jsonable(state_to_json(state))))
-    return Run(result, [f"built dim {state.dim}; cqmi = {score.cqmi_bits:.3e}"])
+    files = {args.out: result["state"]} if args.out else {}
+    return Run(result, [f"built dim {state.dim}; cqmi = {score.cqmi_bits:.3e}"], files=files)
 
 
 def cmd_script(args) -> Run:
-    obj = load_ref(args.script)
-    if isinstance(obj, ZooScript):
-        scenario, steps = obj.scenario, obj.steps
-    else:
-        steps = obj
-        if not args.state:
-            raise BadParams("a script file needs a state reference to run on")
-        scenario = Scenario(_need_state(load_ref(args.state), args.state))
+    script = load_ref(args.script, ZooScript)
+    if (script.scenario is None) == (args.state is None):
+        need = "no state; give a" if script.scenario is None else "its own state; give no"
+        raise BadParams(f"{args.script} carries {need} state reference")
+    scenario = script.scenario or Scenario(load_ref(args.state, DensityState))
     before = entropy_report(scenario.block_state)
-    run = run_script(scenario, steps)
+    run = run_script(scenario, script.steps)
     final = run.final.block_state
     after = entropy_report(final)
     result = {
@@ -264,15 +266,15 @@ def cmd_script(args) -> Run:
         "after": after,
         "final_registers": layout_to_json(final.layout),
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(jsonable(state_to_json(run.final.state))))
+    # Densified only for --out: the blocks alone may fit where the state does not.
+    files = {args.out: state_to_json(run.final.state)} if args.out else {}
     ledger = run.final.ledger
     summary = (
         f"class {run.classification.value}; Qc = {ledger.qc_bits} bits, "
         f"C_down = {ledger.cdown_bits} bits; M_I {before.m_i_bits:.6f} -> {after.m_i_bits:.6f}"
     )
     meta = {"blocks": len(final.blocks), "max_block_dim": final.max_block_dim}
-    return Run(result, [summary], meta)
+    return Run(result, [summary], meta, files=files)
 
 
 def cmd_fuzz(args) -> Run:
@@ -287,50 +289,38 @@ def cmd_fuzz(args) -> Run:
         "failure_count": len(report.failures),
         "notes": report.notes,
     }
-    files = []
-    if report.failures:
-        outdir = Path(args.counterexample_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, failure in enumerate(report.failures):
-            path = outdir / f"counterexample_{args.suite}_{i}.json"
-            path.write_text(json.dumps(jsonable(failure), sort_keys=True, indent=2))
-            files.append(str(path))
-    result["counterexample_files"] = files
+    files = {
+        str(Path(args.counterexample_dir) / f"counterexample_{args.suite}_{i}.json"): failure
+        for i, failure in enumerate(report.failures)
+    }
+    result["counterexample_files"] = list(files)
     verdict = "" if report.ok else "; VIOLATIONS FOUND"
     summary = f"{report.passes}/{report.trials} checks passed{verdict}"
-    return Run(result, [summary], code=0 if report.ok else 1)
+    return Run(result, [summary], code=0 if report.ok else 1, files=files)
 
 
 def cmd_zoo(args) -> Run:
     if args.action == "list":
         result = {"command": "zoo", "action": "list", "catalog": manifest()["entries"]}
         return Run(result, [f"{len(catalog_names())} entries"])
-    name, params = (args.name, {})
-    if not name:
+    if not args.name:
         raise BadParams("zoo build needs an entry name")
-    if name.startswith("zoo:"):
-        name, params = parse_zoo_ref(name)
-    obj = zoo(name, params, seed=args.seed or 0)
+    name, params = parse_zoo_ref(args.name) if args.name.startswith("zoo:") else (args.name, {})
+    seed = params.pop("seed", args.seed or 0)
+    obj = zoo(name, params, seed=seed)
     if isinstance(obj, DensityState):
         payload = state_to_json(obj)
     elif isinstance(obj, MarkovComponents):
         payload = components_to_json(obj)
     else:
         payload = {
-            "script": script_to_json(obj.steps),
-            "initial_state": state_to_json(obj.scenario.state),
+            **script_to_json(obj.steps),
+            "state": state_to_json(obj.scenario.state),
             "expected_m_i": obj.expected_m_i,
         }
-    result = {
-        "command": "zoo",
-        "action": "build",
-        "name": name,
-        "seed": args.seed or 0,
-        "payload": payload,
-    }
-    if args.out:
-        Path(args.out).write_text(json.dumps(jsonable(payload)))
-    return Run(result, [f"built zoo entry {name}"])
+    result = {"command": "zoo", "action": "build", "name": name, "seed": seed, "payload": payload}
+    files = {args.out: payload} if args.out else {}
+    return Run(result, [f"built zoo entry {name}"], files=files)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +366,7 @@ def _search_parser(sub, name: str, config_cls, summary: str) -> argparse.Argumen
 def _search_inputs(config_cls, args):
     """The state the search runs on, and a ``config_cls`` read from the flags
     named after its fields and the seed of ``_seed_of``."""
-    state = _need_state(load_ref(args.state), args.state)
+    state = load_ref(args.state, DensityState)
     values = {f.name: getattr(args, f.name) for f in fields(config_cls) if f.name != "seed"}
     return state, config_cls(**values, seed=_seed_of(args))
 
@@ -416,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("script", help="run a step script against a state")
     p.add_argument("script", help="script file or zoo:nonfree_script?cls=... reference")
-    p.add_argument("state", nargs="?", help="state reference (unneeded for zoo scripts)")
+    p.add_argument("state", nargs="?", help="state reference, for a script that carries none")
     p.add_argument("--out", help="write the final state to this file")
     _common(p, seeded=False)
     p.set_defaults(func=cmd_script)

@@ -93,7 +93,7 @@ def state_to_json(state: DensityState) -> dict:
 
 
 def state_from_json(d: dict) -> DensityState:
-    if "registers" not in d or "matrix" not in d:
+    if not isinstance(d, dict) or "registers" not in d or "matrix" not in d:
         raise BadParams("state payload needs 'registers' and 'matrix'")
     return DensityState(layout_from_json(d["registers"]), matrix_from_json(d["matrix"]))
 

@@ -27,12 +27,14 @@ from .steps import Scenario, Step
 
 @dataclass(frozen=True)
 class ZooScript:
-    """A bundled protocol: an initial scenario plus the steps to run."""
+    """A protocol: the steps to run and, when bundled, the scenario they start
+    from and the half-CQMI expected after them (each None when a script file
+    carries none)."""
 
     name: str
-    scenario: Scenario
+    scenario: Scenario | None
     steps: tuple[Step, ...]
-    expected_m_i: float
+    expected_m_i: float | None
 
 
 def manifest() -> dict:

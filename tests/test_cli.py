@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,6 +573,28 @@ class TestReaderRobustness:
         captured = capsys.readouterr()
         assert not captured.out and named in captured.err
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("state", 5, "state payload needs"),
+            ("state", [], "state payload needs"),
+            ("state", {"entries": []}, "state payload needs"),
+            ("expected_m_i", "0.5", "expected_m_i must be a finite real"),
+            ("expected_m_i", -1, "expected_m_i must be a finite real >= 0"),
+            ("expected_m_i", float("nan"), "expected_m_i must be a finite real"),
+        ],
+    )
+    def test_malformed_bundled_script_exits_2(self, tmp_path, capsys, key, value, named):
+        from nmk import cli
+
+        payload = json.loads(json.dumps(jsonable(bundled_script_json("secret_ab"))))
+        payload[key] = value
+        path = tmp_path / "bundled.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["script", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and named in captured.err
+
     def test_trace_decreasing_channel_names_unit_trace(self, tmp_path):
         # A declared non-trace-preserving channel is accepted as a map, but
         # its output fails the state check at the channel step.
@@ -854,6 +877,117 @@ class TestZooCommand:
         assert proc.returncode == 0
         payload = json.loads(target.read_text())
         assert "registers" in payload
+
+
+    def test_build_reports_the_seed_it_built_with(self, capsys):
+        # The reference's seed= wins over --seed, and the report says so.
+        from nmk import cli
+
+        assert cli.main(["zoo", "build", "zoo:hs_random?dims=2,2,2&seed=5", "--seed", "9"]) == 0
+        given = json.loads(capsys.readouterr().out)
+        assert cli.main(["zoo", "build", "zoo:hs_random?dims=2,2,2", "--seed", "5"]) == 0
+        flag = json.loads(capsys.readouterr().out)
+        assert given["seed"] == flag["seed"] == 5
+        assert given["payload"] == flag["payload"]
+
+
+def bundled_script_json(cls):
+    """The file ``nmk zoo build --out`` writes for ``zoo:nonfree_script?cls=cls``."""
+    script = zoo("nonfree_script", {"cls": cls})
+    return {
+        **script_to_json(script.steps),
+        "state": state_to_json(script.scenario.state),
+        "expected_m_i": script.expected_m_i,
+    }
+
+
+#: Each kind of reference, as a zoo URI and as a file (the file's payload).
+REFERENCES = {
+    "state": ("zoo:ghz_diag", lambda: state_to_json(zoo("ghz_diag"))),
+    "components": (
+        "zoo:markov_random?entries=2",
+        lambda: components_to_json(zoo("markov_random", {"entries": 2})),
+    ),
+    # The zoo holds no script without a state.
+    "plain script": (None, lambda: script_to_json((Step.discard_a(("A",)),))),
+    "bundled script": (
+        "zoo:nonfree_script?cls=secret_ab",
+        lambda: bundled_script_json("secret_ab"),
+    ),
+}
+SEARCH = ["--max-iters", "3", "--restarts", "1", "--seed", "1"]
+#: Each command, its arguments around the reference, and the kinds it runs.
+COMMANDS = {
+    "analyze": (["analyze"], [], {"state", "components"}),
+    "nmf": (["nmf"], SEARCH, {"state", "components"}),
+    "esqc": (["esqc"], SEARCH, {"state", "components"}),
+    "markov-build": (["markov-build"], [], {"components"}),
+    "script on a state": (["script"], ["zoo:ghz_diag"], {"plain script"}),
+    "script alone": (["script"], [], {"bundled script"}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind, source",
+    [
+        (command, kind, source)
+        for command in sorted(COMMANDS)
+        for kind, (uri, _) in sorted(REFERENCES.items())
+        for source in ("zoo", "file")[uri is None :]
+    ],
+)
+def test_every_command_takes_its_kinds_and_refuses_others(tmp_path, capsys, command, kind, source):
+    """Through ``cli.main``: a command runs on the kinds it takes and exits
+    2 naming the reference on any other; nothing raises."""
+    from nmk import cli
+
+    ref, payload = REFERENCES[kind]
+    if source == "file":
+        ref = str(tmp_path / "ref.json")
+        Path(ref).write_text(json.dumps(jsonable(payload())))
+    head, tail, kinds = COMMANDS[command]
+    code = cli.main([*head, ref, *tail])
+    out, err = capsys.readouterr()
+    if kind in kinds:
+        assert code == 0, err
+        assert json.loads(out)["input"] == ref
+    else:
+        assert code == 2 and not out
+        assert err.startswith(f"error: {ref} ")
+
+
+class TestRoundTrip:
+    """A file ``nmk zoo build --out`` writes reads back as the entry: the
+    report on it is the zoo URI's but for ``input``."""
+
+    @staticmethod
+    def report(capsys, *argv):
+        from nmk import cli
+
+        assert cli.main(list(argv)) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("input", None)
+        return out
+
+    @pytest.mark.parametrize(
+        "cls", ["irreversible_e", "quantum_e_to_a", "quantum_e_to_b", "secret_ab", "quantum_ab"]
+    )
+    def test_bundled_script(self, tmp_path, capsys, cls):
+        uri, target = f"zoo:nonfree_script?cls={cls}", str(tmp_path / "s.json")
+        self.report(capsys, "zoo", "build", uri, "--out", target)
+        assert json.loads(Path(target).read_text()) == json.loads(
+            json.dumps(jsonable(bundled_script_json(cls)))
+        )
+        assert self.report(capsys, "script", target) == self.report(capsys, "script", uri)
+
+    @pytest.mark.parametrize(
+        "command, uri",
+        [("analyze", "zoo:ghz_diag"), ("markov-build", "zoo:markov_random?entries=2&seed=4")],
+    )
+    def test_state_and_components(self, tmp_path, capsys, command, uri):
+        target = str(tmp_path / "entry.json")
+        self.report(capsys, "zoo", "build", uri, "--out", target)
+        assert self.report(capsys, command, target) == self.report(capsys, command, uri)
 
 
 class TestDeterminism:

@@ -28,7 +28,10 @@ helper behind.  No class defines ``to_dict``: a record reaches JSON through
 integer flag parses through ``cli._integer_flag``, which names the field
 and its floor.  ``time.time`` is read only in ``cli.main``, which starts a
 run's clock, and ``cli._emit``, which reads it into ``meta``: a subcommand
-returns a ``cli.Run`` and neither times nor prints it.
+returns a ``cli.Run`` and neither times nor prints it.  A file is
+written (``write_text``, ``write_bytes``, ``mkdir`` or ``open`` in a write
+mode) only in ``cli._emit`` and ``cli._write_csv``: a subcommand returns
+the files it writes in its ``cli.Run``.
 """
 
 import ast
@@ -197,6 +200,44 @@ def _clock_reads(tree, readers):
     )
 
 
+#: The path methods that write to the file system.
+WRITE_METHODS = {"write_text", "write_bytes", "mkdir"}
+
+
+def _opens_for_writing(node):
+    """Whether ``node`` calls ``open`` or a ``.open`` method in a mode that
+    writes; a mode that is no string literal counts as one."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "open":
+        position = 1
+    elif isinstance(node.func, ast.Attribute) and node.func.attr == "open":
+        position = 0
+    else:
+        return False
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[position:][:1]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or set(mode.value) & set("wax+")
+        for mode in modes
+    )
+
+
+def _file_writes(tree, writers):
+    """The line numbers of file writes outside the functions named in
+    ``writers``: a call of a ``WRITE_METHODS`` method or a writing ``open``."""
+    return sorted(
+        node.lineno
+        for node in _outside(tree, writers)
+        if _opens_for_writing(node)
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in WRITE_METHODS
+        )
+    )
+
+
 def _int_flag_types(tree):
     """The line numbers of calls passing the keyword ``type=int``."""
     return sorted(
@@ -215,6 +256,7 @@ def lint(
     tests_integers: bool = False,
     tests_reals: bool = False,
     clock_readers: frozenset = frozenset(),
+    file_writers: frozenset = frozenset(),
 ) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
@@ -222,8 +264,9 @@ def lint(
     bypass ``is_integer`` (``numbers.Integral`` or a bare ``int``), imports
     of ``is_integer`` unless ``tests_integers``, reads of ``math.isfinite``
     or ``numbers.Real`` unless ``tests_reals``, size caps that bypass the
-    budget, ``to_dict`` methods, ``type=int`` flags and reads of
-    ``time.time`` outside the functions named in ``clock_readers``."""
+    budget, ``to_dict`` methods, ``type=int`` flags, reads of
+    ``time.time`` outside the functions named in ``clock_readers`` and file
+    writes outside those named in ``file_writers``."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -256,6 +299,11 @@ def lint(
         f"line {lineno}: time.time read outside cli.main and cli._emit; "
         "a subcommand returns a cli.Run, which main times"
         for lineno in _clock_reads(tree, clock_readers)
+    ]
+    problems += [
+        f"line {lineno}: file written outside cli._emit and cli._write_csv; "
+        "a subcommand returns its files in a cli.Run"
+        for lineno in _file_writes(tree, file_writers)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -365,6 +413,10 @@ INTEGER_TESTERS = {"registers.py", "states.py"}
 #: and ``cli._emit`` reads it into ``meta``.
 CLOCK_READERS = {"cli.py": frozenset({"main", "_emit"})}
 
+#: The functions that write files: ``cli._emit`` writes a run's files and
+#: its CSV through ``cli._write_csv``.
+FILE_WRITERS = {"cli.py": frozenset({"_emit", "_write_csv"})}
+
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports(path):
@@ -374,6 +426,7 @@ def test_module_imports(path):
         tests_integers=path.name in INTEGER_TESTERS,
         tests_reals=path.name == "registers.py",
         clock_readers=CLOCK_READERS.get(path.name, frozenset()),
+        file_writers=FILE_WRITERS.get(path.name, frozenset()),
     )
     assert problems == []
 
@@ -577,3 +630,30 @@ def test_lint_catches_int_flag_types():
     )
     message = "type=int flag; parse an integer flag through cli._integer_flag"
     assert lint(source) == [f"line 4: {message}", f"line 6: {message}"]
+
+
+def test_lint_catches_file_writes_outside_emit():
+    source = (
+        "import json\n"
+        "from pathlib import Path\n"
+        "def cmd_zoo(args, payload, mode):\n"
+        "    Path(args.out).write_text(json.dumps(payload))\n"
+        "    Path(args.dir).mkdir(parents=True, exist_ok=True)\n"
+        "    with open(args.csv, 'w') as fh, open(args.ref, encoding='utf-8') as ref:\n"
+        "        fh.write(ref.read())\n"
+        "    log = Path(args.log).open(mode='a')\n"
+        "    return log, open(args.ref, 'rb'), Path(args.ref).open(), open(args.ref, mode)\n"
+        "def _emit(run, args):\n"
+        "    Path(args.out).write_bytes(run)\n"
+        "def _write_csv(path, rows):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.writelines(rows)\n"
+    )
+    message = (
+        "file written outside cli._emit and cli._write_csv; a subcommand returns its files "
+        "in a cli.Run"
+    )
+    assert lint(source, file_writers=frozenset({"_emit", "_write_csv"})) == [
+        f"line {n}: {message}" for n in (4, 5, 6, 8, 9)
+    ]
+    assert lint(source) == [f"line {n}: {message}" for n in (4, 5, 6, 8, 9, 11, 13)]
