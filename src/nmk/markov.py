@@ -24,11 +24,11 @@ from .registers import Party, Register, RegisterLayout, layout, require_distribu
 from .states import (
     ChannelMap,
     DensityState,
+    _apply_kraus_block,
     _fidelity_matrix,
     _marginal_matrix,
     _permuted_matrix,
     _require_budget,
-    embed_operator,
 )
 from .steps import Scenario, Step
 
@@ -137,7 +137,8 @@ def petz_recover(state: DensityState, a, b, e) -> PetzResult:
     Applies rho_BE^{1/2} (rho_E^{-1/2} rho_AE rho_E^{-1/2} (x) I_B)
     rho_BE^{1/2} with pseudo-inverses on supports, renormalizes to unit
     trace and reports the pre-normalization trace.  Output registers are in
-    (a..., b..., e...) order.
+    (a..., b..., e...) order.  One call of the kernel that applies every
+    channel: K = rho_BE^{1/2} (I_B (x) rho_E^{-1/2}) sandwiches rho_AE (x) I_B.
     """
     a, b, e = tuple(a), tuple(b), tuple(e)
     lay = state.layout.subset(a + b + e).reordered(a + b + e)
@@ -149,12 +150,13 @@ def petz_recover(state: DensityState, a, b, e) -> PetzResult:
     e_inv_half = _matrix_power_psd(rho_e, -0.5)
     be_half = _matrix_power_psd(rho_be, 0.5)
 
-    lift_e = embed_operator(lay.subset(a + e), e, e_inv_half) if e else np.eye(rho_ae.shape[0])
-    x_ae = lift_e @ rho_ae @ lift_e.conj().T
-    # Lift X^{AE} into the full space (identity on B), then sandwich on BE.
-    x_full = embed_operator(lay, a + e, x_ae)
-    lift_be = embed_operator(lay, b + e, be_half)
-    y = lift_be @ x_full @ lift_be.conj().T
+    # rho_AE (x) I_B is held in (a..., e..., b...) order; K acts on b + e,
+    # so the kernel returns (a..., b..., e...), the order of ``lay``.
+    aeb = lay.reordered(a + e + b)
+    eye_b = np.eye(lay.dim_of(b))
+    k = be_half @ np.kron(eye_b, e_inv_half)
+    on = [aeb.index(lbl) for lbl in b + e]
+    y = _apply_kraus_block(np.kron(rho_ae, eye_b), aeb.dims, on, (k,), len(k))
     t = float(np.trace(y).real)
     y = y / t
     y = 0.5 * (y + y.conj().T)

@@ -41,15 +41,16 @@ def _gaussian_complex(rng, *shape) -> np.ndarray:
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary of order ``dim``."""
-    if dim < 1:
-        raise BadDims(f"unitary dim must be positive, got {dim}")
+    dim = require_integer("dim", dim, 1)
     return random_isometry(dim, dim, seed)
 
 
 def random_isometry(in_dim: int, out_dim: int, seed) -> np.ndarray:
     """Column-orthonormal (out_dim x in_dim) matrix, W^dagger W = I."""
-    if in_dim < 1 or out_dim < in_dim:
-        raise BadDims(f"isometry needs out_dim >= in_dim >= 1, got {in_dim}->{out_dim}")
+    in_dim = require_integer("in_dim", in_dim, 1)
+    out_dim = require_integer("out_dim", out_dim, 1)
+    if out_dim < in_dim:
+        raise BadDims(f"isometry needs out_dim >= in_dim, got {in_dim}->{out_dim}")
     rng = as_rng(seed)
     q, r = np.linalg.qr(_gaussian_complex(rng, out_dim, in_dim))
     phases = np.diagonal(r).copy()
@@ -58,8 +59,7 @@ def random_isometry(in_dim: int, out_dim: int, seed) -> np.ndarray:
 
 
 def random_pure_vector(dim: int, seed) -> np.ndarray:
-    if dim < 1:
-        raise BadDims(f"pure-state dim must be positive, got {dim}")
+    dim = require_integer("dim", dim, 1)
     rng = as_rng(seed)
     v = _gaussian_complex(rng, dim)
     return v / np.linalg.norm(v)
@@ -67,8 +67,7 @@ def random_pure_vector(dim: int, seed) -> np.ndarray:
 
 def random_density_matrix(dim: int, seed, rank: int | None = None) -> np.ndarray:
     """Hilbert-Schmidt random density matrix (optionally rank-limited)."""
-    if dim < 1:
-        raise BadDims(f"density dim must be positive, got {dim}")
+    dim = require_integer("dim", dim, 1)
     rank = dim if rank is None else require_integer("rank", rank, 1)
     if rank > dim:
         raise BadDims(f"rank must be in [1, {dim}], got {rank}")

@@ -292,6 +292,7 @@ class ChannelMap:
     @classmethod
     def dephasing(cls, dim: int) -> "ChannelMap":
         dim = require_integer("dim", dim, 1)
+        _require_budget(dim**3, "dephasing Kraus entries", power=2)
         ops = []
         for i in range(dim):
             p = np.zeros((dim, dim), dtype=complex)
@@ -497,6 +498,7 @@ def purify(
     vals, vecs = vals[kept], vecs[:, kept]
     rank = int(vals.size)
     ref_dim = rank if ref_dim is None else require_integer("ref_dim", ref_dim, rank)
+    _require_budget(state.dim * ref_dim, "purification entries", power=2)
     arr = np.zeros((state.dim, ref_dim), dtype=complex)
     for i in range(rank):
         v = vecs[:, i]
@@ -517,7 +519,8 @@ def _purified(state: DensityState):
 
 
 def _apply_kraus_block(matrix, dims, on_axes, kraus_ops, out_block_dim):
-    """Apply Kraus operators on a register block, identity elsewhere.
+    """Apply Kraus operators on a register block, identity elsewhere: the one
+    kernel behind channels, script steps and the Petz map.
 
     Returns the matrix in (keep..., out-block) register order, the kept
     registers in layout order.
@@ -526,12 +529,13 @@ def _apply_kraus_block(matrix, dims, on_axes, kraus_ops, out_block_dim):
     keep_axes = [i for i in range(len(dims)) if i not in on_axes]
     dk = math.prod(dims[i] for i in keep_axes)
     r = math.prod(dims[i] for i in on_axes)
-    t = _permuted_matrix(matrix, dims, keep_axes + on_axes).reshape(dk, r, dk, r)
+    t = _permuted_matrix(matrix, dims, keep_axes + on_axes).reshape(dk, r, dk * r)
     s = out_block_dim
-    out = np.zeros((dk, s, dk, s), dtype=complex)
-    for k in kraus_ops:
-        tmp = np.einsum("sb,ibjd->isjd", k, t)
-        out += np.einsum("isjd,td->isjt", tmp, k.conj())
+    out = np.zeros((dk * s * dk, s), dtype=complex)
+    # Entries may overflow; every caller checks its result finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in kraus_ops:
+            out += (k @ t).reshape(-1, r) @ k.conj().T
     return out.reshape(dk * s, dk * s)
 
 
@@ -908,10 +912,13 @@ def _settled(layout, classical, parts) -> BlockState:
     weight (trace) above ``PRUNE_TOL`` becomes a block, normalized by its
     weight, which the block state checks when it is built.  A lighter part
     is checked hermitian and positive before it is dropped, so that pruning
-    cannot hide an invalid part."""
+    cannot hide an invalid part; a part whose trace is not finite is
+    refused before anything is divided by it."""
     blocks = []
     for values, m in parts:
         w = float(np.trace(m).real)
+        if not np.isfinite(w):
+            raise InvariantViolation("finite", f"block trace must be finite, got {w}")
         if w > PRUNE_TOL:
             blocks.append(Block(values, w, _sealed(m / w)))
         else:
@@ -943,14 +950,3 @@ def _fidelity_matrix(a: np.ndarray, b: np.ndarray) -> float:
     inner = np.linalg.eigvalsh(root @ b @ root)
     inner = np.clip(inner, 0.0, None)
     return float(np.sum(np.sqrt(inner)) ** 2)
-
-
-def embed_operator(layout: RegisterLayout, on, op: np.ndarray) -> np.ndarray:
-    """Lift ``op`` acting on the ordered labels ``on`` to the full space."""
-    on_axes = [layout.index(lbl) for lbl in on]
-    keep_axes = [i for i in range(len(layout)) if i not in on_axes]
-    dims = layout.dims
-    full = np.kron(np.eye(math.prod(dims[i] for i in keep_axes)), np.asarray(op, dtype=complex))
-    # full acts in (keep..., on...) order; conjugate back to layout order.
-    order = keep_axes + on_axes
-    return _permuted_matrix(full, [dims[i] for i in order], np.argsort(order))

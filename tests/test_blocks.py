@@ -4,6 +4,9 @@
 measurement and copy-down Kraus operators are lifted to carry the classical
 copies as registers, and every channel goes through ``nmk.apply_channel``.
 Each block-form step must give the same densified state and the same M_I.
+The register-block kernel behind ``apply_channel`` and ``petz_recover`` is
+itself checked against ``lifted``, a full-space Kronecker lift that shares
+no code with it.
 """
 
 import math
@@ -40,6 +43,7 @@ from nmk.fuzz import (
     _mono_step,
     _random_omega_step,
 )
+from nmk.markov import petz_recover
 from nmk.rand import as_rng
 from nmk.registers import Party, Register, RegisterLayout
 from nmk.states import Block, ClassicalVar
@@ -360,3 +364,101 @@ def test_broadcast_script_memory_stays_small():
     assert final.block_state.dim == 1024
     assert report.m_i_bits <= entropy_report(rho).m_i_bits + 1e-9
     assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# the register-block kernel against the full-space lift
+
+
+def to_block_order(lay, on):
+    """The permutation matrix taking a vector in ``lay``'s register order to
+    (untouched..., on...) order, ``on`` in its given order."""
+    on_axes = [lay.index(lbl) for lbl in on]
+    order = [i for i in range(len(lay)) if i not in on_axes] + on_axes
+    index = np.arange(lay.dim).reshape(lay.dims).transpose(order).reshape(-1)
+    return np.eye(lay.dim)[index]
+
+
+def lifted(lay, on, op):
+    """``op`` on the ordered labels ``on`` of ``lay``, identity elsewhere, as
+    a full-space matrix: columns in ``lay``'s order, rows in (untouched...,
+    output block...) order."""
+    keep = math.prod(r.dim for r in lay.registers if r.label not in on)
+    return np.kron(np.eye(keep), op) @ to_block_order(lay, on)
+
+
+def lifted_square(lay, on, op):
+    """A square ``op`` on ``on``, lifted with rows and columns in ``lay``'s order."""
+    return to_block_order(lay, on).T @ lifted(lay, on, op)
+
+
+def psd_power(m, power):
+    """``m ** power`` on the support of the hermitian ``m`` (eigenvalues above 1e-12)."""
+    vals, vecs = np.linalg.eigh(m)
+    vals = np.where(vals > 1e-12, np.abs(vals), 0.0)
+    powered = np.zeros_like(vals)
+    powered[vals > 0] = vals[vals > 0] ** power
+    return (vecs * powered) @ vecs.conj().T
+
+
+def random_labels(lay, rng, count):
+    return tuple(lay.labels[i] for i in rng.permutation(len(lay))[:count])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_channel_kernel_matches_the_lift(seed):
+    # Random Kraus channels on random register subsets, in and out of
+    # layout order; odd seeds write a differently sized output block.
+    rng = as_rng([seed, 26])
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(2, 5)))
+    state = sample("density_hs", dims, rng, rank=int(rng.integers(1, 4)))
+    lay = state.layout
+    on = random_labels(lay, rng, int(rng.integers(1, min(3, len(lay)) + 1)))
+    in_dim = lay.dim_of(on)
+    out_dim = int(rng.integers(2, 5)) if seed % 2 else in_dim
+    count = max(int(rng.integers(1, 4)), -(-in_dim // out_dim))
+    v = sample("isometry", (in_dim, out_dim * count), rng)
+    kraus = [v[j * out_dim : (j + 1) * out_dim] for j in range(count)]
+    if out_dim == in_dim:
+        block = tuple(lay.register(lbl) for lbl in on)
+        got = apply_channel(state, ChannelMap.from_kraus(kraus), on)
+        ops = [lifted_square(lay, on, k) for k in kraus]
+        want = sum(k @ state.matrix @ k.conj().T for k in ops)
+        np.testing.assert_allclose(got.matrix, want, atol=1e-12, rtol=0)
+    else:
+        block = (Register("X", out_dim, Party.EVE),)
+    got = apply_channel(state, ChannelMap.from_kraus(kraus), on, out=block)
+    ops = [lifted(lay, on, k) for k in kraus]
+    want = sum(k @ state.matrix @ k.conj().T for k in ops)
+    kept = tuple(lbl for lbl in lay.labels if lbl not in on)
+    assert got.layout.labels == kept + tuple(r.label for r in block)
+    np.testing.assert_allclose(got.matrix, want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_petz_map_matches_the_lift(seed):
+    # rho_BE^{1/2} (rho_E^{-1/2} rho_AE rho_E^{-1/2} (x) I_B) rho_BE^{1/2} / Tr
+    # on random groups of one or two registers in any order, rank-deficient
+    # states among them; every fourth seed has an empty E.
+    rng = as_rng([seed, 27])
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=4 if seed % 4 else 3))
+    state = sample("density_hs", dims, rng, rank=int(rng.integers(1, 5)))
+    labels = random_labels(state.layout, rng, len(dims))
+    cut = 1 + seed % 2 if seed % 4 else len(dims) - 1
+    a, b, e = labels[:1], labels[1 : 1 + cut], labels[1 + cut :]
+    lay = state.layout.subset(a + b + e).reordered(a + b + e)
+
+    def marginal(group):
+        return partial_trace(state, group).permuted(group).matrix
+
+    x_ae = marginal(a + e)
+    if e:
+        lay_ae = lay.subset(a + e).reordered(a + e)
+        e_inv_half = lifted_square(lay_ae, e, psd_power(marginal(e), -0.5))
+        x_ae = e_inv_half @ x_ae @ e_inv_half
+    be_half = lifted_square(lay, b + e, psd_power(marginal(b + e), 0.5))
+    want = be_half @ lifted_square(lay, a + e, x_ae) @ be_half
+    got, pre_trace = petz_recover(state, a, b, e)
+    assert got.layout == lay
+    assert pre_trace == pytest.approx(np.trace(want).real, abs=1e-12)
+    np.testing.assert_allclose(got.matrix, want / np.trace(want).real, atol=1e-12, rtol=0)

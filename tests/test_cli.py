@@ -617,6 +617,23 @@ class TestReaderRobustness:
             assert proc.returncode == code, proc.stderr
         assert "block-state entries 512 exceeds the budget of 256" in proc.stderr
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_step_exits_2_without_warnings(self, tmp_path, capsys):
+        # The 1e308 operator's products overflow: the outcome's block trace
+        # is inf, and the step is refused before anything divides by it.
+        from nmk import cli
+
+        huge = np.diag([1e308, 1e308]).astype(complex)
+        step = Step.broadcast_a((huge, np.eye(2, dtype=complex)), ("A",), "M")
+        script = tmp_path / "overflow.json"
+        script.write_text(json.dumps(script_to_json((step,))))
+        assert cli.main(["script", str(script), "zoo:ghz_diag"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "error: finite: " in captured.err
+        proc = run_cli("script", str(script), "zoo:ghz_diag")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: finite: block trace must be finite, got inf"]
+
 
 class TestNanInput:
     def test_script_with_nan_inverse_exits_2(self, tmp_path):
@@ -1064,6 +1081,7 @@ def _typed_field(payload, path):
     return None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMutationFuzz:
     """Single-node mutations of valid payloads, run through ``cli.main``:
     no exception escapes, every exit is 0, 2 or 3, and a value of the wrong

@@ -14,6 +14,7 @@ from nmk import cli, purify, sample, zoo
 from nmk.errors import BadDims, BadMu, BadParams, BadRange, DimensionTooSmall
 from nmk.fuzz import fuzz_ssa
 from nmk.nmf import EstimateConfig
+from nmk.rand import random_density_matrix, random_isometry, random_pure_vector, random_unitary
 from nmk.registers import require_integer
 from nmk.serialize import layout_from_json, state_to_json
 from nmk.states import ChannelMap
@@ -24,6 +25,7 @@ BAD_VALUES = [2.7, "2", True, math.inf, 0]
 
 RHO = sample("density_hs", (2, 2, 2), 1, rank=2)
 W_MATRIX = np.eye(4, 2, dtype=complex)
+RNG = np.random.default_rng(0)
 
 #: entry point -> (call with the bad value, its error class, the field named)
 ENTRY_POINTS = {
@@ -51,6 +53,11 @@ ENTRY_POINTS = {
     "continuity_bound": (lambda v: continuity_bound(0.1, v, 2), BadRange, "d_a"),
     "dephasing": (ChannelMap.dephasing, BadDims, "dim"),
     "purify": (lambda v: purify(RHO, "R", ref_dim=v), BadDims, "ref_dim"),
+    "random_isometry_in": (lambda v: random_isometry(v, 2, RNG), BadDims, "in_dim"),
+    "random_isometry_out": (lambda v: random_isometry(1, v, RNG), BadDims, "out_dim"),
+    "random_unitary": (lambda v: random_unitary(v, RNG), BadDims, "dim"),
+    "random_pure_vector": (lambda v: random_pure_vector(v, RNG), BadDims, "dim"),
+    "random_density_matrix": (lambda v: random_density_matrix(v, RNG), BadDims, "dim"),
 }
 
 

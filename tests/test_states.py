@@ -438,6 +438,27 @@ class TestValidation:
         monkeypatch.setenv("NMK_DIM_BUDGET", "64")
         assert peak_before_raising(psi.to_density, BudgetExceeded) < 0.1 * 2**20
 
+    @pytest.mark.parametrize(
+        "build, entries",
+        [
+            (lambda: purify(nmk.zoo("ghz_diag"), "R", ref_dim=64), 512),
+            (lambda: ChannelMap.dephasing(64), 262144),
+        ],
+        ids=["purify_ref_dim", "dephasing"],
+    )
+    def test_entry_count_checked_before_allocating(self, monkeypatch, build, entries):
+        # B = 8 admits 64 entries; dephasing(64) would build 64 dense 64 x 64
+        # operators (4 MiB).
+        monkeypatch.setenv("NMK_DIM_BUDGET", "8")
+        with pytest.raises(BudgetExceeded, match=f"{entries} exceeds the budget of 64"):
+            build()
+        assert peak_before_raising(build, BudgetExceeded) < 0.1 * 2**20
+
+    def test_default_reference_fits_the_budget(self, monkeypatch):
+        # d * rank <= d^2 <= B^2: the rank never trips the entry count.
+        monkeypatch.setenv("NMK_DIM_BUDGET", "8")
+        assert purify(nmk.zoo("ghz_diag"), "R").layout.dim == 8 * 2
+
 
 def test_equality_is_identity():
     # States hold numpy matrices; == compares identity instead of raising
