@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .csquashed import EsqcConfig, estimate_esqc, extension_crosscheck
-from .entropy import entropy_report, party_partition
+from .entropy import entropy_report
 from .errors import BadParams, BudgetExceeded, NmkError
 from .fuzz import SUITES
 from .markov import MarkovComponents, build_markov, markov_score
@@ -153,7 +153,7 @@ def _write_csv(path: str, result: dict) -> None:
 
 def cmd_analyze(args) -> Run:
     state = load_ref(args.state, DensityState)
-    groups = _partition_args(args, state)
+    groups = _partition_args(args)
     report = entropy_report(state, *groups)
     score = markov_score(state, *groups, tol=args.tol)
     result = {
@@ -172,11 +172,12 @@ def _markov_section(score) -> dict:
     return {**jsonable(score), "note": note}
 
 
-def _partition_args(args, state):
+def _partition_args(args):
+    """The ``--alice/--bob/--eve`` groups, or the entropy routines' default."""
     groups = (args.alice, args.bob, args.eve)
     if any(groups):
         return tuple(tuple(g.split(",")) if g else () for g in groups)
-    return party_partition(state)
+    return (None, None, None)
 
 
 def cmd_nmf(args) -> Run:

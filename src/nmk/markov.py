@@ -22,7 +22,10 @@ from .entropy import _as_groups, cqmi
 from .errors import BadProbabilities, BadRange, InconsistentDims
 from .registers import Party, Register, RegisterLayout, layout, require_distribution, require_real
 from .states import (
+    Block,
+    BlockState,
     ChannelMap,
+    ClassicalVar,
     DensityState,
     _apply_kraus_block,
     _fidelity_matrix,
@@ -30,7 +33,7 @@ from .states import (
     _permuted_matrix,
     _require_budget,
 )
-from .steps import Scenario, Step
+from .steps import Scenario, Step, _copy_label
 
 
 @dataclass(frozen=True)
@@ -100,20 +103,19 @@ def _block_layouts(components: MarkovComponents) -> tuple[RegisterLayout, Regist
 
 def build_markov(components: MarkovComponents) -> DensityState:
     """Assemble sum_j p_j sigma_j (x) tau_j (x) |j><j|, ordered as
-    (alice..., bob..., index, eve memories...)."""
+    (alice..., bob..., index, eve memories...): the block state of one
+    block sigma_j (x) tau_j per index value j, densified by its
+    ``to_density`` once the budget is checked."""
     raw, lay = _block_layouts(components)
     _require_budget(raw.dim)
-    entries = components.entries
-    n = len(entries)
-    mat = np.zeros((raw.dim, raw.dim), dtype=complex)
-    eye_j = np.zeros((n, n), dtype=complex)
-    for j, entry in enumerate(entries):
-        eye_j[:] = 0.0
-        eye_j[j, j] = 1.0
-        block = entry.p * np.kron(np.kron(entry.sigma.matrix, entry.tau.matrix), eye_j)
-        mat += block
-    axes = [raw.index(lbl) for lbl in lay.labels]
-    return DensityState(lay, _permuted_matrix(mat, raw.dims, axes))
+    index = ClassicalVar(len(components.entries), (INDEX_LABEL,))
+    # sigma (x) tau holds the registers of ``raw`` but the last, the index.
+    axes = [raw.index(lbl) for lbl in lay.without(index.labels).labels]
+    blocks = []
+    for j, e in enumerate(components.entries):
+        product = np.kron(e.sigma.matrix, e.tau.matrix)
+        blocks.append(Block((j,), e.p, _permuted_matrix(product, raw.dims[:-1], axes)))
+    return BlockState(lay, (index,), tuple(blocks)).to_density()
 
 
 class PetzResult(NamedTuple):
@@ -219,7 +221,7 @@ def preparation_script(components: MarkovComponents):
         )
     )
     coin = tuple(np.array([[math.sqrt(e.p)]], dtype=complex) for e in entries)
-    ja, jb = "J_A", "J_B"
+    ja, jb = _copy_label("J", Party.ALICE), _copy_label("J", Party.BOB)
     sig_regs = tuple(Register(r.label, r.dim, Party.ALICE) for r in sig_lay.registers)
     tau_regs = tuple(Register(r.label, r.dim, Party.BOB) for r in tau_lay.registers)
     steps = [

@@ -435,7 +435,8 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
     restart's final Riemannian gradient norm (None when no restart won).
     """
     config = config or EstimateConfig()
-    lower = nonmarkovianity(rho)
+    # SSA makes the half-CQMI nonnegative; a rounding below zero is no bound.
+    lower = max(0.0, nonmarkovianity(rho))
     candidates = []
     for w in baseline_witnesses(rho):
         ref = (w.groups.b_prime + w.groups.a_prime)[0]

@@ -746,20 +746,12 @@ class BlockState:
 
     def group_marginals(self, labels=None) -> list[np.ndarray]:
         """The marginal on ``labels`` (all registers if None) as the list of
-        matrices it is the direct sum of: blocks that agree on every
-        classical variable with a copy among ``labels`` form one group, and
-        each group's weighted quantum marginals are summed."""
+        matrices it is the direct sum of: the merged weighted blocks that
+        ``_traced`` leaves once every other register is traced out."""
         labels = self.layout.labels if labels is None else tuple(labels)
         self.layout.positions(labels)
-        labels = set(labels)
-        visible = [i for i, var in enumerate(self.classical) if labels & set(var.labels)]
-        q = self.quantum
-        keep = [i for i, lbl in enumerate(q.labels) if lbl in labels]
-        groups = _summed(
-            (tuple(v[i] for i in visible), w * _marginal_matrix(m, q.dims, keep))
-            for v, w, m in self.blocks
-        )
-        return list(groups.values())
+        drop = set(self.layout.labels) - set(labels)
+        return [m for _, m in self._traced(drop)[1]]
 
     # -- operations ----------------------------------------------------------
     def retagged(self, label: str, party) -> "BlockState":
@@ -802,16 +794,21 @@ class BlockState:
         return _settled(layout, classical + (var,), parts)
 
     def discarded(self, labels) -> "BlockState":
-        """Trace out the registers ``labels``.  A classical variable that
-        loses its last copy stops separating blocks, and the blocks it
-        separated are merged."""
+        """Trace out the registers ``labels`` (any iterable, read once)
+        through ``_traced``: a classical variable that loses its last copy
+        stops separating blocks, and the blocks it separated are merged."""
         drop = set(labels)
-        layout = self.layout.without(drop)
+        return _settled(self.layout.without(drop), *self._traced(drop))
+
+    def _traced(self, drop):
+        """Classical variables and merged weighted block marginals once the
+        registers ``drop`` (a set) are traced out: the one block trace
+        behind ``discarded`` and ``group_marginals``."""
         q = self.quantum
         keep = [i for i, lbl in enumerate(q.labels) if lbl not in drop]
         classical = _without_copies(self.classical, drop)
         parts = [(v, w * _marginal_matrix(m, q.dims, keep)) for v, w, m in self.blocks]
-        return _settled(layout, *_merged(classical, parts))
+        return _merged(classical, parts)
 
     def copied(self, label: str, copy: Register) -> "BlockState":
         """Append the register ``copy``, a copy of the classical value in
@@ -889,21 +886,15 @@ def _without_copies(classical, labels) -> tuple[ClassicalVar, ...]:
     )
 
 
-def _summed(pairs) -> dict:
-    """The matrices of ``(key, matrix)`` pairs summed per key, keys in order
-    of first appearance."""
-    out: dict = {}
-    for key, m in pairs:
-        out[key] = out[key] + m if key in out else m
-    return out
-
-
 def _merged(classical, parts):
     """Drop the classical variables left with no copy, and sum the weighted
     block matrices ``parts`` (``(values, matrix)`` pairs) that then agree on
-    every value."""
+    every value, keyed in order of first appearance."""
     live = [i for i, var in enumerate(classical) if var.labels]
-    merged = _summed((tuple(v[i] for i in live), m) for v, m in parts)
+    merged: dict = {}
+    for values, m in parts:
+        key = tuple(values[i] for i in live)
+        merged[key] = merged[key] + m if key in merged else m
     return tuple(classical[i] for i in live), list(merged.items())
 
 

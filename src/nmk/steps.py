@@ -318,6 +318,11 @@ def _retag(sc: Scenario, register: str, source_parties, target: Party, qc=0.0) -
     return Scenario(sc.block_state.retagged(register, target), sc.ledger.add(qc=qc))
 
 
+def _copy_label(msg_label: str, party: Party) -> str:
+    """The register that holds ``party``'s copy of the message ``msg_label``."""
+    return f"{msg_label}_{party.value[0].upper()}"
+
+
 def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Scenario:
     """Measure the sender's block and append one classical copy per receiver."""
     bs = sc.block_state
@@ -329,10 +334,7 @@ def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Sce
             raise DimensionMismatch(
                 f"measurement operators must be square of dim {block_dim}, got {op.shape}"
             )
-    copies = tuple(
-        Register(f"{step.msg_label}_{party.value[0].upper()}", n_out, party)
-        for party in receivers
-    )
+    copies = tuple(Register(_copy_label(step.msg_label, p), n_out, p) for p in receivers)
     return replace(sc, block_state=bs.measured(step.operators, step.on, copies))
 
 
@@ -342,7 +344,7 @@ def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
     if reg.party is not Party.EVE:
         raise UnknownLabel(f"register {step.register!r} is not Eve's")
     base = step.msg_label or f"{step.register}_c"
-    copy_reg = Register(f"{base}_{receiver.value[0].upper()}", reg.dim, receiver)
+    copy_reg = Register(_copy_label(base, receiver), reg.dim, receiver)
     state = bs.copied(step.register, copy_reg)
     return Scenario(state, sc.ledger.add(cdown=math.log2(reg.dim)))
 

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import BadParams, UnknownName
 from .markov import MarkovComponents, MarkovEntry
 from .rand import as_rng, sample
-from .registers import RegisterLayout, layout, require_integer
+from .registers import Party, RegisterLayout, layout, require_integer
 from .states import ChannelMap, DensityState, tensor
-from .steps import Scenario, Step
+from .steps import Scenario, Step, _copy_label
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,13 @@ def _script_secret_ab() -> ZooScript:
     cx = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
+    ja, jb = _copy_label("J", Party.ALICE), _copy_label("J", Party.BOB)
     steps = (
         Step.secret_ab(coin, ("A",), "J", sender="alice"),
-        Step.local_a(ChannelMap.unitary(cx), ("J_A", "A")),
-        Step.local_b(ChannelMap.unitary(cx), ("J_B", "B")),
-        Step.discard_a(("J_A",)),
-        Step.discard_b(("J_B",)),
+        Step.local_a(ChannelMap.unitary(cx), (ja, "A")),
+        Step.local_b(ChannelMap.unitary(cx), (jb, "B")),
+        Step.discard_a((ja,)),
+        Step.discard_b((jb,)),
     )
     return ZooScript("nonfree_script:secret_ab", Scenario(_dummy(None, None)), steps, 0.5)
 

@@ -251,6 +251,19 @@ class TestBlockState:
         assert [b.values for b in bs.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert sum(b.weight for b in bs.blocks) == pytest.approx(1.0, abs=1e-12)
 
+    def test_discarded_reads_its_labels_once(self):
+        ops = sample("isometry", (2, 4), 6)
+        sc = Scenario(sample("density_hs", (2, 2, 2), 5))
+        bs = apply_step(sc, Step.broadcast_a((ops[:2], ops[2:]), ("A",), "J")).block_state
+        for drop in (("J_A",), ("B", "J_B"), ("J_A", "J_B", "J_E")):
+            want = bs.discarded(drop)
+            got = bs.discarded(lbl for lbl in drop)
+            assert (got.layout, got.classical) == (want.layout, want.classical)
+            assert len(got.blocks) == len(want.blocks)
+            for g, w in zip(got.blocks, want.blocks):
+                assert (g.values, g.weight) == (w.values, w.weight)
+                assert np.array_equal(g.matrix, w.matrix)
+
     def test_copy_down_of_a_quantum_register_checks_each_block(self):
         rho = sample("density_hs", (2, 2, 2), 7)
         sc = Scenario(BlockState.from_density(rho))

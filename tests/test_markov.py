@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,10 @@ from nmk import (
     petz_recover,
     sample,
     tensor,
+    zoo,
 )
 from nmk.errors import BadProbabilities, BudgetExceeded, InconsistentDims
-from nmk.registers import Register
+from nmk.registers import Party, Register
 
 from conftest import classical_corr, peak_before_raising
 
@@ -43,6 +46,61 @@ def random_components(seed, entries=3, d_el=2, d_er=2):
             for j in range(entries)
         )
     )
+
+
+def varied_components(seed):
+    """1 to 5 entries (``1 + seed % 5``) on unequal dims: sigma on Alice's
+    A (and at odd seeds a second Alice register) and Eve's EL, listed with
+    EL first at even seeds; tau on Bob's B and Eve's ER, in a random order."""
+    rng = np.random.default_rng([seed, 41])
+    d_a, d_b, d_el, d_er = (int(d) for d in rng.integers(1, 4, size=4))
+    sig = [("A", d_a + 1, "alice"), ("EL", d_el, "eve")]
+    if seed % 2:
+        sig.append(("A2", 2, "alice"))
+    else:
+        sig.reverse()
+    tau = [("B", d_b + 1, "bob"), ("ER", d_er, "eve")]
+    tau = [tau[i] for i in rng.permutation(2)]
+    sig_lay, tau_lay = layout(*sig), layout(*tau)
+    entries = 1 + seed % 5
+    probs = rng.dirichlet(np.ones(entries))
+    return MarkovComponents(
+        tuple(
+            MarkovEntry(
+                float(p),
+                sample("density_hs", sig_lay.dims, rng, layout=sig_lay),
+                sample("density_hs", tau_lay.dims, rng, layout=tau_lay),
+            )
+            for p in probs
+        )
+    )
+
+
+def dense_markov(components):
+    """The labels and matrix of sum_j p_j sigma_j (x) tau_j (x) |j><j|, built
+    densely, one full-size Kronecker product per entry, then permuted with
+    numpy from (sigma..., tau..., index) into (alice..., bob..., index, eve
+    memories...)."""
+    entries = components.entries
+    n = len(entries)
+    sig, tau = entries[0].sigma.layout, entries[0].tau.layout
+    regs = sig.registers + tau.registers + (Register("E0", n, Party.EVE),)
+    mat = np.zeros((sig.dim * tau.dim * n,) * 2, dtype=complex)
+    for j, e in enumerate(entries):
+        flag = np.zeros((n, n), dtype=complex)
+        flag[j, j] = 1.0
+        mat += e.p * np.kron(np.kron(e.sigma.matrix, e.tau.matrix), flag)
+
+    def side(lay, party):
+        return [r.label for r in lay.registers if r.party is party]
+
+    order = side(sig, Party.ALICE) + side(tau, Party.BOB) + ["E0"]
+    order += side(sig, Party.EVE) + side(tau, Party.EVE)
+    labels = [r.label for r in regs]
+    axes = [labels.index(lbl) for lbl in order]
+    dims = tuple(r.dim for r in regs)
+    t = mat.reshape(dims * 2).transpose(axes + [len(regs) + a for a in axes])
+    return tuple(order), t.reshape(mat.shape)
 
 
 def basis_qubit(i, label, party):
@@ -77,6 +135,28 @@ class TestBuildMarkov:
         monkeypatch.setenv("NMK_DIM_BUDGET", "64")
         peak = peak_before_raising(lambda: build_markov(components), BudgetExceeded)
         assert peak < 0.1 * 2**20
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_dense_oracle(self, seed):
+        components = varied_components(seed)
+        labels, want = dense_markov(components)
+        xi = build_markov(components)
+        assert xi.layout.labels == labels
+        assert np.array_equal(xi.matrix, want)
+
+    def test_peak_stays_within_five_dense_matrices(self):
+        # Dimension 1024: 8 entries of 4 x 4 by 4 x 2.
+        params = {"entries": 8, "d_a": 4, "d_b": 4, "d_el": 4, "d_er": 2}
+        components = zoo("markov_random", params, seed=1)
+        tracemalloc.start()
+        try:
+            xi = build_markov(components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = xi.dim**2 * np.dtype(complex).itemsize
+        assert xi.dim == 1024
+        assert peak <= 5 * dense, f"peak {peak / dense:.2f} dense matrices"
 
     def test_random_components_markov(self):
         for seed in range(5):

@@ -293,6 +293,18 @@ class TestMarkovStates:
             assert est.upper_bits <= 1e-3
             assert est.certified
 
+    def test_lower_bound_is_never_negative(self):
+        # SSA makes the half-CQMI nonnegative, but on Markov chains it
+        # rounds below zero at some seeds; the reported bound is clamped.
+        rounded_below = 0
+        for seed in range(20):
+            xi = build_markov(zoo("markov_random", {}, seed=seed))
+            half_cqmi = nonmarkovianity(xi)
+            rounded_below += half_cqmi < 0.0
+            est = estimate(xi, EstimateConfig(restarts=1, max_iters=1, ext=(1, 1, 1)))
+            assert est.lower_bits == max(0.0, half_cqmi)
+        assert rounded_below > 0
+
     def test_block_state_without_seed(self):
         # Rank-2 diagonal blocks: the optimizer alone must crush the bound.
         est = estimate(zoo("ghz_diag"), EstimateConfig(k=2, restarts=8, max_iters=500, seed=3))
