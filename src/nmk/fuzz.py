@@ -135,7 +135,7 @@ def _flagged_state(parts, flag: str) -> DensityState:
     """The dense state sum_m r_m rho_m (x) |m><m| of the parts (r_m, rho_m),
     the flag register ``flag`` Eve's and last."""
     lay = parts[0][1].layout.extended((Register(flag, len(parts), Party.EVE),))
-    blocks = [Block((m,), r, rho.matrix) for m, (r, rho) in enumerate(parts)]
+    blocks = [Block((m,), r * rho.matrix) for m, (r, rho) in enumerate(parts)]
     return BlockState(lay, (ClassicalVar(len(parts), (flag,)),), blocks).to_density()
 
 

@@ -104,7 +104,7 @@ def _block_layouts(components: MarkovComponents) -> tuple[RegisterLayout, Regist
 def build_markov(components: MarkovComponents) -> DensityState:
     """Assemble sum_j p_j sigma_j (x) tau_j (x) |j><j|, ordered as
     (alice..., bob..., index, eve memories...): the block state of one
-    block sigma_j (x) tau_j per index value j, densified by its
+    block p_j sigma_j (x) tau_j per index value j, densified by its
     ``to_density`` once the budget is checked."""
     raw, lay = _block_layouts(components)
     _require_budget(raw.dim)
@@ -114,7 +114,7 @@ def build_markov(components: MarkovComponents) -> DensityState:
     blocks = []
     for j, e in enumerate(components.entries):
         product = np.kron(e.sigma.matrix, e.tau.matrix)
-        blocks.append(Block((j,), e.p, _permuted_matrix(product, raw.dims[:-1], axes)))
+        blocks.append(Block((j,), e.p * _permuted_matrix(product, raw.dims[:-1], axes)))
     return BlockState(lay, (index,), tuple(blocks)).to_density()
 
 

@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import BadDims, BadParams, BadProbabilities, BadRange, DuplicateLabel, UnknownLabel
 
@@ -102,33 +103,38 @@ class RegisterLayout:
     def __post_init__(self):
         regs = tuple(self.registers)
         object.__setattr__(self, "registers", regs)
-        labels = [r.label for r in regs]
-        if len(set(labels)) != len(labels):
+        labels = self.labels
+        if len(self._where) != len(labels):
             dupes = sorted({lbl for lbl in labels if labels.count(lbl) > 1})
             raise DuplicateLabel(f"duplicate register labels: {dupes}")
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.registers)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(r.dim for r in self.registers)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
+
+    @cached_property
+    def _where(self) -> dict:
+        """Label -> position: the one lookup behind ``index`` and ``in``."""
+        return {lbl: i for i, lbl in enumerate(self.labels)}
 
     def __len__(self):
         return len(self.registers)
 
     def __contains__(self, label):
-        return label in self.labels
+        return isinstance(label, str) and label in self._where
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._where[label]
+        except (KeyError, TypeError):
             raise UnknownLabel(f"no register labeled {label!r} (have {list(self.labels)})") from None
 
     def register(self, label: str) -> Register:

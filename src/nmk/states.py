@@ -15,12 +15,12 @@ register orders) works on raw matrices through ``_marginal_matrix`` and
 
 A :class:`BlockState` is the classical-quantum form the step simulator
 keeps, rho = sum_x p_x |x><x|^(copies) (x) rho_x: classical variables, each
-held in one or more copy registers, times one normalized matrix on the
-remaining (quantum) registers per value.  A copy of a classical value adds
-a label, not dimension.  Its operations act block by block through the
-same raw-matrix kernels.  A block state checks its blocks when it is
-built, once, at the tolerances of :class:`DensityState`, applied to the
-weighted block ``p_x rho_x`` (the block the dense matrix would hold).
+held in one or more copy registers, times one weighted block p_x rho_x (its
+share of the dense matrix) on the quantum registers per value.  A copy of a
+classical value adds a label, not dimension.  Its operations act block by
+block through the same raw-matrix kernels.  One check, ``_checked_blocks``,
+checks the blocks when a block state is built, once, at the tolerances of
+:class:`DensityState`, and only then drops those of trace <= ``PRUNE_TOL``.
 
 Conventions
 -----------
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -632,37 +633,39 @@ class ClassicalVar(NamedTuple):
 
 
 class Block(NamedTuple):
-    """One joint value of the classical variables, its probability and the
-    normalized state of the quantum registers (layout order) given it."""
+    """One joint value of the classical variables and the weighted state
+    p_x rho_x of the quantum registers (layout order) given it: the block's
+    share of the dense matrix, whose trace is the value's probability."""
 
     values: tuple[int, ...]
-    weight: float
     matrix: np.ndarray
 
 
 class _CheckedBlocks(tuple):
-    """Blocks whose weighted matrices passed ``_checked_blocks``, or the one
-    block of a :class:`DensityState`, which passed the same checks.  A
-    block state built on them shares them without checking them again."""
+    """Blocks that passed ``_checked_blocks``, or the one block of a
+    :class:`DensityState`, which passed the same checks.  A block state
+    built on them shares them without checking them again."""
 
 
 def _checked_blocks(blocks) -> _CheckedBlocks:
-    """``blocks`` with read-only matrices, once each weighted block
-    ``p_x rho_x`` (its share of the dense matrix) is checked as the dense
-    state would be: hermitian and positive, their traces summing to 1
-    within ``TRACE_TOL``."""
-    blocks = [Block(tuple(v), float(w), _freeze(m)) for v, w, m in blocks]
-    total = 0.0
-    for block in blocks:
-        weighted = block.weight * block.matrix
-        _check_hermitian(weighted)
-        total += np.trace(weighted)
-    tr_err = abs(total - 1.0)
+    """``blocks`` with read-only matrices, the one block check and pruning
+    rule: each block, however light, has a finite trace and is hermitian and
+    positive, the traces sum to 1 within ``TRACE_TOL``; only then are the
+    blocks of trace <= ``PRUNE_TOL`` dropped, so pruning hides no bad block."""
+    blocks = [Block(tuple(v), _freeze(m)) for v, m in blocks]
+    traces = []
+    for _, m in blocks:
+        trace = np.trace(m)
+        if not np.isfinite(trace.real):
+            raise InvariantViolation("finite", f"block trace must be finite, got {trace.real}")
+        _check_hermitian(m)
+        traces.append(trace)
+    tr_err = abs(sum(traces) - 1.0)
     if not tr_err <= TRACE_TOL:
         raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
-    for block in blocks:
-        _check_positive(block.weight * block.matrix)
-    return _CheckedBlocks(blocks)
+    for _, m in blocks:
+        _check_positive(m)
+    return _CheckedBlocks(b for b, trace in zip(blocks, traces) if trace.real > PRUNE_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,10 +676,11 @@ class BlockState:
     one value per variable, in that order.  Every other register of the
     layout is quantum and is held in each block's matrix.
 
-    A block state checks itself when it is built: every copy register has
-    its variable's dim, every value is in its variable's range, every
-    matrix is square of the quantum dimension, and the weighted blocks pass
-    ``_checked_blocks``.  Blocks taken from a state built earlier (by
+    A block's ``matrix`` is the weighted block p_x rho_x.  A block state
+    checks itself when it is built: every copy register has its variable's
+    dim, every value is in its variable's range, every matrix is square of
+    the quantum dimension, and the blocks pass ``_checked_blocks``, which
+    also drops the light ones.  Blocks taken from a state built earlier (by
     ``from_density``, ``retagged`` or a classical copy) were checked then.
     """
 
@@ -692,7 +696,7 @@ class BlockState:
                         "copy_dim", f"copy register {lbl!r} does not have {var.dim} levels"
                     )
         q_dim = self.quantum.dim
-        for values, _, matrix in self.blocks:
+        for values, matrix in self.blocks:
             if len(values) != len(self.classical) or not all(
                 is_integer(v) and 0 <= v < var.dim
                 for v, var in zip(values, self.classical)
@@ -710,14 +714,14 @@ class BlockState:
     @classmethod
     def from_density(cls, state: DensityState) -> "BlockState":
         """The one-block form of ``state``, sharing its checked matrix."""
-        return cls(state.layout, (), _CheckedBlocks((Block((), 1.0, state.matrix),)))
+        return cls(state.layout, (), _CheckedBlocks((Block((), state.matrix),)))
 
     @property
     def dim(self) -> int:
         """Total (layout) dimension: the dimension of the dense state."""
         return self.layout.dim
 
-    @property
+    @cached_property
     def quantum(self) -> RegisterLayout:
         """The quantum registers, in layout order."""
         return _quantum_layout(self.layout, self.classical)
@@ -736,9 +740,9 @@ class BlockState:
         # Built in (quantum..., copies...) order: block x sits where every
         # copy reads its value.
         full = np.zeros((q.dim * c_size,) * 2, dtype=complex)
-        for values, weight, matrix in self.blocks:
+        for values, matrix in self.blocks:
             c = _flat_index([values[i] for _, i in copies], c_dims)
-            full[c::c_size, c::c_size] += weight * matrix
+            full[c::c_size, c::c_size] += matrix
         raw = q.labels + tuple(lbl for lbl, _ in copies)
         axes = [raw.index(lbl) for lbl in self.layout.labels]
         dense = _permuted_matrix(full, q.dims + tuple(c_dims), axes)
@@ -807,14 +811,14 @@ class BlockState:
         q = self.quantum
         keep = [i for i, lbl in enumerate(q.labels) if lbl not in drop]
         classical = _without_copies(self.classical, drop)
-        parts = [(v, w * _marginal_matrix(m, q.dims, keep)) for v, w, m in self.blocks]
+        parts = [(v, _marginal_matrix(m, q.dims, keep)) for v, m in self.blocks]
         return _merged(classical, parts)
 
     def copied(self, label: str, copy: Register) -> "BlockState":
         """Append the register ``copy``, a copy of the classical value in
         register ``label``.  A classical copy is relabeled with no scan; a
-        quantum register must be diagonal within ``CLASSICAL_TOL`` (weighted,
-        in every block) and becomes a classical variable, splitting each
+        quantum register must be diagonal within ``CLASSICAL_TOL`` in every
+        (weighted) block and becomes a classical variable, splitting each
         block; a split adds no entries, so the budget needs no check."""
         layout = self.layout.extended((copy,))
         for i, var in enumerate(self.classical):
@@ -829,8 +833,8 @@ class BlockState:
         order = [i for i in range(len(q)) if i != axis] + [axis]
         idx = np.arange(d)
         parts = []
-        for values, weight, matrix in self.blocks:
-            t = weight * _permuted_matrix(matrix, q.dims, order).reshape(rest, d, rest, d)
+        for values, matrix in self.blocks:
+            t = _permuted_matrix(matrix, q.dims, order).reshape(rest, d, rest, d)
             off = t.copy()
             off[:, idx, :, idx] = 0.0
             if not float(np.max(np.abs(off))) <= CLASSICAL_TOL:
@@ -842,23 +846,22 @@ class BlockState:
         return _settled(layout, self.classical + (var,), parts)
 
     def _quantized(self, labels):
-        """Classical variables and weighted block matrices once every
-        classical copy among ``labels`` is held as a quantum register
-        |x><x| (in layout order) in each block."""
-        parts = [(v, w * m) for v, w, m in self.blocks]
+        """Classical variables and block matrices once every classical copy
+        among ``labels`` is held as a quantum register |x><x| (in layout
+        order) in each block."""
         owner = {lbl: i for i, var in enumerate(self.classical) for lbl in var.labels}
         moving = [lbl for lbl in self.layout.labels if lbl in owner and lbl in labels]
         if not moving:
-            return self.classical, parts
+            return self.classical, self.blocks
         q = self.quantum
         m_dims = [self.classical[owner[lbl]].dim for lbl in moving]
         size = math.prod(m_dims)
         raw = q.labels + tuple(moving)
         raw_dims = q.dims + tuple(m_dims)
-        _require_budget(len(parts) * (q.dim * size) ** 2, "block-state entries", power=2)
+        _require_budget(len(self.blocks) * (q.dim * size) ** 2, "block-state entries", power=2)
         axes = [raw.index(lbl) for lbl in self.layout.labels if lbl in raw]
         lifted = []
-        for values, m in parts:
+        for values, m in self.blocks:
             proj = np.zeros((size, size), dtype=complex)
             c = _flat_index([values[owner[lbl]] for lbl in moving], m_dims)
             proj[c, c] = 1.0
@@ -899,23 +902,10 @@ def _merged(classical, parts):
 
 
 def _settled(layout, classical, parts) -> BlockState:
-    """The block state of the weighted block matrices ``parts``: a part of
-    weight (trace) above ``PRUNE_TOL`` becomes a block, normalized by its
-    weight, which the block state checks when it is built.  A lighter part
-    is checked hermitian and positive before it is dropped, so that pruning
-    cannot hide an invalid part; a part whose trace is not finite is
-    refused before anything is divided by it."""
-    blocks = []
-    for values, m in parts:
-        w = float(np.trace(m).real)
-        if not np.isfinite(w):
-            raise InvariantViolation("finite", f"block trace must be finite, got {w}")
-        if w > PRUNE_TOL:
-            blocks.append(Block(values, w, _sealed(m / w)))
-        else:
-            _check_hermitian(m)
-            _check_positive(m)
-    return BlockState(layout, tuple(classical), tuple(blocks))
+    """The block state of the weighted ``(values, matrix)`` pairs ``parts``,
+    sealed in place; the block state checks and prunes them when built."""
+    blocks = tuple(Block(values, _sealed(m)) for values, m in parts)
+    return BlockState(layout, tuple(classical), blocks)
 
 
 def trace_distance(a: DensityState, b: DensityState) -> float:

@@ -161,15 +161,12 @@ class Witness:
     def member_pure(self, i: int) -> PureState:
         return PureState(self.layout, self.members[i])
 
-    def _axes(self, labels) -> list[int]:
-        return sorted(self.layout.index(lbl) for lbl in labels)
-
     def _mix_reduced(self, labels) -> np.ndarray:
         """sum_i p_i of the members' reductions onto ``labels``, as one
         matrix product: no stack of per-member reductions is built."""
         weights = np.asarray(self.weights)
         live = weights > PRUNE_TOL
-        arr, _ = _split_rows(self.members[live], self.layout.dims, self._axes(labels))
+        arr, _ = _split_rows(self.members[live], self.layout.dims, self.layout.positions(labels))
         return np.tensordot(weights[live, None, None] * arr, arr.conj(), axes=([0, 2], [0, 2]))
 
     def _entropy_mix(self, labels) -> float:
@@ -189,7 +186,7 @@ class Witness:
         p_i |m_i><m_i| per member; ``.to_density()`` gives the dense matrix."""
         lay = self.layout.extended((Register(self.k_label, self.k, Party.REFERENCE),))
         blocks = [
-            Block((i,), p, np.outer(m, m.conj()))
+            Block((i,), p * np.outer(m, m.conj()))
             for i, (p, m) in enumerate(zip(self.weights, self.members))
         ]
         return BlockState(lay, (ClassicalVar(self.k, (self.k_label,)),), blocks)
@@ -508,7 +505,7 @@ def ab_ensemble_from_witness(w: Witness):
     the bare A and B groups.  Its averaged mutual information never exceeds
     twice the witness objective."""
     keep = tuple(lbl for lbl in w.layout.labels if lbl in set(w.groups.a + w.groups.b))
-    reduced = _pure_reduced_matrix(w.members, w.layout.dims, w._axes(keep))
+    reduced = _pure_reduced_matrix(w.members, w.layout.dims, w.layout.positions(keep))
     return w.weights, [DensityState(w.layout.subset(keep), m) for m in reduced]
 
 

@@ -152,10 +152,10 @@ def oracle_entropy(bs, labels):
     cols = [n + i if i in keep else i for i in range(n)]
     out = keep + [n + i for i in keep]
     terms = {}
-    for values, weight, matrix in bs.blocks:
+    for values, matrix in bs.blocks:
         t = np.einsum(matrix.reshape(q.dims * 2), list(range(n)) + cols, out)
         key = tuple(values[i] for i in visible)
-        terms[key] = terms.get(key, 0) + weight * t.reshape(dk, dk)
+        terms[key] = terms.get(key, 0) + t.reshape(dk, dk)
     lam = np.concatenate([np.linalg.eigvalsh(t) for t in terms.values()])
     lam = lam[lam > 1e-12]
     return float(-lam @ np.log2(lam))
@@ -249,7 +249,7 @@ class TestBlockState:
         assert bs.dim == 1024
         assert bs.max_block_dim == 16
         assert [b.values for b in bs.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert sum(b.weight for b in bs.blocks) == pytest.approx(1.0, abs=1e-12)
+        assert sum(np.trace(b.matrix).real for b in bs.blocks) == pytest.approx(1.0, abs=1e-12)
 
     def test_discarded_reads_its_labels_once(self):
         ops = sample("isometry", (2, 4), 6)
@@ -261,7 +261,7 @@ class TestBlockState:
             assert (got.layout, got.classical) == (want.layout, want.classical)
             assert len(got.blocks) == len(want.blocks)
             for g, w in zip(got.blocks, want.blocks):
-                assert (g.values, g.weight) == (w.values, w.weight)
+                assert (g.values, np.trace(g.matrix)) == (w.values, np.trace(w.matrix))
                 assert np.array_equal(g.matrix, w.matrix)
 
     def test_copy_down_of_a_quantum_register_checks_each_block(self):
@@ -304,26 +304,40 @@ class TestDirectConstruction:
     @pytest.mark.parametrize(
         "classical, blocks, invariant",
         [
-            ((), (Block((), 3.0, -np.eye(8)),), "unit_trace"),
+            ((), (Block((), 3.0 * -np.eye(8)),), "unit_trace"),
             ((), (), "unit_trace"),
-            ((), (Block((), 1.0, np.diag([1.5, -0.5] + [0] * 6)),), "positive_semidefinite"),
-            ((), (Block((), 1.0, np.triu(np.ones((8, 8))) / 8),), "hermitian"),
-            ((), (Block((), float("nan"), np.eye(8) / 8),), "finite"),
-            (J, (Block((0,), 0.5, HALF), Block((2,), 0.5, HALF)), "classical_value"),
-            (J, (Block((0, 1), 1.0, HALF),), "classical_value"),
-            (J, (Block((0.5,), 1.0, HALF),), "classical_value"),
-            (J, (Block((True,), 1.0, HALF),), "classical_value"),
-            ((ClassicalVar(3, ("J",)),), (Block((0,), 1.0, HALF),), "copy_dim"),
-            (J, (Block((0,), 1.0, np.eye(4) / 4),), "shape"),
+            ((), (Block((), np.diag([1.5, -0.5] + [0] * 6)),), "positive_semidefinite"),
+            ((), (Block((), np.triu(np.ones((8, 8))) / 8),), "hermitian"),
+            ((), (Block((), float("nan") * np.eye(8) / 8),), "finite"),
+            (J, (Block((0,), 0.5 * HALF), Block((2,), 0.5 * HALF)), "classical_value"),
+            (J, (Block((0, 1), HALF),), "classical_value"),
+            (J, (Block((0.5,), HALF),), "classical_value"),
+            (J, (Block((True,), HALF),), "classical_value"),
+            ((ClassicalVar(3, ("J",)),), (Block((0,), HALF),), "copy_dim"),
+            (J, (Block((0,), np.eye(4) / 4),), "shape"),
         ],
     )
     def test_invalid_blocks_raise_and_name_the_invariant(self, classical, blocks, invariant):
         with pytest.raises(InvariantViolation, match=invariant):
             _direct(classical, blocks)
 
+    def test_light_blocks_are_checked_then_dropped(self):
+        # A block of trace at most PRUNE_TOL is dropped once it passed the
+        # checks, however the state was built; an invalid one is refused.
+        heavy = (1 - 1e-15) * self.HALF
+        light = 1e-15 * self.HALF
+        bs = _direct(self.J, (Block((0,), heavy), Block((1,), light)))
+        assert [b.values for b in bs.blocks] == [(0,)]
+        want = _direct(self.J, (Block((0,), heavy),)).to_density()
+        assert np.array_equal(bs.to_density().matrix, want.matrix)
+        light = light.copy()
+        light[0, 1] = np.nan
+        with pytest.raises(InvariantViolation, match="finite"):
+            _direct(self.J, (Block((0,), heavy), Block((1,), light)))
+
     def test_valid_blocks_are_held_read_only(self):
-        given = self.HALF.copy()
-        bs = _direct(self.J, (Block((0,), 0.25, given), Block((1,), 0.75, self.HALF)))
+        given = 0.25 * self.HALF
+        bs = _direct(self.J, (Block((0,), given), Block((1,), 0.75 * self.HALF)))
         assert not bs.blocks[0].matrix.flags.writeable and given.flags.writeable
         assert nonmarkovianity(bs) == pytest.approx(0.0, abs=1e-12)
 
@@ -355,6 +369,44 @@ class TestFourBroadcasts:
         assert dense.dim == dim_budget()
         assert sc.state.layout == dense.layout
         np.testing.assert_allclose(sc.state.matrix, dense.matrix, atol=TOL, rtol=0)
+
+
+def test_block_step_memory_is_a_few_block_matrices():
+    # One local channel on hs_random 4,4,8 after a broadcast: 2 blocks of
+    # quantum dimension q = 128.  The step holds its input and output blocks
+    # and the kernel's temporaries, and no re-weighted copy of either.
+    rho = zoo("hs_random", {"dims": [4, 4, 8]}, seed=1)
+    ops = sample("isometry", (4, 8), 2)
+    sc = apply_step(Scenario(rho), Step.broadcast_a((ops[:4], ops[4:]), ("A",), "J"))
+    step = Step.local_b(ChannelMap.unitary(sample("unitary", 4, 3)), ("B",))
+    q = sc.block_state.max_block_dim
+    tracemalloc.start()
+    try:
+        apply_step(sc, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = q * q * np.dtype(complex).itemsize
+    assert q == 128 and len(sc.block_state.blocks) == 2
+    assert peak <= 6 * matrix, f"peak {peak / matrix:.2f} q^2-matrices"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_block_form_is_the_dense_route_bit_for_bit(seed):
+    # A dense state's one-block form holds its matrix as it is, so its
+    # steps run the dense route's kernels on the same numbers.
+    rho = zoo("hs_random", {"dims": [2, 3, 2]}, seed=seed)
+    one = BlockState.from_density(rho)
+    u = ChannelMap.unitary(sample("unitary", 6, [seed, 1]))
+    v = ChannelMap.isometry(sample("isometry", (2, 4), [seed, 2]))
+    f = (Register("F", 4, Party.EVE),)
+    for got, want in (
+        (one.channel(u, ("B", "A")).to_density(), apply_channel(rho, u, ("B", "A"))),
+        (one.channel(v, ("E",), f).to_density(), apply_channel(rho, v, ("E",), f)),
+        (one.discarded(("B",)).to_density(), partial_trace(rho, ("A", "E"))),
+    ):
+        assert got.layout == want.layout
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_broadcast_script_memory_stays_small():

@@ -31,7 +31,10 @@ run's clock, and ``cli._emit``, which reads it into ``meta``: a subcommand
 returns a ``cli.Run`` and neither times nor prints it.  A file is
 written (``write_text``, ``write_bytes``, ``mkdir`` or ``open`` in a write
 mode) only in ``cli._emit`` and ``cli._write_csv``: a subcommand returns
-the files it writes in its ``cli.Run``.
+the files it writes in its ``cli.Run``.  A state's matrices are checked
+hermitian and positive (``_check_hermitian``, ``_check_positive``) only in
+``states.DensityState.__post_init__`` and ``states._checked_blocks``, the
+two places a state is checked, once, when it is built.
 """
 
 import ast
@@ -98,13 +101,24 @@ def _nan_blind_gate(node):
     return False
 
 
+def _functions(tree, prefix=""):
+    """Every function of ``tree`` with its qualified name, as Python spells
+    it (``Class.method``, ``outer.<locals>.inner``)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+            yield from _functions(node, f"{prefix}{node.name}.<locals>.")
+        else:
+            yield from _functions(node, prefix)
+
+
 def _outside(tree, names):
-    """The nodes of ``tree`` outside any function named in ``names``."""
+    """The nodes of ``tree`` outside any function whose qualified name is
+    in ``names``."""
     inside = {
-        id(n)
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name in names
-        for n in ast.walk(func)
+        id(n) for name, func in _functions(tree) if name in names for n in ast.walk(func)
     }
     return [node for node in ast.walk(tree) if id(node) not in inside]
 
@@ -238,6 +252,23 @@ def _file_writes(tree, writers):
     )
 
 
+#: The functions that check a state's matrices.
+STATE_CHECKS = {"_check_hermitian", "_check_positive"}
+
+
+def _state_checks(tree, checkers):
+    """The line numbers and names of calls of a ``STATE_CHECKS`` function,
+    by name or as an attribute, outside the functions named in ``checkers``."""
+    calls = []
+    for node in _outside(tree, checkers):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in STATE_CHECKS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
 def _int_flag_types(tree):
     """The line numbers of calls passing the keyword ``type=int``."""
     return sorted(
@@ -257,6 +288,7 @@ def lint(
     tests_reals: bool = False,
     clock_readers: frozenset = frozenset(),
     file_writers: frozenset = frozenset(),
+    state_checkers: frozenset = frozenset(),
 ) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
@@ -265,8 +297,9 @@ def lint(
     of ``is_integer`` unless ``tests_integers``, reads of ``math.isfinite``
     or ``numbers.Real`` unless ``tests_reals``, size caps that bypass the
     budget, ``to_dict`` methods, ``type=int`` flags, reads of
-    ``time.time`` outside the functions named in ``clock_readers`` and file
-    writes outside those named in ``file_writers``."""
+    ``time.time`` outside the functions named in ``clock_readers``, file
+    writes outside those named in ``file_writers`` and state checks outside
+    those named in ``state_checkers``."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -304,6 +337,11 @@ def lint(
         f"line {lineno}: file written outside cli._emit and cli._write_csv; "
         "a subcommand returns its files in a cli.Run"
         for lineno in _file_writes(tree, file_writers)
+    ]
+    problems += [
+        f"line {lineno}: {name} outside DensityState.__post_init__ and _checked_blocks; "
+        "a state is checked once, when it is built"
+        for lineno, name in _state_checks(tree, state_checkers)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -417,6 +455,10 @@ CLOCK_READERS = {"cli.py": frozenset({"main", "_emit"})}
 #: its CSV through ``cli._write_csv``.
 FILE_WRITERS = {"cli.py": frozenset({"_emit", "_write_csv"})}
 
+#: The functions that check a state's matrices: a dense state checks itself
+#: when it is built, and a block state through ``_checked_blocks``.
+STATE_CHECKERS = {"states.py": frozenset({"DensityState.__post_init__", "_checked_blocks"})}
+
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports(path):
@@ -427,6 +469,7 @@ def test_module_imports(path):
         tests_reals=path.name == "registers.py",
         clock_readers=CLOCK_READERS.get(path.name, frozenset()),
         file_writers=FILE_WRITERS.get(path.name, frozenset()),
+        state_checkers=STATE_CHECKERS.get(path.name, frozenset()),
     )
     assert problems == []
 
@@ -657,3 +700,46 @@ def test_lint_catches_file_writes_outside_emit():
         f"line {n}: {message}" for n in (4, 5, 6, 8, 9)
     ]
     assert lint(source) == [f"line {n}: {message}" for n in (4, 5, 6, 8, 9, 11, 13)]
+
+
+def test_lint_catches_state_checks_outside_construction():
+    source = (
+        "from nmk import states\n"
+        "def _check_hermitian(m):\n"
+        "    return m\n"
+        "def _check_positive(m):\n"
+        "    return m\n"
+        "class DensityState:\n"
+        "    def __post_init__(self):\n"
+        "        _check_hermitian(self.matrix)\n"
+        "        _check_positive(self.matrix)\n"
+        "class BlockState:\n"
+        "    def __post_init__(self):\n"
+        "        _check_hermitian(self.blocks[0])\n"
+        "def _checked_blocks(blocks):\n"
+        "    for m in blocks:\n"
+        "        _check_hermitian(m)\n"
+        "    return [_check_positive(m) for m in blocks]\n"
+        "def _settled(parts):\n"
+        "    return states._check_positive(parts[0]), _check_hermitian\n"
+    )
+    message = (
+        "outside DensityState.__post_init__ and _checked_blocks; a state is checked once, "
+        "when it is built"
+    )
+    checkers = frozenset({"DensityState.__post_init__", "_checked_blocks"})
+    assert lint(source, state_checkers=checkers) == [
+        f"line 12: _check_hermitian {message}",
+        f"line 18: _check_positive {message}",
+    ]
+    assert lint(source) == [
+        f"line {n}: {name} {message}"
+        for n, name in (
+            (8, "_check_hermitian"),
+            (9, "_check_positive"),
+            (12, "_check_hermitian"),
+            (15, "_check_hermitian"),
+            (16, "_check_positive"),
+            (18, "_check_positive"),
+        )
+    ]

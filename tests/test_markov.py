@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ class TestBuildMarkov:
         labels, want = dense_markov(components)
         xi = build_markov(components)
         assert xi.layout.labels == labels
+        assert np.array_equal(xi.matrix, want)
+
+    def test_negligible_entry_is_omitted(self):
+        # A weight of -1e-11 passes the weight rule; its block, of trace at
+        # most PRUNE_TOL, is dropped, as a zero weight's block adds nothing.
+        e = zoo("markov_random", {"entries": 3}, seed=1).entries
+        rest = (replace(e[1], p=e[1].p + e[0].p), e[2])
+        xi = build_markov(MarkovComponents((replace(e[0], p=-1e-11),) + rest))
+        _, want = dense_markov(MarkovComponents((replace(e[0], p=0.0),) + rest))
         assert np.array_equal(xi.matrix, want)
 
     def test_peak_stays_within_five_dense_matrices(self):

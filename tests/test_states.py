@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,21 @@ class TestRegisterDim:
     def test_bool_refused_naming_dim(self, flag):
         with pytest.raises(BadDims, match="dim"):
             Register("A", flag, "alice")
+
+
+class TestLayoutLookup:
+    LAY = layout(("A", 2, "alice"), ("B", 3, "bob"))
+
+    def test_labels_found_in_order(self):
+        assert [self.LAY.index(lbl) for lbl in ("A", "B")] == [0, 1]
+        assert "B" in self.LAY and self.LAY.positions(("B", "A")) == (0, 1)
+
+    @pytest.mark.parametrize("label", ["Z", ["A"], {"A": 0}])
+    def test_unknown_or_unhashable_label(self, label):
+        assert label not in self.LAY
+        message = f"no register labeled {label!r} (have ['A', 'B'])"
+        with pytest.raises(UnknownLabel, match=re.escape(message)):
+            self.LAY.index(label)
 
 
 class TestValidation:
