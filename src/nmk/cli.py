@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import os
 import sys
 import time
 from dataclasses import fields
@@ -98,7 +98,7 @@ def load_ref(ref: str, kind: type | None = None):
 
 def _seed_of(args) -> int:
     if args.seed is None:
-        seed = secrets.randbelow(2**31)
+        seed = int.from_bytes(os.urandom(4), "big") % 2**31
         print(f"seed not given; drew {seed}", file=sys.stderr)
         return seed
     return args.seed
@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run a randomized property suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=partial(_integer_flag, "trials", low=1), default=300)
-    p.add_argument("--jobs", type=partial(_integer_flag, "jobs", low=1), default=1)
+    jobs = partial(_integer_flag, "jobs", low=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="has no effect: trials run in order")
     p.add_argument("--counterexample-dir", default=".")
     _common(p)
     p.set_defaults(func=cmd_fuzz)

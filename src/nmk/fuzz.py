@@ -4,8 +4,8 @@ Each suite draws seeded random instances, checks an inequality that is a
 theorem for exact arithmetic, and reports violations beyond tolerance as
 counterexamples carrying the serialized instance.  Each check is written
 so that a NaN fails it.  Every trial owns a generator derived from
-``(seed, trial index)``, so results are identical for any worker count;
-``jobs`` spreads trials over ``rand.map_indexed``.
+``(seed, trial index)`` and trials run in order, in the calling thread;
+``jobs`` is accepted and refused below 1, but has no effect.
 
 Suites:
 
@@ -35,7 +35,7 @@ from .entropy import cqmi, nonmarkovianity, party_partition
 from .errors import BadRange
 from .markov import build_markov
 from .nmf import EstimateConfig, estimate
-from .rand import as_rng, map_indexed, random_isometry, random_unitary, sample
+from .rand import as_rng, random_isometry, random_unitary, sample
 from .registers import Party, Register, layout, require_integer
 from .serialize import state_to_json, step_to_json
 from .states import Block, BlockState, ChannelMap, ClassicalVar, DensityState
@@ -73,10 +73,10 @@ class FuzzReport:
         return not self.failures
 
 
-def _run_trials(worker, count: int, jobs: int):
-    """Failures of trials ``0..count-1``, in trial order, for any worker
-    count (each trial derives its own generator)."""
-    return [f for r in map_indexed(worker, count, jobs) for f in r]
+def _run_trials(worker, count: int):
+    """Failures of trials ``0..count-1``, run in order in the calling
+    thread (each trial derives its own generator)."""
+    return [f for i in range(count) for f in worker(i)]
 
 
 def _require_counts(**counts) -> None:
@@ -102,7 +102,7 @@ def fuzz_ssa(trials_222: int = 1000, trials_224: int = 200, seed=0, jobs: int = 
             return [{"dims": list(dims), "cqmi": value, "state": state_to_json(rho)}]
         return []
 
-    failures = _run_trials(worker, total, jobs)
+    failures = _run_trials(worker, total)
     return FuzzReport("ssa", total, total - len(failures), failures)
 
 
@@ -206,7 +206,7 @@ def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> Fuz
             ]
         return []
 
-    failures = _run_trials(worker, total, jobs)
+    failures = _run_trials(worker, total)
     return FuzzReport("monotonicity", total, total - len(failures), failures)
 
 
@@ -248,7 +248,7 @@ def fuzz_markov_closure(trials: int = 200, seed=0, jobs: int = 1) -> FuzzReport:
             ]
         return []
 
-    failures = _run_trials(worker, trials, jobs)
+    failures = _run_trials(worker, trials)
     return FuzzReport("markov_closure", trials, trials - len(failures), failures)
 
 
@@ -318,7 +318,7 @@ def fuzz_witness(trials: int = 100, seed=0, mixture_probes: int = 0, jobs: int =
         "isometries, regrouping); broadcast/classical transports have no explicit "
         "witness mapping and are not checked",
     }
-    failures = _run_trials(lambda t: _witness_trial(seed, t), trials, jobs)
+    failures = _run_trials(lambda t: _witness_trial(seed, t), trials)
     # Informational only: does the optimized bracket of a flagged mixture
     # track the weighted part brackets?  Recorded, never failed.
     if mixture_probes:

@@ -23,8 +23,8 @@ restart reports the member-marginal objective at its best isometry;
 restarts are ranked by that value, and only a restart that beats every
 earlier candidate is turned into a witness.  Everything is deterministic
 per seed: each restart starts from an isometry drawn from a generator
-derived from the master seed by counter, and the reduction over restarts
-is a deterministic min, so results do not depend on the worker count.
+derived from the master seed by counter, restarts run in order in the
+calling thread, and the reduction over restarts is a deterministic min.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .entropy import entropy, nonmarkovianity
 from .errors import BadRange, BudgetExceeded, DimensionTooSmall
-from .rand import as_rng, map_indexed, random_isometry
+from .rand import as_rng, random_isometry
 from .registers import Register, RegisterLayout, require_integer, require_real
 from .states import DensityState, _purified, _require_budget, member_value_and_grad
 from .witness import (
@@ -64,7 +64,9 @@ class SearchConfig:
     most ``max_iters`` gradient steps; a restart stops early once it is
     within ``tol / 2`` of the lower bound.  Each integer field named in
     ``MINIMA`` (and ``k`` unless None) must be an integer, not a bool, of at
-    least its minimum, and ``tol`` a finite real >= 0.
+    least its minimum, and ``tol`` a finite real >= 0.  ``jobs`` is accepted
+    and refused below 1, but has no effect: restarts run in order, in the
+    calling thread.
     """
 
     MINIMA = {"seed": 0, "restarts": 0, "max_iters": 0, "jobs": 1}
@@ -74,7 +76,7 @@ class SearchConfig:
     max_iters: int = 600
     seed: int = 0
     tol: float = 1e-3
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"help": "has no effect: restarts run in order"})
 
     def __post_init__(self):
         minima = self.MINIMA if self.k is None else {"k": 1, **self.MINIMA}
@@ -398,7 +400,7 @@ def _run_rounds(rounds, config: SearchConfig, lower, start, baseline, build):
             start_w = random_isometry(rank, capacity, as_rng([*rnd.seed_key, rid]))
             return _descend(rnd.objective, start_w, config.max_iters, stop_at)
 
-        results = map_indexed(one, rnd.restarts, config.jobs)
+        results = [one(rid) for rid in range(rnd.restarts)]
         records = [
             RestartRecord(rid, round_id, obj, iters, accepted, evals, grad_norm)
             for rid, (_, obj, iters, accepted, evals, grad_norm) in enumerate(results)

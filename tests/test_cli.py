@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nmk import ChannelMap, sample, zoo
-from nmk.cli import load_ref
+from nmk.cli import _seed_of, load_ref
 from nmk.csquashed import CrosscheckReport
 from nmk.entropy import EntropyReport
 from nmk.markov import MarkovScore
@@ -1017,6 +1017,27 @@ class TestDeterminism:
         a = run_cli("fuzz", "ssa", "--trials", "25", "--seed", "11")
         b = run_cli("fuzz", "ssa", "--trials", "25", "--seed", "11")
         assert a.stdout == b.stdout
+
+
+def test_cli_import_loads_no_thread_pool_and_no_secrets():
+    """A fresh ``import nmk.cli`` loads neither ``concurrent.futures`` (restarts
+    and trials run in the calling thread) nor ``secrets`` (the fallback seed
+    reads ``os.urandom``).  ``numpy.random`` loads ``secrets`` itself, so the
+    probe stops before anything draws."""
+    probe = (
+        "import json, sys, nmk.cli; "
+        "print(json.dumps(sorted({'concurrent.futures', 'secrets'} & set(sys.modules))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_fallback_seed_is_drawn_below_2_to_the_31(capsys):
+    seeds = [_seed_of(argparse.Namespace(seed=None)) for _ in range(8)]
+    assert all(0 <= s < 2**31 for s in seeds)
+    assert capsys.readouterr().err.splitlines() == [f"seed not given; drew {s}" for s in seeds]
+    assert _seed_of(argparse.Namespace(seed=7)) == 7
 
 
 def test_csv_output(tmp_path):

@@ -34,7 +34,9 @@ mode) only in ``cli._emit`` and ``cli._write_csv``: a subcommand returns
 the files it writes in its ``cli.Run``.  A state's matrices are checked
 hermitian and positive (``_check_hermitian``, ``_check_positive``) only in
 ``states.DensityState.__post_init__`` and ``states._checked_blocks``, the
-two places a state is checked, once, when it is built.
+two places a state is checked, once, when it is built.  No module imports
+``concurrent`` or ``multiprocessing``: restarts and fuzz trials run in
+order, in the calling thread.
 """
 
 import ast
@@ -269,6 +271,26 @@ def _state_checks(tree, checkers):
     return sorted(calls)
 
 
+#: The packages that start threads or processes, which no module imports.
+POOL_PACKAGES = {"concurrent", "multiprocessing"}
+
+
+def _pool_imports(tree):
+    """The line numbers and package names of imports from a ``POOL_PACKAGES``
+    package or any of its submodules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        packages = {m.split(".")[0] for m in modules} & POOL_PACKAGES
+        found += [(node.lineno, package) for package in sorted(packages)]
+    return sorted(found)
+
+
 def _int_flag_types(tree):
     """The line numbers of calls passing the keyword ``type=int``."""
     return sorted(
@@ -298,8 +320,9 @@ def lint(
     or ``numbers.Real`` unless ``tests_reals``, size caps that bypass the
     budget, ``to_dict`` methods, ``type=int`` flags, reads of
     ``time.time`` outside the functions named in ``clock_readers``, file
-    writes outside those named in ``file_writers`` and state checks outside
-    those named in ``state_checkers``."""
+    writes outside those named in ``file_writers``, state checks outside
+    those named in ``state_checkers`` and imports of ``concurrent`` or
+    ``multiprocessing``."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -342,6 +365,10 @@ def lint(
         f"line {lineno}: {name} outside DensityState.__post_init__ and _checked_blocks; "
         "a state is checked once, when it is built"
         for lineno, name in _state_checks(tree, state_checkers)
+    ]
+    problems += [
+        f"line {lineno}: {name} imported; restarts and trials run in the calling thread"
+        for lineno, name in _pool_imports(tree)
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -742,4 +769,22 @@ def test_lint_catches_state_checks_outside_construction():
             (16, "_check_positive"),
             (18, "_check_positive"),
         )
+    ]
+
+
+def test_lint_catches_pool_imports():
+    source = (
+        "import math\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import multiprocessing.pool as mp, os\n"
+        "from concurrent import futures\n"
+        "from .concurrent import run\n"
+        "def f(xs):\n"
+        "    return ThreadPoolExecutor, mp, os, futures, run, math.prod(xs)\n"
+    )
+    message = "imported; restarts and trials run in the calling thread"
+    assert lint(source) == [
+        f"line 2: concurrent {message}",
+        f"line 3: multiprocessing {message}",
+        f"line 4: concurrent {message}",
     ]
