@@ -13,7 +13,6 @@ from .states import (
     dim_budget,
     fidelity,
     partial_trace,
-    permute_registers,
     purify,
     tensor,
     trace_distance,

@@ -66,10 +66,10 @@ def _load_json(path: str) -> dict:
 _KINDS = {DensityState: "a state", MarkovComponents: "block components", ZooScript: "a script"}
 
 
-def load_ref(ref: str, kind: type | None = None):
-    """Resolve ``ref``, a zoo URI or a JSON file, to one of ``_KINDS``; given ``kind``,
-    to that one (block components stand for the state ``build_markov`` makes of
-    them), or BadParams names ``ref`` and ``kind``.  A script file reads as a
+def load_ref(ref: str, kind: type):
+    """Resolve ``ref``, a zoo URI or a JSON file, to ``kind``, one of ``_KINDS``
+    (block components stand for the state ``build_markov`` makes of them), or
+    BadParams names ``ref`` and ``kind``.  A script file reads as a
     ``ZooScript`` whose scenario is the ``state`` it carries, or None."""
     if ref.startswith("zoo:"):
         obj = zoo(*parse_zoo_ref(ref))
@@ -91,7 +91,7 @@ def load_ref(ref: str, kind: type | None = None):
             raise BadParams(f"{ref}: unrecognized payload (no registers/entries/steps key)")
     if kind is DensityState and isinstance(obj, MarkovComponents):
         obj = build_markov(obj)
-    if kind and not isinstance(obj, kind):
+    if not isinstance(obj, kind):
         raise BadParams(f"{ref} does not resolve to {_KINDS[kind]}")
     return obj
 
@@ -274,7 +274,7 @@ def cmd_script(args) -> Run:
         f"class {run.classification.value}; Qc = {ledger.qc_bits} bits, "
         f"C_down = {ledger.cdown_bits} bits; M_I {before.m_i_bits:.6f} -> {after.m_i_bits:.6f}"
     )
-    meta = {"blocks": len(final.blocks), "max_block_dim": final.max_block_dim}
+    meta = {"blocks": len(final.blocks), "max_block_dim": final.quantum.dim}
     return Run(result, [summary], meta, files=files)
 
 

@@ -175,6 +175,7 @@ class RegisterLayout:
         return RegisterLayout(tuple(r for r in self.registers if r.label not in drop))
 
     def reordered(self, labels) -> "RegisterLayout":
+        labels = tuple(labels)
         if sorted(labels) != sorted(self.labels):
             raise UnknownLabel(f"reorder labels {labels!r} do not match layout {self.labels!r}")
         return RegisterLayout(tuple(self.registers[self.index(lbl)] for lbl in labels))

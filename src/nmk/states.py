@@ -63,7 +63,6 @@ from .registers import require_distribution
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
-NORM_TOL = 1e-10
 KRAUS_TOL = 1e-9
 INVERSE_TOL = 1e-8
 PRUNE_TOL = 1e-14
@@ -175,7 +174,12 @@ class DensityState:
         return self.layout.dim
 
     def permuted(self, labels) -> "DensityState":
-        return permute_registers(self, labels)
+        """Reorder registers to ``labels`` (any iterable, read once); the
+        matrix is permuted to match."""
+        labels = tuple(labels)
+        axes = [self.layout.index(lbl) for lbl in labels]
+        matrix = _permuted_matrix(self.matrix, self.layout.dims, axes)
+        return DensityState(self.layout.reordered(labels), _sealed(matrix))
 
     def allclose(self, other: "DensityState", atol=1e-10) -> bool:
         return self.layout.labels == other.layout.labels and bool(
@@ -185,7 +189,8 @@ class DensityState:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A state vector on a register layout (unit norm within 1e-10)."""
+    """A state vector on a register layout, with | ||psi||^2 - 1 | <= 1e-10:
+    the unit-trace tolerance of its :class:`DensityState`."""
 
     layout: RegisterLayout
     amplitudes: np.ndarray
@@ -199,9 +204,10 @@ class PureState:
             )
         if not np.isfinite(self.amplitudes).all():
             raise InvariantViolation("finite", "amplitudes must be finite")
-        err = abs(np.linalg.norm(self.amplitudes) - 1.0)
-        if not err <= NORM_TOL:
-            raise InvariantViolation("unit_norm", f"| ||psi|| - 1 | = {err:.3e}")
+        # The sum np.trace takes over |psi><psi|: an accepted vector densifies.
+        err = abs(np.sum(self.amplitudes * self.amplitudes.conj()) - 1.0)
+        if not err <= TRACE_TOL:
+            raise InvariantViolation("unit_norm", f"| ||psi||^2 - 1 | = {err:.3e}")
 
     @property
     def dim(self) -> int:
@@ -259,7 +265,7 @@ class ChannelMap:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def verify_inverse(self, tol=INVERSE_TOL):
+    def verify_inverse(self):
         """Check that the Choi matrix of inverse o channel is the identity's."""
         inv = self.declared_inverse
         if inv is None:
@@ -267,7 +273,7 @@ class ChannelMap:
         if inv.in_dim != self.out_dim or inv.out_dim != self.in_dim:
             raise DimensionMismatch("declared inverse dimensions do not match the channel")
         err = _inverse_deviation(self.kraus, inv.kraus)
-        if not err <= tol:
+        if not err <= INVERSE_TOL:
             raise InvariantViolation(
                 "inverse_composition", f"max |Choi(inverse o channel) - Choi(id)| = {err:.3e}"
             )
@@ -285,10 +291,6 @@ class ChannelMap:
             raise BadDims("an isometry needs output dim >= input dim")
         inv = cls((v.conj().T,), trace_preserving=False)
         return cls((v,), declared_inverse=inv)
-
-    @classmethod
-    def from_kraus(cls, ops, declared_inverse=None) -> "ChannelMap":
-        return cls(tuple(np.asarray(k, dtype=complex) for k in ops), declared_inverse)
 
     @classmethod
     def dephasing(cls, dim: int) -> "ChannelMap":
@@ -350,13 +352,6 @@ def _permuted_matrix(matrix: np.ndarray, dims, axes) -> np.ndarray:
     return t.reshape(matrix.shape)
 
 
-def permute_registers(state: DensityState, labels) -> DensityState:
-    """Reorder registers; the matrix is permuted to match."""
-    axes = [state.layout.index(lbl) for lbl in labels]
-    matrix = _permuted_matrix(state.matrix, state.layout.dims, axes)
-    return DensityState(state.layout.reordered(tuple(labels)), _sealed(matrix))
-
-
 def _marginal_matrix(matrix: np.ndarray, dims, keep_axes) -> np.ndarray:
     """Reduced matrix on ``keep_axes``, kept registers in the order listed."""
     keep_axes = list(keep_axes)
@@ -369,6 +364,7 @@ def _marginal_matrix(matrix: np.ndarray, dims, keep_axes) -> np.ndarray:
 
 def partial_trace(state: DensityState, keep) -> DensityState:
     """Trace out every register not in ``keep`` (kept in original order)."""
+    keep = tuple(keep)
     keep_axes = state.layout.positions(keep)
     reduced = _marginal_matrix(state.matrix, state.layout.dims, keep_axes)
     return DensityState(state.layout.subset(keep), _sealed(reduced))
@@ -486,8 +482,11 @@ def purify(
     """Purify with a reference register of dimension rank(state).
 
     Deterministic: eigenvalues sorted descending, and each eigenvector is
-    rotated so its first nonzero amplitude is real positive.  ``ref_dim``
-    may pad the reference beyond the rank (extra amplitudes are zero).
+    rotated so its first nonzero amplitude is real positive.  Eigenvalues
+    of at most 1e-12 are dropped; when that moves the kept sum off 1 by more
+    than ``TRACE_TOL`` (a spectrum reaching down to ``EIG_FLOOR``), the kept
+    eigenvalues are divided by their sum.  ``ref_dim`` may pad the reference
+    beyond the rank (extra amplitudes are zero).
     """
     if ref_label in state.layout:
         raise DuplicateLabel(f"reference label {ref_label!r} already in layout")
@@ -497,6 +496,9 @@ def purify(
     vals, vecs = vals[order], vecs[:, order]
     kept = vals > 1e-12
     vals, vecs = vals[kept], vecs[:, kept]
+    total = float(np.sum(vals))
+    if not abs(total - 1.0) <= TRACE_TOL:
+        vals = vals / total
     rank = int(vals.size)
     ref_dim = rank if ref_dim is None else require_integer("ref_dim", ref_dim, rank)
     _require_budget(state.dim * ref_dim, "purification entries", power=2)
@@ -543,9 +545,9 @@ def _apply_kraus_block(matrix, dims, on_axes, kraus_ops, out_block_dim):
 def _channel_layout(lay: RegisterLayout, channel: "ChannelMap", on, out):
     """The output block of ``channel`` on the registers ``on`` of ``lay``,
     registers in the channel's output order, and the layout the channel
-    leaves; see :func:`apply_channel` for ``out``.  Checks the dims, the
-    labels; computes nothing."""
-    on = tuple(on)
+    leaves: ``lay`` when ``out`` is None (a square channel), else the
+    untouched registers followed by ``out``.  Checks the dims, the labels;
+    computes nothing."""
     on_axes = [lay.index(lbl) for lbl in on]
     if len(set(on)) != len(on):
         raise DuplicateLabel(f"repeated labels in channel target: {on}")
@@ -554,30 +556,17 @@ def _channel_layout(lay: RegisterLayout, channel: "ChannelMap", on, out):
         raise DimensionMismatch(
             f"channel input dim {channel.in_dim} does not match block dim {in_dim}"
         )
-    keep_regs = tuple(r for r in lay.registers if r.label not in on)
     if out is None:
         if channel.out_dim != in_dim:
             raise DimensionMismatch("non-square channel needs an output block")
-        block = tuple(lay.registers[i] for i in on_axes)
-        labels = lay.labels
-    elif isinstance(out, RegisterLayout):
-        keep_labels = {r.label for r in keep_regs}
-        block = tuple(r for r in out.registers if r.label not in keep_labels)
-        if {r.label for r in block} == set(on):
-            block = tuple(out.register(lbl) for lbl in on)
-        labels = out.labels
-    else:
-        block = tuple(out)
-        labels = tuple(r.label for r in keep_regs + block)
+        return tuple(lay.registers[i] for i in on_axes), lay
+    block = tuple(out)
     block_dim = math.prod(r.dim for r in block)
     if block_dim != channel.out_dim:
         raise DimensionMismatch(
             f"output block dim {block_dim} does not match channel output {channel.out_dim}"
         )
-    raw = RegisterLayout(keep_regs + block)
-    if sorted(labels) != sorted(raw.labels):
-        raise LayoutMismatch("output layout labels do not match the channel result")
-    return block, raw.reordered(labels)
+    return block, RegisterLayout(tuple(r for r in lay.registers if r.label not in on) + block)
 
 
 def _channel_matrix(matrix, lay: RegisterLayout, on, kraus, block, out: RegisterLayout):
@@ -602,12 +591,9 @@ def apply_channel(
     """Apply ``channel`` to the registers ``on``; identity on the rest.
 
     ``on`` is an ordered sequence of labels whose dimension product must
-    match the channel input.  ``out`` replaces the block: either a sequence
-    of :class:`Register` (appended after the untouched registers) or a full
-    :class:`RegisterLayout` giving the exact output order.  A block that
-    holds exactly the registers of ``on`` is read in ``on`` order, the
-    order of the channel's output; any other block is read in the order
-    ``out`` lists it.  With ``out`` omitted the channel must be square and
+    match the channel input.  ``out``, a sequence of :class:`Register` in
+    the channel's output order, replaces the block and is appended after the
+    untouched registers; with ``out`` omitted the channel must be square and
     the layout is unchanged.  The output dimension is checked against the
     budget before anything is computed.  The channel itself, its declared
     inverse included, was checked when it was built and is not checked
@@ -726,10 +712,6 @@ class BlockState:
         """The quantum registers, in layout order."""
         return _quantum_layout(self.layout, self.classical)
 
-    @property
-    def max_block_dim(self) -> int:
-        return self.quantum.dim
-
     def to_density(self) -> DensityState:
         """The dense state, checked against the budget before it is built."""
         _require_budget(self.dim)
@@ -765,9 +747,10 @@ class BlockState:
 
     def channel(self, channel: ChannelMap, on, out=None) -> "BlockState":
         """Apply ``channel`` to the registers ``on`` of every block, as
-        :func:`apply_channel` would to the dense state (``out`` a sequence of
-        registers or None).  A classical copy named in ``on`` first becomes
-        a quantum register |x><x| in every block."""
+        :func:`apply_channel` would to the dense state: ``out`` is None (a
+        square channel) or the registers appended after the untouched ones.
+        A classical copy named in ``on`` first becomes a quantum register
+        |x><x| in every block."""
         on = tuple(on)
         block, out_layout = _channel_layout(self.layout, channel, on, out)
         classical, parts = self._quantized(on)

@@ -53,7 +53,6 @@ from .states import (
     BlockState,
     ClassicalVar,
     DensityState,
-    PureState,
     _clamped_eigvalsh,
     _freeze,
     _pure_reduced_matrix,
@@ -157,9 +156,6 @@ class Witness:
             "e_prime": lay.dim_of(self.groups.e_prime) if self.groups.e_prime else 1,
             "k": self.k,
         }
-
-    def member_pure(self, i: int) -> PureState:
-        return PureState(self.layout, self.members[i])
 
     def _mix_reduced(self, labels) -> np.ndarray:
         """sum_i p_i of the members' reductions onto ``labels``, as one

@@ -46,6 +46,18 @@ def ghz_diag():
     return DensityState(layout(("A", 2, "alice"), ("B", 2, "bob"), ("E", 2, "eve")), m)
 
 
+def floor_spectrum_state():
+    """A rank-2 state on A, B, E = 2, 2, 2 whose six other eigenvalues sit at
+    -1e-9, inside the validation floor: the two kept ones sum to 1 + 6e-9."""
+    vals = np.array([0.5 + 3e-9] * 2 + [-1e-9] * 6)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    m = (q * vals) @ q.conj().T
+    return DensityState(
+        layout(("A", 2, "alice"), ("B", 2, "bob"), ("E", 2, "eve")), (m + m.conj().T) / 2
+    )
+
+
 def classical_corr(a="A", b="B"):
     return DensityState(
         layout((a, 2, "alice"), (b, 2, "bob")), np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)

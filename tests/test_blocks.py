@@ -76,8 +76,9 @@ def dense_measure(state, step, receivers):
         tail = np.zeros((n_out ** len(copies), 1), dtype=complex)
         tail[sum(m * n_out**i for i in range(len(copies))), 0] = 1.0
         lifted.append(np.kron(op, tail))
-    out = RegisterLayout(lay.registers + copies)
-    return apply_channel(state, ChannelMap(tuple(lifted)), on, out)
+    out = tuple(lay.register(lbl) for lbl in on) + copies
+    got = apply_channel(state, ChannelMap(tuple(lifted)), on, out)
+    return got.permuted(lay.labels + tuple(r.label for r in copies))
 
 
 def dense_copy_down(state, step, receiver):
@@ -90,8 +91,8 @@ def dense_copy_down(state, step, receiver):
         k = np.zeros((d * d, d), dtype=complex)
         k[m * d + m, m] = 1.0
         kraus.append(k)
-    out = RegisterLayout(state.layout.registers + (copy,))
-    return apply_channel(state, ChannelMap(tuple(kraus)), (step.register,), out)
+    got = apply_channel(state, ChannelMap(tuple(kraus)), (step.register,), (reg, copy))
+    return got.permuted(state.layout.labels + (copy.label,))
 
 
 def dense_step(state, step):
@@ -247,7 +248,7 @@ class TestBlockState:
             sc = apply_step(sc, kind((ops[:2], ops[2:]), (on,), f"J{i}"))
         bs = sc.block_state
         assert bs.dim == 1024
-        assert bs.max_block_dim == 16
+        assert bs.quantum.dim == 16
         assert [b.values for b in bs.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert sum(np.trace(b.matrix).real for b in bs.blocks) == pytest.approx(1.0, abs=1e-12)
 
@@ -355,7 +356,7 @@ class TestFourBroadcasts:
         final = run_script(sc, self.STEPS).final.block_state
         report = entropy_report(final)
         assert time.perf_counter() - started < 1.0
-        assert final.dim == 32768 and len(final.blocks) == 16 and final.max_block_dim == 8
+        assert final.dim == 32768 and len(final.blocks) == 16 and final.quantum.dim == 8
         assert_matches_oracle(final)
         assert abs(report.m_i_bits - entropy_report(sc.block_state).m_i_bits) <= TOL
 
@@ -379,7 +380,7 @@ def test_block_step_memory_is_a_few_block_matrices():
     ops = sample("isometry", (4, 8), 2)
     sc = apply_step(Scenario(rho), Step.broadcast_a((ops[:4], ops[4:]), ("A",), "J"))
     step = Step.local_b(ChannelMap.unitary(sample("unitary", 4, 3)), ("B",))
-    q = sc.block_state.max_block_dim
+    q = sc.block_state.quantum.dim
     tracemalloc.start()
     try:
         apply_step(sc, step)
@@ -486,13 +487,13 @@ def test_channel_kernel_matches_the_lift(seed):
     kraus = [v[j * out_dim : (j + 1) * out_dim] for j in range(count)]
     if out_dim == in_dim:
         block = tuple(lay.register(lbl) for lbl in on)
-        got = apply_channel(state, ChannelMap.from_kraus(kraus), on)
+        got = apply_channel(state, ChannelMap(kraus), on)
         ops = [lifted_square(lay, on, k) for k in kraus]
         want = sum(k @ state.matrix @ k.conj().T for k in ops)
         np.testing.assert_allclose(got.matrix, want, atol=1e-12, rtol=0)
     else:
         block = (Register("X", out_dim, Party.EVE),)
-    got = apply_channel(state, ChannelMap.from_kraus(kraus), on, out=block)
+    got = apply_channel(state, ChannelMap(kraus), on, out=block)
     ops = [lifted(lay, on, k) for k in kraus]
     want = sum(k @ state.matrix @ k.conj().T for k in ops)
     kept = tuple(lbl for lbl in lay.labels if lbl not in on)

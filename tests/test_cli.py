@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmk import ChannelMap, sample, zoo
+from nmk import ChannelMap, ZooScript, sample, zoo
 from nmk.cli import _seed_of, load_ref
 from nmk.csquashed import CrosscheckReport
 from nmk.entropy import EntropyReport
@@ -24,6 +24,8 @@ from nmk.serialize import (
     state_to_json,
 )
 from nmk.steps import CostLedger, Step, run_script
+
+from conftest import floor_spectrum_state
 
 
 def run_cli(*args, cwd=None):
@@ -114,6 +116,18 @@ class TestNmf:
         proc = run_cli("nmf", "zoo:hs_random?dims=2,2,2", "--ext", "8,8,8", "--seed", "0")
         assert proc.returncode == 3
         assert "budget" in proc.stderr.lower()
+
+    def test_state_with_floor_eigenvalues(self, tmp_path):
+        # The reader accepts the file, so nmf must purify it, although
+        # purify drops its six eigenvalues at -1e-9.
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(state_to_json(floor_spectrum_state())))
+        args = ("--seed", "1", "--restarts", "1", "--max-iters", "20")
+        proc = run_cli("nmf", str(path), *args)
+        assert proc.returncode == 0, proc.stderr
+        out = result_of(proc)
+        assert out["lower_bits"] == pytest.approx(0.495608, abs=1e-6)
+        assert out["upper_bits"] == pytest.approx(0.641918, abs=1e-6)
 
     def test_seed_drawn_when_missing(self):
         proc = run_cli("nmf", "zoo:bell_e0")
@@ -211,7 +225,7 @@ class TestRecordKeys:
         out = result_of(run_cli("script", ref))
         assert set(out["ledger"]) == field_names(CostLedger)
         assert set(out["before"]) == set(out["after"]) == field_names(EntropyReport)
-        script = load_ref(ref)
+        script = load_ref(ref, ZooScript)
         final = run_script(script.scenario, script.steps).final.block_state
         assert out["final_registers"] == layout_to_json(final.layout)
 

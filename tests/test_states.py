@@ -30,7 +30,14 @@ from nmk import states
 from nmk.registers import Register
 from nmk.states import INVERSE_TOL, _inverse_deviation
 
-from conftest import bell_pair, classical_corr, eve_zero, ghz_diag, peak_before_raising
+from conftest import (
+    bell_pair,
+    classical_corr,
+    eve_zero,
+    floor_spectrum_state,
+    ghz_diag,
+    peak_before_raising,
+)
 
 
 def basis_state(dim, i, label="A", party="alice"):
@@ -157,6 +164,15 @@ class TestPurify:
             assert nz[0].imag == pytest.approx(0.0, abs=1e-12)
             assert nz[0].real > 0
 
+    def test_floor_eigenvalues_purify(self):
+        # The validation floor admits eigenvalues down to -1e-9; purify drops
+        # them, and the kept spectrum (sum 1 + 6e-9) is renormalized.
+        rho = floor_spectrum_state()
+        psi = purify(rho, "R")
+        assert psi.layout.register("R").dim == 2
+        back = partial_trace(psi.to_density(), ("A", "B", "E"))
+        np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-8, rtol=0)
+
     def test_reference_padding(self):
         psi = purify(mixed_qubit(), "R", ref_dim=4)
         assert psi.layout.register("R").dim == 4
@@ -197,34 +213,13 @@ class TestApplyChannel:
             partial_trace(out, ("B",)).matrix, partial_trace(rho, ("B",)).matrix, atol=1e-10
         )
 
-    def test_full_output_layout_ordering(self):
-        rho = sample("density_hs", (2, 2), 3, layout=layout(("A", 2, "alice"), ("E", 2, "eve")))
-        iso = ChannelMap.isometry(nmk.sample("isometry", (2, 4), 5))
-        target = layout(("F", 4, "eve"), ("A", 2, "alice"))
-        out = apply_channel(rho, iso, ("E",), out=target)
-        assert out.layout.labels == ("F", "A")
-        # Same action, block form, then explicit permutation.
-        block = apply_channel(rho, iso, ("E",), out=(Register("F", 4, "eve"),))
-        np.testing.assert_allclose(out.matrix, block.permuted(("F", "A")).matrix, atol=1e-12)
-
-    def test_full_output_layout_keeps_channel_block_order(self):
-        # The block is named out of layout order; the channel's output is in
-        # ``on`` order whichever order the full output layout lists.
-        lay = layout(("A", 2, "alice"), ("Q", 3, "bob"), ("B", 2, "bob"))
-        rho = sample("density_hs", (2, 3, 2), 5, layout=lay)
-        chan = ChannelMap.unitary(nmk.sample("unitary", 6, 11))
-        plain = apply_channel(rho, chan, ("Q", "A"))
-        full = apply_channel(rho, chan, ("Q", "A"), out=lay)
-        assert full.layout == plain.layout == lay
-        np.testing.assert_allclose(full.matrix, plain.matrix, rtol=0, atol=1e-12)
-
     def test_generic_declared_inverse_verification(self):
         u = nmk.sample("unitary", 3, 8)
-        chan = ChannelMap.from_kraus([u], declared_inverse=ChannelMap.from_kraus([u.conj().T]))
+        chan = ChannelMap([u], declared_inverse=ChannelMap([u.conj().T]))
         chan.verify_inverse()  # a generic pair: the same Choi check as unitary()
-        wrong = ChannelMap.from_kraus([np.eye(3, dtype=complex)])
+        wrong = ChannelMap([np.eye(3, dtype=complex)])
         with pytest.raises(InvariantViolation, match="inverse_composition"):
-            ChannelMap.from_kraus([u], declared_inverse=wrong)
+            ChannelMap([u], declared_inverse=wrong)
 
     def test_declared_inverse_roundtrip(self):
         rng = np.random.default_rng(8)
@@ -398,6 +393,19 @@ class TestValidation:
         with pytest.raises(InvariantViolation, match="unit_norm"):
             PureState(layout(("A", 2, "alice")), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("offset", [-2e-10, -9e-11, -5e-11, 5e-11, 9e-11, 2e-10])
+    def test_accepted_pure_state_densifies(self, offset):
+        # One tolerance, TRACE_TOL on ||psi||^2, for the vector and its
+        # density matrix: a vector is refused or it densifies.
+        amps = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2) * (1.0 + offset)
+        lay = layout(("A", 2, "alice"), ("B", 2, "bob"))
+        try:
+            psi = PureState(lay, amps)
+        except InvariantViolation as exc:
+            assert exc.invariant == "unit_norm"
+        else:
+            psi.to_density()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_density_not_finite(self, bad):
         m = np.eye(2, dtype=complex) / 2
@@ -423,7 +431,7 @@ class TestValidation:
 
     def test_declared_inverse_not_finite(self):
         with pytest.raises(InvariantViolation, match="finite"):
-            ChannelMap.from_kraus(
+            ChannelMap(
                 (np.eye(2),), ChannelMap((np.full((2, 2), np.nan),), trace_preserving=False)
             )
 
@@ -549,3 +557,49 @@ def test_dense_results_are_handed_over_sealed(monkeypatch, operation):
     monkeypatch.setattr(states, "_freeze", spy)
     operation(operands)
     assert writeable == [False]
+
+
+@pytest.mark.parametrize(
+    "operation, labels",
+    [
+        (lambda rho, labels: rho.layout.reordered(labels), ("E", "A", "B")),
+        (partial_trace, ("A", "B")),
+        (lambda rho, labels: rho.permuted(labels), ("E", "A", "B")),
+    ],
+    ids=["reordered", "partial_trace", "permuted"],
+)
+def test_label_arguments_are_read_once(operation, labels):
+    # An iterator of labels gives what the tuple gives.
+    rho = sample("density_hs", (2, 3, 2), 6)
+    want = operation(rho, labels)
+    got = operation(rho, iter(labels))
+    if isinstance(want, DensityState):
+        assert got.layout == want.layout
+        assert np.array_equal(got.matrix, want.matrix)
+    else:
+        assert got == want
+
+
+def _widening():
+    return ChannelMap.isometry(nmk.sample("isometry", (2, 4), 3))
+
+
+@pytest.mark.parametrize(
+    "channel, on, out, error, message",
+    [
+        (_widening, ("E",), None, DimensionMismatch, "non-square channel needs an output"),
+        (_widening, ("E",), (Register("F", 2, "eve"),), DimensionMismatch, "output block dim 2"),
+        (lambda: ChannelMap.dephasing(4), ("A", "A"), None, DuplicateLabel, "repeated labels"),
+        (_widening, ("E",), (Register("A", 4, "alice"),), DuplicateLabel, "'A'"),
+    ],
+    ids=["non_square_without_out", "out_wrong_dim", "repeated_on_label", "out_reuses_kept_label"],
+)
+@pytest.mark.parametrize("form", ["dense", "block"])
+def test_channel_output_refusals(form, channel, on, out, error, message):
+    # apply_channel and BlockState.channel refuse through one _channel_layout.
+    rho = ghz_diag()
+    with pytest.raises(error, match=message):
+        if form == "dense":
+            apply_channel(rho, channel(), on, out)
+        else:
+            nmk.BlockState.from_density(rho).channel(channel(), on, out)

@@ -216,7 +216,7 @@ class TestApplyStep:
         sc = Scenario(sample("density_hs", (2, 2, 2), 6))
         for i in range(2):
             sc = apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), f"J{i}"))
-        assert len(sc.block_state.blocks) == 4 and sc.block_state.max_block_dim == 8
+        assert len(sc.block_state.blocks) == 4 and sc.block_state.quantum.dim == 8
         ran = len(calls)
         with pytest.raises(BudgetExceeded, match="entries 512 exceeds the budget of 256"):
             apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), "J2"))

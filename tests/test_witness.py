@@ -9,6 +9,7 @@ from nmk import (
     DensityState,
     MarkovComponents,
     MarkovEntry,
+    PureState,
     Witness,
     WitnessGroups,
     baseline_witnesses,
@@ -59,7 +60,7 @@ def recompute_objective(w):
     s_ab_e = entropy(t, t.layout.labels) - (entropy(t, e) if e else 0.0)
     total = 0.0
     for i, p in enumerate(w.weights):
-        member = w.member_pure(i).to_density()
+        member = PureState(w.layout, w.members[i]).to_density()
         term = entropy(member, g.a + g.a_prime) + entropy(member, g.b + g.b_prime)
         if g.a_prime + g.b_prime:
             term -= entropy(member, g.a_prime + g.b_prime)
@@ -122,7 +123,7 @@ class TestConstruction:
         assert w.k == 4
         assert np.allclose(w.weights, [0.25] * 4)
         for i in range(4):
-            member = w.member_pure(i).to_density()
+            member = PureState(w.layout, w.members[i]).to_density()
             assert abs(mutual_info(member, ("A",), ("B",))) < 1e-10
         # Product members with trivial primes leave the full conditional
         # entropy on the table: the objective is S(AB|E)/2 = 1, not 0.
