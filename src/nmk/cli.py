@@ -33,7 +33,7 @@ from .csquashed import EsqcConfig, estimate_esqc, extension_crosscheck
 from .entropy import entropy_report
 from .errors import BadParams, BudgetExceeded, NmkError
 from .fuzz import SUITES
-from .markov import MarkovComponents, build_markov, markov_score
+from .markov import MARKOV_TOL, MarkovComponents, build_markov, markov_score
 from .nmf import EstimateConfig, estimate
 from .registers import require_integer, require_real
 from .serialize import (
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", help="comma-separated register labels for the A group")
     p.add_argument("--bob")
     p.add_argument("--eve")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=MARKOV_TOL)
     _common(p, seeded=False)
     p.set_defaults(func=cmd_analyze)
 

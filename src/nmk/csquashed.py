@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .entropy import entropy, mutual_info, party_partition
-from .errors import BadEnsemble
+from .errors import BadEnsemble, BadRange
 from .nmf import (
     Bracket,
     EstimateConfig,
@@ -59,7 +59,7 @@ from .nmf import (
     _run_rounds,
     estimate,
 )
-from .registers import Party, Register, RegisterLayout, require_distribution
+from .registers import Party, Register, RegisterLayout, require_distribution, require_real
 from .states import (
     PRUNE_TOL,
     DensityState,
@@ -72,7 +72,7 @@ from .states import (
     tensor,
     trace_distance,
 )
-from .witness import witness_from_ab_ensemble
+from .witness import REDUCTION_TOL, STEERED_TOL, witness_from_ab_ensemble
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,9 @@ def esqc_objective(weights, states) -> float:
     return 0.5 * total
 
 
-def check_ensemble(weights, states, omega: DensityState, tol: float = 1e-9) -> float:
-    """Trace distance between the ensemble average and ``omega``."""
+def check_ensemble(weights, states, omega: DensityState, tol: float = REDUCTION_TOL) -> float:
+    """Trace distance between the ensemble average and ``omega`` (must be <= tol)."""
+    tol = require_real("tol", tol, 0, BadRange)
     weights = require_distribution("weights", weights, BadEnsemble)
     if len(weights) != len(states):
         raise BadEnsemble("weights and states must pair up")
@@ -238,7 +239,7 @@ def estimate_esqc(omega: DensityState, config: EsqcConfig | None = None) -> Esqc
     upper, best_ens, trace, search_notes = _run_rounds(
         rounds, config, lower, (singleton, "singleton", singleton_ens), singleton, build
     )
-    check_ensemble(*best_ens, omega, tol=1e-8)
+    check_ensemble(*best_ens, omega, tol=STEERED_TOL)
     return EsqcEstimate(
         lower_bits=float(lower),
         upper_bits=float(upper),

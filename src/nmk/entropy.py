@@ -2,8 +2,8 @@
 mutual information, conditional quantum mutual information (CQMI), and the
 half-CQMI non-Markovianity measure.
 
-Base-2 logarithms throughout.  Eigenvalues are clamped at 1e-12 before the
-log, with 0 log 0 = 0.
+Base-2 logarithms throughout.  Eigenvalues of at most ``states.SUPPORT_TOL``
+count as 0 before the log, with 0 log 0 = 0.
 
 Every functional takes a :class:`~nmk.states.DensityState` or a
 :class:`~nmk.states.BlockState`.  A block state's marginal is the direct sum
@@ -30,7 +30,7 @@ from .states import (
 
 
 def entropy_of_matrix(matrix: np.ndarray) -> float:
-    """Entropy in bits of a matrix's spectrum (values at most 1e-12 count as 0)."""
+    """Entropy in bits of a matrix's spectrum (values at most ``SUPPORT_TOL`` count as 0)."""
     vals = _clamped_eigvalsh(matrix)
     # + 0.0 turns the -0.0 of a spectrum with no value above the clamp into 0.0.
     return float(-np.sum(vals * _clamped_logs(vals))) + 0.0

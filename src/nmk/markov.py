@@ -5,9 +5,9 @@ A tripartite state is a quantum Markov chain when I(A:B|E) = 0,
 equivalently when an isometry on E decomposes it into a classically indexed
 direct sum of products across the A and B sides.  ``build_markov`` realizes
 the constructive direction; the inverse structure-finding problem is out of
-scope.  Verdicts are decided by a CQMI threshold (default 1e-8 bits, an
-artifact convention reported alongside the score); recovery fidelity is
-advisory diagnostics only.
+scope.  Verdicts are decided by a CQMI threshold (default ``MARKOV_TOL``
+bits, an artifact convention reported alongside the score); recovery
+fidelity is advisory diagnostics only.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .entropy import _as_groups, cqmi
 from .errors import BadProbabilities, BadRange, InconsistentDims
 from .registers import Party, Register, RegisterLayout, layout, require_distribution, require_real
 from .states import (
+    SUPPORT_TOL,
     Block,
     BlockState,
     ChannelMap,
@@ -34,6 +35,10 @@ from .states import (
     _require_budget,
 )
 from .steps import Scenario, Step, _copy_label
+
+#: CQMI in bits at or below which ``markov_score`` calls a state a Markov
+#: chain, the free states of the resource theory.
+MARKOV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def _matrix_power_psd(matrix: np.ndarray, power: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
     vals = np.clip(vals, 0.0, None)
     out = np.zeros_like(vals)
-    support = vals > 1e-12
+    support = vals > SUPPORT_TOL
     out[support] = vals[support] ** power
     return (vecs * out) @ vecs.conj().T
 
@@ -175,7 +180,9 @@ class MarkovScore:
     tol: float
 
 
-def markov_score(state: DensityState, a=None, b=None, e=None, tol: float = 1e-8) -> MarkovScore:
+def markov_score(
+    state: DensityState, a=None, b=None, e=None, tol: float = MARKOV_TOL
+) -> MarkovScore:
     tol = require_real("tol", tol, 0, BadRange)
     a, b, e = _as_groups(state, a, b, e)
     value = cqmi(state, a, b, e)

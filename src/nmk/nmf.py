@@ -354,10 +354,15 @@ def _admission(objective: _MemberObjective) -> tuple[int, int]:
     return rank, capacity
 
 
+#: Rounding a bracket gap may show above ``tol`` and still be certified.
+CERTIFY_SLACK = 1e-9
+
+
 def _within_tol(gap: float, tol: float) -> bool:
-    """Whether a bracket ``gap`` is within ``tol``, up to 1e-9 of rounding:
-    the one test of certification, and the one that ends the round loop."""
-    return gap <= tol + 1e-9
+    """Whether a bracket ``gap`` is within ``tol``, up to ``CERTIFY_SLACK``
+    of rounding: the one test of certification, and the one that ends the
+    round loop."""
+    return gap <= tol + CERTIFY_SLACK
 
 
 def _run_rounds(rounds, config: SearchConfig, lower, start, baseline, build):
@@ -423,11 +428,16 @@ def _run_rounds(rounds, config: SearchConfig, lower, start, baseline, build):
     return value, candidate, trace, notes
 
 
+#: Trace distance within which a seed witness's target must equal the state.
+SEED_TOL = 1e-7
+
+
 def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) -> NmfEstimate:
     """Bracket the formation measure of a party-tagged tripartite state.
 
     ``seeds`` may carry known witnesses (for example the exact construction
-    for a block-built Markov state); they join the candidate pool alongside
+    for a block-built Markov state), each checked to reduce to ``rho``
+    within ``SEED_TOL``; they join the candidate pool alongside
     the baselines and the optimized restarts.  ``notes["best_source"]``
     names the winner: ``baseline:B'``, ``baseline:A'``, ``seed:<i>`` or
     ``restart:<rid>/<round>``; ``notes["evals"]`` counts evaluations, each
@@ -445,7 +455,7 @@ def estimate(rho: DensityState, config: EstimateConfig | None = None, seeds=()) 
         candidates.append((objective(w), f"baseline:{ref}", w))
     baseline = min(c[0] for c in candidates)
     for i, w in enumerate(seeds):
-        check_witness(w, rho, tol=1e-7)
+        check_witness(w, rho, tol=SEED_TOL)
         candidates.append((objective(w), f"seed:{i}", w))
     psi_arr, rank = _purified(rho)
     k = config.k or rank

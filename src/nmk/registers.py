@@ -141,10 +141,12 @@ class RegisterLayout:
         return self.registers[self.index(label)]
 
     def positions(self, labels) -> tuple[int, ...]:
-        """Positions of ``labels`` in layout order (input order is ignored)."""
+        """Positions of ``labels`` (read once) in layout order; input order is ignored."""
+        labels = tuple(labels)
         idx = sorted(self.index(lbl) for lbl in labels)
         if len(set(idx)) != len(idx):
-            raise DuplicateLabel(f"repeated labels in {list(labels)}")
+            dupes = sorted({lbl for lbl in labels if labels.count(lbl) > 1})
+            raise DuplicateLabel(f"repeated labels: {dupes}")
         return tuple(idx)
 
     def dim_of(self, labels) -> int:

@@ -26,9 +26,11 @@ Conventions
 -----------
 * Matrices are stored row-major in the big-endian register order of the
   layout: the first register is the most significant index.
-* Eigenvalues in ``[-1e-9, 0]`` are clamped to zero before entropies and
-  purifications; anything below ``-1e-9`` fails validation.  Entropies
-  drop eigenvalues of at most ``LOG_CLAMP`` (1e-12), with 0 log 0 = 0.
+* Eigenvalues in ``[EIG_FLOOR, 0]`` are clamped to zero before entropies
+  and purifications; anything below ``EIG_FLOOR`` fails validation.  An
+  eigenvalue of at most ``SUPPORT_TOL`` lies outside the support:
+  entropies drop it (0 log 0 = 0), and so do purifications, ranks and
+  pseudo-inverses.
 * One size rule, the budget B (default 4096, override with the
   ``NMK_DIM_BUDGET`` environment variable), caps what is allocated: a dense
   state's dimension is at most B, and a block state of n blocks of quantum
@@ -60,13 +62,28 @@ from .errors import (
 from .registers import Party, Register, RegisterLayout, is_integer, require_integer
 from .registers import require_distribution
 
+#: Max-abs |m - m^dagger| of a state's matrix (and of each block).
 HERMITIAN_TOL = 1e-10
+#: |trace - 1| of a state, a block state's summed blocks, and ||psi||^2 of a
+#: pure state or of each witness member.
 TRACE_TOL = 1e-10
+#: The least eigenvalue a state may have; values in [EIG_FLOOR, 0) count as 0.
 EIG_FLOOR = -1e-9
+#: Shift above |EIG_FLOOR| in the positivity check's Cholesky, so that a
+#: matrix whose least eigenvalue is EIG_FLOOR still factors.
+CHOLESKY_SLACK = 1e-12
+#: Max-abs deviation of a trace-preserving map's sum K^dagger K from I.
 KRAUS_TOL = 1e-9
+#: Max-abs deviation of a declared inverse's composition from the identity.
 INVERSE_TOL = 1e-8
+#: A block, member or slice of trace (weight) at most this is dropped.
 PRUNE_TOL = 1e-14
-LOG_CLAMP = 1e-12
+#: An eigenvalue at most this lies outside the support.
+SUPPORT_TOL = 1e-12
+#: An amplitude of magnitude at most this is zero when the first nonzero
+#: amplitude of an eigenvector fixes a purification's phase.
+PHASE_TOL = 1e-12
+#: Max-abs off-diagonal entry of a register read as classical.
 CLASSICAL_TOL = 1e-8
 DEFAULT_DIM_BUDGET = 4096
 
@@ -121,7 +138,7 @@ def _clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray) -> None:
-    """Finite entries and hermiticity within 1e-10 max-abs."""
+    """Finite entries and hermiticity within ``HERMITIAN_TOL`` max-abs."""
     if not np.isfinite(m).all():
         raise InvariantViolation("finite", "matrix entries must be finite")
     herm_err = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
@@ -130,9 +147,9 @@ def _check_hermitian(m: np.ndarray) -> None:
 
 
 def _check_positive(m: np.ndarray) -> None:
-    """Minimum eigenvalue at least -1e-9."""
+    """Minimum eigenvalue at least ``EIG_FLOOR``."""
     # Cheap positive check first; fall back to eigenvalues for the diagnostic.
-    shifted = np.asarray(m) + (abs(EIG_FLOOR) + 1e-12) * np.eye(m.shape[0])
+    shifted = np.asarray(m) + (abs(EIG_FLOOR) + CHOLESKY_SLACK) * np.eye(m.shape[0])
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -147,8 +164,9 @@ def _check_positive(m: np.ndarray) -> None:
 class DensityState:
     """A density matrix on a register layout.
 
-    Validates hermiticity (1e-10 max-abs), unit trace (1e-10) and
-    positivity (min eigenvalue >= -1e-9) on construction.
+    Validates hermiticity (``HERMITIAN_TOL`` max-abs), unit trace
+    (``TRACE_TOL``) and positivity (min eigenvalue >= ``EIG_FLOOR``) on
+    construction.
     """
 
     layout: RegisterLayout
@@ -181,16 +199,11 @@ class DensityState:
         matrix = _permuted_matrix(self.matrix, self.layout.dims, axes)
         return DensityState(self.layout.reordered(labels), _sealed(matrix))
 
-    def allclose(self, other: "DensityState", atol=1e-10) -> bool:
-        return self.layout.labels == other.layout.labels and bool(
-            np.allclose(self.matrix, other.matrix, atol=atol)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A state vector on a register layout, with | ||psi||^2 - 1 | <= 1e-10:
-    the unit-trace tolerance of its :class:`DensityState`."""
+    """A state vector on a register layout, with | ||psi||^2 - 1 | <=
+    ``TRACE_TOL``: the unit-trace tolerance of its :class:`DensityState`."""
 
     layout: RegisterLayout
     amplitudes: np.ndarray
@@ -225,7 +238,7 @@ class ChannelMap:
     ``declared_inverse`` names a map whose composition with this one is the
     identity; reversibility is checked operationally when the map is built,
     not syntactically: the Choi matrix of the composition must match the
-    identity's entrywise within 1e-8, which is the test on every matrix unit
+    identity's entrywise within ``INVERSE_TOL``, the test on every matrix unit
     (see ``_inverse_deviation``).  Kraus operators must be finite, and the
     completeness sum ``sum K^dagger K = I`` is enforced unless
     ``trace_preserving`` is False (needed for declared inverses of proper
@@ -421,9 +434,9 @@ def steered_members(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int):
 
 
 def _clamped_logs(vals: np.ndarray) -> np.ndarray:
-    """log2 of a spectrum, with 0 where a value is at most ``LOG_CLAMP``
+    """log2 of a spectrum, with 0 where a value is at most ``SUPPORT_TOL``
     (so that ``-sum(vals * logs)`` is the entropy, with 0 log 0 = 0)."""
-    return np.log2(np.where(vals > LOG_CLAMP, vals, 1.0))
+    return np.log2(np.where(vals > SUPPORT_TOL, vals, 1.0))
 
 
 def member_value_and_grad(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: int, signed_groups):
@@ -444,7 +457,7 @@ def member_value_and_grad(psi_arr: np.ndarray, w_matrix: np.ndarray, dims, k: in
     (system, out) matrix; dF = 2 Re Tr[grad^dagger dW].
 
     The value comes from the normalized members' spectra, clamped at
-    ``EIG_FLOOR`` and ``LOG_CLAMP``, with one batched ``eigh`` per group.
+    ``EIG_FLOOR`` and ``SUPPORT_TOL``, with one batched ``eigh`` per group.
     ``witness.objective`` reads its member sum here too: its weighted
     stack sqrt(p_i) m_i, as ``psi_arr`` with K the reference, steered by
     the identity.
@@ -483,7 +496,7 @@ def purify(
 
     Deterministic: eigenvalues sorted descending, and each eigenvector is
     rotated so its first nonzero amplitude is real positive.  Eigenvalues
-    of at most 1e-12 are dropped; when that moves the kept sum off 1 by more
+    of at most ``SUPPORT_TOL`` are dropped; when that moves the kept sum off 1 by more
     than ``TRACE_TOL`` (a spectrum reaching down to ``EIG_FLOOR``), the kept
     eigenvalues are divided by their sum.  ``ref_dim`` may pad the reference
     beyond the rank (extra amplitudes are zero).
@@ -494,7 +507,7 @@ def purify(
     vals = _floored(vals)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    kept = vals > 1e-12
+    kept = vals > SUPPORT_TOL
     vals, vecs = vals[kept], vecs[:, kept]
     total = float(np.sum(vals))
     if not abs(total - 1.0) <= TRACE_TOL:
@@ -505,7 +518,7 @@ def purify(
     arr = np.zeros((state.dim, ref_dim), dtype=complex)
     for i in range(rank):
         v = vecs[:, i]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        nz = np.flatnonzero(np.abs(v) > PHASE_TOL)
         if nz.size:
             v = v * (v[nz[0]].conjugate() / abs(v[nz[0]]))
         arr[:, i] = math.sqrt(vals[i]) * v

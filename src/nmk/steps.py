@@ -422,6 +422,10 @@ class DilutionConversion:
     conversion_bound: float
 
 
+#: Rounding the summed per-round bits may show above their bound.
+DILUTION_SLACK = 1e-12
+
+
 def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
     """Quantum bits per message round: log2(ceil(sqrt(mu^l))).
 
@@ -442,7 +446,7 @@ def dilution_conversion_cost(mu, l: int) -> DilutionConversion:
         per.append(math.log2(s))
     total = float(sum(per))
     bound = (l / 2 + 1) * float(sum(math.log2(m) for m in mu))
-    if not total <= bound + 1e-12:
+    if not total <= bound + DILUTION_SLACK:
         raise InvariantViolation(
             "dilution_bound", f"total {total:.12g} bits exceeds the bound {bound:.12g}"
         )

@@ -49,6 +49,8 @@ from .registers import Party, Register, RegisterLayout
 from .registers import require_distribution, require_integer, require_real
 from .states import (
     PRUNE_TOL,
+    SUPPORT_TOL,
+    TRACE_TOL,
     Block,
     BlockState,
     ClassicalVar,
@@ -65,6 +67,16 @@ from .states import (
 )
 
 _weights_violation = partial(InvariantViolation, "weights")
+
+#: Trace distance within which a witness's target must equal the state it
+#: certifies (``check_witness``'s default), and an ensemble's average its
+#: state (``csquashed.check_ensemble``'s).
+REDUCTION_TOL = 1e-9
+#: The same for a witness or an ensemble steered out of the state's
+#: purification by a search's isometry, which adds its rounding.
+STEERED_TOL = 1e-8
+#: Max-abs deviation of W^dagger W from I for a steering isometry W.
+ISOMETRY_TOL = 1e-8
 
 #: The member terms of the objective: each row is a set of roles whose
 #: joint member entropy enters the weighted sum with its sign.
@@ -111,7 +123,10 @@ class Witness:
 
     ``members`` is a read-only ``(k, D)`` stack, one member per row, D the
     layout dimension: the form ``states.steered_members`` returns.  Any
-    sequence of k vectors of length D is accepted and stacked."""
+    sequence of k vectors of length D is accepted and stacked.  Each member
+    has | ||m_i||^2 - 1 | <= ``TRACE_TOL``, and so has the trace
+    sum_i p_i ||m_i||^2 of the realized state: a witness is built only when
+    its realized state is."""
 
     layout: RegisterLayout
     groups: WitnessGroups
@@ -135,8 +150,14 @@ class Witness:
             raise InvariantViolation("finite", "witness members must be finite")
         weights = require_distribution("weights", self.weights, _weights_violation)
         object.__setattr__(self, "weights", weights)
-        if not np.max(np.abs(np.linalg.norm(members, axis=1) - 1.0)) <= 1e-9:
-            raise InvariantViolation("unit_norm", "witness members must be normalized")
+        # The traces the realized state's blocks hold: each p_i ||m_i||^2.
+        norms = (members * members.conj()).real.sum(axis=1)
+        err = np.max(np.abs(norms - 1.0))
+        if not err <= TRACE_TOL:
+            raise InvariantViolation("unit_norm", f"max | ||m_i||^2 - 1 | = {err:.3e}")
+        err = abs(np.dot(weights, norms) - 1.0)
+        if not err <= TRACE_TOL:
+            raise InvariantViolation("unit_trace", f"|sum_i p_i ||m_i||^2 - 1| = {err:.3e}")
         if sorted(self.groups.all_labels()) != sorted(self.layout.labels):
             raise LayoutClash("witness groups must partition the member layout")
         if self.k_label in self.layout:
@@ -204,8 +225,9 @@ def objective(w: Witness) -> float:
     return 0.5 * (s_ab_e + signed)
 
 
-def check_witness(w: Witness, rho: DensityState, tol: float = 1e-9) -> float:
+def check_witness(w: Witness, rho: DensityState, tol: float = REDUCTION_TOL) -> float:
     """Trace distance between the witness target and ``rho`` (must be <= tol)."""
+    tol = require_real("tol", tol, 0, BadRange)
     target = w.target()
     rho_cmp = rho
     if rho_cmp.layout.labels != target.layout.labels:
@@ -266,7 +288,7 @@ def witness_from_isometry(
 
     ``w_matrix`` is an isometry from the reference (dim = rank of rho) into
     A' (x) B' (x) E' (x) K; slicing the K index after dephasing yields the
-    ensemble members, checked to reduce to ``rho`` within 1e-8.
+    ensemble members, checked to reduce to ``rho`` within ``STEERED_TOL``.
     """
     ap, bp, ep = (require_integer("ext_dims", x, 1, DimensionTooSmall) for x in ext_dims)
     k = require_integer("k", k, 1, DimensionTooSmall)
@@ -278,11 +300,11 @@ def witness_from_isometry(
         raise DimensionMismatch(
             f"isometry shape {w_matrix.shape} != ({ap * bp * ep * k}, {rank})"
         )
-    if not np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) <= 1e-8:
+    if not np.max(np.abs(w_matrix.conj().T @ w_matrix - np.eye(rank))) <= ISOMETRY_TOL:
         raise InvariantViolation("isometry", "W^dagger W must be the identity")
     weights, members = steered_members(psi_arr, w_matrix, lay.dims, k)
     w = Witness(lay, groups, weights / weights.sum(), members)
-    check_witness(w, rho, tol=1e-8)
+    check_witness(w, rho, tol=STEERED_TOL)
     return w
 
 
@@ -330,7 +352,7 @@ def markov_witness(components: MarkovComponents) -> Witness:
 
 
 def _rank(matrix: np.ndarray) -> int:
-    return int(np.sum(_clamped_eigvalsh(matrix) > 1e-12))
+    return int(np.sum(_clamped_eigvalsh(matrix) > SUPPORT_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,12 @@ hermitian and positive (``_check_hermitian``, ``_check_positive``) only in
 ``states.DensityState.__post_init__`` and ``states._checked_blocks``, the
 two places a state is checked, once, when it is built.  No module imports
 ``concurrent`` or ``multiprocessing``: restarts and fuzz trials run in
-order, in the calling thread.
+order, in the calling thread.  No function body or parameter default holds
+a nonzero float literal below ``SMALL_LITERAL`` in magnitude: a threshold
+is named once, at module level, in the module whose invariant it guards.
+Every public function with a ``tol`` parameter passes it through
+``registers.require_real``, which refuses NaN, a negative value, a string
+and a bool naming it.
 """
 
 import ast
@@ -291,6 +296,52 @@ def _pool_imports(tree):
     return sorted(found)
 
 
+#: Below this magnitude a float literal is a threshold, named at module level.
+SMALL_LITERAL = 1e-6
+
+
+def _bare_thresholds(tree):
+    """The line numbers and values of nonzero float literals below
+    ``SMALL_LITERAL`` in magnitude inside a function, its defaults included."""
+    found = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Constant)
+                    and type(node.value) is float
+                    and 0 < abs(node.value) < SMALL_LITERAL
+                ):
+                    found[id(node)] = (node.lineno, node.value)
+    return sorted(found.values())
+
+
+def _passes_tol_to_require_real(node):
+    """Whether ``node`` calls ``require_real`` with the name ``tol``."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "require_real"
+        and any(isinstance(a, ast.Name) and a.id == "tol" for a in node.args)
+    )
+
+
+def _unchecked_tols(tree):
+    """The line numbers and qualified names of public functions (no part of
+    the name private, none local) with a ``tol`` parameter that they never
+    pass to ``require_real``."""
+    found = []
+    for name, func in _functions(tree):
+        parts = name.split(".")
+        if "<locals>" in parts or any(p.startswith("_") and not p.startswith("__") for p in parts):
+            continue
+        args = func.args
+        if "tol" not in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+            continue
+        if not any(_passes_tol_to_require_real(node) for node in ast.walk(func)):
+            found.append((func.lineno, name))
+    return sorted(found)
+
+
 def _int_flag_types(tree):
     """The line numbers of calls passing the keyword ``type=int``."""
     return sorted(
@@ -398,6 +449,21 @@ def lint(
     return problems
 
 
+def threshold_problems(source: str) -> list[str]:
+    """Tolerance problems in one module's source: bare thresholds in
+    functions, and public functions that take a ``tol`` unchecked."""
+    tree = ast.parse(source)
+    problems = [
+        f"line {lineno}: bare threshold {value!r}; name it once at module level, "
+        "in the module whose invariant it guards"
+        for lineno, value in _bare_thresholds(tree)
+    ]
+    return problems + [
+        f"line {lineno}: {name} takes tol unchecked; pass it through registers.require_real"
+        for lineno, name in _unchecked_tols(tree)
+    ]
+
+
 def _private_definitions(tree):
     """The module-level private names a module defines (one leading
     underscore, not a dunder), with their line numbers."""
@@ -499,6 +565,11 @@ def test_module_imports(path):
         state_checkers=STATE_CHECKERS.get(path.name, frozenset()),
     )
     assert problems == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_thresholds(path):
+    assert threshold_problems(path.read_text()) == []
 
 
 def test_lint_catches_unused_and_local_imports():
@@ -787,4 +858,49 @@ def test_lint_catches_pool_imports():
         f"line 2: concurrent {message}",
         f"line 3: multiprocessing {message}",
         f"line 4: concurrent {message}",
+    ]
+
+
+def test_lint_catches_bare_thresholds():
+    source = (
+        "TOL = 1e-9\n"
+        "BOUNDS = (1e-10, 1e10)\n"
+        "def f(x, cut=1e-8, *, eps=-1e-12):\n"
+        '    """Clamped at 1e-12."""\n'
+        "    return x > 1e-12 and x <= TOL + 1e-9 * 0.5 and x < 1e-6 and x != 0.0\n"
+        "class C:\n"
+        "    tol: float = 1e-7\n"
+        "    def g(self, x):\n"
+        "        return (lambda y: y + 2.5e-11)(x) + 1e-3\n"
+    )
+    message = "name it once at module level, in the module whose invariant it guards"
+    assert threshold_problems(source) == [
+        f"line {n}: bare threshold {v!r}; {message}"
+        for n, v in ((3, 1e-12), (3, 1e-08), (5, 1e-12), (5, 1e-09), (9, 2.5e-11))
+    ]
+
+
+def test_lint_catches_unchecked_tols():
+    source = (
+        "from .registers import require_real\n"
+        "from . import registers\n"
+        "def check(w, rho, tol=TOL):\n"
+        "    return w - rho <= tol\n"
+        "def score(state, tol=TOL):\n"
+        "    tol = require_real('tol', tol, 0)\n"
+        "    return state <= tol\n"
+        "def bound(x, tol):\n"
+        "    return registers.require_real('tol', tol, 0) + x\n"
+        "def _within(gap, tol):\n"
+        "    return gap <= tol\n"
+        "class Checker:\n"
+        "    def run(self, tol):\n"
+        "        def inner(tol):\n"
+        "            return tol\n"
+        "        return inner(require_real('eps', self, 0)), tol\n"
+    )
+    message = "takes tol unchecked; pass it through registers.require_real"
+    assert threshold_problems(source) == [
+        f"line 3: check {message}",
+        f"line 13: Checker.run {message}",
     ]

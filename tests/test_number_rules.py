@@ -18,7 +18,7 @@ from nmk.markov import MarkovComponents, markov_score
 from nmk.nmf import SearchConfig
 from nmk.registers import WEIGHT_TOL, layout, require_distribution, require_real
 from nmk.states import ChannelMap
-from nmk.witness import Witness, WitnessGroups, continuity_bound, witness_mix
+from nmk.witness import Witness, WitnessGroups, check_witness, continuity_bound, witness_mix
 
 #: Two-weight vectors: a negative weight summing to 1, a sum of 1.1, NaN,
 #: infinity, a bool, a numeric string and an integer too large for a float.
@@ -122,3 +122,21 @@ def test_rules_return_python_floats_within_tolerance():
     # Tiny negative weights are admitted, and mixing clamps them at 0.
     channel = ChannelMap.mixing([np.eye(2), SX], [1.0 + WEIGHT_TOL / 2, -WEIGHT_TOL / 2])
     assert np.abs(channel.kraus[1]).max() == 0.0
+
+
+#: The tolerances a reduction check must refuse: NaN, a negative value, a
+#: numeric string and a bool.
+BAD_TOLS = [math.nan, -1, "1e-9", True]
+
+#: reduction check -> its call with the given ``tol``
+REDUCTION_CHECKS = {
+    "check_witness": lambda v: check_witness(SINGLE, SINGLE.target(), tol=v),
+    "check_ensemble": lambda v: check_ensemble((1.0,), (AB,), AB, tol=v),
+}
+
+
+@pytest.mark.parametrize("value", BAD_TOLS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(REDUCTION_CHECKS))
+def test_reduction_check_refuses_bad_tol(entry, value):
+    with pytest.raises(BadRange, match="^tol must be a finite real >= "):
+        REDUCTION_CHECKS[entry](value)

@@ -366,6 +366,12 @@ class TestLayoutLookup:
         assert [self.LAY.index(lbl) for lbl in ("A", "B")] == [0, 1]
         assert "B" in self.LAY and self.LAY.positions(("B", "A")) == (0, 1)
 
+    @pytest.mark.parametrize("method", ["positions", "dim_of", "subset"])
+    def test_repeated_labels_named_from_an_iterator(self, method):
+        # The labels are read once, so the error still names the repeat.
+        with pytest.raises(DuplicateLabel, match=re.escape("repeated labels: ['A']")):
+            getattr(self.LAY, method)(iter(["A", "B", "A"]))
+
     @pytest.mark.parametrize("label", ["Z", ["A"], {"A": 0}])
     def test_unknown_or_unhashable_label(self, label):
         assert label not in self.LAY

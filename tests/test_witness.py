@@ -44,7 +44,8 @@ from nmk.errors import (
     LayoutClash,
 )
 from nmk.rand import random_isometry
-from nmk.registers import Party, Register, RegisterLayout
+from nmk.registers import WEIGHT_TOL, Party, Register, RegisterLayout
+from nmk.states import TRACE_TOL
 
 from conftest import eve_zero
 from test_markov import random_components
@@ -590,3 +591,39 @@ def test_members_must_form_a_stack(members):
     groups = WitnessGroups(("A",), (), ("B",), (), ("E",), ())
     with pytest.raises(DimensionMismatch):
         Witness(lay, groups, (0.5, 0.5), members)
+
+
+def _rescaled(w, scale, shift):
+    """``w`` with every member scaled by ``scale`` and its first weight moved
+    by ``shift``."""
+    return Witness(w.layout, w.groups, (w.weights[0] + shift, *w.weights[1:]), w.members * scale)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["baseline", "mix"])
+def test_witness_is_refused_or_usable(mixed):
+    # A witness is built only when its realized state is: a build off by
+    # rounding either fails naming the broken invariant or is usable.
+    base = baseline_witnesses(zoo("ghz_diag"))[0]
+    w0 = witness_mix([(0.3, base), (0.7, base)]) if mixed else base
+    rho = w0.target()
+    for c in (0.0, 0.5, -0.5, 0.9, -0.9, 1.1, -1.1, 2.0, -2.0):
+        for shift in (0.0, 0.9, -0.9, 1.1, -1.1):
+            try:
+                w = _rescaled(w0, 1.0 + c * TRACE_TOL / 2, shift * WEIGHT_TOL)
+            except InvariantViolation as exc:
+                assert exc.invariant in ("weights", "unit_norm", "unit_trace"), (c, shift)
+                continue
+            w.realized()
+            check_witness(w, rho)
+            objective(w)
+
+
+def test_witness_refuses_what_its_realized_state_refuses():
+    base = baseline_witnesses(zoo("ghz_diag"))[0]
+    # Members within 1e-9 in norm but 1e-9 off in ||m||^2.
+    with pytest.raises(InvariantViolation, match="unit_norm"):
+        _rescaled(base, 1.0 + 5e-10, 0.0)
+    # Members and weights each within their tolerance, the trace not.
+    mixed = witness_mix([(0.5, base), (0.5, base)])
+    with pytest.raises(InvariantViolation, match="unit_trace"):
+        _rescaled(mixed, math.sqrt(1.0 + 9e-11), 9e-11)
