@@ -167,15 +167,13 @@ def _mono_scenario(cls: str, rng) -> Scenario:
 
 def _mono_step(cls: str, rng) -> Step:
     if cls in ("quantum_a_to_e", "quantum_b_to_e"):
-        return Step.quantum_to_e("Q")
+        return Step(StepKind.QUANTUM_TO_E, register="Q")
     if cls in ("classical_e_to_a", "classical_e_to_b"):
         return Step(StepKind(cls), register="ME")
-    if cls not in OMEGA_SCRIPT_CLASSES:
-        raise ValueError(cls)
     kind = StepKind(cls)
     if kind is StepKind.REVERSIBLE_E and rng.integers(2) == 1:
         iso = ChannelMap.isometry(random_isometry(2, 4, rng))
-        return Step.reversible_e(iso, ("E",), out=(Register("Ex", 4, Party.EVE),))
+        return Step(kind, channel=iso, on=("E",), out=(Register("Ex", 4, Party.EVE),))
     # Each party's register in the scenario is named by its initial.
     return _random_step(kind, ACTOR[kind].value[0].upper(), 2, rng, "J")
 
@@ -212,9 +210,6 @@ def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> Fuz
 
 # ---------------------------------------------------------------------------
 # free scripts keep block states Markov
-
-OMEGA_SCRIPT_CLASSES = tuple(kind.value for kind in ACTOR)
-
 
 def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
     kind = tuple(ACTOR)[int(rng.integers(len(ACTOR)))]

@@ -34,7 +34,7 @@ from .states import (
     _permuted_matrix,
     _require_budget,
 )
-from .steps import Scenario, Step, _copy_label
+from .steps import Scenario, Step, StepKind, _copy_label
 
 #: CQMI in bits at or below which ``markov_score`` calls a state a Markov
 #: chain, the free states of the resource theory.
@@ -232,21 +232,23 @@ def preparation_script(components: MarkovComponents):
     sig_regs = tuple(Register(r.label, r.dim, Party.ALICE) for r in sig_lay.registers)
     tau_regs = tuple(Register(r.label, r.dim, Party.BOB) for r in tau_lay.registers)
     steps = [
-        Step.broadcast_a(coin, ("A0",), "J"),
-        Step.local_a(
-            ChannelMap(_preparation_kraus(entries, "sigma", n)),
-            (ja, "A0"),
+        Step(StepKind.BROADCAST_A, operators=coin, on=("A0",), msg_label="J"),
+        Step(
+            StepKind.LOCAL_A,
+            channel=ChannelMap(_preparation_kraus(entries, "sigma", n)),
+            on=(ja, "A0"),
             out=(Register(ja, n, Party.ALICE),) + sig_regs,
         ),
-        Step.local_b(
-            ChannelMap(_preparation_kraus(entries, "tau", n)),
-            (jb, "B0"),
+        Step(
+            StepKind.LOCAL_B,
+            channel=ChannelMap(_preparation_kraus(entries, "tau", n)),
+            on=(jb, "B0"),
             out=(Register(jb, n, Party.BOB),) + tau_regs,
         ),
     ]
     for lbl in sig_lay.party_labels(Party.EVE) + tau_lay.party_labels(Party.EVE):
-        steps.append(Step.quantum_to_e(lbl))
-    steps.append(Step.discard_a((ja,)))
-    steps.append(Step.discard_b((jb,)))
+        steps.append(Step(StepKind.QUANTUM_TO_E, register=lbl))
+    steps.append(Step(StepKind.LOCAL_A, discard=(ja,)))
+    steps.append(Step(StepKind.LOCAL_B, discard=(jb,)))
     return start, tuple(steps)
 

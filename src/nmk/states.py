@@ -20,7 +20,8 @@ share of the dense matrix) on the quantum registers per value.  A copy of a
 classical value adds a label, not dimension.  Its operations act block by
 block through the same raw-matrix kernels.  One check, ``_checked_blocks``,
 checks the blocks when a block state is built, once, at the tolerances of
-:class:`DensityState`, and only then drops those of trace <= ``PRUNE_TOL``.
+:class:`DensityState`, drops those of trace <= ``PRUNE_TOL`` and requires
+the kept blocks' traces to sum to 1.
 
 Conventions
 -----------
@@ -64,8 +65,8 @@ from .registers import require_distribution
 
 #: Max-abs |m - m^dagger| of a state's matrix (and of each block).
 HERMITIAN_TOL = 1e-10
-#: |trace - 1| of a state, a block state's summed blocks, and ||psi||^2 of a
-#: pure state or of each witness member.
+#: |trace - 1| of a state, a block state's summed kept blocks, and ||psi||^2
+#: of a pure state or of each witness member.
 TRACE_TOL = 1e-10
 #: The least eigenvalue a state may have; values in [EIG_FLOOR, 0) count as 0.
 EIG_FLOOR = -1e-9
@@ -649,22 +650,25 @@ class _CheckedBlocks(tuple):
 def _checked_blocks(blocks) -> _CheckedBlocks:
     """``blocks`` with read-only matrices, the one block check and pruning
     rule: each block, however light, has a finite trace and is hermitian and
-    positive, the traces sum to 1 within ``TRACE_TOL``; only then are the
-    blocks of trace <= ``PRUNE_TOL`` dropped, so pruning hides no bad block."""
+    positive, so pruning hides no bad block; the blocks of trace <=
+    ``PRUNE_TOL`` are dropped, and the traces of those kept sum to 1 within
+    ``TRACE_TOL``, so the state they build has unit trace."""
     blocks = [Block(tuple(v), _freeze(m)) for v, m in blocks]
-    traces = []
-    for _, m in blocks:
-        trace = np.trace(m)
+    kept, traces = [], []
+    for block in blocks:
+        trace = np.trace(block.matrix)
         if not np.isfinite(trace.real):
             raise InvariantViolation("finite", f"block trace must be finite, got {trace.real}")
-        _check_hermitian(m)
-        traces.append(trace)
+        _check_hermitian(block.matrix)
+        if trace.real > PRUNE_TOL:
+            kept.append(block)
+            traces.append(trace)
     tr_err = abs(sum(traces) - 1.0)
     if not tr_err <= TRACE_TOL:
         raise InvariantViolation("unit_trace", f"|trace - 1| = {tr_err:.3e}")
     for _, m in blocks:
         _check_positive(m)
-    return _CheckedBlocks(b for b, trace in zip(blocks, traces) if trace.real > PRUNE_TOL)
+    return _CheckedBlocks(kept)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,9 +27,11 @@ total (layout) dimension.
 One table gives the acting party and the receivers for each kind of step:
 ``ACTOR`` names the party whose registers a free step acts on, and
 ``RECEIVERS`` the parties that get a copy of a step's message.
-``apply_step`` and the fuzz step generators read both.  ``PAYLOAD`` lists
-the fields a step of each kind needs; a :class:`Step` checks them when it
-is built, however it is built, and raises ``BadParams`` naming the field.
+``apply_step`` and the fuzz step generators read both.  A step is built as
+``Step(kind, field=...)``, from Python as from JSON.  ``PAYLOAD`` lists the
+fields a step of each kind needs; a :class:`Step` checks them when it is
+built, with the party rule of its kind (its ``to`` and ``sender`` name Alice
+or Bob), and raises ``BadParams`` naming the field.
 
 Scenarios are immutable; ``apply_step`` returns a new one.
 """
@@ -170,11 +172,34 @@ class ScriptClass(Enum):
     NON_FREE = "non_free"
 
 
+#: The parties a step's ``to`` (a quantum send from Eve or between Alice and
+#: Bob) or ``sender`` (a secret message) may name, and the holders of a
+#: register sent to Eve.
+_AB_PARTIES = (Party.ALICE, Party.BOB)
+
+
+def _member(key: str, enum, value, allowed):
+    """``value`` as a member of ``enum`` that is in ``allowed``, else
+    ``BadParams`` naming the field ``key``."""
+    try:
+        member = enum(value)
+    except ValueError:
+        member = None
+    if member not in allowed:
+        names = [m.value for m in allowed]
+        got = getattr(member, "value", value)
+        raise BadParams(f"step field {key!r} must be one of {names}, got {got!r}")
+    return member
+
+
 @dataclass(frozen=True, eq=False)
 class Step:
-    """One operation; which payload fields apply depends on ``kind``
-    (``PAYLOAD`` lists the ones each kind needs).  The payload is checked,
-    and its sequences and parties coerced, when the step is built."""
+    """One operation, built as ``Step(kind, field=...)``; which payload
+    fields apply depends on ``kind`` (``PAYLOAD`` lists the ones each kind
+    needs).  The payload is checked, and its sequences and parties coerced,
+    when the step is built.  The party rule belongs to the step: its
+    ``to`` and ``sender`` name Alice or Bob (``_AB_PARTIES``), and an
+    unknown kind or party raises ``BadParams`` naming the field."""
 
     kind: StepKind
     channel: ChannelMap | None = None
@@ -189,15 +214,17 @@ class Step:
     bypass: bool = False
 
     def __post_init__(self):
-        kind = StepKind(self.kind)
+        kind = _member("kind", StepKind, self.kind, tuple(StepKind))
         coerced = {
             "kind": kind,
             "on": tuple(self.on),
             "out": None if self.out is None else tuple(self.out),
             "discard": tuple(self.discard),
             "operators": tuple(np.asarray(op, dtype=complex) for op in self.operators),
-            "to": None if self.to is None else Party(self.to),
-            "sender": None if self.sender is None else Party(self.sender),
+            "to": None if self.to is None else _member("to", Party, self.to, _AB_PARTIES),
+            "sender": None
+            if self.sender is None
+            else _member("sender", Party, self.sender, _AB_PARTIES),
         }
         for key, value in coerced.items():
             object.__setattr__(self, key, value)
@@ -213,68 +240,17 @@ class Step:
                 f"not to this {kind.value} step"
             )
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def local_a(cls, channel, on, out=None):
-        return cls(StepKind.LOCAL_A, channel=channel, on=on, out=out)
-
-    @classmethod
-    def local_b(cls, channel, on, out=None):
-        return cls(StepKind.LOCAL_B, channel=channel, on=on, out=out)
-
-    @classmethod
-    def discard_a(cls, labels):
-        return cls(StepKind.LOCAL_A, discard=labels)
-
-    @classmethod
-    def discard_b(cls, labels):
-        return cls(StepKind.LOCAL_B, discard=labels)
-
-    @classmethod
-    def reversible_e(cls, channel, on, out=None, bypass=False):
-        return cls(StepKind.REVERSIBLE_E, channel=channel, on=on, out=out, bypass=bypass)
-
-    @classmethod
-    def quantum_to_e(cls, register):
-        return cls(StepKind.QUANTUM_TO_E, register=register)
-
-    @classmethod
-    def quantum_from_e(cls, register, to):
-        return cls(StepKind.QUANTUM_FROM_E, register=register, to=to)
-
-    @classmethod
-    def quantum_ab(cls, register, to):
-        return cls(StepKind.QUANTUM_AB, register=register, to=to)
-
     @classmethod
     def broadcast_a(cls, operators, on, msg_label):
+        """``Step(StepKind.BROADCAST_A, ...)``, kept only because perfbench's
+        broadcast workload calls it; write the kind form instead."""
         return cls(StepKind.BROADCAST_A, operators=operators, on=on, msg_label=msg_label)
 
     @classmethod
     def broadcast_b(cls, operators, on, msg_label):
+        """``Step(StepKind.BROADCAST_B, ...)``, kept only because perfbench's
+        broadcast workload calls it; write the kind form instead."""
         return cls(StepKind.BROADCAST_B, operators=operators, on=on, msg_label=msg_label)
-
-    @classmethod
-    def classical_a_to_e(cls, operators, on, msg_label):
-        return cls(StepKind.CLASSICAL_A_TO_E, operators=operators, on=on, msg_label=msg_label)
-
-    @classmethod
-    def classical_b_to_e(cls, operators, on, msg_label):
-        return cls(StepKind.CLASSICAL_B_TO_E, operators=operators, on=on, msg_label=msg_label)
-
-    @classmethod
-    def classical_e_to_a(cls, register, msg_label=None):
-        return cls(StepKind.CLASSICAL_E_TO_A, register=register, msg_label=msg_label)
-
-    @classmethod
-    def classical_e_to_b(cls, register, msg_label=None):
-        return cls(StepKind.CLASSICAL_E_TO_B, register=register, msg_label=msg_label)
-
-    @classmethod
-    def secret_ab(cls, operators, on, msg_label, sender="alice"):
-        return cls(
-            StepKind.SECRET_AB, operators=operators, on=on, msg_label=msg_label, sender=sender
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +335,16 @@ def apply_step(sc: Scenario, step: Step) -> Scenario:
     if kind in ACTOR:
         return _channel_step(sc, step, ACTOR[kind])
     if kind is StepKind.QUANTUM_TO_E:
-        return _retag(sc, step.register, (Party.ALICE, Party.BOB), Party.EVE)
+        return _retag(sc, step.register, _AB_PARTIES, Party.EVE)
     if kind is StepKind.QUANTUM_FROM_E:
         reg = sc.block_state.layout.register(step.register)
         return _retag(
             sc, step.register, (Party.EVE,), step.to, qc=math.log2(reg.dim)
         )
     if kind is StepKind.QUANTUM_AB:
-        return _retag(sc, step.register, (Party.ALICE, Party.BOB), step.to)
+        # Only the other of Alice and Bob can send the receiver a register.
+        (source,) = (p for p in _AB_PARTIES if p is not step.to)
+        return _retag(sc, step.register, (source,), step.to)
     raise DimensionMismatch(f"unhandled step kind {kind}")
 
 

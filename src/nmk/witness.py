@@ -125,8 +125,9 @@ class Witness:
     layout dimension: the form ``states.steered_members`` returns.  Any
     sequence of k vectors of length D is accepted and stacked.  Each member
     has | ||m_i||^2 - 1 | <= ``TRACE_TOL``, and so has the trace
-    sum_i p_i ||m_i||^2 of the realized state: a witness is built only when
-    its realized state is."""
+    sum_i p_i ||m_i||^2 of the realized state, over the members it keeps
+    (weight above ``PRUNE_TOL``): a witness is built only when its realized
+    state is."""
 
     layout: RegisterLayout
     groups: WitnessGroups
@@ -150,12 +151,15 @@ class Witness:
             raise InvariantViolation("finite", "witness members must be finite")
         weights = require_distribution("weights", self.weights, _weights_violation)
         object.__setattr__(self, "weights", weights)
-        # The traces the realized state's blocks hold: each p_i ||m_i||^2.
+        # The traces the realized state's blocks hold: each p_i ||m_i||^2,
+        # summed over the members it keeps, as ``_mix_reduced`` does.
         norms = (members * members.conj()).real.sum(axis=1)
         err = np.max(np.abs(norms - 1.0))
         if not err <= TRACE_TOL:
             raise InvariantViolation("unit_norm", f"max | ||m_i||^2 - 1 | = {err:.3e}")
-        err = abs(np.dot(weights, norms) - 1.0)
+        p = np.asarray(weights)
+        live = p > PRUNE_TOL
+        err = abs(np.dot(p[live], norms[live]) - 1.0)
         if not err <= TRACE_TOL:
             raise InvariantViolation("unit_trace", f"|sum_i p_i ||m_i||^2 - 1| = {err:.3e}")
         if sorted(self.groups.all_labels()) != sorted(self.layout.labels):

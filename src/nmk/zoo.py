@@ -22,7 +22,7 @@ from .markov import MarkovComponents, MarkovEntry
 from .rand import as_rng, sample
 from .registers import Party, RegisterLayout, layout, require_integer
 from .states import ChannelMap, DensityState, tensor
-from .steps import Scenario, Step, _copy_label
+from .steps import Scenario, Step, StepKind, _copy_label
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _script_irreversible_e() -> ZooScript:
     return ZooScript(
         "nonfree_script:irreversible_e",
         Scenario(_ghz_diag(None, None)),
-        (Step.reversible_e(mix, ("E",), bypass=True),),
+        (Step(StepKind.REVERSIBLE_E, channel=mix, on=("E",), bypass=True),),
         expected_m_i=0.5,
     )
 
@@ -152,8 +152,8 @@ def _script_quantum_down(to: str) -> ZooScript:
     vec[0b0000] = vec[0b0110] = 1 / math.sqrt(2)
     state = DensityState(lay, np.outer(vec, vec.conj()))
     steps = (
-        Step.quantum_from_e("E1", to),
-        Step.discard_a((own,)) if to == "alice" else Step.discard_b((own,)),
+        Step(StepKind.QUANTUM_FROM_E, register="E1", to=to),
+        Step(StepKind.LOCAL_A if to == "alice" else StepKind.LOCAL_B, discard=(own,)),
     )
     return ZooScript(f"nonfree_script:quantum_e_to_{to[0]}", Scenario(state), steps, 1.0)
 
@@ -165,11 +165,11 @@ def _script_secret_ab() -> ZooScript:
     )
     ja, jb = _copy_label("J", Party.ALICE), _copy_label("J", Party.BOB)
     steps = (
-        Step.secret_ab(coin, ("A",), "J", sender="alice"),
-        Step.local_a(ChannelMap.unitary(cx), (ja, "A")),
-        Step.local_b(ChannelMap.unitary(cx), (jb, "B")),
-        Step.discard_a((ja,)),
-        Step.discard_b((jb,)),
+        Step(StepKind.SECRET_AB, operators=coin, on=("A",), msg_label="J", sender="alice"),
+        Step(StepKind.LOCAL_A, channel=ChannelMap.unitary(cx), on=(ja, "A")),
+        Step(StepKind.LOCAL_B, channel=ChannelMap.unitary(cx), on=(jb, "B")),
+        Step(StepKind.LOCAL_A, discard=(ja,)),
+        Step(StepKind.LOCAL_B, discard=(jb,)),
     )
     return ZooScript("nonfree_script:secret_ab", Scenario(_dummy(None, None)), steps, 0.5)
 
@@ -181,7 +181,10 @@ def _script_quantum_ab() -> ZooScript:
         layout(("B0", 2, "bob"), ("E", 2, "eve")), np.kron(_basis_density(2), _basis_density(2))
     )
     state = tensor(bell, rest).permuted(lay.labels)
-    steps = (Step.quantum_ab("Q", "bob"), Step.discard_b(("B0",)))
+    steps = (
+        Step(StepKind.QUANTUM_AB, register="Q", to="bob"),
+        Step(StepKind.LOCAL_B, discard=("B0",)),
+    )
     return ZooScript("nonfree_script:quantum_ab", Scenario(state), steps, 1.0)
 
 

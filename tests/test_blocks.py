@@ -214,17 +214,18 @@ def test_copies_named_moved_and_discarded_match_dense():
     iso = sample("isometry", (2, 4), rng)
     cx = np.eye(4)[[0, 1, 3, 2]]
     steps = (
-        Step.broadcast_a((iso[:2], iso[2:]), ("A",), "J"),
-        Step.classical_e_to_b("J_E", "K"),
-        Step.local_b(ChannelMap.unitary(cx), ("J_B", "B")),
-        Step.quantum_to_e("K_B"),
-        Step.discard_a(("J_A",)),
-        Step.discard_b(("J_B",)),
+        Step(StepKind.BROADCAST_A, operators=(iso[:2], iso[2:]), on=("A",), msg_label="J"),
+        Step(StepKind.CLASSICAL_E_TO_B, register="J_E", msg_label="K"),
+        Step(StepKind.LOCAL_B, channel=ChannelMap.unitary(cx), on=("J_B", "B")),
+        Step(StepKind.QUANTUM_TO_E, register="K_B"),
+        Step(StepKind.LOCAL_A, discard=("J_A",)),
+        Step(StepKind.LOCAL_B, discard=("J_B",)),
     )
     sc = Scenario(sample("density_hs", (2, 2, 2), 4))
     out = run_both(sc, steps)
     assert [var.labels for var in out.block_state.classical] == [("J_E", "K_B")]
-    out = run_both(out, (Step.reversible_e(ChannelMap.unitary(np.eye(4)), ("J_E", "K_B")),))
+    identity = ChannelMap.unitary(np.eye(4))
+    out = run_both(out, (Step(StepKind.REVERSIBLE_E, channel=identity, on=("J_E", "K_B")),))
     assert out.block_state.classical == ()
     assert len(out.block_state.blocks) == 1
 
@@ -255,7 +256,8 @@ class TestBlockState:
     def test_discarded_reads_its_labels_once(self):
         ops = sample("isometry", (2, 4), 6)
         sc = Scenario(sample("density_hs", (2, 2, 2), 5))
-        bs = apply_step(sc, Step.broadcast_a((ops[:2], ops[2:]), ("A",), "J")).block_state
+        step = Step(StepKind.BROADCAST_A, operators=(ops[:2], ops[2:]), on=("A",), msg_label="J")
+        bs = apply_step(sc, step).block_state
         for drop in (("J_A",), ("B", "J_B"), ("J_A", "J_B", "J_E")):
             want = bs.discarded(drop)
             got = bs.discarded(lbl for lbl in drop)
@@ -269,24 +271,25 @@ class TestBlockState:
         rho = sample("density_hs", (2, 2, 2), 7)
         sc = Scenario(BlockState.from_density(rho))
         with pytest.raises(NotClassicalRegister):
-            apply_step(sc, Step.classical_e_to_a("E"))
+            apply_step(sc, Step(StepKind.CLASSICAL_E_TO_A, register="E"))
 
     def test_zero_weight_outcomes_are_dropped(self):
         ghz = Scenario(zoo("ghz_diag"))
         proj = tuple(np.diag(row).astype(complex) for row in ([1.0, 0.0], [0.0, 1.0]))
         flip = ChannelMap.unitary(np.array([[0, 1], [1, 0]], dtype=complex))
-        sc = apply_step(ghz, Step.local_a(ChannelMap.dephasing(2), ("A",)))
-        sc = apply_step(sc, Step.broadcast_a(proj, ("A",), "J"))
-        sc = apply_step(sc, Step.reversible_e(flip, ("E",)))
-        sc = apply_step(sc, Step.classical_e_to_b("E"))
+        sc = apply_step(ghz, Step(StepKind.LOCAL_A, channel=ChannelMap.dephasing(2), on=("A",)))
+        sc = apply_step(sc, Step(StepKind.BROADCAST_A, operators=proj, on=("A",), msg_label="J"))
+        sc = apply_step(sc, Step(StepKind.REVERSIBLE_E, channel=flip, on=("E",)))
+        sc = apply_step(sc, Step(StepKind.CLASSICAL_E_TO_B, register="E"))
         # (J, E) takes only the values (0, 1) and (1, 0).
         assert [b.values for b in sc.block_state.blocks] == [(0, 1), (1, 0)]
 
     def test_weights_must_sum_to_one(self):
         halving = ChannelMap((np.sqrt(0.5) * np.eye(2),), trace_preserving=False)
-        sc = apply_step(Scenario(zoo("ghz_diag")), Step.broadcast_a(coin(), ("A",), "J"))
+        step = Step(StepKind.BROADCAST_A, operators=coin(), on=("A",), msg_label="J")
+        sc = apply_step(Scenario(zoo("ghz_diag")), step)
         with pytest.raises(InvariantViolation, match="unit_trace"):
-            apply_step(sc, Step.local_b(halving, ("B",)))
+            apply_step(sc, Step(StepKind.LOCAL_B, channel=halving, on=("B",)))
 
 
 def _direct(classical, blocks):
@@ -336,6 +339,14 @@ class TestDirectConstruction:
         with pytest.raises(InvariantViolation, match="finite"):
             _direct(self.J, (Block((0,), heavy), Block((1,), light)))
 
+    def test_kept_blocks_must_sum_to_unit_trace(self):
+        # A negative light block is dropped, so it cannot make up for the
+        # excess trace of the block that is kept.
+        heavy = (1 + 1.4e-10) * self.HALF
+        negative = -9e-11 * self.HALF
+        with pytest.raises(InvariantViolation, match="unit_trace"):
+            _direct(self.J, (Block((0,), heavy), Block((1,), negative)))
+
     def test_valid_blocks_are_held_read_only(self):
         given = 0.25 * self.HALF
         bs = _direct(self.J, (Block((0,), given), Block((1,), 0.75 * self.HALF)))
@@ -348,7 +359,10 @@ class TestFourBroadcasts:
     8 at layout dimension 32768, past the default budget of 4096 for a
     dense state but within it for the blocks' entries (16 * 8^2 <= 4096^2)."""
 
-    STEPS = tuple(Step.broadcast_a(coin(), ("A",), f"J{i}") for i in range(4))
+    STEPS = tuple(
+        Step(StepKind.BROADCAST_A, operators=coin(), on=("A",), msg_label=f"J{i}")
+        for i in range(4)
+    )
 
     def test_runs_at_the_default_budget_and_matches_the_oracle(self):
         sc = Scenario(zoo("hs_random", {"dims": [2, 2, 2]}, seed=1))
@@ -378,8 +392,9 @@ def test_block_step_memory_is_a_few_block_matrices():
     # and the kernel's temporaries, and no re-weighted copy of either.
     rho = zoo("hs_random", {"dims": [4, 4, 8]}, seed=1)
     ops = sample("isometry", (4, 8), 2)
-    sc = apply_step(Scenario(rho), Step.broadcast_a((ops[:4], ops[4:]), ("A",), "J"))
-    step = Step.local_b(ChannelMap.unitary(sample("unitary", 4, 3)), ("B",))
+    broadcast = Step(StepKind.BROADCAST_A, operators=(ops[:4], ops[4:]), on=("A",), msg_label="J")
+    sc = apply_step(Scenario(rho), broadcast)
+    step = Step(StepKind.LOCAL_B, channel=ChannelMap.unitary(sample("unitary", 4, 3)), on=("B",))
     q = sc.block_state.quantum.dim
     tracemalloc.start()
     try:
@@ -416,8 +431,8 @@ def test_broadcast_script_memory_stays_small():
     rho = zoo("hs_random", {"dims": [2, 2, 4]}, seed=1)
     ops_a, ops_b = sample("isometry", (2, 4), 2), sample("isometry", (2, 4), 3)
     steps = (
-        Step.broadcast_a((ops_a[:2], ops_a[2:]), ("A",), "J0"),
-        Step.broadcast_b((ops_b[:2], ops_b[2:]), ("B",), "J1"),
+        Step(StepKind.BROADCAST_A, operators=(ops_a[:2], ops_a[2:]), on=("A",), msg_label="J0"),
+        Step(StepKind.BROADCAST_B, operators=(ops_b[:2], ops_b[2:]), on=("B",), msg_label="J1"),
     )
     sc = Scenario(rho)
     tracemalloc.start()

@@ -23,7 +23,7 @@ from nmk.serialize import (
     script_to_json,
     state_to_json,
 )
-from nmk.steps import CostLedger, Step, run_script
+from nmk.steps import CostLedger, Step, StepKind, run_script
 
 from conftest import floor_spectrum_state
 
@@ -306,7 +306,7 @@ class TestScript:
         assert out["before"] == out["after"]
 
     def test_script_file_with_steps(self, tmp_path):
-        steps = (Step.discard_a(("A",)),)
+        steps = (Step(StepKind.LOCAL_A, discard=("A",)),)
         script = tmp_path / "discard.json"
         script.write_text(json.dumps(script_to_json(steps)))
         proc = run_cli("script", str(script), "zoo:ghz_diag")
@@ -342,8 +342,8 @@ class TestScript:
 def two_broadcasts():
     iso_a, iso_b = sample("isometry", (2, 4), 21), sample("isometry", (2, 4), 22)
     return (
-        Step.broadcast_a((iso_a[:2], iso_a[2:]), ("A",), "J0"),
-        Step.broadcast_b((iso_b[:2], iso_b[2:]), ("B",), "J1"),
+        Step(StepKind.BROADCAST_A, operators=(iso_a[:2], iso_a[2:]), on=("A",), msg_label="J0"),
+        Step(StepKind.BROADCAST_B, operators=(iso_b[:2], iso_b[2:]), on=("B",), msg_label="J1"),
     )
 
 
@@ -351,7 +351,10 @@ def coin_broadcasts(count):
     """``count`` one-qubit coin broadcasts by Alice: each leaves the state
     alone and doubles the number of blocks."""
     coin = tuple(np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(2))
-    return tuple(Step.broadcast_a(coin, ("A",), f"J{i}") for i in range(count))
+    return tuple(
+        Step(StepKind.BROADCAST_A, operators=coin, on=("A",), msg_label=f"J{i}")
+        for i in range(count)
+    )
 
 
 class TestBlockScript:
@@ -436,11 +439,16 @@ def valid_script():
     halves = tuple(np.diag(row).astype(complex) for row in ([1.0, 0.0], [0.0, 1.0]))
     return script_to_json(
         (
-            Step.local_a(ChannelMap.dephasing(2), ("A",), out=(Register("A", 2, "alice"),)),
-            Step.local_b(ChannelMap.dephasing(2), ("B",)),
-            Step.reversible_e(flip, ("E",)),
-            Step.quantum_ab("A", "bob"),
-            Step.secret_ab(halves, ("B",), "S", sender="bob"),
+            Step(
+                StepKind.LOCAL_A,
+                channel=ChannelMap.dephasing(2),
+                on=("A",),
+                out=(Register("A", 2, "alice"),),
+            ),
+            Step(StepKind.LOCAL_B, channel=ChannelMap.dephasing(2), on=("B",)),
+            Step(StepKind.REVERSIBLE_E, channel=flip, on=("E",)),
+            Step(StepKind.QUANTUM_AB, register="A", to="bob"),
+            Step(StepKind.SECRET_AB, operators=halves, on=("B",), msg_label="S", sender="bob"),
         )
     )
 
@@ -491,6 +499,7 @@ class TestReaderRobustness:
             (2, "channel", dict(FLIP_CHANNEL, trace_preserving=0), "trace_preserving must be"),
             (2, "channel", dict(FLIP_CHANNEL, inverse={}), "'kraus'"),
             (4, "operators", [{"re": [[True]], "im": [[0]]}], "matrix entry must be a number"),
+            (3, "to", "eve", "'to'"),
         ],
     )
     def test_malformed_step_exits_2(self, tmp_path, index, key, value, named):
@@ -614,7 +623,8 @@ class TestReaderRobustness:
         # its output fails the state check at the channel step.
         halving = ChannelMap((np.sqrt(0.5) * np.eye(2),), trace_preserving=False)
         script = tmp_path / "halve.json"
-        script.write_text(json.dumps(script_to_json((Step.local_a(halving, ("A",)),))))
+        step = Step(StepKind.LOCAL_A, channel=halving, on=("A",))
+        script.write_text(json.dumps(script_to_json((step,))))
         assert json.loads(script.read_text())["steps"][0]["channel"]["trace_preserving"] is False
         proc = run_cli("script", str(script), "zoo:ghz_diag")
         assert proc.returncode == 2
@@ -638,7 +648,12 @@ class TestReaderRobustness:
         from nmk import cli
 
         huge = np.diag([1e308, 1e308]).astype(complex)
-        step = Step.broadcast_a((huge, np.eye(2, dtype=complex)), ("A",), "M")
+        step = Step(
+            StepKind.BROADCAST_A,
+            operators=(huge, np.eye(2, dtype=complex)),
+            on=("A",),
+            msg_label="M",
+        )
         script = tmp_path / "overflow.json"
         script.write_text(json.dumps(script_to_json((step,))))
         assert cli.main(["script", str(script), "zoo:ghz_diag"]) == 2
@@ -652,7 +667,8 @@ class TestReaderRobustness:
 class TestNanInput:
     def test_script_with_nan_inverse_exits_2(self, tmp_path):
         # An inverse that cannot be verified never makes a step reversible.
-        payload = script_to_json((Step.reversible_e(ChannelMap.unitary(np.eye(2)), ("E",)),))
+        step = Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",))
+        payload = script_to_json((step,))
         for m in payload["steps"][0]["channel"]["inverse"]["kraus"]:
             m["re"] = np.full((2, 2), np.nan).tolist()
         script = tmp_path / "nan_inverse.json"
@@ -940,7 +956,7 @@ REFERENCES = {
         lambda: components_to_json(zoo("markov_random", {"entries": 2})),
     ),
     # The zoo holds no script without a state.
-    "plain script": (None, lambda: script_to_json((Step.discard_a(("A",)),))),
+    "plain script": (None, lambda: script_to_json((Step(StepKind.LOCAL_A, discard=("A",)),))),
     "bundled script": (
         "zoo:nonfree_script?cls=secret_ab",
         lambda: bundled_script_json("secret_ab"),

@@ -178,11 +178,12 @@ def oracle_report(state, a, b, e) -> dict:
 
 def broadcast_output():
     """A 2,2,2 state after one broadcast by Alice: six registers."""
-    from nmk import Scenario, Step, apply_step
+    from nmk import Scenario, Step, StepKind, apply_step
 
     iso = sample("isometry", (2, 4), 12)
     sc = Scenario(sample("density_hs", (2, 2, 2), 11))
-    return apply_step(sc, Step.broadcast_a((iso[:2], iso[2:]), ("A",), "J")).state
+    step = Step(StepKind.BROADCAST_A, operators=(iso[:2], iso[2:]), on=("A",), msg_label="J")
+    return apply_step(sc, step).state
 
 
 @pytest.mark.parametrize(

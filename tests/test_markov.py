@@ -11,6 +11,7 @@ from nmk import (
     MarkovEntry,
     Scenario,
     Step,
+    StepKind,
     apply_channel,
     apply_step,
     build_markov,
@@ -269,7 +270,8 @@ class TestScore:
     def test_broadcast_output_builds_only_the_petz_result(self, monkeypatch):
         coin = tuple(np.eye(2, dtype=complex) / np.sqrt(2) for _ in range(2))
         rho = sample("density_hs", (2, 2, 2), 12)
-        out = apply_step(Scenario(rho), Step.broadcast_a(coin, ("A",), "J")).state
+        step = Step(StepKind.BROADCAST_A, operators=coin, on=("A",), msg_label="J")
+        out = apply_step(Scenario(rho), step).state
         a, b, e = party_partition(out)
         assert out.layout.labels != a + b + e
         built = []

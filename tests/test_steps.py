@@ -33,6 +33,7 @@ from nmk import fuzz
 from nmk.fuzz import fuzz_markov_closure, fuzz_monotonicity
 from nmk.markov import preparation_script
 from nmk.registers import Party, Register
+from nmk.serialize import step_to_json
 from nmk.steps import PAYLOAD, StepKind
 from nmk.zoo import zoo
 
@@ -86,10 +87,72 @@ class TestStepBoundary:
     def test_equality_is_identity(self):
         # A step holds numpy operators; == compares identity instead of
         # raising "truth value of an array is ambiguous", and hash() works.
-        step, again = (Step.broadcast_a(coin_ops(), ("A",), "J") for _ in range(2))
+        step, again = (
+            Step(StepKind.BROADCAST_A, operators=coin_ops(), on=("A",), msg_label="J")
+            for _ in range(2)
+        )
         assert step == step and not step != step
         assert step != again and not step == again
         assert hash(step) == hash(step) and len({step, again}) == 2
+
+    def test_only_the_two_broadcast_aliases_remain(self):
+        # perfbench's broadcast workload builds its steps through these two;
+        # every other step is built as Step(kind, ...).
+        methods = {name for name, attr in vars(Step).items() if isinstance(attr, classmethod)}
+        assert methods == {"broadcast_a", "broadcast_b"}
+        ops = coin_ops()
+        pairs = [
+            (Step.broadcast_a(ops, ("A",), "J"), StepKind.BROADCAST_A, ("A",)),
+            (Step.broadcast_b(ops, ("B",), "J"), StepKind.BROADCAST_B, ("B",)),
+        ]
+        for alias, kind, on in pairs:
+            want = Step(kind, operators=ops, on=on, msg_label="J")
+            assert step_to_json(alias) == step_to_json(want)
+
+
+class TestStepParties:
+    """The party rule belongs to the step: its ``to`` and ``sender`` name
+    Alice or Bob, and an unknown kind or party raises BadParams naming its
+    field, before any scenario is touched."""
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"kind": "quantum_from_e", "register": "E", "to": "eve"}, "to"),
+            ({"kind": "quantum_from_e", "register": "E", "to": "reference"}, "to"),
+            ({"kind": "quantum_ab", "register": "A", "to": "eve"}, "to"),
+            (
+                {
+                    "kind": "secret_ab",
+                    "operators": coin_ops(),
+                    "on": ("E",),
+                    "msg_label": "J",
+                    "sender": "eve",
+                },
+                "sender",
+            ),
+            ({"kind": "bogus"}, "kind"),
+            ({"kind": "quantum_from_e", "register": "E", "to": "Alice"}, "to"),
+        ],
+        ids=[
+            "from_e_to_eve",
+            "from_e_to_reference",
+            "ab_to_eve",
+            "secret_from_eve",
+            "unknown_kind",
+            "capitalized_party",
+        ],
+    )
+    def test_refused_when_built_naming_the_field(self, fields, named):
+        with pytest.raises(BadParams, match=repr(named)):
+            Step(**fields)
+
+    def test_quantum_ab_moves_only_the_other_partys_register(self, ghz):
+        sc = Scenario(ghz)
+        with pytest.raises(UnknownLabel, match="belongs to alice"):
+            apply_step(sc, Step(StepKind.QUANTUM_AB, register="A", to="alice"))
+        out = apply_step(sc, Step(StepKind.QUANTUM_AB, register="A", to="bob"))
+        assert out.block_state.layout.register("A").party is Party.BOB
 
 
 class TestApplyStep:
@@ -98,7 +161,8 @@ class TestApplyStep:
         sc = Scenario(ghz)
         before = nonmarkovianity(ghz)
         iso = ChannelMap.isometry(sample("isometry", (2, 4), rng))
-        step = Step.reversible_e(iso, ("E",), out=(Register("F", 4, Party.EVE),))
+        wider = (Register("F", 4, Party.EVE),)
+        step = Step(StepKind.REVERSIBLE_E, channel=iso, on=("E",), out=wider)
         out = apply_step(sc, step)
         assert abs(nonmarkovianity(out.state) - before) < 1e-9
         assert markov_score(out.state).verdict == markov_score(ghz).verdict
@@ -112,7 +176,8 @@ class TestApplyStep:
             raise AssertionError("the declared inverse was verified again")
 
         monkeypatch.setattr(ChannelMap, "verify_inverse", refuse)
-        step = Step.reversible_e(iso, ("E",), out=(Register("F", 4, Party.EVE),))
+        wider = (Register("F", 4, Party.EVE),)
+        step = Step(StepKind.REVERSIBLE_E, channel=iso, on=("E",), out=wider)
         out = apply_step(Scenario(ghz), step)
         assert abs(nonmarkovianity(out.state) - nonmarkovianity(ghz)) < 1e-9
 
@@ -121,8 +186,8 @@ class TestApplyStep:
         mix = ChannelMap.mixing([np.eye(2), sx], [0.5, 0.5])
         sc = Scenario(ghz)
         with pytest.raises(IrreversibleEveOp):
-            apply_step(sc, Step.reversible_e(mix, ("E",)))
-        out = apply_step(sc, Step.reversible_e(mix, ("E",), bypass=True))
+            apply_step(sc, Step(StepKind.REVERSIBLE_E, channel=mix, on=("E",)))
+        out = apply_step(sc, Step(StepKind.REVERSIBLE_E, channel=mix, on=("E",), bypass=True))
         assert abs(nonmarkovianity(out.state) - 0.5) < 1e-9
 
     def test_quantum_from_e_costs_and_frees_entanglement(self):
@@ -136,14 +201,15 @@ class TestApplyStep:
         calls = []
         real = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or real(m))
-        out = apply_step(Scenario(ghz), Step.quantum_to_e("A"))
+        out = apply_step(Scenario(ghz), Step(StepKind.QUANTUM_TO_E, register="A"))
         assert calls == []
         assert out.state.layout.register("A").party is Party.EVE
         np.testing.assert_array_equal(out.state.matrix, ghz.matrix)
 
     def test_broadcast_copies_all_parties(self, ghz):
         sc = Scenario(ghz)
-        out = apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), "J"))
+        step = Step(StepKind.BROADCAST_A, operators=coin_ops(), on=("A",), msg_label="J")
+        out = apply_step(sc, step)
         lay = out.state.layout
         assert lay.register("J_A").party is Party.ALICE
         assert lay.register("J_B").party is Party.BOB
@@ -154,11 +220,11 @@ class TestApplyStep:
         rho = sample("density_hs", (2, 2, 2), 7)
         sc = Scenario(rho)
         with pytest.raises(NotClassicalRegister):
-            apply_step(sc, Step.classical_e_to_a("E"))
+            apply_step(sc, Step(StepKind.CLASSICAL_E_TO_A, register="E"))
 
     def test_classical_down_copies_and_costs(self, ghz):
         sc = Scenario(ghz)  # E register of the block state is diagonal
-        out = apply_step(sc, Step.classical_e_to_a("E"))
+        out = apply_step(sc, Step(StepKind.CLASSICAL_E_TO_A, register="E"))
         assert out.ledger.cdown_bits == pytest.approx(1.0)
         assert out.state.layout.register("E_c_A").party is Party.ALICE
         assert abs(nonmarkovianity(out.state) - nonmarkovianity(ghz)) < 1e-9
@@ -171,16 +237,17 @@ class TestApplyStep:
         iso = sample("isometry", (4, 8), rng)
         ops = tuple(iso[i * 4 : (i + 1) * 4, :] for i in range(2))
         sc = Scenario(rho)
-        out = apply_step(sc, Step.broadcast_a(ops, ("A", "A2"), "J"))
+        step = Step(StepKind.BROADCAST_A, operators=ops, on=("A", "A2"), msg_label="J")
+        out = apply_step(sc, step)
         assert out.state.dim == rho.dim * 8
         assert nonmarkovianity(out.state) <= nonmarkovianity(rho) + 1e-9
 
     def test_party_ownership_enforced(self, ghz):
         sc = Scenario(ghz)
         with pytest.raises(UnknownLabel):
-            apply_step(sc, Step.discard_a(("B",)))
+            apply_step(sc, Step(StepKind.LOCAL_A, discard=("B",)))
         with pytest.raises(UnknownLabel):
-            apply_step(sc, Step.quantum_from_e("A", "bob"))
+            apply_step(sc, Step(StepKind.QUANTUM_FROM_E, register="A", to="bob"))
 
 
     def test_broadcast_on_registers_out_of_layout_order(self):
@@ -192,8 +259,13 @@ class TestApplyStep:
         iso = sample("isometry", (4, 8), 5)
         ops = (iso[:4], iso[4:])
         swap = np.eye(4)[[0, 2, 1, 3]]
-        named = apply_step(sc, Step.broadcast_a(ops, ("Q", "A"), "J")).state
-        ordered = apply_step(sc, Step.broadcast_a([swap @ k @ swap for k in ops], ("A", "Q"), "J"))
+        named = apply_step(
+            sc, Step(StepKind.BROADCAST_A, operators=ops, on=("Q", "A"), msg_label="J")
+        ).state
+        swapped = [swap @ k @ swap for k in ops]
+        ordered = apply_step(
+            sc, Step(StepKind.BROADCAST_A, operators=swapped, on=("A", "Q"), msg_label="J")
+        )
         assert named.layout == ordered.state.layout
         assert named.layout.labels == ("A", "Q", "B", "E", "J_A", "J_B", "J_E")
         np.testing.assert_allclose(named.matrix, ordered.state.matrix, atol=1e-12)
@@ -215,44 +287,54 @@ class TestApplyStep:
         monkeypatch.setattr(states, "_apply_kraus_block", counted)
         sc = Scenario(sample("density_hs", (2, 2, 2), 6))
         for i in range(2):
-            sc = apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), f"J{i}"))
+            step = Step(StepKind.BROADCAST_A, operators=coin_ops(), on=("A",), msg_label=f"J{i}")
+            sc = apply_step(sc, step)
         assert len(sc.block_state.blocks) == 4 and sc.block_state.quantum.dim == 8
         ran = len(calls)
+        step = Step(StepKind.BROADCAST_A, operators=coin_ops(), on=("A",), msg_label="J2")
         with pytest.raises(BudgetExceeded, match="entries 512 exceeds the budget of 256"):
-            apply_step(sc, Step.broadcast_a(coin_ops(), ("A",), "J2"))
+            apply_step(sc, step)
         assert ran > 0 and len(calls) == ran
 
 
 class TestClassify:
     def test_free_script(self):
         steps = [
-            Step.broadcast_a(coin_ops(), ("A",), "J"),
-            Step.quantum_to_e("A"),
-            Step.reversible_e(ChannelMap.unitary(np.eye(2)), ("E",)),
+            Step(StepKind.BROADCAST_A, operators=coin_ops(), on=("A",), msg_label="J"),
+            Step(StepKind.QUANTUM_TO_E, register="A"),
+            Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",)),
         ]
         assert classify_script(steps) is ScriptClass.OMEGA
 
     def test_classical_down_script(self):
         steps = [
-            Step.reversible_e(ChannelMap.unitary(np.eye(2)), ("E",)),
-            Step.classical_e_to_b("ME"),
+            Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",)),
+            Step(StepKind.CLASSICAL_E_TO_B, register="ME"),
         ]
         assert classify_script(steps) is ScriptClass.OMEGA_STAR
 
     def test_quantum_down_script(self):
         steps = [
-            Step.reversible_e(ChannelMap.unitary(np.eye(2)), ("E",)),
-            Step.quantum_from_e("E1", "alice"),
+            Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",)),
+            Step(StepKind.QUANTUM_FROM_E, register="E1", to="alice"),
         ]
         assert classify_script(steps) is ScriptClass.OMEGA_Q
 
     def test_non_free_variants(self):
-        assert classify_script([Step.quantum_ab("Q", "bob")]) is ScriptClass.NON_FREE
-        assert classify_script([Step.secret_ab(coin_ops(), ("A",), "J")]) is ScriptClass.NON_FREE
+        quantum_ab = Step(StepKind.QUANTUM_AB, register="Q", to="bob")
+        assert classify_script([quantum_ab]) is ScriptClass.NON_FREE
+        secret = Step(
+            StepKind.SECRET_AB, operators=coin_ops(), on=("A",), msg_label="J", sender="alice"
+        )
+        assert classify_script([secret]) is ScriptClass.NON_FREE
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         mix = ChannelMap.mixing([np.eye(2), sx], [0.5, 0.5])
-        assert classify_script([Step.reversible_e(mix, ("E",), bypass=True)]) is ScriptClass.NON_FREE
-        both = [Step.quantum_from_e("E1", "alice"), Step.classical_e_to_a("ME")]
+        bypass = Step(StepKind.REVERSIBLE_E, channel=mix, on=("E",), bypass=True)
+        assert classify_script([bypass]) is ScriptClass.NON_FREE
+        both = [
+            Step(StepKind.QUANTUM_FROM_E, register="E1", to="alice"),
+            Step(StepKind.CLASSICAL_E_TO_A, register="ME"),
+        ]
         assert classify_script(both) is ScriptClass.NON_FREE
 
 

@@ -627,3 +627,12 @@ def test_witness_refuses_what_its_realized_state_refuses():
     mixed = witness_mix([(0.5, base), (0.5, base)])
     with pytest.raises(InvariantViolation, match="unit_trace"):
         _rescaled(mixed, math.sqrt(1.0 + 9e-11), 9e-11)
+
+
+def test_witness_trace_is_over_the_members_its_state_keeps():
+    # A member of negative weight at most PRUNE_TOL is dropped from the
+    # realized state, so it cannot make up for the excess trace of the rest.
+    base = baseline_witnesses(zoo("ghz_diag"))[0]
+    pair = np.vstack([base.members, base.members]) * math.sqrt(1.0 + 5e-11)
+    with pytest.raises(InvariantViolation, match="unit_trace"):
+        Witness(base.layout, base.groups, (1.0 + 9e-11, -9e-11), pair)
