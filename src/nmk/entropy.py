@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverlappingPartition
+from .registers import _label_group
 from .states import (
     BlockState,
     DensityState,
@@ -48,9 +49,10 @@ def _marginals(state, subset) -> list[np.ndarray]:
 
 
 def entropy(state: DensityState | BlockState, subset=None) -> float:
-    """Von Neumann entropy of the reduced state on ``subset``, in bits."""
+    """Von Neumann entropy of the reduced state on ``subset`` (a string is
+    one label), in bits."""
     if subset is not None:
-        subset = tuple(subset)
+        subset = _label_group(subset)
         if not subset:
             raise OverlappingPartition("entropy needs a nonempty register subset")
     return sum(entropy_of_matrix(m) for m in _marginals(state, subset))
@@ -58,7 +60,7 @@ def entropy(state: DensityState | BlockState, subset=None) -> float:
 
 def conditional_entropy(state: DensityState | BlockState, x, given) -> float:
     """S(X|Y) = S(XY) - S(Y)."""
-    x, given = tuple(x), tuple(given)
+    x, given = _label_group(x), _label_group(given)
     if set(x) & set(given):
         raise OverlappingPartition("conditioning registers overlap the target")
     if not given:
@@ -68,7 +70,7 @@ def conditional_entropy(state: DensityState | BlockState, x, given) -> float:
 
 def mutual_info(state: DensityState | BlockState, x, y) -> float:
     """I(X:Y) = S(X) + S(Y) - S(XY); zero when either group is empty."""
-    x, y = tuple(x), tuple(y)
+    x, y = _label_group(x), _label_group(y)
     if set(x) & set(y):
         raise OverlappingPartition("mutual information needs disjoint groups")
     if not x or not y:
@@ -82,7 +84,7 @@ def _as_groups(state, a, b, e):
     none is given."""
     if a is None and b is None and e is None:
         return party_partition(state)
-    a, b, e = ((g,) if isinstance(g, str) else tuple(g) for g in (a, b, e))
+    a, b, e = map(_label_group, (a, b, e))
     if (set(a) & set(b)) or (set(a) & set(e)) or (set(b) & set(e)):
         raise OverlappingPartition(f"partition groups overlap: {a}, {b}, {e}")
     return a, b, e

@@ -20,9 +20,9 @@ Suites:
                    linearity, regroup and local-channel monotonicity, and
                    transport invariance
 
-The random steps of ``monotonicity`` and ``markov_closure`` read the acting
-party and the receivers of each kind of step from the one table that
-``apply_step`` reads, ``steps.ACTOR`` and ``steps.RECEIVERS``.
+The random steps of ``monotonicity`` and ``markov_closure`` read each kind
+of step's payload fields, acting party and class from the one table that
+``apply_step`` reads, ``steps.KINDS``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .rand import as_rng, random_isometry, random_unitary, sample
 from .registers import Party, Register, layout, require_integer
 from .serialize import state_to_json, step_to_json
 from .states import Block, BlockState, ChannelMap, ClassicalVar, DensityState
-from .steps import ACTOR, RECEIVERS, Scenario, Step, StepKind, apply_step
+from .steps import KINDS, Scenario, ScriptClass, Step, StepKind, apply_step
 from .witness import (
     objective,
     witness_from_isometry,
@@ -144,9 +144,9 @@ def _random_step(kind: StepKind, register: str, dim: int, rng, label: str) -> St
     levels): a two-outcome measurement whose message is ``label`` for a
     kind that sends one, else a random unitary for Eve and a random channel
     for Alice or Bob."""
-    if kind in RECEIVERS:
+    if "operators" in KINDS[kind].needs:
         return Step(kind, operators=_random_measurement(dim, rng), on=(register,), msg_label=label)
-    if ACTOR[kind] is Party.EVE:
+    if KINDS[kind].parties == (Party.EVE,):
         return Step(kind, channel=ChannelMap.unitary(random_unitary(dim, rng)), on=(register,))
     return Step(kind, channel=ChannelMap(_random_measurement(dim, rng)), on=(register,))
 
@@ -169,13 +169,13 @@ def _mono_step(cls: str, rng) -> Step:
     if cls in ("quantum_a_to_e", "quantum_b_to_e"):
         return Step(StepKind.QUANTUM_TO_E, register="Q")
     if cls in ("classical_e_to_a", "classical_e_to_b"):
-        return Step(StepKind(cls), register="ME")
+        return Step(cls, register="ME")
     kind = StepKind(cls)
     if kind is StepKind.REVERSIBLE_E and rng.integers(2) == 1:
         iso = ChannelMap.isometry(random_isometry(2, 4, rng))
         return Step(kind, channel=iso, on=("E",), out=(Register("Ex", 4, Party.EVE),))
     # Each party's register in the scenario is named by its initial.
-    return _random_step(kind, ACTOR[kind].value[0].upper(), 2, rng, "J")
+    return _random_step(kind, KINDS[kind].parties[0].value[0].upper(), 2, rng, "J")
 
 
 def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> FuzzReport:
@@ -211,10 +211,16 @@ def fuzz_monotonicity(trials_per_class: int = 300, seed=0, jobs: int = 1) -> Fuz
 # ---------------------------------------------------------------------------
 # free scripts keep block states Markov
 
+#: The free kinds of step that act on one party's registers named by ``on``.
+_ON_KINDS = tuple(
+    kind for kind, row in KINDS.items() if row.least is ScriptClass.OMEGA and "on" in row.may
+)
+
+
 def _random_omega_step(sc: Scenario, rng, msg_counter: int) -> Step:
-    kind = tuple(ACTOR)[int(rng.integers(len(ACTOR)))]
+    kind = _ON_KINDS[int(rng.integers(len(_ON_KINDS)))]
     lay = sc.block_state.layout
-    register = lay.party_labels(ACTOR[kind])[0]
+    register = lay.party_labels(KINDS[kind].parties[0])[0]
     return _random_step(kind, register, lay.register(register).dim, rng, f"J{msg_counter}")
 
 

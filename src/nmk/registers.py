@@ -11,6 +11,9 @@ it enters, which refuses anything else, a bool included, with an error
 naming it: an integer (a dimension, a size, a count) :func:`require_integer`,
 never truncated; a real (a tolerance) :func:`require_real`; and the weights
 of an ensemble, a mixture or a block decomposition :func:`require_distribution`.
+A name from a fixed set (a party, a step kind) passes :func:`require_member`
+by its exact value, so ``"Alice"`` is not a party name; and a group of
+register labels passes ``_label_group``, where a string is one label.
 """
 
 from __future__ import annotations
@@ -71,10 +74,24 @@ def require_distribution(name: str, weights, error=BadProbabilities) -> tuple[fl
     return weights
 
 
-def _coerce_party(party) -> Party:
-    if isinstance(party, Party):
-        return party
-    return Party(str(party).lower())
+def require_member(name: str, enum, value, allowed=None):
+    """The member of ``enum`` whose value is exactly ``value`` (a member
+    passes as itself), when it is one of ``allowed`` (any member if None);
+    anything else, another spelling or type included, raises ``BadParams``
+    naming ``name``."""
+    try:
+        member = enum(value)
+    except (TypeError, ValueError):
+        member = None
+    if member is None or (allowed is not None and member not in allowed):
+        names = [m.value for m in (enum if allowed is None else allowed)]
+        raise BadParams(f"{name} must be one of {names}, got {value!r}")
+    return member
+
+
+def _label_group(labels) -> tuple[str, ...]:
+    """``labels`` as a tuple of register labels, read once; a string is one label."""
+    return (labels,) if isinstance(labels, str) else tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -88,7 +105,8 @@ class Register:
     def __post_init__(self):
         if not (isinstance(self.label, str) and self.label):
             raise BadParams(f"register label must be a non-empty string, got {self.label!r}")
-        object.__setattr__(self, "party", _coerce_party(self.party))
+        party = require_member(f"register {self.label!r} party", Party, self.party)
+        object.__setattr__(self, "party", party)
         # A numpy integer is stored as an int, so layouts and JSON see one type.
         dim = require_integer(f"register {self.label!r} dim", self.dim, 1)
         object.__setattr__(self, "dim", dim)
@@ -157,14 +175,14 @@ class RegisterLayout:
         return RegisterLayout(tuple(self.registers[i] for i in self.positions(labels)))
 
     def party_labels(self, party) -> tuple[str, ...]:
-        party = _coerce_party(party)
+        party = require_member("party", Party, party)
         return tuple(r.label for r in self.registers if r.party is party)
 
     def retagged(self, label: str, party) -> "RegisterLayout":
         """Same layout with one register assigned to a different party."""
         i = self.index(label)
         regs = list(self.registers)
-        regs[i] = Register(label, regs[i].dim, _coerce_party(party))
+        regs[i] = Register(label, regs[i].dim, party)
         return RegisterLayout(tuple(regs))
 
     def extended(self, new_registers) -> "RegisterLayout":

@@ -10,12 +10,14 @@ State files carry the register list and the matrix split into real and
 imaginary parts, row-major in register order.  Readers re-validate every
 invariant; a violation surfaces as :class:`~nmk.errors.InvariantViolation`
 whose message names the failed invariant.  A malformed payload (a missing
-key, an unknown party, a wrong JSON type: a flag not ``true``/``false``, a
-weight or matrix entry not a number, a ragged matrix) raises
-:class:`~nmk.errors.BadParams` naming the field.  A script step is read field by field through one table
-of (encode, decode) pairs; the fields its kind needs (``steps.PAYLOAD``)
-are checked by :class:`~nmk.steps.Step` when it is built, as for a step
-built in Python.
+key, a party name that is not exactly ``alice``, ``bob``, ``eve`` or
+``reference``, a wrong JSON type: a flag not ``true``/``false``, a weight or
+matrix entry not a number, a ragged matrix) raises
+:class:`~nmk.errors.BadParams` naming the field.  A script step is read
+field by field through one table of (encode, decode) pairs; its kind, the
+fields its row of ``steps.KINDS`` allows and its parties are checked by
+:class:`~nmk.steps.Step` when it is built, as for a step built in Python,
+and a name passes ``registers.require_member`` there, not here.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 
 from .errors import BadParams
 from .markov import MarkovComponents, MarkovEntry
-from .registers import Party, Register, RegisterLayout
+from .registers import Register, RegisterLayout
 from .states import ChannelMap, DensityState
-from .steps import Step, StepKind
+from .steps import Step
 from .witness import Witness
 
 
@@ -161,12 +163,10 @@ def step_to_json(step: Step) -> dict:
 
 
 def step_from_json(d: dict) -> Step:
-    """A step from its JSON form; ``Step`` checks the payload its kind needs.
-    A malformed field raises BadParams naming it."""
-    try:
-        kind = StepKind(d["kind"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadParams(f"unknown step kind: {exc}") from exc
+    """A step from its JSON form; ``Step`` checks its kind and the payload
+    its kind allows.  A malformed field raises BadParams naming it."""
+    if not isinstance(d, dict):
+        raise BadParams(f"a step must be a JSON object, got {d!r}")
     payload = {}
     for key, (_, decode) in _STEP_FIELDS.items():
         if d.get(key) is None:
@@ -175,7 +175,7 @@ def step_from_json(d: dict) -> Step:
             payload[key] = decode(d[key])
         except (AttributeError, BadParams, KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"malformed step field {key!r}: {exc}") from exc
-    return Step(kind, **payload)
+    return Step(d.get("kind"), **payload)
 
 
 def _label(item) -> str:
@@ -200,13 +200,13 @@ _STEP_FIELDS = {
     ),
     "discard": (list, _labels),
     "register": (str, _label),
-    "to": (lambda party: party.value, Party),
+    "to": (lambda party: party.value, lambda name: name),
     "operators": (
         lambda ms: [matrix_to_json(m) for m in ms],
         lambda ms: tuple(map(matrix_from_json, ms)),
     ),
     "msg_label": (str, _label),
-    "sender": (lambda party: party.value, Party),
+    "sender": (lambda party: party.value, lambda name: name),
     "bypass": (bool, lambda value: _boolean("bypass", value)),
 }
 

@@ -3,8 +3,8 @@
 States are plain complex numpy matrices tagged with a
 :class:`~nmk.registers.RegisterLayout`.  Everything here is immutable after
 construction (arrays are held read-only; a caller's writeable array is
-copied, never frozen in place), so values can be shared freely across
-concurrent workers.
+copied, never frozen in place), so a value may be shared by every holder
+without a copy.
 
 A :class:`DensityState` is validated when it is built, and it is built only
 where a state is handed to a caller: public constructors, readers and the
@@ -61,7 +61,7 @@ from .errors import (
     NotClassicalRegister,
 )
 from .registers import Party, Register, RegisterLayout, is_integer, require_integer
-from .registers import require_distribution
+from .registers import _label_group, require_distribution
 
 #: Max-abs |m - m^dagger| of a state's matrix (and of each block).
 HERMITIAN_TOL = 1e-10
@@ -377,8 +377,9 @@ def _marginal_matrix(matrix: np.ndarray, dims, keep_axes) -> np.ndarray:
 
 
 def partial_trace(state: DensityState, keep) -> DensityState:
-    """Trace out every register not in ``keep`` (kept in original order)."""
-    keep = tuple(keep)
+    """Trace out every register not in ``keep`` (kept in original order; a
+    string is one label)."""
+    keep = _label_group(keep)
     keep_axes = state.layout.positions(keep)
     reduced = _marginal_matrix(state.matrix, state.layout.dims, keep_axes)
     return DensityState(state.layout.subset(keep), _sealed(reduced))

@@ -24,14 +24,15 @@ a step stores, its blocks' entries (see :mod:`nmk.states`), and is checked
 before a step computes anything; only the dense state is capped at its
 total (layout) dimension.
 
-One table gives the acting party and the receivers for each kind of step:
-``ACTOR`` names the party whose registers a free step acts on, and
-``RECEIVERS`` the parties that get a copy of a step's message.
-``apply_step`` and the fuzz step generators read both.  A step is built as
-``Step(kind, field=...)``, from Python as from JSON.  ``PAYLOAD`` lists the
-fields a step of each kind needs; a :class:`Step` checks them when it is
-built, with the party rule of its kind (its ``to`` and ``sender`` name Alice
-or Bob), and raises ``BadParams`` naming the field.
+One table, ``KINDS``, has a row for each kind of step: the function that
+applies it, the payload fields it needs and the others it may carry, the
+parties it acts on or moves a register from, its receivers, and the least
+:class:`ScriptClass` of a script that holds it.  :class:`Step`'s check,
+``apply_step`` (one lookup), ``classify_script`` and the fuzz step
+generators read only this table.  A step is built as
+``Step(kind, field=...)``, from Python as from JSON, and refuses, with
+``BadParams`` naming the field, a field outside its row or a party outside
+it.
 
 Scenarios are immutable; ``apply_step`` returns a new one.
 """
@@ -39,8 +40,9 @@ Scenarios are immutable; ``apply_step`` returns a new one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +54,8 @@ from .errors import (
     IrreversibleEveOp,
     UnknownLabel,
 )
-from .registers import Party, Register, RegisterLayout, require_integer
+from .registers import Party, Register, RegisterLayout, _label_group
+from .registers import require_integer, require_member
 from .states import BlockState, ChannelMap, DensityState
 
 
@@ -116,55 +119,6 @@ class StepKind(Enum):
     QUANTUM_AB = "quantum_ab"
 
 
-#: The party whose registers each kind of free (Omega) step acts on.
-ACTOR = {
-    StepKind.LOCAL_A: Party.ALICE,
-    StepKind.LOCAL_B: Party.BOB,
-    StepKind.REVERSIBLE_E: Party.EVE,
-    StepKind.BROADCAST_A: Party.ALICE,
-    StepKind.BROADCAST_B: Party.BOB,
-    StepKind.CLASSICAL_A_TO_E: Party.ALICE,
-    StepKind.CLASSICAL_B_TO_E: Party.BOB,
-}
-
-#: The parties that get a copy of the message of each kind of step that
-#: hands one out.  A copy-down's sender is Eve; a secret message names its
-#: own ``sender``.
-RECEIVERS = {
-    StepKind.BROADCAST_A: (Party.ALICE, Party.BOB, Party.EVE),
-    StepKind.BROADCAST_B: (Party.ALICE, Party.BOB, Party.EVE),
-    StepKind.CLASSICAL_A_TO_E: (Party.ALICE, Party.EVE),
-    StepKind.CLASSICAL_B_TO_E: (Party.BOB, Party.EVE),
-    StepKind.SECRET_AB: (Party.ALICE, Party.BOB),
-    StepKind.CLASSICAL_E_TO_A: (Party.ALICE,),
-    StepKind.CLASSICAL_E_TO_B: (Party.BOB,),
-}
-
-_MEASURED = ("operators", "msg_label")
-
-#: The payload fields a step of each kind needs.  A local step needs a
-#: ``channel`` or a ``discard`` list instead, which no single field says;
-#: a ``discard`` is allowed on a local step without a channel only.
-PAYLOAD = {
-    StepKind.LOCAL_A: (),
-    StepKind.LOCAL_B: (),
-    StepKind.REVERSIBLE_E: ("channel",),
-    StepKind.QUANTUM_TO_E: ("register",),
-    StepKind.QUANTUM_FROM_E: ("register", "to"),
-    StepKind.QUANTUM_AB: ("register", "to"),
-    StepKind.BROADCAST_A: _MEASURED,
-    StepKind.BROADCAST_B: _MEASURED,
-    StepKind.CLASSICAL_A_TO_E: _MEASURED,
-    StepKind.CLASSICAL_B_TO_E: _MEASURED,
-    StepKind.SECRET_AB: _MEASURED + ("sender",),
-    StepKind.CLASSICAL_E_TO_A: ("register",),
-    StepKind.CLASSICAL_E_TO_B: ("register",),
-}
-
-NON_FREE_KINDS = {StepKind.SECRET_AB, StepKind.QUANTUM_AB}
-CDOWN_KINDS = {StepKind.CLASSICAL_E_TO_A, StepKind.CLASSICAL_E_TO_B}
-
-
 class ScriptClass(Enum):
     OMEGA = "omega"
     OMEGA_STAR = "omega_star"
@@ -172,34 +126,17 @@ class ScriptClass(Enum):
     NON_FREE = "non_free"
 
 
-#: The parties a step's ``to`` (a quantum send from Eve or between Alice and
-#: Bob) or ``sender`` (a secret message) may name, and the holders of a
-#: register sent to Eve.
-_AB_PARTIES = (Party.ALICE, Party.BOB)
-
-
-def _member(key: str, enum, value, allowed):
-    """``value`` as a member of ``enum`` that is in ``allowed``, else
-    ``BadParams`` naming the field ``key``."""
-    try:
-        member = enum(value)
-    except ValueError:
-        member = None
-    if member not in allowed:
-        names = [m.value for m in allowed]
-        got = getattr(member, "value", value)
-        raise BadParams(f"step field {key!r} must be one of {names}, got {got!r}")
-    return member
-
-
 @dataclass(frozen=True, eq=False)
 class Step:
-    """One operation, built as ``Step(kind, field=...)``; which payload
-    fields apply depends on ``kind`` (``PAYLOAD`` lists the ones each kind
-    needs).  The payload is checked, and its sequences and parties coerced,
-    when the step is built.  The party rule belongs to the step: its
-    ``to`` and ``sender`` name Alice or Bob (``_AB_PARTIES``), and an
-    unknown kind or party raises ``BadParams`` naming the field."""
+    """One operation, built as ``Step(kind, field=...)``.  Its row of
+    ``KINDS`` says which payload fields it needs and which others it may
+    carry; a field outside the row that is not at its default is refused,
+    and a local step with a ``discard`` list carries nothing else.  The
+    payload is checked, and its sequences coerced, when the step is built:
+    ``on`` and ``discard`` are label groups (a string is one label), and
+    ``kind``, ``to`` (a receiver of the row) and ``sender`` (a party of the
+    row) pass ``require_member``, which raises ``BadParams`` naming the
+    field."""
 
     kind: StepKind
     channel: ChannelMap | None = None
@@ -214,31 +151,31 @@ class Step:
     bypass: bool = False
 
     def __post_init__(self):
-        kind = _member("kind", StepKind, self.kind, tuple(StepKind))
+        kind = require_member("step field 'kind'", StepKind, self.kind)
         coerced = {
             "kind": kind,
-            "on": tuple(self.on),
+            "on": _label_group(self.on),
             "out": None if self.out is None else tuple(self.out),
-            "discard": tuple(self.discard),
+            "discard": _label_group(self.discard),
             "operators": tuple(np.asarray(op, dtype=complex) for op in self.operators),
-            "to": None if self.to is None else _member("to", Party, self.to, _AB_PARTIES),
-            "sender": None
-            if self.sender is None
-            else _member("sender", Party, self.sender, _AB_PARTIES),
         }
         for key, value in coerced.items():
             object.__setattr__(self, key, value)
-        local = kind in (StepKind.LOCAL_A, StepKind.LOCAL_B)
-        if local and self.channel is None and not self.discard:
-            raise BadParams(f"a {kind.value} step needs a 'channel' or a 'discard' list")
-        for key in PAYLOAD[kind]:
+        row = KINDS[kind]
+        needs, allowed, form = row.needs, row.needs + row.may, ""
+        if self.discard and "discard" in allowed:  # a local step's discard form
+            needs, allowed, form = (), ("discard",), "with a 'discard' list "
+        for key in _FIELD_NAMES:
+            if key not in allowed and getattr(self, key) not in (None, (), False):
+                raise BadParams(f"a {kind.value} step {form}carries no {key!r} field")
+        for key in needs:
             if not getattr(self, key):
-                raise BadParams(f"a {kind.value} step needs a {key!r} field")
-        if self.discard and not (local and self.channel is None):
-            raise BadParams(
-                f"'discard' applies only to a local_a or local_b step without a channel, "
-                f"not to this {kind.value} step"
-            )
+                alternative = " or a 'discard' list" if "discard" in allowed else " field"
+                raise BadParams(f"a {kind.value} step needs a {key!r}{alternative}")
+        for key, parties in (("to", row.receivers), ("sender", row.parties)):
+            if getattr(self, key) is not None:
+                member = require_member(f"step field {key!r}", Party, getattr(self, key), parties)
+                object.__setattr__(self, key, member)
 
     @classmethod
     def broadcast_a(cls, operators, on, msg_label):
@@ -253,8 +190,12 @@ class Step:
         return cls(StepKind.BROADCAST_B, operators=operators, on=on, msg_label=msg_label)
 
 
+#: The payload fields of a step: every field but its kind.
+_FIELD_NAMES = tuple(f.name for f in fields(Step))[1:]
+
+
 # ---------------------------------------------------------------------------
-# step application
+# step application: each function takes the step's row of KINDS
 
 
 def _require_party(lay: RegisterLayout, labels, party: Party):
@@ -264,9 +205,11 @@ def _require_party(lay: RegisterLayout, labels, party: Party):
             raise UnknownLabel(f"register {lbl!r} belongs to {reg.party.value}, not {party.value}")
 
 
-def _channel_step(sc: Scenario, step: Step, party: Party) -> Scenario:
-    """``party``'s channel or discard on its own registers.  Eve's channel
-    must carry a declared inverse unless the step bypasses the check."""
+def _channel_step(sc: Scenario, step: Step, row) -> Scenario:
+    """The acting party's channel or discard on its own registers.  Eve's
+    channel must carry a declared inverse unless the step bypasses the
+    check."""
+    (party,) = row.parties
     bs = sc.block_state
     if step.discard:
         _require_party(bs.layout, step.discard, party)
@@ -275,23 +218,26 @@ def _channel_step(sc: Scenario, step: Step, party: Party) -> Scenario:
     # ChannelMap verified its declared inverse when it was built.
     if party is Party.EVE and not step.bypass and step.channel.declared_inverse is None:
         raise IrreversibleEveOp("Eve's local operations must carry a declared inverse")
-    if step.out is not None:
-        for reg in step.out:
-            if reg.party is not party:
-                raise DimensionMismatch(
-                    f"output register {reg.label!r} must stay with {party.value}"
-                )
+    for reg in step.out or ():
+        if reg.party is not party:
+            raise DimensionMismatch(f"output register {reg.label!r} must stay with {party.value}")
     return replace(sc, block_state=bs.channel(step.channel, step.on, step.out))
 
 
-def _retag(sc: Scenario, register: str, source_parties, target: Party, qc=0.0) -> Scenario:
-    reg = sc.block_state.layout.register(register)
-    if reg.party not in source_parties:
+def _send(sc: Scenario, step: Step, row) -> Scenario:
+    """Move ``step.register`` to its receiver (``step.to``, or the row's one
+    receiver) from one of the row's other parties.  A register that Eve
+    sends costs log2 of its dimension in ``qc_bits``."""
+    target = step.to or row.receivers[0]
+    sources = tuple(p for p in row.parties if p is not target)
+    reg = sc.block_state.layout.register(step.register)
+    if reg.party not in sources:
         raise UnknownLabel(
-            f"register {register!r} belongs to {reg.party.value}; expected one of "
-            f"{[p.value for p in source_parties]}"
+            f"register {step.register!r} belongs to {reg.party.value}; expected one of "
+            f"{[p.value for p in sources]}"
         )
-    return Scenario(sc.block_state.retagged(register, target), sc.ledger.add(qc=qc))
+    qc = math.log2(reg.dim) if reg.party is Party.EVE else 0.0
+    return Scenario(sc.block_state.retagged(step.register, target), sc.ledger.add(qc=qc))
 
 
 def _copy_label(msg_label: str, party: Party) -> str:
@@ -299,8 +245,10 @@ def _copy_label(msg_label: str, party: Party) -> str:
     return f"{msg_label}_{party.value[0].upper()}"
 
 
-def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Scenario:
-    """Measure the sender's block and append one classical copy per receiver."""
+def _measure(sc: Scenario, step: Step, row) -> Scenario:
+    """Measure the sender's block (the row's one party, or ``step.sender``)
+    and append one classical copy per receiver."""
+    sender = step.sender or row.parties[0]
     bs = sc.block_state
     _require_party(bs.layout, step.on, sender)
     n_out = len(step.operators)
@@ -310,11 +258,14 @@ def _measure_and_copy(sc: Scenario, step: Step, sender: Party, receivers) -> Sce
             raise DimensionMismatch(
                 f"measurement operators must be square of dim {block_dim}, got {op.shape}"
             )
-    copies = tuple(Register(_copy_label(step.msg_label, p), n_out, p) for p in receivers)
+    copies = tuple(Register(_copy_label(step.msg_label, p), n_out, p) for p in row.receivers)
     return replace(sc, block_state=bs.measured(step.operators, step.on, copies))
 
 
-def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
+def _copy_down(sc: Scenario, step: Step, row) -> Scenario:
+    """Copy Eve's classical register to the row's one receiver, at log2 of
+    its dimension in ``cdown_bits``."""
+    (receiver,) = row.receivers
     bs = sc.block_state
     reg = bs.layout.register(step.register)
     if reg.party is not Party.EVE:
@@ -325,27 +276,51 @@ def _copy_down(sc: Scenario, step: Step, receiver: Party) -> Scenario:
     return Scenario(state, sc.ledger.add(cdown=math.log2(reg.dim)))
 
 
+class _Row(NamedTuple):
+    """One kind of step: how it is applied, the payload fields it needs and
+    the others it may carry, the parties it acts on or moves a register
+    from, the parties that get its message or register, and the least class
+    of a script that holds it."""
+
+    apply: Callable
+    needs: tuple[str, ...]
+    may: tuple[str, ...]
+    parties: tuple[Party, ...]
+    receivers: tuple[Party, ...]
+    least: ScriptClass = ScriptClass.OMEGA
+
+
+_A, _B, _E = Party.ALICE, Party.BOB, Party.EVE
+_AB = (_A, _B)
+_LOCAL = (_channel_step, ("channel",), ("on", "out", "discard"))
+_MEASURED = (_measure, ("operators", "msg_label"), ("on",))
+_COPY_DOWN = (_copy_down, ("register",), ("msg_label",), (_E,))
+_NON_FREE = ScriptClass.NON_FREE
+
+#: One row per kind of step, the one table behind ``Step``'s check,
+#: ``apply_step``, ``classify_script`` and the fuzz step generators.
+KINDS = {
+    StepKind.LOCAL_A: _Row(*_LOCAL, (_A,), ()),
+    StepKind.LOCAL_B: _Row(*_LOCAL, (_B,), ()),
+    StepKind.REVERSIBLE_E: _Row(_channel_step, ("channel",), ("on", "out", "bypass"), (_E,), ()),
+    StepKind.QUANTUM_TO_E: _Row(_send, ("register",), (), _AB, (_E,)),
+    StepKind.QUANTUM_FROM_E: _Row(_send, ("register", "to"), (), (_E,), _AB, ScriptClass.OMEGA_Q),
+    StepKind.BROADCAST_A: _Row(*_MEASURED, (_A,), (_A, _B, _E)),
+    StepKind.BROADCAST_B: _Row(*_MEASURED, (_B,), (_A, _B, _E)),
+    StepKind.CLASSICAL_A_TO_E: _Row(*_MEASURED, (_A,), (_A, _E)),
+    StepKind.CLASSICAL_E_TO_A: _Row(*_COPY_DOWN, (_A,), ScriptClass.OMEGA_STAR),
+    StepKind.CLASSICAL_B_TO_E: _Row(*_MEASURED, (_B,), (_B, _E)),
+    StepKind.CLASSICAL_E_TO_B: _Row(*_COPY_DOWN, (_B,), ScriptClass.OMEGA_STAR),
+    StepKind.SECRET_AB: _Row(
+        _measure, ("operators", "msg_label", "sender"), ("on",), _AB, _AB, _NON_FREE
+    ),
+    StepKind.QUANTUM_AB: _Row(_send, ("register", "to"), (), _AB, _AB, _NON_FREE),
+}
+
+
 def apply_step(sc: Scenario, step: Step) -> Scenario:
-    kind = step.kind
-    if kind in CDOWN_KINDS:
-        return _copy_down(sc, step, *RECEIVERS[kind])
-    if kind in RECEIVERS:
-        sender = step.sender if kind is StepKind.SECRET_AB else ACTOR[kind]
-        return _measure_and_copy(sc, step, sender, RECEIVERS[kind])
-    if kind in ACTOR:
-        return _channel_step(sc, step, ACTOR[kind])
-    if kind is StepKind.QUANTUM_TO_E:
-        return _retag(sc, step.register, _AB_PARTIES, Party.EVE)
-    if kind is StepKind.QUANTUM_FROM_E:
-        reg = sc.block_state.layout.register(step.register)
-        return _retag(
-            sc, step.register, (Party.EVE,), step.to, qc=math.log2(reg.dim)
-        )
-    if kind is StepKind.QUANTUM_AB:
-        # Only the other of Alice and Bob can send the receiver a register.
-        (source,) = (p for p in _AB_PARTIES if p is not step.to)
-        return _retag(sc, step.register, (source,), step.to)
-    raise DimensionMismatch(f"unhandled step kind {kind}")
+    row = KINDS[step.kind]
+    return row.apply(sc, step, row)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +328,14 @@ def apply_step(sc: Scenario, step: Step) -> Scenario:
 
 
 def classify_script(steps) -> ScriptClass:
-    steps = tuple(steps)
-    non_free = any(
-        s.kind in NON_FREE_KINDS or (s.kind is StepKind.REVERSIBLE_E and s.bypass) for s in steps
-    )
-    has_qdown = any(s.kind is StepKind.QUANTUM_FROM_E for s in steps)
-    has_cdown = any(s.kind in CDOWN_KINDS for s in steps)
-    if non_free or (has_qdown and has_cdown):
-        return ScriptClass.NON_FREE
-    if has_qdown:
-        return ScriptClass.OMEGA_Q
-    if has_cdown:
-        return ScriptClass.OMEGA_STAR
-    return ScriptClass.OMEGA
+    """The least class that holds every step: the join of the steps' own
+    classes (a bypassed Eve channel is non-free), where omega_star and
+    omega_q join to non_free."""
+    found = {_NON_FREE if s.bypass else KINDS[s.kind].least for s in steps}
+    found.discard(ScriptClass.OMEGA)
+    if len(found) > 1:
+        return _NON_FREE
+    return found.pop() if found else ScriptClass.OMEGA
 
 
 @dataclass(frozen=True)

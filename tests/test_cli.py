@@ -97,6 +97,15 @@ class TestAnalyze:
         proc = run_cli("analyze", str(bad))
         assert proc.returncode == 2
 
+    def test_capitalized_party_in_state_file_exits_2(self, tmp_path):
+        # A party name is read by its exact value: "Alice" is not "alice".
+        bad = tmp_path / "party.json"
+        registers = [{"label": "A", "dim": 1, "party": "Alice"}]
+        bad.write_text(json.dumps({"registers": registers, "matrix": {"re": [[1]], "im": [[0]]}}))
+        proc = run_cli("analyze", str(bad))
+        assert proc.returncode == 2 and "party" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestNmf:
     def test_bell_bracket(self):
@@ -500,6 +509,9 @@ class TestReaderRobustness:
             (2, "channel", dict(FLIP_CHANNEL, inverse={}), "'kraus'"),
             (4, "operators", [{"re": [[True]], "im": [[0]]}], "matrix entry must be a number"),
             (3, "to", "eve", "'to'"),
+            (3, "to", "Bob", "'to'"),
+            (2, "register", "E", "'register'"),
+            (3, "bypass", True, "'bypass'"),
         ],
     )
     def test_malformed_step_exits_2(self, tmp_path, index, key, value, named):

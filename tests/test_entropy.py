@@ -16,11 +16,13 @@ from nmk import (
     layout,
     mutual_info,
     nonmarkovianity,
+    partial_trace,
     sample,
     tensor,
 )
 from nmk.errors import DuplicateLabel, OverlappingPartition
 from nmk.registers import Register
+from nmk.states import BlockState
 
 from conftest import classical_corr
 
@@ -217,3 +219,17 @@ def test_entropy_report_solves_each_marginal_once(monkeypatch):
     sizes.clear()
     entropy_report(broadcast_output(), ("A",), ("B",), ())
     assert sorted(sizes) == [2, 2, 4]
+
+
+@pytest.mark.parametrize("form", ["dense", "block"])
+def test_a_string_is_one_label_everywhere(form):
+    # Multi-character labels: a string names one register, never one per
+    # character, at every entry point that takes a group of labels.
+    lay = layout(("A1", 2, "alice"), ("B1", 2, "bob"), ("E1", 2, "eve"))
+    rho = sample("density_hs", (2, 2, 2), 3, layout=lay)
+    state = rho if form == "dense" else BlockState.from_density(rho)
+    assert entropy(state, "A1") == entropy(state, ("A1",))
+    assert conditional_entropy(state, "A1", "E1") == conditional_entropy(state, ("A1",), ("E1",))
+    assert mutual_info(state, "A1", "B1") == mutual_info(state, ("A1",), ("B1",))
+    assert cqmi(state, "A1", "B1", "E1") == cqmi(state, ("A1",), ("B1",), ("E1",))
+    assert partial_trace(rho, "A1").layout.labels == ("A1",)

@@ -41,7 +41,8 @@ a nonzero float literal below ``SMALL_LITERAL`` in magnitude: a threshold
 is named once, at module level, in the module whose invariant it guards.
 Every public function with a ``tol`` parameter passes it through
 ``registers.require_real``, which refuses NaN, a negative value, a string
-and a bool naming it.
+and a bool naming it.  No module but ``registers`` calls ``Party(...)``: a
+party name is read by ``registers.require_member``, by its exact value.
 """
 
 import ast
@@ -296,6 +297,16 @@ def _pool_imports(tree):
     return sorted(found)
 
 
+def _party_calls(tree):
+    """The line numbers of calls to ``Party``, by name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "Party" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
 #: Below this magnitude a float literal is a threshold, named at module level.
 SMALL_LITERAL = 1e-6
 
@@ -362,6 +373,7 @@ def lint(
     clock_readers: frozenset = frozenset(),
     file_writers: frozenset = frozenset(),
     state_checkers: frozenset = frozenset(),
+    reads_parties: bool = False,
 ) -> list[str]:
     """Problems in one module's source: imports inside a function,
     module-level imports whose names the module never reads, ``assert``
@@ -372,8 +384,8 @@ def lint(
     budget, ``to_dict`` methods, ``type=int`` flags, reads of
     ``time.time`` outside the functions named in ``clock_readers``, file
     writes outside those named in ``file_writers``, state checks outside
-    those named in ``state_checkers`` and imports of ``concurrent`` or
-    ``multiprocessing``."""
+    those named in ``state_checkers``, imports of ``concurrent`` or
+    ``multiprocessing`` and calls of ``Party`` unless ``reads_parties``."""
     tree = ast.parse(source)
     problems = [
         f"line {lineno}: numbers.Integral outside is_integer(), which admits bools"
@@ -420,6 +432,11 @@ def lint(
     problems += [
         f"line {lineno}: {name} imported; restarts and trials run in the calling thread"
         for lineno, name in _pool_imports(tree)
+    ]
+    problems += [
+        f"line {lineno}: Party(...) outside registers; read a party name with "
+        "registers.require_member"
+        for lineno in ([] if reads_parties else _party_calls(tree))
     ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -563,6 +580,7 @@ def test_module_imports(path):
         clock_readers=CLOCK_READERS.get(path.name, frozenset()),
         file_writers=FILE_WRITERS.get(path.name, frozenset()),
         state_checkers=STATE_CHECKERS.get(path.name, frozenset()),
+        reads_parties=path.name == "registers.py",
     )
     assert problems == []
 
@@ -859,6 +877,18 @@ def test_lint_catches_pool_imports():
         f"line 3: multiprocessing {message}",
         f"line 4: concurrent {message}",
     ]
+
+
+def test_lint_catches_party_construction():
+    source = (
+        "from . import registers\n"
+        "from .registers import Party\n"
+        "def f(name):\n"
+        "    return Party(name), registers.Party(name.lower()), Party.ALICE\n"
+    )
+    message = "Party(...) outside registers; read a party name with registers.require_member"
+    assert lint(source) == [f"line 4: {message}", f"line 4: {message}"]
+    assert lint(source, reads_parties=True) == []
 
 
 def test_lint_catches_bare_thresholds():

@@ -33,8 +33,16 @@ from nmk import fuzz
 from nmk.fuzz import fuzz_markov_closure, fuzz_monotonicity
 from nmk.markov import preparation_script
 from nmk.registers import Party, Register
-from nmk.serialize import step_to_json
-from nmk.steps import PAYLOAD, StepKind
+from nmk.serialize import (
+    channel_to_json,
+    matrix_to_json,
+    script_from_json,
+    script_to_json,
+    state_from_json,
+    step_from_json,
+    step_to_json,
+)
+from nmk.steps import KINDS, StepKind
 from nmk.zoo import zoo
 
 
@@ -42,15 +50,42 @@ def coin_ops(n=2):
     return tuple(np.eye(2, dtype=complex) / math.sqrt(n) for _ in range(n))
 
 
-#: A value for every payload field some kind needs.
+#: A value for every payload field of a step.
 FULL_PAYLOAD = {
     "channel": ChannelMap.unitary(np.eye(2)),
+    "on": ("E",),
+    "out": (Register("E", 2, Party.EVE),),
+    "discard": ("E",),
     "register": "E",
     "to": Party.ALICE,
     "operators": coin_ops(),
     "msg_label": "J",
     "sender": Party.ALICE,
+    "bypass": True,
 }
+
+#: ``FULL_PAYLOAD`` in its JSON form.
+FULL_JSON = {
+    "channel": channel_to_json(FULL_PAYLOAD["channel"]),
+    "on": ["E"],
+    "out": [{"label": "E", "dim": 2, "party": "eve"}],
+    "discard": ["E"],
+    "register": "E",
+    "to": "alice",
+    "operators": [matrix_to_json(op) for op in coin_ops()],
+    "msg_label": "J",
+    "sender": "alice",
+    "bypass": True,
+}
+
+
+def needed(kind):
+    """The payload a step of ``kind`` needs, from ``FULL_PAYLOAD``."""
+    return {key: FULL_PAYLOAD[key] for key in KINDS[kind].needs}
+
+
+def kind_ids(value):
+    return value.value if isinstance(value, StepKind) else value
 
 
 class TestStepBoundary:
@@ -58,11 +93,11 @@ class TestStepBoundary:
 
     @pytest.mark.parametrize(
         "kind, missing",
-        [(kind, key) for kind, keys in PAYLOAD.items() for key in keys],
-        ids=lambda v: v.value if isinstance(v, StepKind) else v,
+        [(kind, key) for kind, row in KINDS.items() for key in row.needs],
+        ids=kind_ids,
     )
     def test_missing_field_is_named(self, kind, missing):
-        payload = {key: FULL_PAYLOAD[key] for key in PAYLOAD[kind]}
+        payload = needed(kind)
         Step(kind, **payload)
         del payload[missing]
         with pytest.raises(BadParams, match=repr(missing)):
@@ -78,6 +113,62 @@ class TestStepBoundary:
     def test_discard_only_on_a_local_step_without_channel(self, kind):
         with pytest.raises(BadParams, match="'discard'"):
             Step(kind, channel=FULL_PAYLOAD["channel"], on=("E",), discard=("E",))
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            (kind, key)
+            for kind, row in KINDS.items()
+            for key in FULL_PAYLOAD
+            if key not in row.needs + row.may
+        ],
+        ids=kind_ids,
+    )
+    def test_field_outside_the_row_is_refused(self, kind, extra):
+        with pytest.raises(BadParams, match=f"carries no {extra!r}"):
+            Step(kind, **needed(kind), **{extra: FULL_PAYLOAD[extra]})
+        written = dict(step_to_json(Step(kind, **needed(kind))), **{extra: FULL_JSON[extra]})
+        with pytest.raises(BadParams, match=f"carries no {extra!r}"):
+            step_from_json(written)
+
+    def test_a_send_to_eve_carries_only_its_register(self):
+        with pytest.raises(BadParams, match="quantum_to_e step carries no 'to'"):
+            Step(
+                StepKind.QUANTUM_TO_E,
+                register="A",
+                operators=[np.eye(2)],
+                msg_label="J",
+                to="bob",
+                bypass=True,
+            )
+
+    @pytest.mark.parametrize("kind", [StepKind.LOCAL_A, StepKind.LOCAL_B], ids=kind_ids)
+    @pytest.mark.parametrize("extra", ["channel", "on", "out"])
+    def test_discard_form_carries_only_its_list(self, kind, extra):
+        refused = f"'discard' list carries no {extra!r}"
+        with pytest.raises(BadParams, match=refused):
+            Step(kind, discard=("E",), **{extra: FULL_PAYLOAD[extra]})
+        written = {"kind": kind.value, "discard": ["E"], extra: FULL_JSON[extra]}
+        with pytest.raises(BadParams, match=refused):
+            step_from_json(written)
+
+    @pytest.mark.parametrize("kind", list(StepKind), ids=kind_ids)
+    def test_round_trip_writes_only_the_row(self, kind):
+        row = KINDS[kind]
+        keys = [key for key in row.needs + row.may if key != "discard"]
+        steps = [Step(kind, **{key: FULL_PAYLOAD[key] for key in keys})]
+        want = [{"kind", *keys}]
+        if "discard" in row.may:
+            steps.append(Step(kind, discard=("E",)))
+            want.append({"kind", "discard"})
+        written = script_to_json(steps)
+        assert [set(d) for d in written["steps"]] == want
+        assert script_to_json(script_from_json(written)) == written
+
+    def test_a_string_is_one_label(self):
+        step = Step(StepKind.LOCAL_A, channel=FULL_PAYLOAD["channel"], on="A1")
+        assert step.on == ("A1",)
+        assert Step(StepKind.LOCAL_A, discard="A1").discard == ("A1",)
 
     def test_fields_are_coerced_however_built(self):
         step = Step(StepKind.SECRET_AB, operators=[np.eye(2)], on=["A"], msg_label="J", sender="bob")
@@ -153,6 +244,41 @@ class TestStepParties:
             apply_step(sc, Step(StepKind.QUANTUM_AB, register="A", to="alice"))
         out = apply_step(sc, Step(StepKind.QUANTUM_AB, register="A", to="bob"))
         assert out.block_state.layout.register("A").party is Party.BOB
+
+
+#: Party names every entry point refuses: only the exact lowercase values pass.
+BAD_PARTIES = ["ALICE", "Alice", "carol", 5, None]
+
+
+class TestPartyNames:
+    """Every entry point reads a party name through one rule,
+    ``registers.require_member``, and refuses anything but its exact value
+    with BadParams naming the field."""
+
+    @pytest.mark.parametrize("bad", BAD_PARTIES)
+    def test_registers_and_layouts_refuse(self, bad):
+        lay = layout(("A", 2, "alice"))
+        entry = {"label": "A", "dim": 1, "party": bad}
+        calls = [
+            lambda: Register("A", 2, bad),
+            lambda: state_from_json({"registers": [entry], "matrix": {"re": [[1]], "im": [[0]]}}),
+            lambda: lay.party_labels(bad),
+            lambda: lay.retagged("A", bad),
+        ]
+        for call in calls:
+            with pytest.raises(BadParams, match="party"):
+                call()
+
+    @pytest.mark.parametrize("bad", BAD_PARTIES)
+    @pytest.mark.parametrize(
+        "kind, key", [(StepKind.QUANTUM_FROM_E, "to"), (StepKind.SECRET_AB, "sender")]
+    )
+    def test_step_parties_refuse(self, kind, key, bad):
+        with pytest.raises(BadParams, match=repr(key)):
+            Step(kind, **dict(needed(kind), **{key: bad}))
+        written = dict(step_to_json(Step(kind, **needed(kind))), **{key: bad})
+        with pytest.raises(BadParams, match=repr(key)):
+            step_from_json(written)
 
 
 class TestApplyStep:
