@@ -147,7 +147,7 @@ def _random_step(kind: StepKind, register: str, dim: int, rng, label: str) -> St
     if "operators" in KINDS[kind].needs:
         return Step(kind, operators=_random_measurement(dim, rng), on=(register,), msg_label=label)
     if KINDS[kind].parties == (Party.EVE,):
-        return Step(kind, channel=ChannelMap.unitary(random_unitary(dim, rng)), on=(register,))
+        return Step(kind, channel=ChannelMap((random_unitary(dim, rng),)), on=(register,))
     return Step(kind, channel=ChannelMap(_random_measurement(dim, rng)), on=(register,))
 
 
@@ -172,7 +172,7 @@ def _mono_step(cls: str, rng) -> Step:
         return Step(cls, register="ME")
     kind = StepKind(cls)
     if kind is StepKind.REVERSIBLE_E and rng.integers(2) == 1:
-        iso = ChannelMap.isometry(random_isometry(2, 4, rng))
+        iso = ChannelMap((random_isometry(2, 4, rng),))
         return Step(kind, channel=iso, on=("E",), out=(Register("Ex", 4, Party.EVE),))
     # Each party's register in the scenario is named by its initial.
     return _random_step(kind, KINDS[kind].parties[0].value[0].upper(), 2, rng, "J")

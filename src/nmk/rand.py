@@ -3,7 +3,8 @@
 ``density_hs`` draws from the Hilbert-Schmidt measure: a complex Gaussian
 matrix G gives GG^dagger / Tr[GG^dagger].  Unitaries and isometries come
 from QR-orthonormalized Gaussian columns with the R-diagonal phase fixed,
-so every draw is deterministic per seed.
+so every draw is deterministic per seed.  Each drawer checks its output
+dimension against the budget before anything is drawn.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def random_isometry(in_dim: int, out_dim: int, seed) -> np.ndarray:
     out_dim = require_integer("out_dim", out_dim, 1)
     if out_dim < in_dim:
         raise BadDims(f"isometry needs out_dim >= in_dim, got {in_dim}->{out_dim}")
+    _require_budget(out_dim)
     rng = as_rng(seed)
     q, r = np.linalg.qr(_gaussian_complex(rng, out_dim, in_dim))
     phases = np.diagonal(r).copy()
@@ -50,6 +52,7 @@ def random_isometry(in_dim: int, out_dim: int, seed) -> np.ndarray:
 
 def random_pure_vector(dim: int, seed) -> np.ndarray:
     dim = require_integer("dim", dim, 1)
+    _require_budget(dim)
     rng = as_rng(seed)
     v = _gaussian_complex(rng, dim)
     return v / np.linalg.norm(v)
@@ -61,6 +64,7 @@ def random_density_matrix(dim: int, seed, rank: int | None = None) -> np.ndarray
     rank = dim if rank is None else require_integer("rank", rank, 1)
     if rank > dim:
         raise BadDims(f"rank must be in [1, {dim}], got {rank}")
+    _require_budget(dim)
     rng = as_rng(seed)
     g = _gaussian_complex(rng, dim, rank)
     m = g @ g.conj().T
@@ -85,8 +89,8 @@ def sample(kind: str, dims, seed, *, layout: RegisterLayout | None = None, rank=
         ``unitary``    -> ndarray, ``dims`` a single int or [d]
         ``isometry``   -> ndarray, ``dims`` = (in_dim, out_dim)
 
-    The output dimension is checked against the budget before anything is
-    drawn.
+    The drawer checks the output dimension against the budget before
+    anything is drawn.
     """
     rng = as_rng(seed)
     if kind == "isometry":
@@ -94,22 +98,16 @@ def sample(kind: str, dims, seed, *, layout: RegisterLayout | None = None, rank=
             in_dim, out_dim = dims
         except (TypeError, ValueError):
             raise BadDims("isometry dims must be a pair (in_dim, out_dim)") from None
-        in_dim = require_integer("in_dim", in_dim, 1)
-        out_dim = require_integer("out_dim", out_dim, 1)
-        _require_budget(out_dim)
         return random_isometry(in_dim, out_dim, rng)
     dims = tuple(require_integer("dims", d, 1) for d in ([dims] if np.isscalar(dims) else dims))
     if kind == "unitary":
-        d = math.prod(dims)
-        _require_budget(d)
-        return random_unitary(d, rng)
+        return random_unitary(math.prod(dims), rng)
     if not dims:
         raise BadDims("need at least one register dimension")
     lay = layout if layout is not None else _default_layout(dims)
     if lay.dims != dims:
         raise BadDims(f"layout dims {lay.dims} do not match requested dims {dims}")
     total = math.prod(dims)
-    _require_budget(total)
     if kind == "pure":
         return PureState(lay, random_pure_vector(total, rng))
     if kind == "density_hs":

@@ -133,24 +133,13 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def channel_to_json(c: ChannelMap) -> dict:
-    return {
-        "kraus": [matrix_to_json(k) for k in c.kraus],
-        "inverse": None
-        if c.declared_inverse is None
-        else {"kraus": [matrix_to_json(k) for k in c.declared_inverse.kraus]},
-        "trace_preserving": c.trace_preserving,
-    }
+    return {"kraus": [matrix_to_json(k) for k in c.kraus]}
 
 
 def channel_from_json(d: dict) -> ChannelMap:
-    inverse = d.get("inverse")
-    if inverse is not None:
-        inverse = ChannelMap(tuple(map(matrix_from_json, inverse["kraus"])), trace_preserving=False)
-    return ChannelMap(
-        tuple(matrix_from_json(k) for k in d["kraus"]),
-        declared_inverse=inverse,
-        trace_preserving=_boolean("trace_preserving", d.get("trace_preserving", True)),
-    )
+    """The channel of ``{"kraus": [...]}``; the other keys an older file
+    writes beside ``"kraus"``, such as its inverse, are ignored."""
+    return ChannelMap(tuple(matrix_from_json(k) for k in d["kraus"]))
 
 
 def step_to_json(step: Step) -> dict:

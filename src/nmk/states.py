@@ -73,10 +73,11 @@ EIG_FLOOR = -1e-9
 #: Shift above |EIG_FLOOR| in the positivity check's Cholesky, so that a
 #: matrix whose least eigenvalue is EIG_FLOOR still factors.
 CHOLESKY_SLACK = 1e-12
-#: Max-abs deviation of a trace-preserving map's sum K^dagger K from I.
+#: Max-abs deviation of a channel's sum K^dagger K from I.
 KRAUS_TOL = 1e-9
-#: Max-abs deviation of a declared inverse's composition from the identity.
-INVERSE_TOL = 1e-8
+#: Max-abs deviation of K_i^dagger K_j from a multiple of I for a reversible
+#: channel (the Knill-Laflamme condition).
+REVERSIBLE_TOL = 1e-8
 #: A block, member or slice of trace (weight) at most this is dropped.
 PRUNE_TOL = 1e-14
 #: An eigenvalue at most this lies outside the support.
@@ -234,21 +235,12 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class ChannelMap:
-    """A completely positive map given by Kraus operators.
-
-    ``declared_inverse`` names a map whose composition with this one is the
-    identity; reversibility is checked operationally when the map is built,
-    not syntactically: the Choi matrix of the composition must match the
-    identity's entrywise within ``INVERSE_TOL``, the test on every matrix unit
-    (see ``_inverse_deviation``).  Kraus operators must be finite, and the
-    completeness sum ``sum K^dagger K = I`` is enforced unless
-    ``trace_preserving`` is False (needed for declared inverses of proper
-    isometries, which are only trace-preserving on the range).
-    """
+    """A channel given by its Kraus operators, which must be finite, share
+    one shape and satisfy the completeness sum ``sum K^dagger K = I`` within
+    ``KRAUS_TOL``, all checked when the channel is built.  Whether it is
+    reversible is read off the same operators (see :attr:`reversible`)."""
 
     kraus: tuple[np.ndarray, ...]
-    declared_inverse: "ChannelMap | None" = None
-    trace_preserving: bool = True
 
     def __post_init__(self):
         ops = tuple(_freeze(k) for k in self.kraus)
@@ -261,15 +253,10 @@ class ChannelMap:
             if not np.isfinite(k).all():
                 raise InvariantViolation("finite", "Kraus operators must be finite")
         object.__setattr__(self, "kraus", ops)
-        if self.trace_preserving:
-            comp = sum(k.conj().T @ k for k in ops)
-            err = np.max(np.abs(comp - np.eye(r)))
-            if not err <= KRAUS_TOL:
-                raise InvariantViolation(
-                    "kraus_completeness", f"max |sum K^dagger K - I| = {err:.3e}"
-                )
-        if self.declared_inverse is not None:
-            self.verify_inverse()
+        comp = sum(k.conj().T @ k for k in ops)
+        err = np.max(np.abs(comp - np.eye(r)))
+        if not err <= KRAUS_TOL:
+            raise InvariantViolation("kraus_completeness", f"max |sum K^dagger K - I| = {err:.3e}")
 
     @property
     def in_dim(self) -> int:
@@ -279,32 +266,21 @@ class ChannelMap:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def verify_inverse(self):
-        """Check that the Choi matrix of inverse o channel is the identity's."""
-        inv = self.declared_inverse
-        if inv is None:
-            raise InvariantViolation("inverse_composition", "no declared inverse")
-        if inv.in_dim != self.out_dim or inv.out_dim != self.in_dim:
-            raise DimensionMismatch("declared inverse dimensions do not match the channel")
-        err = _inverse_deviation(self.kraus, inv.kraus)
-        if not err <= INVERSE_TOL:
-            raise InvariantViolation(
-                "inverse_composition", f"max |Choi(inverse o channel) - Choi(id)| = {err:.3e}"
-            )
-
-    @classmethod
-    def unitary(cls, u: np.ndarray) -> "ChannelMap":
-        u = np.asarray(u, dtype=complex)
-        return cls((u,), declared_inverse=cls((u.conj().T,)))
-
-    @classmethod
-    def isometry(cls, v: np.ndarray) -> "ChannelMap":
-        """Channel rho -> V rho V^dagger with the co-isometry as inverse."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape[0] < v.shape[1]:
-            raise BadDims("an isometry needs output dim >= input dim")
-        inv = cls((v.conj().T,), trace_preserving=False)
-        return cls((v,), declared_inverse=inv)
+    @cached_property
+    def reversible(self) -> bool:
+        """Whether some channel undoes this one: by the Knill-Laflamme
+        condition, whether K_i^dagger K_j = c_ij I for all i, j, within
+        ``REVERSIBLE_TOL`` max-abs.  Read off the Gram matrix A^dagger A of
+        the stacked operators A = [K_1 ... K_n], whose (n r)-square size is
+        checked against the budget as n r first."""
+        n, r = len(self.kraus), self.in_dim
+        _require_budget(n * r, "reversibility check dimension")
+        stacked = np.concatenate(self.kraus, axis=1)
+        # blocks[i, j] = K_i^dagger K_j
+        blocks = (stacked.conj().T @ stacked).reshape(n, r, n, r).swapaxes(1, 2)
+        scalars = np.trace(blocks, axis1=2, axis2=3) / r
+        err = np.max(np.abs(blocks - scalars[:, :, None, None] * np.eye(r)))
+        return bool(err <= REVERSIBLE_TOL)
 
     @classmethod
     def dephasing(cls, dim: int) -> "ChannelMap":
@@ -325,20 +301,6 @@ class ChannelMap:
         if len(ops) != len(probs):
             raise DimensionMismatch(f"probs and unitaries must pair up: {len(probs)} != {len(ops)}")
         return cls(tuple(math.sqrt(max(p, 0.0)) * u for u, p in zip(ops, probs)))
-
-
-def _inverse_deviation(kraus, inverse_kraus) -> float:
-    """max |C - vec(I) vec(I)^dagger| for C = sum_jk vec(L_j K_k) vec(L_j K_k)^dagger,
-    the Choi matrix of the map with Kraus operators L_j K_k (row-major vec).
-    Entry ((a, i), (b, j)) of C is entry (a, b) of the map applied to the
-    matrix unit |i><j|, so this is the largest deviation from the identity
-    over all matrix units.  The Choi dimension is checked against the
-    budget first."""
-    r = kraus[0].shape[1]
-    _require_budget(r * r, "inverse check dimension")
-    vecs = np.array([l @ k for l in inverse_kraus for k in kraus]).reshape(-1, r * r)
-    ident = np.eye(r).reshape(-1)
-    return float(np.max(np.abs(vecs.T @ vecs.conj() - np.outer(ident, ident))))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +572,9 @@ def apply_channel(
     the channel's output order, replaces the block and is appended after the
     untouched registers; with ``out`` omitted the channel must be square and
     the layout is unchanged.  The output dimension is checked against the
-    budget before anything is computed.  The channel itself, its declared
-    inverse included, was checked when it was built and is not checked
-    again; the result is validated once, as a :class:`DensityState`.
+    budget before anything is computed.  The channel was checked when it
+    was built and is not checked again; the result is validated once, as a
+    :class:`DensityState`.
     """
     on = tuple(on)
     block, out_layout = _channel_layout(state.layout, channel, on, out)

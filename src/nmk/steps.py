@@ -133,10 +133,13 @@ class Step:
     carry; a field outside the row that is not at its default is refused,
     and a local step with a ``discard`` list carries nothing else.  The
     payload is checked, and its sequences coerced, when the step is built:
-    ``on`` and ``discard`` are label groups (a string is one label), and
-    ``kind``, ``to`` (a receiver of the row) and ``sender`` (a party of the
-    row) pass ``require_member``, which raises ``BadParams`` naming the
-    field."""
+    ``on`` and ``discard`` are label groups (a string is one label) of
+    non-empty strings, ``out`` a sequence of :class:`Register`,
+    ``operators`` 2-D numeric arrays, ``channel`` a :class:`ChannelMap`,
+    ``register`` and ``msg_label`` non-empty strings, ``bypass`` a bool,
+    and ``kind``, ``to`` (a receiver of the row) and ``sender`` (a party of
+    the row) pass ``require_member``.  A field that fails raises
+    ``BadParams`` naming it."""
 
     kind: StepKind
     channel: ChannelMap | None = None
@@ -152,15 +155,18 @@ class Step:
 
     def __post_init__(self):
         kind = require_member("step field 'kind'", StepKind, self.kind)
-        coerced = {
-            "kind": kind,
-            "on": _label_group(self.on),
-            "out": None if self.out is None else tuple(self.out),
-            "discard": _label_group(self.discard),
-            "operators": tuple(np.asarray(op, dtype=complex) for op in self.operators),
-        }
-        for key, value in coerced.items():
-            object.__setattr__(self, key, value)
+        object.__setattr__(self, "kind", kind)
+        for key, (coerce, what) in _PAYLOAD_TYPES.items():
+            value = getattr(self, key)
+            if value is None and key in _NONE_DEFAULTS:
+                continue
+            try:
+                coerced = coerce(value)
+            except (TypeError, ValueError):
+                coerced = None
+            if coerced is None:
+                raise BadParams(f"step field {key!r} must be {what}, got {value!r}")
+            object.__setattr__(self, key, coerced)
         row = KINDS[kind]
         needs, allowed, form = row.needs, row.needs + row.may, ""
         if self.discard and "discard" in allowed:  # a local step's discard form
@@ -192,6 +198,38 @@ class Step:
 
 #: The payload fields of a step: every field but its kind.
 _FIELD_NAMES = tuple(f.name for f in fields(Step))[1:]
+#: The payload fields that default to None, which they may keep.
+_NONE_DEFAULTS = {f.name for f in fields(Step) if f.default is None}
+
+
+def _all_or_none(items, test):
+    """``items`` as a tuple if ``test`` holds for each item, else None."""
+    items = tuple(items)
+    return items if all(test(x) for x in items) else None
+
+
+def _is_label(x) -> bool:
+    return isinstance(x, str) and x != ""
+
+
+def _matrices(ops):
+    """``ops`` as complex arrays if each is 2-D, else None."""
+    return _all_or_none((np.asarray(op, dtype=complex) for op in ops), lambda m: m.ndim == 2)
+
+
+#: For each payload field whose type ``Step`` checks: the function that
+#: coerces a value (returning None, or raising TypeError or ValueError, for
+#: a wrong one) and what the field must be.
+_PAYLOAD_TYPES = {
+    "channel": (lambda c: c if isinstance(c, ChannelMap) else None, "a ChannelMap"),
+    "on": (lambda ls: _all_or_none(_label_group(ls), _is_label), "register labels"),
+    "out": (lambda rs: _all_or_none(rs, lambda r: isinstance(r, Register)), "Registers"),
+    "discard": (lambda ls: _all_or_none(_label_group(ls), _is_label), "register labels"),
+    "register": (lambda s: s if _is_label(s) else None, "a register label"),
+    "operators": (_matrices, "2-D numeric arrays"),
+    "msg_label": (lambda s: s if _is_label(s) else None, "a non-empty string"),
+    "bypass": (lambda b: b if isinstance(b, bool) else None, "True or False"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +245,15 @@ def _require_party(lay: RegisterLayout, labels, party: Party):
 
 def _channel_step(sc: Scenario, step: Step, row) -> Scenario:
     """The acting party's channel or discard on its own registers.  Eve's
-    channel must carry a declared inverse unless the step bypasses the
-    check."""
+    channel must be ``reversible`` unless the step bypasses the check."""
     (party,) = row.parties
     bs = sc.block_state
     if step.discard:
         _require_party(bs.layout, step.discard, party)
         return replace(sc, block_state=bs.discarded(step.discard))
     _require_party(bs.layout, step.on, party)
-    # ChannelMap verified its declared inverse when it was built.
-    if party is Party.EVE and not step.bypass and step.channel.declared_inverse is None:
-        raise IrreversibleEveOp("Eve's local operations must carry a declared inverse")
+    if party is Party.EVE and not step.bypass and not step.channel.reversible:
+        raise IrreversibleEveOp("Eve's local operations must be reversible")
     for reg in step.out or ():
         if reg.party is not party:
             raise DimensionMismatch(f"output register {reg.label!r} must stay with {party.value}")

@@ -166,8 +166,8 @@ def _script_secret_ab() -> ZooScript:
     ja, jb = _copy_label("J", Party.ALICE), _copy_label("J", Party.BOB)
     steps = (
         Step(StepKind.SECRET_AB, operators=coin, on=("A",), msg_label="J", sender="alice"),
-        Step(StepKind.LOCAL_A, channel=ChannelMap.unitary(cx), on=(ja, "A")),
-        Step(StepKind.LOCAL_B, channel=ChannelMap.unitary(cx), on=(jb, "B")),
+        Step(StepKind.LOCAL_A, channel=ChannelMap((cx,)), on=(ja, "A")),
+        Step(StepKind.LOCAL_B, channel=ChannelMap((cx,)), on=(jb, "B")),
         Step(StepKind.LOCAL_A, discard=(ja,)),
         Step(StepKind.LOCAL_B, discard=(jb,)),
     )

@@ -102,7 +102,7 @@ class TestProperties:
         for _ in range(25):
             rho = sample("density_hs", (2, 2, 2), rng)
             before = cqmi(rho, ("A",), ("B",), ("E",))
-            iso = ChannelMap.isometry(sample("isometry", (2, 4), rng))
+            iso = ChannelMap((sample("isometry", (2, 4), rng),))
             widened = apply_channel(rho, iso, ("E",), out=(Register("F", 4, "eve"),))
             after = cqmi(widened, ("A",), ("B",), ("F",))
             assert abs(after - before) < 1e-9

@@ -43,15 +43,20 @@ Every public function with a ``tol`` parameter passes it through
 ``registers.require_real``, which refuses NaN, a negative value, a string
 and a bool naming it.  No module but ``registers`` calls ``Party(...)``: a
 party name is read by ``registers.require_member``, by its exact value.
+README's Tolerances table matches the code: each row names a module-level
+constant of the stated module, at the stated value, and every tolerance
+constant of the package has a row or is named in the paragraph under it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nmk"
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _bound_names(node):
@@ -933,4 +938,83 @@ def test_lint_catches_unchecked_tols():
     assert threshold_problems(source) == [
         f"line 3: check {message}",
         f"line 13: Checker.run {message}",
+    ]
+
+
+#: The module-level names README's Tolerances table must account for.
+TOLERANCE_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(TOL|SLACK)|EIG_FLOOR|BEAT_MARGIN")
+#: A row of the table: constant, value (a Unicode minus allowed), module.
+TABLE_ROW = re.compile(r"^\| `(\w+)` \| (\S+) \| .* \| `nmk\.(\w+)` \|$", re.M)
+
+
+def tolerance_constants(sources: dict) -> dict:
+    """``(module, name) -> value`` of each module-level tolerance constant
+    in ``sources`` (module name to source)."""
+    found = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name) and TOLERANCE_NAME.fullmatch(target.id):
+                    found[module, target.id] = ast.literal_eval(node.value)
+    return found
+
+
+def tolerance_table_problems(readme: str, constants: dict) -> list[str]:
+    """How README's Tolerances section ``readme`` disagrees with ``constants``."""
+    section = readme.split("### Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = TABLE_ROW.findall(section)
+    exempt = set(re.findall(r"`(\w+)`", section[section.rindex("|") :]))
+    problems = []
+    for name, value, module in rows:
+        if (module, name) not in constants:
+            problems.append(f"row {name}: no such constant in nmk.{module}")
+        elif constants[module, name] != float(value.replace("\u2212", "-")):
+            problems.append(f"row {name}: {value} is not the value {constants[module, name]!r}")
+    listed = {name for name, _, _ in rows}
+    problems += [
+        f"{name} in nmk.{module} has no row"
+        for module, name in sorted(constants)
+        if name not in listed | exempt
+    ]
+    return problems
+
+
+def test_readme_tolerance_table_matches_the_code():
+    constants = tolerance_constants({path.stem: path.read_text() for path in MODULES})
+    assert ("states", "REVERSIBLE_TOL") in constants
+    assert tolerance_table_problems(README.read_text(), constants) == []
+
+
+def test_lint_catches_tolerance_table_drift():
+    readme = (
+        "### Tolerances\n\n"
+        "| constant | value | invariant | module |\n"
+        "| --- | --- | --- | --- |\n"
+        "| `A_TOL` | 1e-8 | a \\| b | `nmk.one` |\n"
+        "| `FLOOR` | \u22121e-9 | c | `nmk.one` |\n"
+        "| `B_TOL` | 1e-9 | d | `nmk.one` |\n"
+        "| `GONE_TOL` | 1e-9 | e | `nmk.two` |\n"
+        "\nThe fuzz tolerance `C_TOL` is named in `nmk.two`.\n"
+        "\n## Next\n\n`D_SLACK`\n"
+    )
+    constants = tolerance_constants(
+        {
+            "one": "A_TOL = 1e-8\nFLOOR = -1e-9\nB_TOL = 1e-10\ndef f():\n    E_TOL = 1\n",
+            "two": "C_TOL = 1e-9\nD_SLACK = 1e-12\nEIG_FLOOR = -1e-9\n",
+        }
+    )
+    assert constants == {
+        ("one", "A_TOL"): 1e-8,
+        ("one", "B_TOL"): 1e-10,
+        ("two", "C_TOL"): 1e-9,
+        ("two", "D_SLACK"): 1e-12,
+        ("two", "EIG_FLOOR"): -1e-9,
+    }
+    constants["one", "FLOOR"] = -1e-9
+    assert tolerance_table_problems(readme, constants) == [
+        "row B_TOL: 1e-9 is not the value 1e-10",
+        "row GONE_TOL: no such constant in nmk.two",
+        "D_SLACK in nmk.two has no row",
+        "EIG_FLOOR in nmk.two has no row",
     ]

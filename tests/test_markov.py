@@ -250,7 +250,7 @@ class TestScore:
     def test_isometry_invariance_of_verdict(self):
         rng = np.random.default_rng(5)
         xi = build_markov(random_components(8, entries=2))
-        iso = ChannelMap.isometry(sample("isometry", (8, 16), rng))
+        iso = ChannelMap((sample("isometry", (8, 16), rng),))
         widened = apply_channel(
             xi, iso, ("E0", "EL", "ER"), out=(Register("F", 16, "eve"),)
         )
@@ -260,7 +260,7 @@ class TestScore:
         # The irreversible-mix output is an equal mixture of two block
         # states yet fails the verdict.
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        flipped = apply_channel(ghz, ChannelMap.unitary(sx), ("E",))
+        flipped = apply_channel(ghz, ChannelMap((sx,)), ("E",))
         assert markov_score(flipped).verdict
         mixed = DensityState(ghz.layout, 0.5 * (ghz.matrix + flipped.matrix))
         score = markov_score(mixed)

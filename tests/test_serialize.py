@@ -6,9 +6,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import pytest
 
-from nmk import objective, sample
+from nmk import ChannelMap, objective, sample
 from nmk.errors import BadParams, DimensionMismatch, InvariantViolation
 from nmk.serialize import (
+    channel_from_json,
+    channel_to_json,
     components_from_json,
     components_to_json,
     jsonable,
@@ -83,14 +85,21 @@ def test_script_roundtrip_with_channels():
     payload = json.loads(json.dumps(script_to_json(zs.steps)))
     back = script_from_json(payload)
     assert [s.kind for s in back] == [s.kind for s in zs.steps]
-    # Channels survive with their inverses.
     originals = [s for s in zs.steps if s.channel is not None]
     restored = [s for s in back if s.channel is not None]
     for orig, rest in zip(originals, restored):
         np.testing.assert_allclose(orig.channel.kraus[0], rest.channel.kraus[0])
-        assert (orig.channel.declared_inverse is None) == (
-            rest.channel.declared_inverse is None
-        )
+
+
+def test_channel_is_written_as_its_kraus_operators_alone():
+    # Older files also carry "inverse" and "trace_preserving"; the reader
+    # ignores them, as it does any other key it does not read.
+    flip = ChannelMap((np.array([[0, 1], [1, 0]], dtype=complex),))
+    written = channel_to_json(flip)
+    assert list(written) == ["kraus"]
+    older = dict(written, inverse={"kraus": written["kraus"]}, trace_preserving=True)
+    for payload in (written, older, dict(older, inverse=None, trace_preserving=False)):
+        np.testing.assert_array_equal(channel_from_json(payload).kraus[0], flip.kraus[0])
 
 
 def _rebuilt(payload) -> Witness:

@@ -1,4 +1,6 @@
 import re
+import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,9 +28,9 @@ from nmk.errors import (
     LayoutMismatch,
     UnknownLabel,
 )
-from nmk import states
+from nmk import rand, states
 from nmk.registers import Register
-from nmk.states import INVERSE_TOL, _inverse_deviation
+from nmk.states import REVERSIBLE_TOL
 
 from conftest import (
     bell_pair,
@@ -183,7 +185,7 @@ class TestPurify:
 class TestApplyChannel:
     def test_identity_channel(self):
         rho = sample("density_hs", (2, 2), 9, layout=layout(("A", 2, "alice"), ("B", 2, "bob")))
-        out = apply_channel(rho, ChannelMap.unitary(np.eye(2)), ("B",))
+        out = apply_channel(rho, ChannelMap((np.eye(2),)), ("B",))
         assert out.layout == rho.layout
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
@@ -201,37 +203,17 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_channel(bell_pair(), ChannelMap.unitary(np.eye(3)), ("A",))
+            apply_channel(bell_pair(), ChannelMap((np.eye(3),)), ("A",))
 
     def test_trace_preserved_and_identity_elsewhere(self):
         rng = np.random.default_rng(4)
         rho = sample("density_hs", (2, 3), rng, layout=layout(("A", 2, "alice"), ("B", 3, "bob")))
-        chan = ChannelMap.unitary(nmk.sample("unitary", 2, rng))
+        chan = ChannelMap((nmk.sample("unitary", 2, rng),))
         out = apply_channel(rho, chan, ("A",))
         assert abs(np.trace(out.matrix) - 1.0) < 1e-10
         np.testing.assert_allclose(
             partial_trace(out, ("B",)).matrix, partial_trace(rho, ("B",)).matrix, atol=1e-10
         )
-
-    def test_generic_declared_inverse_verification(self):
-        u = nmk.sample("unitary", 3, 8)
-        chan = ChannelMap([u], declared_inverse=ChannelMap([u.conj().T]))
-        chan.verify_inverse()  # a generic pair: the same Choi check as unitary()
-        wrong = ChannelMap([np.eye(3, dtype=complex)])
-        with pytest.raises(InvariantViolation, match="inverse_composition"):
-            ChannelMap([u], declared_inverse=wrong)
-
-    def test_declared_inverse_roundtrip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            rho = sample("density_hs", (2, 2), rng, layout=layout(("A", 2, "alice"), ("E", 2, "eve")))
-            iso = nmk.sample("isometry", (2, 6), rng)
-            chan = ChannelMap.isometry(iso)
-            widened = apply_channel(rho, chan, ("E",), out=(Register("F", 6, "eve"),))
-            back = apply_channel(
-                widened, chan.declared_inverse, ("F",), out=(Register("E", 2, "eve"),)
-            )
-            assert trace_distance(back.permuted(("A", "E")), rho) < 1e-9
 
 
 def loop_deviation(kraus, inverse_kraus):
@@ -249,53 +231,124 @@ def loop_deviation(kraus, inverse_kraus):
     return worst
 
 
-def near_tolerance_inverse(u, factor, rng):
-    """``u^dagger`` perturbed in a random direction, scaled so that the
-    oracle deviation is about ``factor * INVERSE_TOL``."""
-    direction = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
-    probe = loop_deviation((u,), (u.conj().T + 1e-8 * direction,))
-    return u.conj().T + factor * INVERSE_TOL * 1e-8 / probe * direction
+def gram_deviation(kraus):
+    """Oracle: max |K_i^dagger K_j - (tr(K_i^dagger K_j) / r) I| over every
+    pair (i, j), by a loop."""
+    r = kraus[0].shape[1]
+    worst = 0.0
+    for ki in kraus:
+        for kj in kraus:
+            m = ki.conj().T @ kj
+            worst = max(worst, float(np.max(np.abs(m - np.trace(m) / r * np.eye(r)))))
+    return worst
 
 
-def inverse_cases():
+def petz_recovery(kraus):
+    """Kraus operators of the Petz recovery of the channel with respect to
+    I/r: L_k = K_k^dagger N(I)^(-1/2), the inverse root taken on the support."""
+    vals, vecs = np.linalg.eigh(sum(k @ k.conj().T for k in kraus))
+    inv_root = np.where(vals > states.SUPPORT_TOL, 1 / np.sqrt(np.abs(vals)), 0.0)
+    root = (vecs * inv_root) @ vecs.conj().T
+    return tuple(k.conj().T @ root for k in kraus)
+
+
+def two_unitaries(factor, rng):
+    """Kraus operators of rho -> p U rho U^dagger + (1 - p) UW rho (UW)^dagger
+    with W = exp(i eps H), complete for every eps; eps is scaled so that the
+    oracle deviation is about ``factor * REVERSIBLE_TOL`` (0 at W = I)."""
+    u = nmk.sample("unitary", 3, rng)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    vals, vecs = np.linalg.eigh(h + h.conj().T)
+
+    def kraus(eps):
+        w = (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+        return (np.sqrt(0.6) * u, np.sqrt(0.4) * u @ w)
+
+    probe = gram_deviation(kraus(1e-8))
+    return kraus(factor * REVERSIBLE_TOL * 1e-8 / probe)
+
+
+def flagged(unitaries, probs):
+    """Kraus operators of sum_k p_k U_k rho U_k^dagger (x) |k><k|."""
+    flags = np.eye(len(unitaries))
+    pairs = enumerate(zip(unitaries, probs))
+    return tuple(np.sqrt(p) * np.kron(u, flags[:, [k]]) for k, (u, p) in pairs)
+
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def reversibility_cases():
+    """(name, Kraus operators, reversible) for the semantic cases."""
     rng = np.random.default_rng(31)
-    for d in (2, 3, 4):
-        u = nmk.sample("unitary", d, rng)
-        yield f"unitary{d}", (u,), (u.conj().T,)
-    for out_dim in (4, 6):
-        v = nmk.sample("isometry", (2, out_dim), rng)
-        yield f"isometry2to{out_dim}", (v,), (v.conj().T,)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    yield "two_kraus_wrong", (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * sx), (np.eye(2),)
+    yield "unitary3", (nmk.sample("unitary", 3, rng),), True
+    yield "isometry2to6", (nmk.sample("isometry", (2, 6), rng),), True
+    # rho -> rho (x) sigma, sigma = diag(0.5, 0.3, 0.2)
+    levels = np.eye(3)
+    weights = enumerate([0.5, 0.3, 0.2])
+    ancilla = tuple(np.sqrt(s) * np.kron(np.eye(2), levels[:, [m]]) for m, s in weights)
+    yield "mixed_ancilla", ancilla, True
+    mixture = flagged([np.eye(2), SX, nmk.sample("unitary", 2, rng)], [0.5, 0.3, 0.2])
+    yield "flagged_mixture", mixture, True
+    yield "mixing", ChannelMap.mixing([np.eye(2), SX], [0.5, 0.5]).kraus, False
+    yield "dephasing3", ChannelMap.dephasing(3).kraus, False
+    gamma = 0.1
+    damping = (np.diag([1, np.sqrt(1 - gamma)]), np.sqrt(gamma) * np.array([[0, 1], [0, 0]]))
+    yield "amplitude_damping", tuple(k.astype(complex) for k in damping), False
+
+
+def gram_cases():
+    yield from ((name, kraus) for name, kraus, _ in reversibility_cases())
+    rng = np.random.default_rng(32)
     for factor in (0.5, 2.0):
-        u = nmk.sample("unitary", 3, rng)
-        yield f"perturbed{factor}x", (u,), (near_tolerance_inverse(u, factor, rng),)
+        yield f"two_unitaries{factor}x", two_unitaries(factor, rng)
 
 
-class TestInverseCheck:
+class TestReversible:
     @pytest.mark.parametrize(
-        "kraus, inverse_kraus",
-        [case[1:] for case in inverse_cases()],
-        ids=[case[0] for case in inverse_cases()],
+        "kraus", [case[1] for case in gram_cases()], ids=[case[0] for case in gram_cases()]
     )
-    def test_choi_check_matches_matrix_unit_loop(self, kraus, inverse_kraus):
-        expected = loop_deviation(kraus, inverse_kraus)
-        chan = ChannelMap(tuple(kraus))
-        inverse = ChannelMap(tuple(inverse_kraus), trace_preserving=False)
-        assert _inverse_deviation(chan.kraus, inverse.kraus) == pytest.approx(expected, abs=1e-14)
-        if expected <= INVERSE_TOL:
-            ChannelMap(chan.kraus, declared_inverse=inverse)
-        else:
-            with pytest.raises(InvariantViolation, match="inverse_composition"):
-                ChannelMap(chan.kraus, declared_inverse=inverse)
+    def test_matches_the_gram_loop(self, kraus):
+        assert ChannelMap(kraus).reversible is (gram_deviation(kraus) <= REVERSIBLE_TOL)
 
     def test_near_tolerance_cases_straddle_it(self):
-        # The perturbed inverses land on either side of the tolerance, so
-        # both verdicts are exercised near it.
-        devs = {name: loop_deviation(k, l) for name, k, l in inverse_cases()}
-        assert 0.4 * INVERSE_TOL < devs["perturbed0.5x"] < 0.6 * INVERSE_TOL
-        assert 1.8 * INVERSE_TOL < devs["perturbed2.0x"] < 2.2 * INVERSE_TOL
-        assert devs["two_kraus_wrong"] > INVERSE_TOL
+        devs = {name: gram_deviation(kraus) for name, kraus in gram_cases()}
+        assert 0.4 * REVERSIBLE_TOL < devs["two_unitaries0.5x"] < 0.6 * REVERSIBLE_TOL
+        assert 1.8 * REVERSIBLE_TOL < devs["two_unitaries2.0x"] < 2.2 * REVERSIBLE_TOL
+
+    @pytest.mark.parametrize(
+        "kraus, expected",
+        [case[1:] for case in reversibility_cases()],
+        ids=[case[0] for case in reversibility_cases()],
+    )
+    def test_agrees_with_the_petz_recovery(self, kraus, expected):
+        # A reversible channel is undone by its Petz recovery; an
+        # irreversible one is undone by no channel, that one included.
+        dev = loop_deviation(kraus, petz_recovery(kraus))
+        assert (dev <= 1e-12, dev >= 0.05) == (expected, not expected)
+        assert ChannelMap(kraus).reversible is expected
+
+    def test_large_unitary_is_checked_quickly(self):
+        ChannelMap((np.eye(2),)).reversible  # the first matrix product loads BLAS
+        u = nmk.sample("unitary", 64, 5)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert ChannelMap((u,)).reversible
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
+
+    def test_budget_is_checked_first(self, monkeypatch):
+        monkeypatch.setenv("NMK_DIM_BUDGET", "4")
+        assert ChannelMap.dephasing(2).reversible is False
+        mix = ChannelMap.mixing([np.eye(2), SX, -SX], [0.5, 0.25, 0.25])
+        with pytest.raises(BudgetExceeded, match="reversibility check dimension 6"):
+            mix.reversible
+
+    def test_fields_and_constructors(self):
+        assert [f.name for f in fields(ChannelMap)] == ["kraus"]
+        classmethods = [k for k, v in vars(ChannelMap).items() if isinstance(v, classmethod)]
+        assert sorted(classmethods) == ["dephasing", "mixing"]
 
 
 class TestTraceDistanceAndFidelity:
@@ -345,6 +398,24 @@ class TestSample:
             sample("isometry", (4, 2), 0)
         with pytest.raises(BadDims):
             sample("pure", (), 0)
+
+    @pytest.mark.parametrize(
+        "drawer, args",
+        [
+            ("random_isometry", (2, 8)),
+            ("random_unitary", (8,)),
+            ("random_density_matrix", (8,)),
+            ("random_pure_vector", (8,)),
+        ],
+    )
+    def test_drawers_check_the_budget_before_drawing(self, monkeypatch, drawer, args):
+        def refuse(*_):
+            raise AssertionError("drew before checking the budget")
+
+        monkeypatch.setenv("NMK_DIM_BUDGET", "4")
+        monkeypatch.setattr(rand, "_gaussian_complex", refuse)
+        with pytest.raises(BudgetExceeded, match="total dimension 8 exceeds the budget of 4"):
+            getattr(rand, drawer)(*args, 0)
 
 
 class TestRegisterDim:
@@ -428,18 +499,11 @@ class TestValidation:
         with pytest.raises(InvariantViolation, match="kraus_completeness"):
             ChannelMap((np.eye(2) * 0.5,))
 
-    @pytest.mark.parametrize("trace_preserving", [True, False])
-    def test_kraus_not_finite(self, trace_preserving):
+    def test_kraus_not_finite(self):
         with pytest.raises(InvariantViolation, match="finite"):
-            ChannelMap((np.full((2, 2), np.nan),), trace_preserving=trace_preserving)
+            ChannelMap((np.full((2, 2), np.nan),))
         with pytest.raises(InvariantViolation, match="finite"):
-            ChannelMap((np.eye(2), np.diag([0.0, np.inf])), trace_preserving=trace_preserving)
-
-    def test_declared_inverse_not_finite(self):
-        with pytest.raises(InvariantViolation, match="finite"):
-            ChannelMap(
-                (np.eye(2),), ChannelMap((np.full((2, 2), np.nan),), trace_preserving=False)
-            )
+            ChannelMap((np.eye(2), np.diag([0.0, np.inf])))
 
     def test_dim_budget(self, monkeypatch):
         monkeypatch.setenv("NMK_DIM_BUDGET", "4")
@@ -587,7 +651,7 @@ def test_label_arguments_are_read_once(operation, labels):
 
 
 def _widening():
-    return ChannelMap.isometry(nmk.sample("isometry", (2, 4), 3))
+    return ChannelMap((nmk.sample("isometry", (2, 4), 3),))
 
 
 @pytest.mark.parametrize(

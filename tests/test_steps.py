@@ -52,7 +52,7 @@ def coin_ops(n=2):
 
 #: A value for every payload field of a step.
 FULL_PAYLOAD = {
-    "channel": ChannelMap.unitary(np.eye(2)),
+    "channel": ChannelMap((np.eye(2),)),
     "on": ("E",),
     "out": (Register("E", 2, Party.EVE),),
     "discard": ("E",),
@@ -175,6 +175,31 @@ class TestStepBoundary:
         assert step.on == ("A",) and step.sender is Party.BOB
         assert isinstance(step.operators, tuple) and step.operators[0].dtype == complex
 
+    @pytest.mark.parametrize(
+        "kind, payload, named",
+        [
+            (StepKind.LOCAL_A, dict(channel=ChannelMap.dephasing(2), on=None), "on"),
+            (StepKind.LOCAL_A, dict(channel=ChannelMap.dephasing(2), on=5), "on"),
+            (StepKind.LOCAL_A, dict(channel=ChannelMap.dephasing(2), on=("A", "")), "on"),
+            (StepKind.LOCAL_A, dict(discard=5), "discard"),
+            (StepKind.LOCAL_A, dict(discard=[3]), "discard"),
+            (StepKind.LOCAL_A, dict(channel=ChannelMap.dephasing(2), on="A", out=5), "out"),
+            (StepKind.LOCAL_A, dict(channel=ChannelMap.dephasing(2), on="A", out=["A"]), "out"),
+            (StepKind.LOCAL_A, dict(channel="junk", on="A"), "channel"),
+            (StepKind.BROADCAST_A, dict(operators="junk", on="A", msg_label="J"), "operators"),
+            (StepKind.BROADCAST_A, dict(operators=[[1, 0]], on="A", msg_label="J"), "operators"),
+            (StepKind.BROADCAST_A, dict(operators=coin_ops(), on="A", msg_label=7), "msg_label"),
+            (StepKind.BROADCAST_A, dict(operators=coin_ops(), on="A", msg_label=""), "msg_label"),
+            (StepKind.QUANTUM_TO_E, dict(register=5), "register"),
+            (StepKind.QUANTUM_TO_E, dict(register=""), "register"),
+            (StepKind.REVERSIBLE_E, dict(channel=ChannelMap.dephasing(2), bypass="no"), "bypass"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_payload_types_are_refused_naming_the_field(self, kind, payload, named):
+        with pytest.raises(BadParams, match=f"step field {named!r} must be"):
+            Step(kind, **payload)
+
     def test_equality_is_identity(self):
         # A step holds numpy operators; == compares identity instead of
         # raising "truth value of an array is ambiguous", and hash() works.
@@ -286,26 +311,25 @@ class TestApplyStep:
         rng = np.random.default_rng(0)
         sc = Scenario(ghz)
         before = nonmarkovianity(ghz)
-        iso = ChannelMap.isometry(sample("isometry", (2, 4), rng))
+        iso = ChannelMap((sample("isometry", (2, 4), rng),))
         wider = (Register("F", 4, Party.EVE),)
         step = Step(StepKind.REVERSIBLE_E, channel=iso, on=("E",), out=wider)
         out = apply_step(sc, step)
         assert abs(nonmarkovianity(out.state) - before) < 1e-9
         assert markov_score(out.state).verdict == markov_score(ghz).verdict
 
-    def test_reversible_step_trusts_the_inverse_verified_at_construction(self, ghz, monkeypatch):
-        # ChannelMap checks its declared inverse once, when it is built; the
-        # step only requires that one is declared.
-        iso = ChannelMap.isometry(sample("isometry", (2, 4), np.random.default_rng(0)))
+    def test_eve_unitary_is_free_from_its_kraus_operator_alone(self, ghz):
+        step = Step(StepKind.REVERSIBLE_E, channel=ChannelMap((sample("unitary", 2, 4),)), on="E")
+        run = run_script(Scenario(ghz), (step,))
+        assert run.classification is ScriptClass.OMEGA
+        assert abs(nonmarkovianity(run.final.state) - nonmarkovianity(ghz)) < 1e-9
 
-        def refuse(self, tol=None):
-            raise AssertionError("the declared inverse was verified again")
-
-        monkeypatch.setattr(ChannelMap, "verify_inverse", refuse)
-        wider = (Register("F", 4, Party.EVE),)
-        step = Step(StepKind.REVERSIBLE_E, channel=iso, on=("E",), out=wider)
-        out = apply_step(Scenario(ghz), step)
-        assert abs(nonmarkovianity(out.state) - nonmarkovianity(ghz)) < 1e-9
+    def test_large_eve_unitary_applies(self):
+        lay = layout(("A", 2, "alice"), ("B", 2, "bob"), ("E", 128, "eve"))
+        rho = sample("density_hs", (2, 2, 128), 6, layout=lay, rank=2)
+        step = Step(StepKind.REVERSIBLE_E, channel=ChannelMap((sample("unitary", 128, 7),)), on="E")
+        out = apply_step(Scenario(rho), step)
+        assert abs(nonmarkovianity(out.state) - nonmarkovianity(rho)) < 1e-9
 
     def test_irreversible_mix_rejected_then_bypassed(self, ghz):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -428,20 +452,20 @@ class TestClassify:
         steps = [
             Step(StepKind.BROADCAST_A, operators=coin_ops(), on=("A",), msg_label="J"),
             Step(StepKind.QUANTUM_TO_E, register="A"),
-            Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",)),
+            Step(StepKind.REVERSIBLE_E, channel=ChannelMap((np.eye(2),)), on=("E",)),
         ]
         assert classify_script(steps) is ScriptClass.OMEGA
 
     def test_classical_down_script(self):
         steps = [
-            Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",)),
+            Step(StepKind.REVERSIBLE_E, channel=ChannelMap((np.eye(2),)), on=("E",)),
             Step(StepKind.CLASSICAL_E_TO_B, register="ME"),
         ]
         assert classify_script(steps) is ScriptClass.OMEGA_STAR
 
     def test_quantum_down_script(self):
         steps = [
-            Step(StepKind.REVERSIBLE_E, channel=ChannelMap.unitary(np.eye(2)), on=("E",)),
+            Step(StepKind.REVERSIBLE_E, channel=ChannelMap((np.eye(2),)), on=("E",)),
             Step(StepKind.QUANTUM_FROM_E, register="E1", to="alice"),
         ]
         assert classify_script(steps) is ScriptClass.OMEGA_Q
